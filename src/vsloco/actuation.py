@@ -1,7 +1,7 @@
 """Action decoding and joint impedance control.
 
 Raw policy actions in [-1, 1] become joint position targets plus per-joint
-proportional gains under one of six control paradigms. The damping gain is
+proportional gains under one of six stiffness groupings. The damping gain is
 always slaved to the stiffness (kd = 0.2 * sqrt(kp)), and the motor torque
 is the spring-damper law about the target with zero desired velocity,
 clamped to the joint torque limits.
@@ -102,20 +102,16 @@ def decode_action(grouping, action, q_default, position_limits=None) -> GainStat
     return GainState(kp=kp, kd=damping_from_stiffness(kp), q_target=q_target)
 
 
-def compute_torque(gains: GainState, q, qdot, torque_limit=24.0, paradigm="variable"):
+def compute_torque(gains: GainState, q, qdot, torque_limit=24.0):
     """Impedance torque tau = kp (q_target - q) - kd qdot, clamped.
 
-    With zero desired velocity the fixed- and variable-gain formulas
-    coincide, so ``paradigm`` only validates the caller's intent.
+    The same law for fixed and variable gains: with zero desired velocity
+    the two formulas coincide.
     """
-    if paradigm not in ("fixed", "variable"):
-        raise ValueError(f"unknown paradigm {paradigm!r}")
-    q = np.asarray(q, dtype=float)
-    qdot = np.asarray(qdot, dtype=float)
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(qdot))):
         raise ValueError("q/qdot contain non-finite entries")
-    tau = gains.kp * (gains.q_target - q) - gains.kd * qdot
-    return np.clip(tau, -np.asarray(torque_limit), np.asarray(torque_limit))
+    identity = GainRandomization.identity(np.shape(gains.kp))
+    return compute_torque_randomized(gains, q, qdot, identity, torque_limit=torque_limit)
 
 
 @dataclass

@@ -123,21 +123,26 @@ def save_checkpoint(path, bundle: PolicyBundle, extra_config=None):
         raise
 
 
+def _read_header(fh, path):
+    """Parse the header at the start of an open checkpoint; leaves ``fh`` at
+    the first array byte."""
+    if fh.read(4) != MAGIC:
+        raise ValueError(f"{path} is not a policy checkpoint (bad magic)")
+    (version,) = struct.unpack("<I", fh.read(4))
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported checkpoint format version {version}")
+    (hlen,) = struct.unpack("<Q", fh.read(8))
+    return json.loads(fh.read(hlen).decode("utf-8"))
+
+
 def read_header(path) -> dict:
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise ValueError(f"{path} is not a policy checkpoint (bad magic)")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint format version {version}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        return json.loads(fh.read(hlen).decode("utf-8"))
+        return _read_header(fh, path)
 
 
 def load_checkpoint(path) -> PolicyBundle:
-    header = read_header(path)
     with open(path, "rb") as fh:
-        fh.seek(4 + 4 + 8 + len(json.dumps(header, sort_keys=True).encode("utf-8")))
+        header = _read_header(fh, path)
         data = fh.read()
     arrays = {}
     for entry in header["arrays"]:

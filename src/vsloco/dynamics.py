@@ -1,11 +1,15 @@
 """Floating-base articulated rigid-body dynamics with penalty ground contact.
 
 The engine is batched: every quantity carries a leading environment axis N,
-and a single simulation is just N = 1. Generalized velocity layout is
-[base linear (world), base angular (world), joint rates] for floating trees
-and [joint rates] for fixed-base trees. Mass matrix and bias forces are
-assembled from per-body Jacobians (world frame, about each body com), which
-keeps the whole thing a short chain of einsums over (N, B, ...) arrays.
+and ``BatchState`` is the only state type; a single simulation is a state
+with N = 1. The checked entry points at the end of the module (``step``,
+``forward_dynamics``, ``contact_forces``, ...) validate their inputs and take
+a state of any N; ``step_batch`` is the unchecked hot path. Generalized
+velocity layout is [base linear (world), base angular (world), joint rates]
+for floating trees and [joint rates] for fixed-base trees. Mass matrix and
+bias forces are assembled from per-body Jacobians (world frame, about each
+body com), which keeps the whole thing a short chain of einsums over
+(N, B, ...) arrays.
 
 Integration is semi-implicit Euler: velocities from forward dynamics, then
 positions from the new velocities, base orientation via the quaternion
@@ -44,66 +48,6 @@ def _cross(a, b):
 
 
 @dataclass
-class ExternalForce:
-    """World-frame force applied at a world-frame point on one body."""
-
-    body: int
-    force: np.ndarray
-    application_point: np.ndarray
-
-    def __post_init__(self):
-        self.force = np.asarray(self.force, dtype=float)
-        self.application_point = np.asarray(self.application_point, dtype=float)
-        if not (np.all(np.isfinite(self.force)) and np.all(np.isfinite(self.application_point))):
-            raise ValueError("ExternalForce components must be finite")
-
-
-@dataclass
-class SimState:
-    """Full dynamic state of one simulation instance."""
-
-    base_pos: np.ndarray
-    base_quat: np.ndarray
-    base_linvel: np.ndarray
-    base_angvel: np.ndarray
-    q: np.ndarray
-    qdot: np.ndarray
-    time: float = 0.0
-    contact_flags: np.ndarray = None
-    contact_forces: np.ndarray = None
-    diverged: bool = False
-
-    def copy(self):
-        return SimState(
-            base_pos=self.base_pos.copy(),
-            base_quat=self.base_quat.copy(),
-            base_linvel=self.base_linvel.copy(),
-            base_angvel=self.base_angvel.copy(),
-            q=self.q.copy(),
-            qdot=self.qdot.copy(),
-            time=self.time,
-            contact_flags=None if self.contact_flags is None else self.contact_flags.copy(),
-            contact_forces=None if self.contact_forces is None else self.contact_forces.copy(),
-            diverged=self.diverged,
-        )
-
-
-def default_state(tree: KinematicTree, q=None, base_pos=(0.0, 0.0, 0.0)) -> SimState:
-    nj = tree.n_joints
-    n_feet = max(len(tree.foot_body_indices), 1)
-    return SimState(
-        base_pos=np.asarray(base_pos, dtype=float),
-        base_quat=IDENTITY_QUAT.copy(),
-        base_linvel=np.zeros(3),
-        base_angvel=np.zeros(3),
-        q=np.zeros(nj) if q is None else np.asarray(q, dtype=float).copy(),
-        qdot=np.zeros(nj),
-        contact_flags=np.zeros(n_feet, dtype=bool),
-        contact_forces=np.zeros((n_feet, 3)),
-    )
-
-
-@dataclass
 class BatchState:
     """Structure-of-arrays state for N parallel simulations."""
 
@@ -117,45 +61,13 @@ class BatchState:
     contact_flags: np.ndarray = None  # (N, n_feet)
     contact_forces: np.ndarray = None  # (N, n_feet, 3)
     diverged: np.ndarray = None  # (N,)
+    # (fk, vel) of the fields above, set and read by step_batch: reset it to
+    # None after writing a field in place (the checked entry points ignore it)
     cache: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def n(self):
         return self.q.shape[0]
-
-    @staticmethod
-    def from_state(state: SimState, n=1) -> "BatchState":
-        rep = lambda a: np.repeat(np.asarray(a, dtype=float)[None], n, axis=0)
-        return BatchState(
-            base_pos=rep(state.base_pos),
-            base_quat=rep(state.base_quat),
-            base_linvel=rep(state.base_linvel),
-            base_angvel=rep(state.base_angvel),
-            q=rep(state.q),
-            qdot=rep(state.qdot),
-            time=np.full(n, state.time),
-            contact_flags=None
-            if state.contact_flags is None
-            else np.repeat(state.contact_flags[None], n, axis=0),
-            contact_forces=None
-            if state.contact_forces is None
-            else np.repeat(state.contact_forces[None], n, axis=0),
-            diverged=np.full(n, state.diverged, dtype=bool),
-        )
-
-    def select(self, i) -> SimState:
-        return SimState(
-            base_pos=self.base_pos[i].copy(),
-            base_quat=self.base_quat[i].copy(),
-            base_linvel=self.base_linvel[i].copy(),
-            base_angvel=self.base_angvel[i].copy(),
-            q=self.q[i].copy(),
-            qdot=self.qdot[i].copy(),
-            time=float(self.time[i]),
-            contact_flags=None if self.contact_flags is None else self.contact_flags[i].copy(),
-            contact_forces=None if self.contact_forces is None else self.contact_forces[i].copy(),
-            diverged=bool(self.diverged[i]) if self.diverged is not None else False,
-        )
 
 
 @dataclass
@@ -357,19 +269,6 @@ def contact_force_law(contact_cfg, friction, pos, vel):
 # forward dynamics and stepping
 
 
-def _ext_to_batch(ext, n):
-    out = []
-    for e in ext or []:
-        force = np.asarray(e.force, dtype=float)
-        point = np.asarray(e.application_point, dtype=float)
-        if force.ndim == 1:
-            force = np.repeat(force[None], n, axis=0)
-        if point.ndim == 1:
-            point = np.repeat(point[None], n, axis=0)
-        out.append((int(e.body), point, force))
-    return out
-
-
 def _point_jacobian(fk, J_v, J_w, body, point):
     """(N, 3, nv) Jacobian of a world point rigidly attached to body.
 
@@ -404,21 +303,6 @@ def _assemble(ct: CompiledTree, bs: BatchState, tau, ext, params):
         J_p = J_v[:, feet] - skew(lever) @ J_w[:, feet]  # (N, n_feet, 3, nv)
         contact = {"pos": pos, "vel": v, "J_p": J_p}
     return M, Q - h, contact
-
-
-def forward_dynamics_batch(ct: CompiledTree, bs: BatchState, tau, ext=None, params=None):
-    """Generalized accelerations (N, nv) under gravity, contacts, tau, ext.
-
-    Contact forces follow the explicit penalty law at the given state.
-    ``ext`` is a list of (body, point (N,3), force (N,3)) tuples.
-    """
-    if params is None:
-        params = BatchParams.from_tree(ct, bs.n)
-    M, rhs, contact = _assemble(ct, bs, tau, ext, params)
-    if contact is not None:
-        forces = contact_force_law(ct.tree.contact, params.friction, contact["pos"], contact["vel"])
-        rhs = rhs + _foot_wrench(contact["J_p"], forces)
-    return np.linalg.solve(M, rhs[..., None])[..., 0]
 
 
 def _foot_wrench(J_p, forces):
@@ -493,7 +377,11 @@ def _generalized_velocity(ct, bs):
 
 
 def step_batch(ct: CompiledTree, bs: BatchState, tau, dt, ext=None, params=None) -> BatchState:
-    """One semi-implicit Euler substep for the whole batch."""
+    """One semi-implicit Euler substep for the whole batch.
+
+    ``ext`` is a list of (body, point (N, 3), force (N, 3)) tuples: world
+    forces applied at world points rigidly attached to the bodies.
+    """
     if params is None:
         params = BatchParams.from_tree(ct, bs.n)
     M, rhs, contact = _assemble(ct, bs, tau, ext, params)
@@ -513,10 +401,8 @@ def step_batch(ct: CompiledTree, bs: BatchState, tau, dt, ext=None, params=None)
         base_pos, base_quat = bs.base_pos, bs.base_quat
     qdot = v_new[:, off:] if ct.n_joints else bs.qdot
     q = bs.q + dt * qdot
-    speeds = [np.abs(qdot).max(axis=1) if ct.n_joints else np.zeros(bs.n)]
-    if ct.floating:
-        speeds += [np.abs(linvel).max(axis=1), np.abs(angvel).max(axis=1)]
-    diverged = np.max(speeds, axis=0) > DIVERGENCE_SPEED
+    # negated so that a non-finite velocity counts as diverged
+    diverged = ~(np.abs(v_new).max(axis=1) <= DIVERGENCE_SPEED)
     if bs.diverged is not None:
         diverged = diverged | bs.diverged
     new = BatchState(
@@ -529,8 +415,6 @@ def step_batch(ct: CompiledTree, bs: BatchState, tau, dt, ext=None, params=None)
         time=bs.time + dt,
         diverged=diverged,
     )
-    if params is None:
-        params = BatchParams.from_tree(ct, bs.n)
     fk2 = _fk(ct, new)
     vel2 = _velocities(ct, new, fk2)
     new.cache = (fk2, vel2)
@@ -546,112 +430,135 @@ def step_batch(ct: CompiledTree, bs: BatchState, tau, dt, ext=None, params=None)
 
 
 # ---------------------------------------------------------------------------
-# single-instance API
+# checked entry points: each takes a BatchState of any N (a single
+# simulation is N = 1) and returns arrays with the leading N axis. They
+# work from the state's fields, never from its cache, so a caller may
+# edit a state in place between calls.
 
 
-def _as_batch(state: SimState) -> BatchState:
-    return BatchState.from_state(state, n=1)
+def default_state(tree: KinematicTree, q=None, base_pos=(0.0, 0.0, 0.0)) -> BatchState:
+    """Upright state at rest in pose q. N is the row count of a 2-D q, else 1."""
+    q = np.zeros(tree.n_joints) if q is None else np.asarray(q, dtype=float)
+    q = np.atleast_2d(q).copy()
+    n = q.shape[0]
+    n_feet = max(len(tree.foot_body_indices), 1)
+    return BatchState(
+        base_pos=np.broadcast_to(np.asarray(base_pos, dtype=float), (n, 3)).copy(),
+        base_quat=np.tile(IDENTITY_QUAT, (n, 1)),
+        base_linvel=np.zeros((n, 3)),
+        base_angvel=np.zeros((n, 3)),
+        q=q,
+        qdot=np.zeros_like(q),
+        time=np.zeros(n),
+        contact_flags=np.zeros((n, n_feet), dtype=bool),
+        contact_forces=np.zeros((n, n_feet, 3)),
+        diverged=np.zeros(n, dtype=bool),
+    )
 
 
-def forward_dynamics(tree: KinematicTree, state: SimState, tau, ext=None):
-    """Generalized acceleration (nv,) of a single instance."""
+def standing_state(tree: KinematicTree, q=None) -> BatchState:
+    """``default_state`` in pose q (the default pose if None) with each base
+    placed so that its lowest foot touches the floor exactly (z = 0)."""
+    state = default_state(tree, q=tree.default_pose if q is None else q)
+    ct = tree.compiled()
+    pos, _ = foot_points(ct, _fk(ct, state))
+    state.base_pos[:, 2] = -pos[..., 2].min(axis=1)
+    return state
+
+
+def _check_ext(ext):
+    """Reject non-finite forces or points in a ``step_batch``-format ``ext``."""
+    for _, point, force in ext or []:
+        _require_finite("external force", force)
+        _require_finite("external force point", point)
+
+
+def forward_dynamics(tree: KinematicTree, state: BatchState, tau, ext=None):
+    """Generalized accelerations (N, nv) under gravity, contacts, tau and ext.
+
+    Contact forces follow the explicit penalty law at the given state.
+    """
     tau = np.zeros(tree.n_joints) if tau is None else np.asarray(tau, dtype=float)
     _require_finite("tau", tau)
     _require_finite("q", state.q)
     _require_finite("qdot", state.qdot)
     _require_finite("base_pos", state.base_pos)
-    _require_finite("base velocities", np.concatenate([state.base_linvel, state.base_angvel]))
+    _require_finite("base velocities", np.hstack([state.base_linvel, state.base_angvel]))
+    _check_ext(ext)
     ct = tree.compiled()
-    ext_b = _ext_to_batch(ext, 1)
-    return forward_dynamics_batch(ct, _as_batch(state), tau[None], ext=ext_b)[0]
+    params = BatchParams.from_tree(ct, state.n)
+    M, rhs, contact = _assemble(ct, replace(state, cache=None), tau, ext, params)
+    if contact is not None:
+        forces = contact_force_law(ct.tree.contact, params.friction, contact["pos"], contact["vel"])
+        rhs = rhs + _foot_wrench(contact["J_p"], forces)
+    return np.linalg.solve(M, rhs[..., None])[..., 0]
 
 
-def contact_forces(tree: KinematicTree, state: SimState, friction_coefficient):
-    """Per-foot world contact forces (n_feet, 3) at the given state."""
+def contact_forces(tree: KinematicTree, state: BatchState, friction_coefficient):
+    """Per-foot world contact forces (N, n_feet, 3) at the given state."""
     if friction_coefficient < 0:
         raise ValueError("friction_coefficient must be >= 0")
     ct = tree.compiled()
-    bs = _as_batch(state)
-    fk = _fk(ct, bs)
-    vel = _velocities(ct, bs, fk)
-    pos, v = foot_points(ct, fk, vel)
-    mu = np.array([float(friction_coefficient)])
-    return contact_force_law(tree.contact, mu, pos, v)[0]
+    fk = _fk(ct, state)
+    pos, v = foot_points(ct, fk, _velocities(ct, state, fk))
+    mu = np.full(state.n, float(friction_coefficient))
+    return contact_force_law(tree.contact, mu, pos, v)
 
 
-def step(tree: KinematicTree, state: SimState, tau, ext=None, dt_physics=0.002) -> SimState:
+def step(tree: KinematicTree, state: BatchState, tau, ext=None, dt_physics=0.002) -> BatchState:
     """Advance one substep; raises on out-of-range dt or non-finite input."""
     if not 0.0 < dt_physics <= MAX_DT:
         raise ValueError(f"dt_physics must be in (0, {MAX_DT}], got {dt_physics}")
     tau = np.zeros(tree.n_joints) if tau is None else np.asarray(tau, dtype=float)
     _require_finite("tau", tau)
-    ct = tree.compiled()
-    ext_b = _ext_to_batch(ext, 1)
-    return step_batch(ct, _as_batch(state), tau[None], dt_physics, ext=ext_b).select(0)
+    _check_ext(ext)
+    return step_batch(tree.compiled(), replace(state, cache=None), tau, dt_physics, ext=ext)
 
 
-def kinematics(tree: KinematicTree, state: SimState):
-    """Foot world poses, com, and the gravity direction in the base frame."""
+def kinematics(tree: KinematicTree, state: BatchState):
+    """Foot world positions and velocities, com, and the gravity direction
+    in the base frame."""
     ct = tree.compiled()
-    bs = _as_batch(state)
-    fk = _fk(ct, bs)
-    vel = _velocities(ct, bs, fk)
+    fk = _fk(ct, state)
     out = {
-        "com_position": np.einsum("b,nbi->ni", ct.mass, fk["c"])[0] / ct.mass.sum(),
-        "projected_gravity": quat_to_matrix(state.base_quat).T @ GRAVITY_DIR
+        "com_position": np.einsum("b,nbi->ni", ct.mass, fk["c"]) / ct.mass.sum(),
+        "projected_gravity": np.einsum("nji,j->ni", quat_to_matrix(state.base_quat), GRAVITY_DIR)
         if tree.floating
-        else GRAVITY_DIR.copy(),
+        else np.tile(GRAVITY_DIR, (state.n, 1)),
     }
     if tree.foot_body_indices:
-        pos, v = foot_points(ct, fk, vel)
-        out["foot_positions"] = pos[0]
-        out["foot_velocities"] = v[0]
+        out["foot_positions"], out["foot_velocities"] = foot_points(
+            ct, fk, _velocities(ct, state, fk)
+        )
     return out
 
 
-def mass_matrix(tree: KinematicTree, state: SimState):
+def mass_matrix(tree: KinematicTree, state: BatchState):
+    """Joint-space mass matrices (N, nv, nv) at the tree's nominal masses."""
     ct = tree.compiled()
-    bs = _as_batch(state)
-    params = BatchParams.from_tree(ct, 1)
-    fk = _fk(ct, bs)
-    I_w = _world_inertia(ct, fk)
-    J_v, J_w = _jacobians(ct, bs, fk)
-    return _mass_matrix(params, J_v, J_w, I_w)[0]
+    fk = _fk(ct, state)
+    J_v, J_w = _jacobians(ct, state, fk)
+    return _mass_matrix(BatchParams.from_tree(ct, state.n), J_v, J_w, _world_inertia(ct, fk))
 
 
-def total_energy(tree: KinematicTree, state: SimState):
-    """Kinetic + gravitational potential energy, summed body-wise.
+def total_energy(tree: KinematicTree, state: BatchState):
+    """Kinetic + gravitational potential energy (N,), summed body-wise.
 
     Independent of the mass-matrix assembly, so it doubles as an oracle for
     both the integrator and M itself (via 0.5 v' M v comparisons in tests).
     """
     ct = tree.compiled()
-    bs = _as_batch(state)
-    fk = _fk(ct, bs)
-    vel = _velocities(ct, bs, fk)
+    fk = _fk(ct, state)
+    vel = _velocities(ct, state, fk)
     I_w = _world_inertia(ct, fk)
-    ke = 0.5 * np.einsum("b,nbi,nbi->", ct.mass, vel["v_c"], vel["v_c"])
-    ke += 0.5 * np.einsum("nbi,nbij,nbj->", vel["w"], I_w, vel["w"])
-    pe = tree.gravity * np.einsum("b,nb->", ct.mass, fk["c"][..., 2])
-    return float(ke + pe)
+    ke = 0.5 * np.einsum("b,nbi,nbi->n", ct.mass, vel["v_c"], vel["v_c"])
+    ke += 0.5 * np.einsum("nbi,nbij,nbj->n", vel["w"], I_w, vel["w"])
+    pe = tree.gravity * np.einsum("b,nb->n", ct.mass, fk["c"][..., 2])
+    return ke + pe
 
 
-def total_linear_momentum(tree: KinematicTree, state: SimState):
+def total_linear_momentum(tree: KinematicTree, state: BatchState):
+    """Total linear momentum (N, 3)."""
     ct = tree.compiled()
-    bs = _as_batch(state)
-    fk = _fk(ct, bs)
-    vel = _velocities(ct, bs, fk)
-    return np.einsum("b,nbi->ni", ct.mass, vel["v_c"])[0]
-
-
-def standing_state(tree: KinematicTree, q=None, yaw=0.0, xy=(0.0, 0.0)) -> SimState:
-    """State in the given pose with the base placed so the lowest foot
-    touches the floor exactly (z = 0)."""
-    q = tree.default_pose if q is None else np.asarray(q, dtype=float)
-    probe = default_state(tree, q=q)
-    ct = tree.compiled()
-    pos, _ = foot_points(ct, _fk(ct, _as_batch(probe)))
-    state = default_state(tree, q=q, base_pos=(xy[0], xy[1], -pos[0, :, 2].min()))
-    if yaw:
-        state.base_quat = np.array([np.cos(yaw / 2), 0.0, 0.0, np.sin(yaw / 2)])
-    return state
+    fk = _fk(ct, state)
+    return np.einsum("b,nbi->ni", ct.mass, _velocities(ct, state, fk)["v_c"])

@@ -265,43 +265,15 @@ class VecLocomotionEnv:
                 self.push_start[i, k] = push.start_time
                 self.push_end[i, k] = push.start_time + push.duration
                 self.push_force[i, k] = push.force
-        # place each reset robot with its lowest foot exactly on the floor
-        probe = dyn.BatchState(
-            base_pos=np.zeros((n_reset, 3)),
-            base_quat=np.repeat(np.array([[1.0, 0.0, 0.0, 0.0]]), n_reset, axis=0),
-            base_linvel=np.zeros((n_reset, 3)),
-            base_angvel=np.zeros((n_reset, 3)),
-            q=q,
-            qdot=np.zeros((n_reset, 12)),
-            time=np.zeros(n_reset),
-        )
-        foot_z = dyn.foot_points(self.ct, dyn._fk(self.ct, probe))[0][..., 2]
-        base_z = -foot_z.min(axis=1)
         if self.state is None:
-            self.state = dyn.BatchState(
-                base_pos=np.zeros((self.n, 3)),
-                base_quat=np.repeat(np.array([[1.0, 0.0, 0.0, 0.0]]), self.n, axis=0),
-                base_linvel=np.zeros((self.n, 3)),
-                base_angvel=np.zeros((self.n, 3)),
-                q=np.zeros((self.n, 12)),
-                qdot=np.zeros((self.n, 12)),
-                time=np.zeros(self.n),
-                contact_flags=np.zeros((self.n, 4), dtype=bool),
-                contact_forces=np.zeros((self.n, 4, 3)),
-                diverged=np.zeros(self.n, dtype=bool),
-            )
+            self.state = dyn.default_state(self.tree, np.zeros((self.n, 12)))
+        # place each reset robot with its lowest foot exactly on the floor
+        placed = dyn.standing_state(self.tree, q)
         s = self.state
         s.cache = None
-        s.base_pos[idx] = np.column_stack([np.zeros((n_reset, 2)), base_z])
-        s.base_quat[idx] = (1.0, 0.0, 0.0, 0.0)
-        s.base_linvel[idx] = 0.0
-        s.base_angvel[idx] = 0.0
-        s.q[idx] = q
-        s.qdot[idx] = 0.0
-        s.time[idx] = 0.0
-        s.contact_flags[idx] = False
-        s.contact_forces[idx] = 0.0
-        s.diverged[idx] = False
+        for name in ("base_pos", "base_quat", "base_linvel", "base_angvel", "q", "qdot", "time",
+                     "contact_flags", "contact_forces", "diverged"):
+            getattr(s, name)[idx] = getattr(placed, name)
         self.prev_action[idx] = 0.0
         self.prev_qdot[idx] = 0.0
         self.air_time[idx] = 0.0
@@ -431,6 +403,11 @@ class VecLocomotionEnv:
         truncated = (self.step_count >= cfg.max_steps) & ~terminated
 
         breakdown = self._rewards(actions, new_gains, touchdown_air, n_collisions, terminated)
+        # a diverged state may be non-finite: its env earns nothing and resets
+        for terms in (breakdown.terms, breakdown.weighted):
+            for values in terms.values():
+                values[state.diverged] = 0.0
+        breakdown.total[state.diverged] = 0.0
         reward = breakdown.total
         self.episode_return += reward
         self.prev_action = actions.copy()
@@ -585,8 +562,9 @@ class LocomotionEnv:
         return self.state, self.context
 
     @property
-    def state(self) -> dyn.SimState:
-        return self.vec.state.select(0)
+    def state(self) -> dyn.BatchState:
+        """The live N = 1 simulator state."""
+        return self.vec.state
 
     @property
     def context(self) -> EpisodeContext:

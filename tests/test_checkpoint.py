@@ -1,12 +1,15 @@
 """Checkpoint container round-trips and training loop plumbing."""
 
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from vsloco.checkpoint import (
     PolicyBundle,
+    _collect_arrays,
     load_checkpoint,
     obs_scale_vector,
     priv_scale_vector,
@@ -42,6 +45,24 @@ def test_checkpoint_round_trip(tmp_path):
     priv = np.random.default_rng(2).normal(0, 1, (5, 97)).astype(np.float32)
     assert np.array_equal(bundle.value(priv), loaded.value(priv))
 
+
+
+def test_checkpoint_blob_offset_from_stored_header_length(tmp_path):
+    # any valid header formatting loads: the blob starts after the stored length
+    bundle = make_bundle()
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(str(path), bundle)
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16:16 + hlen])
+    payload = json.dumps(header, indent=1).encode("utf-8")
+    assert len(payload) != hlen
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(payload)) + payload + raw[16 + hlen:])
+    loaded = _collect_arrays(load_checkpoint(str(path)))
+    original = _collect_arrays(bundle)
+    assert [name for name, _ in loaded] == [name for name, _ in original]
+    for (name, a), (_, b) in zip(original, loaded):
+        assert np.array_equal(a, b), name
 
 def test_checkpoint_header_self_describing(tmp_path):
     bundle = make_bundle()

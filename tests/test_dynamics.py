@@ -1,5 +1,8 @@
 """Physics-core tests: closed-form oracles, conservation laws, contact law."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -35,7 +38,7 @@ def test_pendulum_matches_closed_form():
     tree = pendulum_tree(mass=1.3, length=l)
     s = pendulum_state(tree, 0.3)
     qacc = dyn.forward_dynamics(tree, s, tau=np.zeros(1))
-    assert abs(qacc[0] - (-(G / l) * np.sin(0.3))) < 1e-9
+    assert abs(qacc[0, 0] - (-(G / l) * np.sin(0.3))) < 1e-9
 
 
 def test_pendulum_with_torque():
@@ -45,12 +48,12 @@ def test_pendulum_with_torque():
     s = pendulum_state(tree, q0)
     qacc = dyn.forward_dynamics(tree, s, tau=np.array([tau]))
     expected = (tau - m * G * l * np.sin(q0)) / (m * l * l)
-    assert abs(qacc[0] - expected) < 1e-9
+    assert abs(qacc[0, 0] - expected) < 1e-9
 
 
 def test_free_floating_trunk_free_fall(quad):
     s = dyn.default_state(quad, q=quad.default_pose, base_pos=(0, 0, 2.0))
-    qacc = dyn.forward_dynamics(quad, s, tau=np.zeros(12))
+    qacc = dyn.forward_dynamics(quad, s, tau=np.zeros(12))[0]
     assert np.allclose(qacc[0:3], [0, 0, -G], atol=1e-12)
     assert np.allclose(qacc[3:6], 0, atol=1e-12)
     assert np.allclose(qacc[6:], 0, atol=1e-10)
@@ -89,7 +92,7 @@ def test_two_link_mass_matrix_closed_form():
         q1, q2 = rng.uniform(-np.pi, np.pi, 2)
         s = dyn.default_state(tree)
         s.q[:] = (q1, q2)
-        M = dyn.mass_matrix(tree, s)
+        M = dyn.mass_matrix(tree, s)[0]
         m11 = m1 * l1**2 + m2 * (l1**2 + l2**2 + 2 * l1 * l2 * np.cos(q2))
         m12 = m2 * (l2**2 + l1 * l2 * np.cos(q2))
         m22 = m2 * l2**2
@@ -104,13 +107,12 @@ def test_kinetic_energy_consistent_with_mass_matrix(quad):
     s.qdot[:] = rng.normal(0, 2, 12)
     s.base_linvel[:] = rng.normal(0, 1, 3)
     s.base_angvel[:] = rng.normal(0, 1, 3)
-    M = dyn.mass_matrix(quad, s)
-    v = np.concatenate([s.base_linvel, s.base_angvel, s.qdot])
+    M = dyn.mass_matrix(quad, s)[0]
+    v = np.concatenate([s.base_linvel[0], s.base_angvel[0], s.qdot[0]])
     ke_m = 0.5 * v @ M @ v
     ct = quad.compiled()
-    bs = dyn.BatchState.from_state(s)
-    fk = dyn._fk(ct, bs)
-    vel = dyn._velocities(ct, bs, fk)
+    fk = dyn._fk(ct, s)
+    vel = dyn._velocities(ct, s, fk)
     I_w = dyn._world_inertia(ct, fk)
     ke_b = 0.5 * np.einsum("b,nbi,nbi->", ct.mass, vel["v_c"], vel["v_c"])
     ke_b += 0.5 * np.einsum("nbi,nbij,nbj->", vel["w"], I_w, vel["w"])
@@ -122,12 +124,11 @@ def test_spinning_body_angular_momentum_rate_zero():
     tree = floating_box_tree(gravity=0.0)
     s = dyn.default_state(tree, base_pos=(0, 0, 1.0))
     s.base_angvel[:] = (2.0, -1.0, 0.5)
-    qacc = dyn.forward_dynamics(tree, s, tau=np.zeros(0))
+    qacc = dyn.forward_dynamics(tree, s, tau=np.zeros(0))[0]
     ct = tree.compiled()
-    bs = dyn.BatchState.from_state(s)
-    fk = dyn._fk(ct, bs)
+    fk = dyn._fk(ct, s)
     I_w = dyn._world_inertia(ct, fk)[0, 0]
-    residual = I_w @ qacc[3:6] + np.cross(s.base_angvel, I_w @ s.base_angvel)
+    residual = I_w @ qacc[3:6] + np.cross(s.base_angvel[0], I_w @ s.base_angvel[0])
     assert np.allclose(residual, 0, atol=1e-10)
     assert np.allclose(qacc[0:3], 0, atol=1e-12)
 
@@ -138,9 +139,76 @@ def test_rejects_non_finite_input(quad):
     tau[3] = np.nan
     with pytest.raises(ValueError, match="tau"):
         dyn.forward_dynamics(quad, s, tau=tau)
-    s.qdot[5] = np.inf
+    s.qdot[0, 5] = np.inf
     with pytest.raises(ValueError, match="qdot"):
         dyn.forward_dynamics(quad, s, tau=np.zeros(12))
+
+
+def test_rejects_non_finite_external_force(quad):
+    s = dyn.standing_state(quad)
+    finite, bad = np.zeros((1, 3)), np.array([[0.0, np.nan, np.inf]])
+    for point, force in ((finite, bad), (bad, finite)):
+        with pytest.raises(ValueError, match="external force"):
+            dyn.step(quad, s, tau=np.zeros(12), ext=[(0, point, force)])
+        with pytest.raises(ValueError, match="external force"):
+            dyn.forward_dynamics(quad, s, tau=np.zeros(12), ext=[(0, point, force)])
+
+
+def _row(state, i):
+    """Row i of a state as an N = 1 state."""
+    return dyn.BatchState(**{
+        f.name: getattr(state, f.name)[i:i + 1].copy()
+        for f in dataclasses.fields(state)
+        if f.name != "cache"
+    })
+
+
+def test_entry_points_act_row_by_row(quad):
+    # three poses and velocities in one N = 3 state, some feet in the floor
+    rng = np.random.default_rng(11)
+    s = dyn.standing_state(quad, quad.default_pose + rng.normal(0, 0.2, (3, 12)))
+    s.base_pos[:, 2] -= (0.0, 0.002, 0.004)
+    s.base_linvel[:] = rng.normal(0, 0.5, (3, 3))
+    s.base_angvel[:] = rng.normal(0, 0.5, (3, 3))
+    s.qdot[:] = rng.normal(0, 1, (3, 12))
+    tau = rng.normal(0, 3, (3, 12))
+    point = s.base_pos + rng.normal(0, 0.05, (3, 3))
+    force = rng.normal(0, 20, (3, 3))
+    batched = {
+        "step": dyn.step(quad, s, tau=tau, ext=[(0, point, force)]),
+        "forward_dynamics": dyn.forward_dynamics(quad, s, tau=tau, ext=[(0, point, force)]),
+        "total_energy": dyn.total_energy(quad, s),
+        "contact_forces": dyn.contact_forces(quad, s, friction_coefficient=0.8),
+    }
+    assert batched["forward_dynamics"].shape == (3, 18)
+    assert batched["total_energy"].shape == (3,)
+    assert batched["contact_forces"].shape == (3, 4, 3)
+    assert np.any(batched["contact_forces"][..., 2] > 0.0)
+    for i in range(3):
+        r = _row(s, i)
+        ext = [(0, point[i:i + 1], force[i:i + 1])]
+        single = {
+            "step": dyn.step(quad, r, tau=tau[i:i + 1], ext=ext),
+            "forward_dynamics": dyn.forward_dynamics(quad, r, tau=tau[i:i + 1], ext=ext),
+            "total_energy": dyn.total_energy(quad, r),
+            "contact_forces": dyn.contact_forces(quad, r, friction_coefficient=0.8),
+        }
+        for f in ("base_pos", "base_quat", "base_linvel", "base_angvel", "q", "qdot", "time",
+                  "contact_flags", "contact_forces", "diverged"):
+            assert np.allclose(getattr(batched["step"], f)[i], getattr(single["step"], f)[0],
+                               rtol=1e-12, atol=1e-12), f
+        for name in ("forward_dynamics", "total_energy", "contact_forces"):
+            assert np.allclose(batched[name][i], single[name][0], rtol=1e-12, atol=1e-12), name
+
+
+def test_entry_points_ignore_cache_of_edited_state(quad):
+    s = dyn.step(quad, dyn.standing_state(quad), tau=np.zeros(12))
+    s.base_pos[0, 2] -= 0.01  # in place: the (fk, vel) cache from step is now stale
+    fresh = dataclasses.replace(s, cache=None)
+    assert np.array_equal(dyn.forward_dynamics(quad, s, tau=np.zeros(12)),
+                          dyn.forward_dynamics(quad, fresh, tau=np.zeros(12)))
+    assert np.array_equal(dyn.step(quad, s, tau=np.zeros(12)).base_linvel,
+                          dyn.step(quad, fresh, tau=np.zeros(12)).base_linvel)
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +218,14 @@ def test_rejects_non_finite_input(quad):
 def test_pendulum_energy_drift_below_one_percent():
     tree = pendulum_tree(mass=1.0, length=1.0)
     s = pendulum_state(tree, 0.5)
-    e0 = dyn.total_energy(tree, s)
+    e0 = dyn.total_energy(tree, s)[0]
     # reference: lowest point of swing sets the energy scale
     e_min = -1.0 * G * 1.0
     scale = e0 - e_min
     worst = 0.0
     for _ in range(5000):
         s = dyn.step(tree, s, tau=np.zeros(1), dt_physics=0.002)
-        worst = max(worst, abs(dyn.total_energy(tree, s) - e0))
+        worst = max(worst, abs(dyn.total_energy(tree, s)[0] - e0))
     assert worst < 0.01 * scale
 
 
@@ -165,13 +233,13 @@ def test_double_pendulum_energy_drift_below_one_percent():
     tree = double_pendulum_tree()
     s = dyn.default_state(tree)
     s.q[:] = (0.6, 0.4)
-    e0 = dyn.total_energy(tree, s)
+    e0 = dyn.total_energy(tree, s)[0]
     e_min = -(1.0 * 0.6 + 0.7 * 1.0) * G
     scale = e0 - e_min
     worst = 0.0
     for _ in range(5000):
         s = dyn.step(tree, s, tau=np.zeros(2), dt_physics=0.002)
-        worst = max(worst, abs(dyn.total_energy(tree, s) - e0))
+        worst = max(worst, abs(dyn.total_energy(tree, s)[0] - e0))
     assert worst < 0.01 * scale
 
 
@@ -183,10 +251,10 @@ def test_momentum_gains_exactly_gravity_impulse(quad):
     s = dyn.default_state(quad, q=quad.default_pose, base_pos=(0, 0, 3.0))
     s.base_linvel[:] = (0.4, -0.2, 0.1)
     for _ in range(5):
-        p_before = dyn.total_linear_momentum(quad, s)
+        p_before = dyn.total_linear_momentum(quad, s)[0]
         s2 = dyn.step(quad, s, tau=np.zeros(12), dt_physics=dt)
-        p_mid = m_tot * s2.base_linvel + (
-            dyn.total_linear_momentum(quad, s2) - m_tot * s2.base_linvel
+        p_mid = m_tot * s2.base_linvel[0] + (
+            dyn.total_linear_momentum(quad, s2)[0] - m_tot * s2.base_linvel[0]
         )
         delta = p_mid - p_before
         assert np.allclose(delta, [0, 0, -m_tot * G * dt], rtol=0, atol=1e-10)
@@ -197,7 +265,7 @@ def test_determinism_bit_identical(quad):
     s0 = dyn.standing_state(quad)
     tau = np.linspace(-3, 3, 12)
     a = dyn.step(quad, s0, tau=tau, dt_physics=0.002)
-    b = dyn.step(quad, s0.copy(), tau=tau, dt_physics=0.002)
+    b = dyn.step(quad, copy.deepcopy(s0), tau=tau, dt_physics=0.002)
     for f in ("base_pos", "base_quat", "base_linvel", "base_angvel", "q", "qdot"):
         assert np.array_equal(getattr(a, f), getattr(b, f))
 
@@ -207,7 +275,7 @@ def test_quaternion_norm_preserved(quad):
     s.base_angvel[:] = (1.0, 2.0, -0.5)
     for _ in range(100):
         s = dyn.step(quad, s, tau=np.zeros(12), dt_physics=0.002)
-        assert abs(np.linalg.norm(s.base_quat) - 1.0) < 1e-9
+        assert abs(np.linalg.norm(s.base_quat[0]) - 1.0) < 1e-9
 
 
 def test_step_rejects_bad_dt(quad):
@@ -222,7 +290,7 @@ def test_divergence_flagged():
     tree = pendulum_tree()
     s = pendulum_state(tree, 0.0, qdot=2e4)
     s2 = dyn.step(tree, s, tau=np.zeros(1), dt_physics=0.002)
-    assert s2.diverged
+    assert s2.diverged[0]
 
 
 def test_quasi_static_stand_drift(quad):
@@ -238,12 +306,12 @@ def test_quasi_static_stand_drift(quad):
 
     for _ in range(500):
         s = pd_step(s)
-    h_settled = s.base_pos[2]
+    h_settled = s.base_pos[0, 2]
     for _ in range(500):
         s = pd_step(s)
-    assert abs(s.base_pos[2] - h_settled) < 1e-3
+    assert abs(s.base_pos[0, 2] - h_settled) < 1e-3
     # the settled stance also stays within 2 cm of the nominal height
-    assert dyn.standing_state(quad).base_pos[2] - s.base_pos[2] < 0.02
+    assert dyn.standing_state(quad).base_pos[0, 2] - s.base_pos[0, 2] < 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +320,7 @@ def test_quasi_static_stand_drift(quad):
 
 def test_contact_zero_above_floor(quad):
     s = dyn.standing_state(quad)
-    s.base_pos[2] += 0.002
+    s.base_pos[0, 2] += 0.002
     forces = dyn.contact_forces(quad, s, friction_coefficient=1.0)
     assert np.allclose(forces, 0.0)
     flags = dyn.step(quad, s, tau=np.zeros(12), dt_physics=0.001).contact_flags
@@ -263,8 +331,8 @@ def test_contact_zero_above_floor(quad):
 def test_contact_penalty_normal_value(quad):
     # static foot penetrating 1 mm with k_n = 30000 -> 30 N normal force
     s = dyn.standing_state(quad)
-    s.base_pos[2] -= 0.001
-    forces = dyn.contact_forces(quad, s, friction_coefficient=1.0)
+    s.base_pos[0, 2] -= 0.001
+    forces = dyn.contact_forces(quad, s, friction_coefficient=1.0)[0]
     assert np.allclose(forces[:, 2], 30.0, atol=1e-9)
     assert np.allclose(forces[:, :2], 0.0, atol=1e-12)
 
@@ -298,10 +366,10 @@ def test_contact_normal_damping_only_on_approach():
 
 def test_projected_gravity_upright_and_rolled(quad):
     s = dyn.standing_state(quad)
-    g = dyn.kinematics(quad, s)["projected_gravity"]
+    g = dyn.kinematics(quad, s)["projected_gravity"][0]
     assert np.allclose(g, [0, 0, -1], atol=1e-12)
-    s.base_quat = np.array([np.cos(np.pi / 4), np.sin(np.pi / 4), 0.0, 0.0])  # roll 90 deg
-    g = dyn.kinematics(quad, s)["projected_gravity"]
+    s.base_quat[0] = np.array([np.cos(np.pi / 4), np.sin(np.pi / 4), 0.0, 0.0])  # roll 90 deg
+    g = dyn.kinematics(quad, s)["projected_gravity"][0]
     assert abs(g[2]) < 1e-12
     assert abs(np.linalg.norm(g) - 1.0) < 1e-12
 
@@ -309,12 +377,12 @@ def test_projected_gravity_upright_and_rolled(quad):
 def test_default_stance_com_over_foot_centroid(quad):
     s = dyn.standing_state(quad)
     k = dyn.kinematics(quad, s)
-    centroid = k["foot_positions"][:, :2].mean(axis=0)
-    assert np.allclose(k["com_position"][:2], centroid, atol=1e-6)
+    centroid = k["foot_positions"][0, :, :2].mean(axis=0)
+    assert np.allclose(k["com_position"][0, :2], centroid, atol=1e-6)
 
 
 def test_feet_on_floor_in_standing_state(quad):
     s = dyn.standing_state(quad)
     k = dyn.kinematics(quad, s)
-    assert np.allclose(k["foot_positions"][:, 2], 0.0, atol=1e-12)
-    assert abs(s.base_pos[2] - 0.30694) < 5e-4
+    assert np.allclose(k["foot_positions"][0, :, 2], 0.0, atol=1e-12)
+    assert abs(s.base_pos[0, 2] - 0.30694) < 5e-4

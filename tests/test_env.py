@@ -297,9 +297,30 @@ def test_vector_env_matches_single_env():
 def test_single_wrapper_api():
     env = LocomotionEnv("PLS", seed=0, config=quiet_config(), randomization_on=False)
     state, context = env.reset()
-    assert isinstance(state, dyn.SimState)
+    assert isinstance(state, dyn.BatchState)
     assert context.delay_substeps == 0
     obs, priv, rew, done, info = env.step(np.zeros(env.vec.action_dim))
     assert obs.shape == (52,)
     assert isinstance(rew, float)
     assert info["reason"] == "running"
+
+
+def test_non_finite_state_terminates_as_diverged():
+    # a NaN in env 1 ends only env 1; rows 0 and 2 match an uninjected twin
+    outs = []
+    for inject in (False, True):
+        env = VecLocomotionEnv("HJLS", n_envs=3, seed=8)
+        if inject:
+            env.state.qdot[1, 0] = np.nan
+        env.state.cache = None
+        outs.append(env.step(np.zeros((3, env.action_dim))))
+    (obs0, priv0, rew0, done0, _), (obs, priv, rew, done, info) = outs
+    assert info["reasons"][1] == REASON_CODE["diverged"]
+    assert done[1] and rew[1] == 0.0
+    breakdown = info["breakdown"]
+    assert all(breakdown.terms[t][1] == 0.0 and breakdown.weighted[t][1] == 0.0
+               for t in breakdown.terms)
+    rows = [0, 2]
+    for a, b in ((obs0, obs), (priv0, priv), (rew0, rew), (done0, done)):
+        assert np.array_equal(a[rows], b[rows])
+    assert np.isfinite(obs).all() and np.isfinite(priv).all()
