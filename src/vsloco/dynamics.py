@@ -270,7 +270,8 @@ def contact_force_law(contact_cfg, friction, pos, vel):
 
 
 def _point_jacobian(fk, J_v, J_w, body, point):
-    """(N, 3, nv) Jacobian of a world point rigidly attached to body.
+    """(N, 3, nv) Jacobian of a world point (N, 3) rigidly attached to body;
+    for an array of F bodies with points (N, F, 3) it is (N, F, 3, nv).
 
     Columns: J_p = J_v - skew(lever) @ J_w  (since w x lever = -lever x w).
     """
@@ -299,8 +300,7 @@ def _assemble(ct: CompiledTree, bs: BatchState, tau, ext, params):
     if ct.tree.foot_body_indices:
         pos, v = foot_points(ct, fk, vel)
         feet = np.asarray(ct.tree.foot_body_indices, dtype=int)
-        lever = pos - fk["c"][:, feet]  # (N, n_feet, 3)
-        J_p = J_v[:, feet] - skew(lever) @ J_w[:, feet]  # (N, n_feet, 3, nv)
+        J_p = _point_jacobian(fk, J_v, J_w, feet, pos)  # (N, n_feet, 3, nv)
         contact = {"pos": pos, "vel": v, "J_p": J_p}
     return M, Q - h, contact
 

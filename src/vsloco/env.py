@@ -3,12 +3,15 @@
 A vectorized environment steps N independent robots: PD/impedance torques at
 500 Hz (10 substeps), policy actions at 50 Hz, per-episode domain
 randomization, scheduled pushes, the 18-term reward stack, and the
-asymmetric actor/critic observation pair. Every environment owns its RNG
-stream, so batches are reproducible per-instance regardless of what the
-rest of the batch does.
+asymmetric actor/critic observation pair. Every random number is a pure
+function of (seed, env index, the env's draw counter, slot) from the
+counter-based generator ``randomization.uniform``: each draw site (reset,
+command refresh, observation noise) is one vectorised call over the envs it
+serves and advances only their counters, so env i's episode, commands,
+pushes and noise are the same in any batch that starts from the same seed.
 """
 
-import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +22,6 @@ from . import randomization as dr
 from .model import KinematicTree, build_quadruped
 from .rewards import (
     HIP_JOINT_INDICES,
-    REWARD_TERMS,
     RewardInputs,
     RewardParams,
     RewardWeights,
@@ -32,16 +34,8 @@ REASON_CODE = {name: i for i, name in enumerate(TERMINATION_REASONS)}
 
 TRUNK_BODY = 0
 HIP_BODY_INDICES = (1, 4, 7, 10)
-
-
-@dataclass
-class PushEvent:
-    start_time: float
-    duration: float
-    force: np.ndarray
-
-    def __post_init__(self):
-        self.force = np.asarray(self.force, dtype=float)
+# bodies of the privileged mass-delta layout: trunk payload, then the hips
+MASS_DELTA_BODIES = (TRUNK_BODY,) + HIP_BODY_INDICES
 
 
 @dataclass
@@ -73,84 +67,45 @@ class EnvConfig:
     def max_steps(self):
         return int(round(self.episode_length_s / self.control_dt))
 
-
-def env_config_from_dict(cfg: dict) -> EnvConfig:
-    cfg = dict(cfg or {})
-    kwargs = {}
-    for key in (
-        "control_dt",
-        "physics_substeps",
-        "episode_length_s",
-        "command_resample_s",
-        "push_enabled",
-        "push_interval_s",
-        "push_jitter_s",
-        "reset_joint_noise",
-    ):
-        if key in cfg:
-            kwargs[key] = cfg[key]
-    if "command_ranges" in cfg:
-        kwargs["command_ranges"] = {k: tuple(v) for k, v in cfg["command_ranges"].items()}
-    for key in ("push_magnitude", "push_impulse"):
-        if key in cfg:
-            kwargs[key] = tuple(cfg[key])
-    if "randomization" in cfg:
-        kwargs["randomization"] = dr.DomainRandomizationConfig(
-            {k: tuple(v) for k, v in cfg["randomization"].items()}
-        )
-    if "reward_weights" in cfg:
-        kwargs["reward_weights"] = RewardWeights(dict(cfg["reward_weights"]))
-    if "reward_params" in cfg:
-        kwargs["reward_params"] = RewardParams(**cfg["reward_params"])
-    return EnvConfig(**kwargs)
+    @property
+    def max_pushes(self):
+        """Push slots per env: the most pushes schedule_pushes can place.
+        Push k starts no earlier than k * interval - jitter, so k counts
+        while that is inside the episode. At least one slot, which
+        set_push_schedule writes."""
+        last = math.ceil((self.episode_length_s + self.push_jitter_s) / self.push_interval_s)
+        return max(1, last - 1)
 
 
-def sample_command(rng, ranges) -> np.ndarray:
-    """Velocity command (vx, vy, yaw rate) uniform over the training ranges."""
-    return np.array(
-        [
-            rng.uniform(*ranges["vx"]),
-            rng.uniform(*ranges["vy"]),
-            rng.uniform(*ranges["yaw_rate"]),
-        ]
-    )
+def sample_command(key, env, counter, ranges) -> np.ndarray:
+    """Velocity commands (vx, vy, yaw rate) for the envs ``env``, uniform over
+    the training ranges: one draw each, (m, 3)."""
+    lo, hi = np.array([ranges["vx"], ranges["vy"], ranges["yaw_rate"]], dtype=float).T
+    return dr.between(lo, hi, dr.uniform(key, env, counter, 3))
 
 
-def schedule_pushes(rng, cfg: EnvConfig):
-    """Training push schedule: one push every interval (with jitter), planar
-    direction uniform, magnitude and impulse inside their supports."""
-    events = []
-    if not cfg.push_enabled:
-        return events
-    k = 1
-    while True:
-        start = k * cfg.push_interval_s + rng.uniform(-cfg.push_jitter_s, cfg.push_jitter_s)
-        if start >= cfg.episode_length_s:
-            break
-        magnitude = rng.uniform(*cfg.push_magnitude)
-        impulse = rng.uniform(*cfg.push_impulse)
-        azimuth = rng.uniform(0.0, 2.0 * np.pi)
-        force = magnitude * np.array([np.cos(azimuth), np.sin(azimuth), 0.0])
-        events.append(PushEvent(start, impulse / magnitude, force))
-        k += 1
-    return events
-
-
-@dataclass
-class EpisodeContext:
-    """Readable view of one environment's episode draw."""
-
-    randomization: dr.EpisodeRandomization
-    command: np.ndarray
-    pushes: list
-    delay_substeps: int
-    friction: float
+def schedule_pushes(key, env, counter, cfg: EnvConfig):
+    """Training push schedules for the envs ``env``, one draw each: push k
+    starts at k * interval plus uniform jitter and is kept when it starts
+    inside the episode; planar direction uniform, magnitude and impulse
+    inside their supports. Returns start and end times (m, max_pushes), inf
+    in unused slots, and forces (m, max_pushes, 3), zero in unused slots."""
+    slots = cfg.max_pushes
+    u = dr.uniform(key, env, counter, 4 * slots).reshape(-1, slots, 4)
+    jitter = dr.between(-cfg.push_jitter_s, cfg.push_jitter_s, u[..., 0])
+    start = np.arange(1, slots + 1) * cfg.push_interval_s + jitter
+    magnitude = dr.between(*cfg.push_magnitude, u[..., 1])
+    impulse = dr.between(*cfg.push_impulse, u[..., 2])
+    azimuth = dr.between(0.0, 2.0 * np.pi, u[..., 3])
+    placed = cfg.push_enabled & (start < cfg.episode_length_s)
+    start = np.where(placed, start, np.inf)
+    direction = np.stack([np.cos(azimuth), np.sin(azimuth), np.zeros_like(azimuth)], axis=-1)
+    force = np.where(placed[..., None], magnitude[..., None] * direction, 0.0)
+    return start, start + impulse / magnitude, force
 
 
 class VecLocomotionEnv:
     """N parallel locomotion tasks over one robot model and one grouping."""
-
-    MAX_PUSHES = 8
 
     def __init__(
         self,
@@ -174,10 +129,9 @@ class VecLocomotionEnv:
         self.base_friction = float(self.tree.contact.get("friction", 1.0))
         self.base_gravity = float(self.tree.gravity)
         self.seed = int(seed)
-        self.rngs = [
-            np.random.Generator(np.random.PCG64(np.random.SeedSequence((self.seed, i))))
-            for i in range(self.n)
-        ]
+        self.key = dr.seed_key(self.seed)
+        self.env_ids = np.arange(self.n)
+        self.draws = np.zeros(self.n, dtype=np.uint64)  # draws each env has made
         # trunk collision corners for the illegal-contact test
         trunk = self.tree.bodies[TRUNK_BODY]
         self._trunk_points = np.stack([off for off, _ in trunk.collision_spheres])
@@ -187,20 +141,24 @@ class VecLocomotionEnv:
         )
         self.randomization_on = True
         self.auto_reset = True
-        self.hold_commands = False
-        self._extra_payload = 0.0
         self.reset_all(randomization_on=True)
+
+    def _next_draw(self, idx):
+        """The counter of the next draw of each env in idx; advances them."""
+        counter = self.draws[idx]
+        self.draws[idx] += 1
+        return counter
 
     # ------------------------------------------------------------------
     # resets
 
     def _alloc(self):
-        n, adim = self.n, self.action_dim
+        n, adim, slots = self.n, self.action_dim, self.cfg.max_pushes
         self.params = dyn.BatchParams.from_tree(self.ct, n)
         self.command = np.zeros((n, 3))
-        self.push_start = np.full((n, self.MAX_PUSHES), np.inf)
-        self.push_end = np.full((n, self.MAX_PUSHES), np.inf)
-        self.push_force = np.zeros((n, self.MAX_PUSHES, 3))
+        self.push_start = np.full((n, slots), np.inf)
+        self.push_end = np.full((n, slots), np.inf)
+        self.push_force = np.zeros((n, slots, 3))
         self.delay_substeps = np.zeros(n, dtype=int)
         self.kp_scale = np.ones((n, 12))
         self.kd_scale = np.ones((n, 12))
@@ -222,7 +180,6 @@ class VecLocomotionEnv:
             q_target=zeros_gains.q_target.copy(),
         )
         self.last_tau = np.zeros((n, 12))
-        self.power_sums = np.zeros((n, 12))  # per-control-step sum of tau*qdot over substeps
         self.active_push = np.zeros((n, 3))
 
     def reset_all(self, randomization_on=None):
@@ -230,41 +187,34 @@ class VecLocomotionEnv:
             self.randomization_on = bool(randomization_on)
         self._alloc()
         self.state = None
-        self._reset_envs(np.arange(self.n))
+        self._reset_envs(self.env_ids)
         return self.observe(), self.observe_privileged()
 
     def _reset_envs(self, idx):
         idx = np.asarray(idx, dtype=int)
         if idx.size == 0:
             return
-        n_reset = idx.size
-        q = np.repeat(self.q_default[None], n_reset, axis=0)
-        for row, i in enumerate(idx):
-            rng = self.rngs[i]
-            q[row] += rng.uniform(-self.cfg.reset_joint_noise, self.cfg.reset_joint_noise, 12)
-            ep = dr.sample_episode(self.cfg.randomization, rng, enabled=self.randomization_on)
-            masses = self.ct.mass.copy()
-            masses[TRUNK_BODY] += ep.payload_mass + self._extra_payload
-            for h, b in enumerate(HIP_BODY_INDICES):
-                masses[b] += ep.hip_mass_deltas[h]
-            self.params.masses[i] = masses
-            self.params.gravity[i] = (0.0, 0.0, -self.base_gravity + ep.gravity_offset)
-            self.params.friction[i] = self.base_friction * ep.friction_scale
-            self.delay_substeps[i] = min(
-                ep.delay_substeps(self.cfg.dt_physics), self.cfg.physics_substeps - 1
-            )
-            self.kp_scale[i] = ep.kp_scale
-            self.kd_scale[i] = ep.kd_scale
-            self.motor_strength[i] = ep.motor_strength
-            self.mass_deltas[i] = ep.mass_deltas
-            self.command[i] = sample_command(rng, self.cfg.command_ranges)
-            self.push_start[i] = np.inf
-            self.push_end[i] = np.inf
-            self.push_force[i] = 0.0
-            for k, push in enumerate(schedule_pushes(rng, self.cfg)[: self.MAX_PUSHES]):
-                self.push_start[i, k] = push.start_time
-                self.push_end[i, k] = push.start_time + push.duration
-                self.push_force[i, k] = push.force
+        cfg, key = self.cfg, self.key
+        noise = dr.uniform(key, idx, self._next_draw(idx), 12)
+        q = self.q_default + dr.between(-cfg.reset_joint_noise, cfg.reset_joint_noise, noise)
+        ep = dr.sample_episode(
+            cfg.randomization, key, idx, self._next_draw(idx), enabled=self.randomization_on
+        )
+        self.mass_deltas[idx] = np.concatenate([ep["payload_mass"], ep["hip_mass"]], axis=1)
+        masses = np.repeat(self.ct.mass[None], idx.size, axis=0)
+        masses[:, MASS_DELTA_BODIES] += self.mass_deltas[idx]
+        self.params.masses[idx] = masses
+        self.params.gravity[idx, 2] = -self.base_gravity + ep["gravity_offset"][:, 0]
+        self.params.friction[idx] = self.base_friction * ep["ground_friction"][:, 0]
+        delay = (ep["system_delay"][:, 0] / 1000.0 / cfg.dt_physics).astype(int)
+        self.delay_substeps[idx] = np.minimum(delay, cfg.physics_substeps - 1)
+        self.kp_scale[idx] = ep["kp_scale"]
+        self.kd_scale[idx] = ep["kd_scale"]
+        self.motor_strength[idx] = ep["motor_strength"]
+        self.command[idx] = sample_command(key, idx, self._next_draw(idx), cfg.command_ranges)
+        self.push_start[idx], self.push_end[idx], self.push_force[idx] = schedule_pushes(
+            key, idx, self._next_draw(idx), cfg
+        )
         if self.state is None:
             self.state = dyn.default_state(self.tree, np.zeros((self.n, 12)))
         # place each reset robot with its lowest foot exactly on the floor
@@ -289,37 +239,8 @@ class VecLocomotionEnv:
             getattr(self.gains, f)[idx] = getattr(hold, f)
             getattr(self.prev_gains, f)[idx] = getattr(hold, f)
 
-    def context_of(self, i) -> EpisodeContext:
-        ep = dr.EpisodeRandomization(
-            payload_mass=self.mass_deltas[i, 0],
-            hip_mass_deltas=self.mass_deltas[i, 1:].copy(),
-            friction_scale=self.params.friction[i] / self.base_friction,
-            gravity_offset=self.params.gravity[i, 2] + self.base_gravity,
-            delay_ms=self.delay_substeps[i] * self.cfg.dt_physics * 1000.0,
-            kp_scale=self.kp_scale[i].copy(),
-            kd_scale=self.kd_scale[i].copy(),
-            motor_strength=self.motor_strength[i].copy(),
-        )
-        pushes = [
-            PushEvent(self.push_start[i, k], self.push_end[i, k] - self.push_start[i, k],
-                      self.push_force[i, k].copy())
-            for k in range(self.MAX_PUSHES)
-            if np.isfinite(self.push_start[i, k])
-        ]
-        return EpisodeContext(
-            randomization=ep,
-            command=self.command[i].copy(),
-            pushes=pushes,
-            delay_substeps=int(self.delay_substeps[i]),
-            friction=float(self.params.friction[i]),
-        )
-
     # ------------------------------------------------------------------
     # stepping
-
-    def set_commands(self, commands, hold=True):
-        self.command[:] = np.asarray(commands, dtype=float)
-        self.hold_commands = bool(hold)
 
     def set_push_schedule(self, starts, durations, forces):
         """Replace every env's push schedule (evaluation protocols)."""
@@ -333,12 +254,6 @@ class VecLocomotionEnv:
         self.push_end[:, 0] = starts + durations
         self.push_force[:, 0] = forces
 
-    def set_extra_payload(self, mass_kg):
-        """Add/remove a trunk payload mid-episode (evaluation protocols)."""
-        delta = float(mass_kg) - self._extra_payload
-        self._extra_payload = float(mass_kg)
-        self.params.masses[:, TRUNK_BODY] += delta
-
     def _active_push(self, t):
         active = (self.push_start <= t[:, None]) & (t[:, None] < self.push_end)
         return np.einsum("nk,nki->ni", active.astype(float), self.push_force)
@@ -348,14 +263,15 @@ class VecLocomotionEnv:
         actions = np.clip(np.asarray(actions, dtype=float), -1.0, 1.0)
         if actions.shape != (self.n, self.action_dim):
             raise ValueError(f"actions must have shape {(self.n, self.action_dim)}")
-        if not self.hold_commands and cfg.command_resample_s > 0:
+        if cfg.command_resample_s > 0:
             t_now = self.step_count * cfg.control_dt
-            due = (self.step_count > 0) & (
+            due = np.flatnonzero((self.step_count > 0) & (
                 np.abs(t_now / cfg.command_resample_s - np.round(t_now / cfg.command_resample_s))
                 < 1e-9
+            ))
+            self.command[due] = sample_command(
+                self.key, due, self._next_draw(due), cfg.command_ranges
             )
-            for i in np.flatnonzero(due):
-                self.command[i] = sample_command(self.rngs[i], cfg.command_ranges)
 
         for f in ("kp", "kd", "q_target"):
             getattr(self.prev_gains, f)[:] = getattr(self.gains, f)
@@ -363,7 +279,6 @@ class VecLocomotionEnv:
         self.gains = new_gains
 
         touchdown_air = np.zeros((self.n, 4))
-        self.power_sums[:] = 0.0
         state = self.state
         rand = act.GainRandomization(self.kp_scale, self.kd_scale, self.motor_strength)
         for sub in range(cfg.physics_substeps):
@@ -375,7 +290,6 @@ class VecLocomotionEnv:
             tau = act.compute_torque_randomized(
                 eff, state.q, state.qdot, rand, torque_limit=self.torque_limit
             )
-            self.power_sums += tau * state.qdot
             push = self._active_push(state.time)
             ext = [(TRUNK_BODY, state.base_pos, push)] if np.any(push) else None
             state = dyn.step_batch(
@@ -516,22 +430,16 @@ class VecLocomotionEnv:
     def observe(self, noisy=True) -> np.ndarray:
         """Actor observation: [cmd, v, w, g, qdot, q - q_default, a_prev]."""
         v_base, w_base, g_proj = self._base_frame()
-        qdot = self.state.qdot.copy()
-        dq = self.state.q - self.q_default
-        v = v_base.copy()
-        w = w_base.copy()
-        g = g_proj.copy()
+        blocks = [v_base, w_base, g_proj, self.state.qdot, self.state.q - self.q_default]
         if noisy:
-            for i in range(self.n):
-                noise = dr.sample_observation_noise(
-                    self.cfg.randomization, self.rngs[i], enabled=self.randomization_on
-                )
-                dq[i] += noise["joint_pos"]
-                qdot[i] += noise["joint_vel"]
-                v[i] += noise["lin_vel"]
-                w[i] += noise["ang_vel"]
-                g[i] += noise["gravity"]
-        return np.concatenate([self.command, v, w, g, qdot, dq, self.prev_action], axis=1)
+            noise = dr.sample_observation_noise(
+                self.cfg.randomization, self.key, self.env_ids, self._next_draw(self.env_ids),
+                enabled=self.randomization_on,
+            )
+            rows = ("noise_lin_vel", "noise_ang_vel", "noise_gravity", "noise_joint_vel",
+                    "noise_joint_pos")
+            blocks = [block + noise[row] for block, row in zip(blocks, rows)]
+        return np.concatenate([self.command, *blocks, self.prev_action], axis=1)
 
     def observe_privileged(self) -> np.ndarray:
         """Critic input: randomization scales, friction, mass deltas, the
@@ -549,104 +457,3 @@ class VecLocomotionEnv:
             axis=1,
         )
 
-
-class LocomotionEnv:
-    """Single-instance convenience wrapper over the vectorized task."""
-
-    def __init__(self, grouping, seed=0, tree=None, config=None, randomization_on=True):
-        self.vec = VecLocomotionEnv(grouping, n_envs=1, seed=seed, tree=tree, config=config)
-        self.vec.reset_all(randomization_on=randomization_on)
-
-    def reset(self, randomization_on=None):
-        obs, priv = self.vec.reset_all(randomization_on=randomization_on)
-        return self.state, self.context
-
-    @property
-    def state(self) -> dyn.BatchState:
-        """The live N = 1 simulator state."""
-        return self.vec.state
-
-    @property
-    def context(self) -> EpisodeContext:
-        return self.vec.context_of(0)
-
-    def observe(self, noisy=True):
-        return self.vec.observe(noisy=noisy)[0]
-
-    def observe_privileged(self):
-        return self.vec.observe_privileged()[0]
-
-    def step(self, action):
-        obs, priv, reward, done, info = self.vec.step(np.asarray(action)[None])
-        scalar_info = {
-            "terminated": bool(info["terminated"][0]),
-            "truncated": bool(info["truncated"][0]),
-            "reason": TERMINATION_REASONS[info["reasons"][0]],
-            "breakdown": info["breakdown"],
-            "kp": info["kp"][0],
-            "push_force": info["push_force"][0],
-        }
-        return obs[0], priv[0], float(reward[0]), bool(done[0]), scalar_info
-
-
-TRAJECTORY_COLUMNS = (
-    ["time"]
-    + [f"base_{c}" for c in ("x", "y", "z")]
-    + [f"quat_{c}" for c in ("w", "x", "y", "z")]
-    + [f"v_{c}" for c in ("x", "y", "z")]
-    + [f"w_{c}" for c in ("x", "y", "z")]
-    + [f"q_{j}" for j in range(12)]
-    + [f"qd_{j}" for j in range(12)]
-    + [f"tau_{j}" for j in range(12)]
-    + [f"kp_{j}" for j in range(12)]
-    + [f"kd_{j}" for j in range(12)]
-    + [f"rew_{t}" for t in REWARD_TERMS]
-    + ["rew_total"]
-    + [f"contact_{leg}" for leg in ("FR", "FL", "RR", "RL")]
-    + [f"push_{c}" for c in ("x", "y", "z")]
-)
-
-
-class TrajectoryLogger:
-    """CSV log of one environment at control rate; action columns are added
-    on first write since their width depends on the grouping."""
-
-    def __init__(self, path, action_dim):
-        self.path = path
-        self.columns = TRAJECTORY_COLUMNS + [f"a_{k}" for k in range(action_dim)]
-        self._fh = open(path, "w", newline="")
-        self._writer = csv.writer(self._fh)
-        self._writer.writerow(self.columns)
-
-    def log(self, vec_env: VecLocomotionEnv, action, info, index=0):
-        s = vec_env.state
-        breakdown = info["breakdown"]
-        i = index
-        row = (
-            [s.time[i]]
-            + list(s.base_pos[i])
-            + list(s.base_quat[i])
-            + list(s.base_linvel[i])
-            + list(s.base_angvel[i])
-            + list(s.q[i])
-            + list(s.qdot[i])
-            + list(vec_env.last_tau[i])
-            + list(info["kp"][i])
-            + list(vec_env.gains.kd[i])
-            + [breakdown.weighted[t][i] for t in REWARD_TERMS]
-            + [breakdown.total[i]]
-            + list(s.contact_flags[i].astype(int))
-            + list(info["push_force"][i])
-            + list(np.asarray(action)[i])
-        )
-        self._writer.writerow([repr(float(x)) if isinstance(x, (float, np.floating)) else x
-                               for x in row])
-
-    def close(self):
-        self._fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()

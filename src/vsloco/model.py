@@ -14,7 +14,6 @@ import yaml
 from .rotations import skew
 
 LEG_NAMES = ("FR", "FL", "RR", "RL")
-JOINT_GROUP_NAMES = ("hip", "thigh", "knee")
 N_JOINTS = 12
 N_FEET = 4
 
@@ -169,7 +168,6 @@ class CompiledTree:
                     anc[b, j] = True
                 cur = tree.bodies[cur].parent
         self.ancestors = anc
-        self.dof_of_joint = np.arange(nj) + (6 if tree.floating else 0)
         # jointed bodies grouped by tree depth so recursions batch per level
         depth = np.zeros(B, dtype=int)
         for b in range(B):

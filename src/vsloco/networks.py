@@ -65,9 +65,6 @@ class MLP:
                 g = g * (1.0 - acts[k] ** 2)  # tanh'
         return gW + gb, g
 
-    def zeros_like_grads(self):
-        return [np.zeros_like(p) for p in self.params]
-
 
 class Adam:
     def __init__(self, params, lr=3e-4, betas=(0.9, 0.999), eps=1e-8):

@@ -1,12 +1,24 @@
 """Domain randomization: per-episode physical perturbations and per-step
 observation noise, one row per entry of the randomization table. Disabling
-the whole block turns every operator into the identity."""
+the whole block turns every operator into the identity.
+
+Every random number comes from ``uniform``, a pure function of
+(seed key, env index, draw counter, slot): a counter-based generator after
+Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC 2011). A
+batch of envs draws in one vectorised call, and env i's numbers depend only
+on the seed, i and how many draws env i has made, never on the rest of the
+batch.
+"""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
 N_JOINTS = 12
+
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 def _default_rows():
@@ -28,6 +40,29 @@ def _default_rows():
     }
 
 
+_MULTIPLICATIVE = ("ground_friction", "kp_scale", "kd_scale", "motor_strength")
+
+# row -> width of one episode draw, in slot order
+EPISODE_ROWS = {
+    "payload_mass": 1,
+    "hip_mass": 4,
+    "ground_friction": 1,
+    "gravity_offset": 1,
+    "system_delay": 1,
+    "kp_scale": N_JOINTS,
+    "kd_scale": N_JOINTS,
+    "motor_strength": N_JOINTS,
+}
+# row -> width of one observation-noise draw, in slot order
+NOISE_ROWS = {
+    "noise_joint_pos": N_JOINTS,
+    "noise_joint_vel": N_JOINTS,
+    "noise_lin_vel": 3,
+    "noise_ang_vel": 3,
+    "noise_gravity": 3,
+}
+
+
 @dataclass
 class DomainRandomizationConfig:
     rows: dict = field(default_factory=_default_rows)
@@ -44,71 +79,57 @@ class DomainRandomizationConfig:
         return self.rows[name]
 
 
-@dataclass
-class EpisodeRandomization:
-    """One episode's sampled physical parameters (identity when disabled)."""
-
-    payload_mass: float
-    hip_mass_deltas: np.ndarray  # (4,)
-    friction_scale: float
-    gravity_offset: float
-    delay_ms: float
-    kp_scale: np.ndarray  # (12,)
-    kd_scale: np.ndarray
-    motor_strength: np.ndarray
-
-    @property
-    def mass_deltas(self):
-        """Privileged-state layout: trunk payload followed by the hip deltas."""
-        return np.concatenate([[self.payload_mass], self.hip_mass_deltas])
-
-    def delay_substeps(self, dt_physics):
-        return int(self.delay_ms / 1000.0 / dt_physics)
-
-    @staticmethod
-    def identity() -> "EpisodeRandomization":
-        return EpisodeRandomization(
-            payload_mass=0.0,
-            hip_mass_deltas=np.zeros(4),
-            friction_scale=1.0,
-            gravity_offset=0.0,
-            delay_ms=0.0,
-            kp_scale=np.ones(N_JOINTS),
-            kd_scale=np.ones(N_JOINTS),
-            motor_strength=np.ones(N_JOINTS),
-        )
+def seed_key(seed) -> np.uint64:
+    """The 64-bit key of every stream of one seed (any int SeedSequence takes)."""
+    return np.random.SeedSequence(seed).generate_state(1, np.uint64)[0]
 
 
-def sample_episode(cfg: DomainRandomizationConfig, rng, enabled=True) -> EpisodeRandomization:
+def _mix(x):
+    """splitmix64 finaliser: a bijection of uint64 whose every output bit
+    depends on every input bit."""
+    x = (x ^ (x >> np.uint64(30))) * _MIX1
+    x = (x ^ (x >> np.uint64(27))) * _MIX2
+    return x ^ (x >> np.uint64(31))
+
+
+def uniform(key, env, counter, slots):
+    """(m, slots) uniforms in [0, 1) for m envs: entry [r, s] is the top 53
+    bits of a 64-bit hash of (key, env[r], counter[r], s)."""
+    env = np.asarray(env, dtype=np.uint64).reshape(-1, 1)
+    counter = np.asarray(counter, dtype=np.uint64).reshape(-1, 1)
+    slot = np.arange(slots, dtype=np.uint64)
+    h = _mix(_mix(key + env * _GOLDEN) + counter * _GOLDEN)
+    h = _mix(h + slot * _GOLDEN)
+    return (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def between(lo, hi, u):
+    """Map uniforms u in [0, 1) onto [lo, hi)."""
+    return lo + (hi - lo) * u
+
+
+def _draw(cfg, widths, key, env, counter, enabled):
+    """One draw per env split into rows: {row: (m, width)} inside the row's
+    support, or the row's identity when disabled."""
+    m = np.size(env)
     if not enabled:
-        return EpisodeRandomization.identity()
-    u = lambda name, size=None: rng.uniform(*cfg.rows[name], size)
-    return EpisodeRandomization(
-        payload_mass=float(u("payload_mass")),
-        hip_mass_deltas=u("hip_mass", 4),
-        friction_scale=float(u("ground_friction")),
-        gravity_offset=float(u("gravity_offset")),
-        delay_ms=float(u("system_delay")),
-        kp_scale=u("kp_scale", N_JOINTS),
-        kd_scale=u("kd_scale", N_JOINTS),
-        motor_strength=u("motor_strength", N_JOINTS),
-    )
+        return {row: np.full((m, w), 1.0 if row in _MULTIPLICATIVE else 0.0)
+                for row, w in widths.items()}
+    u = uniform(key, env, counter, sum(widths.values()))
+    out, col = {}, 0
+    for row, w in widths.items():
+        out[row] = between(*cfg.rows[row], u[:, col:col + w])
+        col += w
+    return out
 
 
-def sample_observation_noise(cfg: DomainRandomizationConfig, rng, enabled=True):
-    """Per-step additive noise for the five noisy observation blocks."""
-    if not enabled:
-        return {
-            "joint_pos": np.zeros(N_JOINTS),
-            "joint_vel": np.zeros(N_JOINTS),
-            "lin_vel": np.zeros(3),
-            "ang_vel": np.zeros(3),
-            "gravity": np.zeros(3),
-        }
-    return {
-        "joint_pos": rng.uniform(*cfg.rows["noise_joint_pos"], N_JOINTS),
-        "joint_vel": rng.uniform(*cfg.rows["noise_joint_vel"], N_JOINTS),
-        "lin_vel": rng.uniform(*cfg.rows["noise_lin_vel"], 3),
-        "ang_vel": rng.uniform(*cfg.rows["noise_ang_vel"], 3),
-        "gravity": rng.uniform(*cfg.rows["noise_gravity"], 3),
-    }
+def sample_episode(cfg: DomainRandomizationConfig, key, env, counter, enabled=True):
+    """One episode's physical parameters for each env: {row: (m, width)} with
+    the widths of EPISODE_ROWS (identity when disabled)."""
+    return _draw(cfg, EPISODE_ROWS, key, env, counter, enabled)
+
+
+def sample_observation_noise(cfg: DomainRandomizationConfig, key, env, counter, enabled=True):
+    """Per-step additive noise for the five noisy observation blocks of each
+    env: {row: (m, width)} with the widths of NOISE_ROWS (zero when disabled)."""
+    return _draw(cfg, NOISE_ROWS, key, env, counter, enabled)

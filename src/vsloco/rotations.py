@@ -58,22 +58,6 @@ def quat_exp(phi):
     return np.concatenate([w, xyz], axis=-1)
 
 
-def quat_rotate(q, v):
-    """Rotate vector(s) v by quaternion(s) q."""
-    return np.einsum("...ij,...j->...i", quat_to_matrix(q), v)
-
-
-def quat_rotate_inverse(q, v):
-    return np.einsum("...ji,...j->...i", quat_to_matrix(q), v)
-
-
-def quat_from_axis_angle(axis, angle):
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    half = 0.5 * float(angle)
-    return np.concatenate([[np.cos(half)], np.sin(half) * axis])
-
-
 def skew(v):
     """Cross-product matrix: skew(v) @ u == v x u. Batched."""
     v = np.asarray(v, dtype=float)

@@ -1,9 +1,12 @@
 """Action decoding, gain laws, and torque computation."""
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from vsloco import actuation as act
+from vsloco.model import build_quadruped
 
 Q_DEFAULT = np.tile([0.0, 0.8, -1.5], 4)
 
@@ -72,6 +75,35 @@ def test_gain_law_over_random_actions():
             g = random_gains(rng, grouping)
             assert np.all(g.kp >= 20.0 - 1e-12) and np.all(g.kp <= 60.0 + 1e-12)
             assert np.allclose(g.kd, 0.2 * np.sqrt(g.kp), atol=1e-12, rtol=0)
+
+
+TREE = build_quadruped()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_decode_action_properties(data):
+    # every grouping, any finite action: gains in range, kd slaved to kp,
+    # targets inside the joint limits, and the grouping's sharing pattern
+    grouping = data.draw(st.sampled_from(act.GROUPINGS))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    action = np.array(data.draw(st.lists(finite, min_size=act.action_dim(grouping),
+                                         max_size=act.action_dim(grouping))))
+    lo, hi = TREE.position_limits
+    g = act.decode_action(grouping, action, TREE.default_pose, (lo, hi))
+    assert np.all(g.kp >= 20.0 - 1e-12) and np.all(g.kp <= 60.0 + 1e-12)
+    assert np.array_equal(g.kd, 0.2 * np.sqrt(g.kp))
+    assert np.all((lo <= g.q_target) & (g.q_target <= hi))
+    kp = g.kp.reshape(4, 3)  # legs x (hip, thigh, knee)
+    if grouping in ("FixedP20", "FixedP50"):
+        assert np.all(kp == {"FixedP20": 20.0, "FixedP50": 50.0}[grouping])
+    elif grouping == "PJS":  # one value per joint type, shared by the legs
+        assert np.all(kp == kp[:1, :])
+    elif grouping == "PLS":  # one value per leg, shared by its joints
+        assert np.all(kp == kp[:, :1])
+    elif grouping == "HJLS":  # leg factor times joint-type factor
+        cross = np.einsum("ij,kl->ijkl", kp, kp)
+        assert np.allclose(cross, cross.transpose(0, 3, 2, 1), rtol=1e-12, atol=0)
 
 
 def test_hjls_rank_one():

@@ -4,12 +4,11 @@ determinism, and vectorization."""
 import numpy as np
 import pytest
 
-from vsloco import dynamics as dyn
+from vsloco import randomization as dr
 from vsloco.actuation import action_dim
 from vsloco.env import (
     REASON_CODE,
     EnvConfig,
-    LocomotionEnv,
     VecLocomotionEnv,
     sample_command,
     schedule_pushes,
@@ -86,14 +85,11 @@ def test_same_seed_same_context():
     cfg = EnvConfig()
     a = VecLocomotionEnv("PLS", n_envs=2, seed=7, config=cfg)
     b = VecLocomotionEnv("PLS", n_envs=2, seed=7, config=cfg)
-    for i in range(2):
-        ca, cb = a.context_of(i), b.context_of(i)
-        assert np.allclose(ca.command, cb.command)
-        assert ca.delay_substeps == cb.delay_substeps
-        assert np.allclose(ca.randomization.kp_scale, cb.randomization.kp_scale)
-        assert len(ca.pushes) == len(cb.pushes)
-        for pa, pb in zip(ca.pushes, cb.pushes):
-            assert pa.start_time == pb.start_time and np.allclose(pa.force, pb.force)
+    assert np.allclose(a.command, b.command)
+    assert np.array_equal(a.delay_substeps, b.delay_substeps)
+    assert np.allclose(a.kp_scale, b.kp_scale)
+    assert np.array_equal(a.push_start, b.push_start)
+    assert np.allclose(a.push_force, b.push_force)
 
 
 def test_step_determinism():
@@ -117,33 +113,32 @@ def test_randomized_context_inside_supports():
     rows = env.cfg.randomization.rows
     for _ in range(20):
         env.reset_all(randomization_on=True)
-        for i in range(env.n):
-            ctx = env.context_of(i)
-            ep = ctx.randomization
-            assert rows["payload_mass"][0] <= ep.payload_mass <= rows["payload_mass"][1]
-            assert np.all(ep.hip_mass_deltas >= rows["hip_mass"][0])
-            assert np.all(ep.hip_mass_deltas <= rows["hip_mass"][1])
-            assert rows["ground_friction"][0] <= ep.friction_scale <= rows["ground_friction"][1]
-            assert np.all((ep.kp_scale >= 0.8) & (ep.kp_scale <= 1.3))
-            assert np.all((ep.kd_scale >= 0.5) & (ep.kd_scale <= 1.5))
-            assert np.all((ep.motor_strength >= 0.9) & (ep.motor_strength <= 1.1))
-            assert 0 <= ctx.delay_substeps <= 7
-            for push in ctx.pushes:
-                mag = np.linalg.norm(push.force)
-                assert 50.0 - 1e-9 <= mag <= 150.0 + 1e-9
-                impulse = mag * push.duration
-                assert 8.0 - 1e-9 <= impulse <= 15.0 + 1e-9
+        payload, hips = env.mass_deltas[:, 0], env.mass_deltas[:, 1:]
+        friction_scale = env.params.friction / env.base_friction
+        assert np.all((rows["payload_mass"][0] <= payload) & (payload <= rows["payload_mass"][1]))
+        assert np.all(hips >= rows["hip_mass"][0])
+        assert np.all(hips <= rows["hip_mass"][1])
+        assert np.all((rows["ground_friction"][0] <= friction_scale)
+                      & (friction_scale <= rows["ground_friction"][1]))
+        assert np.all((env.kp_scale >= 0.8) & (env.kp_scale <= 1.3))
+        assert np.all((env.kd_scale >= 0.5) & (env.kd_scale <= 1.5))
+        assert np.all((env.motor_strength >= 0.9) & (env.motor_strength <= 1.1))
+        assert np.all((0 <= env.delay_substeps) & (env.delay_substeps <= 7))
+        placed = np.isfinite(env.push_start)
+        mag = np.linalg.norm(env.push_force[placed], axis=-1)
+        assert np.all((50.0 - 1e-9 <= mag) & (mag <= 150.0 + 1e-9))
+        impulse = mag * (env.push_end - env.push_start)[placed]
+        assert np.all((8.0 - 1e-9 <= impulse) & (impulse <= 15.0 + 1e-9))
 
 
 def test_reset_identity_when_disabled():
     env = VecLocomotionEnv("PLS", n_envs=4, seed=2, config=EnvConfig())
     env.reset_all(randomization_on=False)
-    for i in range(4):
-        ep = env.context_of(i).randomization
-        assert ep.payload_mass == 0.0
-        assert np.all(ep.kp_scale == 1.0)
-        assert env.params.friction[i] == env.base_friction
-        assert env.params.gravity[i, 2] == -env.base_gravity
+    assert np.all(env.mass_deltas[:, 0] == 0.0)
+    assert np.all(env.kp_scale == 1.0)
+    assert np.all(env.params.friction == env.base_friction)
+    assert np.all(env.params.gravity[:, 2] == -env.base_gravity)
+    assert np.all(env.delay_substeps == 0)
 
 
 def test_command_schedule_four_intervals():
@@ -174,14 +169,21 @@ def test_command_schedule_four_intervals():
 
 def test_push_schedule_timing():
     cfg = EnvConfig()
-    rng = np.random.default_rng(21)
-    for _ in range(200):
-        pushes = schedule_pushes(rng, cfg)
-        assert len(pushes) == 3
-        for k, p in enumerate(pushes):
-            assert abs(p.start_time - (k + 1) * 6.0) <= 0.5 + 1e-12
-            assert 8.0 / 150.0 - 1e-12 <= p.duration <= 15.0 / 50.0 + 1e-12
-            assert p.force[2] == 0.0
+    start, end, force = schedule_pushes(dr.seed_key(21), np.arange(200), np.zeros(200), cfg)
+    assert start.shape == (200, 3) and np.all(np.isfinite(start))
+    assert np.all(np.abs(start - 6.0 * np.arange(1, 4)) <= 0.5 + 1e-12)
+    duration = end - start
+    assert np.all((8.0 / 150.0 - 1e-12 <= duration) & (duration <= 15.0 / 50.0 + 1e-12))
+    assert np.all(force[..., 2] == 0.0)
+
+
+def test_push_slots_cover_long_episodes():
+    # a 60 s episode has a push near every 6 s: at least 9 slots are filled
+    env = VecLocomotionEnv("PLS", n_envs=16, seed=22, config=EnvConfig(episode_length_s=60.0))
+    placed = np.isfinite(env.push_start)
+    assert np.all(placed.sum(axis=1) >= 9)
+    k = np.broadcast_to(np.arange(1, env.push_start.shape[1] + 1), placed.shape)
+    assert np.all(np.abs(env.push_start[placed] - 6.0 * k[placed]) <= 0.5 + 1e-12)
 
 
 def test_zero_command_range_config(quiet_env):
@@ -190,9 +192,8 @@ def test_zero_command_range_config(quiet_env):
 
 
 def test_sample_command_ranges():
-    rng = np.random.default_rng(0)
     ranges = {"vx": (-1.0, 1.0), "vy": (-0.5, 0.5), "yaw_rate": (-2.0, 2.0)}
-    cmds = np.stack([sample_command(rng, ranges) for _ in range(1000)])
+    cmds = sample_command(dr.seed_key(0), np.arange(1000), np.zeros(1000), ranges)
     assert np.all(np.abs(cmds[:, 0]) <= 1.0)
     assert np.all(np.abs(cmds[:, 1]) <= 0.5)
     assert np.all(np.abs(cmds[:, 2]) <= 2.0)
@@ -294,15 +295,37 @@ def test_vector_env_matches_single_env():
         assert np.allclose(rv[0], rs[0], atol=1e-12)
 
 
-def test_single_wrapper_api():
-    env = LocomotionEnv("PLS", seed=0, config=quiet_config(), randomization_on=False)
-    state, context = env.reset()
-    assert isinstance(state, dyn.BatchState)
-    assert context.delay_substeps == 0
-    obs, priv, rew, done, info = env.step(np.zeros(env.vec.action_dim))
-    assert obs.shape == (52,)
-    assert isinstance(rew, float)
-    assert info["reason"] == "running"
+def test_batch_rows_draw_independent_streams():
+    # env 0 of a batch of 3 gets the episode, command, push and noise draws of
+    # a lone env at the same seed, while envs 1 and 2 fall and reset at other
+    # times; env 0 holds its pose through the command refresh at step 251,
+    # then is flipped over so it resets too
+    batch = VecLocomotionEnv("PJS", n_envs=3, seed=12, config=EnvConfig())
+    single = VecLocomotionEnv("PJS", n_envs=1, seed=12, config=EnvConfig())
+    rng = np.random.default_rng(2)
+    hold = np.zeros(batch.action_dim)
+    hold[12:] = 1.0
+    resets = np.zeros(3, dtype=int)
+    commands = [single.command[0].copy()]
+    for k in range(256):
+        if k == 252:
+            for env in (batch, single):
+                env.state.base_pos[0] = (0.0, 0.0, 1.0)
+                env.state.base_quat[0] = (0.0, 1.0, 0.0, 0.0)
+                env.state.cache = None
+        acts = rng.uniform(-1, 1, (3, batch.action_dim))
+        acts[0] = hold
+        outs_b = batch.step(acts)
+        outs_s = single.step(acts[:1])
+        resets += outs_b[3]
+        for a, b in zip(outs_b[:3], outs_s[:3]):  # obs, priv, reward
+            assert np.array_equal(a[0], b[0]), k
+        for name in ("command", "push_start", "push_end", "push_force"):
+            assert np.array_equal(getattr(batch, name)[0], getattr(single, name)[0]), (k, name)
+        if not np.array_equal(single.command[0], commands[-1]):
+            commands.append(single.command[0].copy())
+    assert resets[0] == 1 and resets[1] >= 1 and resets[2] >= 1
+    assert len(commands) == 3  # the refresh at step 251 and the reset's draw
 
 
 def test_non_finite_state_terminates_as_diverged():

@@ -1,7 +1,10 @@
 """GAE against a brute-force oracle, exact gradients, PPO behaviour."""
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from vsloco import networks as nets
 from vsloco.ppo import (
@@ -61,6 +64,30 @@ def test_gae_matches_brute_force_oracle():
         oracle = brute_force_gae(buf, 0.99, 0.95)
         assert np.allclose(adv, oracle, atol=1e-9, rtol=0)
         assert np.allclose(ret, adv + buf.values[:-1], atol=0)
+
+    # any done mask (terminations exclusive of truncations, as the env
+    # reports them), horizon, batch, discount and lambda
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        T = data.draw(st.integers(1, 12))
+        n = data.draw(st.integers(1, 3))
+        gamma = data.draw(st.floats(0.0, 1.0))
+        lam = data.draw(st.floats(0.0, 1.0))
+        terminated = data.draw(hnp.arrays(bool, (T, n)))
+        truncated = data.draw(hnp.arrays(bool, (T, n))) & ~terminated
+        values = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        buf = allocate_buffer(T, n, 1, 1, 1)
+        buf.rewards = values.normal(0, 1, (T, n))
+        buf.values = values.normal(0, 1, (T + 1, n))
+        buf.terminations = terminated
+        buf.truncations = truncated
+        buf.truncation_values = values.normal(0, 1, (T, n)) * truncated
+        adv, ret = compute_gae(buf, gamma, lam)
+        assert np.allclose(adv, brute_force_gae(buf, gamma, lam), atol=1e-9, rtol=0)
+        assert np.allclose(ret, adv + buf.values[:-1], atol=0)
+
+    check()
 
 
 def test_gae_hand_example():

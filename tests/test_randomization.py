@@ -1,80 +1,72 @@
-"""Support checks for every randomization row; identity when disabled."""
+"""Support checks for every randomization row; identity when disabled; the
+counter-based generator's distribution and stream independence."""
 
 import numpy as np
 import pytest
 
 from vsloco import randomization as dr
+from vsloco.env import EnvConfig, VecLocomotionEnv
+from vsloco.model import build_quadruped
 
 
 def test_samples_inside_supports():
     cfg = dr.DomainRandomizationConfig()
-    rng = np.random.default_rng(123)
-    lows = {k: np.inf for k in cfg.rows}
-    highs = {k: -np.inf for k in cfg.rows}
-    for _ in range(2000):
-        ep = dr.sample_episode(cfg, rng)
-        samples = {
-            "payload_mass": np.atleast_1d(ep.payload_mass),
-            "hip_mass": ep.hip_mass_deltas,
-            "ground_friction": np.atleast_1d(ep.friction_scale),
-            "gravity_offset": np.atleast_1d(ep.gravity_offset),
-            "system_delay": np.atleast_1d(ep.delay_ms),
-            "kp_scale": ep.kp_scale,
-            "kd_scale": ep.kd_scale,
-            "motor_strength": ep.motor_strength,
-        }
-        noise = dr.sample_observation_noise(cfg, rng)
-        samples.update(
-            {
-                "noise_joint_pos": noise["joint_pos"],
-                "noise_joint_vel": noise["joint_vel"],
-                "noise_lin_vel": noise["lin_vel"],
-                "noise_ang_vel": noise["ang_vel"],
-                "noise_gravity": noise["gravity"],
-            }
-        )
-        for name, values in samples.items():
-            lo, hi = cfg.support(name)
-            assert np.all(values >= lo) and np.all(values <= hi), name
-            lows[name] = min(lows[name], values.min())
-            highs[name] = max(highs[name], values.max())
+    key = dr.seed_key(123)
+    envs = np.arange(2000)
+    counter = np.zeros(2000)
+    samples = dr.sample_episode(cfg, key, envs, counter)
+    samples.update(dr.sample_observation_noise(cfg, key, envs, counter + 1))
+    assert set(samples) == set(cfg.rows)
+    for name, values in samples.items():
+        lo, hi = cfg.support(name)
+        assert np.all(values >= lo) and np.all(values <= hi), name
     # the draws actually cover their supports (not degenerate)
     for name in ("payload_mass", "kp_scale", "noise_joint_vel"):
         lo, hi = cfg.support(name)
         width = hi - lo
-        assert lows[name] < lo + 0.1 * width
-        assert highs[name] > hi - 0.1 * width
+        assert samples[name].min() < lo + 0.1 * width
+        assert samples[name].max() > hi - 0.1 * width
 
 
 def test_disabled_is_identity():
     cfg = dr.DomainRandomizationConfig()
-    rng = np.random.default_rng(0)
-    ep = dr.sample_episode(cfg, rng, enabled=False)
-    assert ep.payload_mass == 0.0
-    assert np.all(ep.hip_mass_deltas == 0.0)
-    assert ep.friction_scale == 1.0
-    assert ep.gravity_offset == 0.0
-    assert ep.delay_ms == 0.0
-    assert np.all(ep.kp_scale == 1.0)
-    assert np.all(ep.kd_scale == 1.0)
-    assert np.all(ep.motor_strength == 1.0)
-    noise = dr.sample_observation_noise(cfg, rng, enabled=False)
+    key = dr.seed_key(0)
+    ep = dr.sample_episode(cfg, key, [0], [0], enabled=False)
+    assert np.all(ep["payload_mass"] == 0.0)
+    assert np.all(ep["hip_mass"] == 0.0)
+    assert np.all(ep["ground_friction"] == 1.0)
+    assert np.all(ep["gravity_offset"] == 0.0)
+    assert np.all(ep["system_delay"] == 0.0)
+    assert np.all(ep["kp_scale"] == 1.0)
+    assert np.all(ep["kd_scale"] == 1.0)
+    assert np.all(ep["motor_strength"] == 1.0)
+    noise = dr.sample_observation_noise(cfg, key, [0], [1], enabled=False)
     for block in noise.values():
         assert np.all(block == 0.0)
 
 
+def _env_with_rows(rows, tree=None):
+    config = EnvConfig(randomization=dr.DomainRandomizationConfig(rows))
+    return VecLocomotionEnv("PLS", n_envs=1, seed=0, tree=tree, config=config)
+
+
 def test_mass_delta_layout():
-    ep = dr.EpisodeRandomization.identity()
-    ep.payload_mass = 2.0
-    ep.hip_mass_deltas = np.array([0.1, -0.2, 0.3, -0.4])
-    assert np.allclose(ep.mass_deltas, [2.0, 0.1, -0.2, 0.3, -0.4])
+    # privileged layout and bodies: the trunk payload, then the four hips
+    env = _env_with_rows({"payload_mass": (2.0, 2.0), "hip_mass": (0.1, 0.1)})
+    assert np.allclose(env.mass_deltas[0], [2.0, 0.1, 0.1, 0.1, 0.1])
+    assert np.allclose(env.observe_privileged()[0, 37:42], [2.0, 0.1, 0.1, 0.1, 0.1])
+    added = env.params.masses[0] - env.ct.mass
+    expected = np.zeros_like(added)
+    expected[[0, 1, 4, 7, 10]] = [2.0, 0.1, 0.1, 0.1, 0.1]
+    assert np.allclose(added, expected, atol=1e-12)
 
 
 def test_delay_quantization():
-    ep = dr.EpisodeRandomization.identity()
+    tree = build_quadruped()
     for ms, expected in ((0.0, 0), (1.9, 0), (2.0, 1), (15.0, 7), (14.999, 7)):
-        ep.delay_ms = ms
-        assert ep.delay_substeps(0.002) == expected
+        env = _env_with_rows({"system_delay": (ms, ms)}, tree)
+        assert env.cfg.dt_physics == 0.002
+        assert env.delay_substeps[0] == expected
 
 
 def test_unknown_row_rejected():
@@ -86,3 +78,26 @@ def test_row_override():
     cfg = dr.DomainRandomizationConfig({"payload_mass": (0.0, 1.0)})
     assert cfg.support("payload_mass") == (0.0, 1.0)
     assert cfg.support("hip_mass") == (-0.5, 0.5)
+
+
+def _corr(a, b):
+    return np.corrcoef(a.ravel(), b.ravel())[0, 1]
+
+
+def test_uniform_generator_statistics_and_streams():
+    key = dr.seed_key(0)
+    by_env = dr.uniform(key, np.arange(400), np.zeros(400), 500)  # counter 0 of 400 envs
+    by_counter = dr.uniform(key, np.zeros(400), np.arange(400), 500)  # 400 draws of env 0
+    for u in (by_env, by_counter):
+        assert u.shape == (400, 500) and u.dtype == np.float64
+        assert np.all((0.0 <= u) & (u < 1.0))
+        n = u.size
+        assert abs(u.mean() - 0.5) < 5.0 * np.sqrt(1.0 / 12.0 / n)
+        assert abs(u.var() - 1.0 / 12.0) < 5.0 * np.sqrt(1.0 / 180.0 / n)
+        assert np.unique(u).size == n  # no two (env, counter, slot) share a number
+        assert abs(_corr(u[:-1], u[1:])) < 0.01  # adjacent envs / adjacent counters
+        assert abs(_corr(u[:, :-1], u[:, 1:])) < 0.01  # adjacent slots
+    # a pure function: a row does not depend on the rest of the call
+    assert np.array_equal(dr.uniform(key, [7], [0], 500)[0], by_env[7])
+    assert np.array_equal(dr.uniform(key, [0], [9], 500)[0], by_counter[9])
+    assert not np.array_equal(dr.uniform(dr.seed_key(1), [7], [0], 500)[0], by_env[7])
