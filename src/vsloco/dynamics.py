@@ -6,10 +6,23 @@ with N = 1. The checked entry points at the end of the module (``step``,
 ``forward_dynamics``, ``contact_forces``, ...) validate their inputs and take
 a state of any N; ``step_batch`` is the unchecked hot path. Generalized
 velocity layout is [base linear (world), base angular (world), joint rates]
-for floating trees and [joint rates] for fixed-base trees. Mass matrix and
-bias forces are assembled from per-body Jacobians (world frame, about each
-body com), which keeps the whole thing a short chain of einsums over
-(N, B, ...) arrays.
+for floating trees and [joint rates] for fixed-base trees.
+
+The tree is a base plus branches of equal size (the quadruped: a trunk and
+four 3-DoF legs; a fixed-base chain: one branch and no base block; a free
+box: a base and no branch). A branch's joints move only its own bodies and
+each foot sits on one branch, so the mass matrix M and the implicit contact
+matrix M + dt J' D J are block-arrow: a base block M_bb, one base-branch
+block M_bl and one joint block M_ll per branch, nothing between branches.
+The engine never forms the dense (N, nv, nv) matrix. ``_mass_blocks``
+builds each branch's (nb + d)-square block over [base, branch joints] from
+composite rigid-body inertias (Featherstone, "Rigid Body Dynamics
+Algorithms", 2008, ch. 6), each foot's contact term adds to its own
+branch's block, and ``_solve`` eliminates the joint blocks and solves the
+nb x nb Schur complement of the base (Featherstone, "Efficient factorization
+of the joint-space inertia matrix for branched kinematic trees", IJRR 2005).
+All of it is batched over (N, branch) axes, so the cost per env does not
+grow with the number of legs in Python loops.
 
 Integration is semi-implicit Euler: velocities from forward dynamics, then
 positions from the new velocities, base orientation via the quaternion
@@ -33,6 +46,7 @@ from .rotations import (
 
 GRAVITY_DIR = np.array([0.0, 0.0, -1.0])
 DIVERGENCE_SPEED = 1.0e4
+EYE3 = np.eye(3)
 MAX_DT = 0.01
 
 
@@ -40,8 +54,9 @@ def _cross(a, b):
     """Component-wise cross product; avoids np.cross's axis plumbing."""
     ax, ay, az = a[..., 0], a[..., 1], a[..., 2]
     bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    out[..., 0] = ay * bz - az * by
+    x = ay * bz - az * by
+    out = np.empty(x.shape + (3,))
+    out[..., 0] = x
     out[..., 1] = az * bx - ax * bz
     out[..., 2] = ax * by - ay * bx
     return out
@@ -61,6 +76,9 @@ class BatchState:
     contact_flags: np.ndarray = None  # (N, n_feet)
     contact_forces: np.ndarray = None  # (N, n_feet, 3)
     diverged: np.ndarray = None  # (N,)
+    # feet whose friction cone the last substep saturated: the active-set
+    # pass re-solved them with a sliding force
+    cone_saturated: np.ndarray = None  # (N, n_feet)
     # (fk, vel) of the fields above, set and read by step_batch: reset it to
     # None after writing a field in place (the checked entry points ignore it)
     cache: tuple = field(default=None, repr=False, compare=False)
@@ -113,12 +131,11 @@ def _fk(ct: CompiledTree, bs: BatchState):
     if ct.floating:
         R[:, 0] = quat_to_matrix(bs.base_quat)
         p[:, 0] = bs.base_pos
-    for bodies, joints, parents in ct.levels:
+    for bodies, joints, parents, rooted in ct.levels:
         Rj = rotation_about_axis(
             ct.axis_skew[joints], ct.axis_skew_sq[joints], bs.q[:, joints]
         )  # (N, L, 3, 3)
-        rooted = parents < 0
-        if np.all(rooted):
+        if rooted:
             o_w[:, joints] = ct.joint_origin[joints]
             a_w[:, joints] = ct.joint_axis[joints]
             R[:, bodies] = Rj
@@ -141,8 +158,8 @@ def _velocities(ct: CompiledTree, bs: BatchState, fk):
         w[:, 0] = bs.base_angvel
         v_o[:, 0] = bs.base_linvel
     p = fk["p"]
-    for bodies, joints, parents in ct.levels:
-        if np.all(parents < 0):
+    for bodies, joints, parents, rooted in ct.levels:
+        if rooted:
             w_p = 0.0
             v_p = 0.0
         else:
@@ -155,46 +172,27 @@ def _velocities(ct: CompiledTree, bs: BatchState, fk):
 
 
 def _bias_accelerations(ct: CompiledTree, bs: BatchState, fk, vel):
-    """Com and angular accelerations at zero generalized acceleration."""
+    """Com and angular accelerations at zero generalized acceleration.
+
+    The centripetal terms w x (w x r) take w x r from the velocity pass:
+    v_o(child) - v_o(parent) for the joint lever, v_c - v_o for the com.
+    """
     N, B = bs.n, ct.n_bodies
     alpha = np.zeros((N, B, 3))
     a_o = np.zeros((N, B, 3))
-    p, w = fk["p"], vel["w"]
-    for bodies, joints, parents in ct.levels:
-        if np.all(parents < 0):
-            w_p = np.zeros((N, len(bodies), 3))
-            al_p = 0.0
-        else:
-            dp = p[:, bodies] - p[:, parents]
-            w_p, al_p = w[:, parents], alpha[:, parents]
-            a_o[:, bodies] = (
-                a_o[:, parents] + _cross(al_p, dp) + _cross(w_p, _cross(w_p, dp))
-            )
-        alpha[:, bodies] = al_p + bs.qdot[:, joints, None] * _cross(w_p, fk["a_w"][:, joints])
-    rc = fk["c"] - p
-    a_c = a_o + _cross(alpha, rc) + _cross(w, _cross(w, rc))
-    return {"alpha": alpha, "a_c": a_c}
-
-
-def _jacobians(ct: CompiledTree, bs: BatchState, fk):
-    """World-frame com Jacobians J_v, J_w of shape (N, B, 3, nv)."""
-    N, B, nj, nv = bs.n, ct.n_bodies, ct.n_joints, ct.nv
-    J_v = np.zeros((N, B, 3, nv))
-    J_w = np.zeros((N, B, 3, nv))
-    off = 6 if ct.floating else 0
-    if ct.floating:
-        J_v[:, :, :, 0:3] = np.eye(3)
-        r = fk["c"] - bs.base_pos[:, None, :]
-        J_v[:, :, :, 3:6] = -skew(r)
-        J_w[:, :, :, 3:6] = np.eye(3)
-    if nj:
-        diff = fk["c"][:, :, None, :] - fk["o_w"][:, None, :, :]  # (N,B,nj,3)
-        mask = ct.ancestors[None, :, :, None]
-        jv = _cross(fk["a_w"][:, None, :, :], diff) * mask
-        jw = np.broadcast_to(fk["a_w"][:, None, :, :], (N, B, nj, 3)) * mask
-        J_v[:, :, :, off:] = jv.transpose(0, 1, 3, 2)
-        J_w[:, :, :, off:] = jw.transpose(0, 1, 3, 2)
-    return J_v, J_w
+    p, w, v_o = fk["p"], vel["w"], vel["v_o"]
+    for bodies, joints, parents, rooted in ct.levels:
+        if rooted:  # bodies on the fixed world: both stay zero
+            continue
+        w_p, al_p = w[:, parents], alpha[:, parents]
+        # one cross product call for al_p x dp, w_p x (w_p x dp) and w_p x a
+        lever = np.stack([p[:, bodies] - p[:, parents], v_o[:, bodies] - v_o[:, parents],
+                          fk["a_w"][:, joints]])
+        terms = _cross(np.stack([al_p, w_p, w_p]), lever)
+        a_o[:, bodies] = a_o[:, parents] + terms[0] + terms[1]
+        alpha[:, bodies] = al_p + bs.qdot[:, joints, None] * terms[2]
+    terms = _cross(np.stack([alpha, w]), np.stack([fk["c"] - p, vel["v_c"] - v_o]))
+    return {"alpha": alpha, "a_c": a_o + terms[0] + terms[1]}
 
 
 def _world_inertia(ct: CompiledTree, fk):
@@ -202,25 +200,133 @@ def _world_inertia(ct: CompiledTree, fk):
     return R @ ct.inertia @ R.transpose(0, 1, 3, 2)
 
 
-def _mass_matrix(params: BatchParams, J_v, J_w, I_w):
-    # flatten (body, axis) so the contractions are plain batched GEMMs
-    N, B, _, nv = J_v.shape
-    Jv_flat = J_v.reshape(N, B * 3, nv)
-    Jv_weighted = (params.masses[:, :, None, None] * J_v).reshape(N, B * 3, nv)
-    M = Jv_flat.transpose(0, 2, 1) @ Jv_weighted
-    IJ = (I_w @ J_w).reshape(N, B * 3, nv)
-    M += J_w.reshape(N, B * 3, nv).transpose(0, 2, 1) @ IJ
-    return M
+# ---------------------------------------------------------------------------
+# block-arrow assembly and solve
 
 
-def _bias_forces(params: BatchParams, vel, bias, I_w, J_v, J_w):
-    f = params.masses[:, :, None] * (bias["a_c"] - params.gravity[:, None, :])
+def _per_branch(ct: CompiledTree, x):
+    """View (N, n_br, d, ...) of the jointed part of axis 1 of x: its last
+    n_br * d entries, which are the branch bodies of a body array, all of a
+    joint array, or the joint rates of a generalized vector."""
+    n_br, d = ct.n_branches, ct.branch_size
+    return x[:, x.shape[1] - n_br * d:].reshape((x.shape[0], n_br, d) + x.shape[2:])
+
+
+def _local(ct: CompiledTree, v):
+    """Generalized vector v (N, nv) in each branch's local coordinates
+    [base, branch joints]: (N, n_br, nb + d)."""
+    nb = ct.n_base
+    base = np.broadcast_to(v[:, None, :nb], (v.shape[0], ct.n_branches, nb))
+    return np.concatenate([base, _per_branch(ct, v)], axis=-1)
+
+
+def _from_local(ct: CompiledTree, y):
+    """Generalized force (N, nv) of forces y (N, n_br, nb + d) given in each
+    branch's local coordinates: the base parts add up."""
+    nb = ct.n_base
+    return np.concatenate([y[..., :nb].sum(axis=1), y[..., nb:].reshape(y.shape[0], -1)], axis=1)
+
+
+def _foot_jacobians(ct: CompiledTree, fk, pos):
+    """Linear Jacobians (N, n_br, 3, nb + d) of the foot points pos
+    (N, n_br, 3), foot i on branch i, over each branch's local coordinates:
+    the nb base velocities, [I, -skew(pos - p0)], then the branch's d
+    joints, a_s x (pos - o_s) for the joints that move the foot, else 0."""
+    lever = pos[:, :, None] - _per_branch(ct, fk["o_w"])
+    cols = _cross(_per_branch(ct, fk["a_w"]), lever) * ct.foot_mask[..., None]
+    J = np.empty(pos.shape + (ct.n_base + ct.branch_size,))
+    if ct.floating:
+        J[..., 0:3] = EYE3
+        J[..., 3:6] = -skew(pos - fk["p"][:, :1])
+    J[..., ct.n_base:] = cols.swapaxes(-1, -2)
+    return J
+
+
+def _mass_blocks(ct: CompiledTree, params: BatchParams, fk, vel, bias):
+    """The mass matrix and the bias forces in block-arrow form, assembled
+    from composite rigid bodies.
+
+    Each body's spatial inertia and bias wrench are taken about the base
+    origin p0 (the world origin for a fixed base), in the coordinates of the
+    base velocity (v_p0, w): Phi = [[m I, -m [r]], [m [r], I_w - m [r]^2]]
+    with r = c - p0, and (f, n + r x f) for the body's bias force f and
+    moment n. Joint s moves with the twist s_s = [(o_s - p0) x a_s; a_s].
+    Summed over the bodies each joint moves, they give the composites Ic_s
+    and W_s, and then M_bl[:, s] = Ic_s s_s, M_ll[s, t] = s_s . Ic_t s_t
+    for s an ancestor of t (or t itself), and h_s = s_s . W_s.
+
+    Returns T (N, nb, nb), the base body's share of the base-base block;
+    K (N, n_br, nb + d, nb + d), each branch's block over its local
+    coordinates [base, branch joints], whose base-base part is the branch's
+    composite inertia, so that T + sum K_bb = M_bb; and h (N, nv), the
+    generalized bias force (gravity and velocity products).
+    """
+    N, nb, n_br, d = fk["R"].shape[0], ct.n_base, ct.n_branches, ct.branch_size
+    m = params.masses[..., None, None]
+    I_w = _world_inertia(ct, fk)
+    f = params.masses[..., None] * (bias["a_c"] - params.gravity[:, None, :])
     Iw_w = (I_w @ vel["w"][..., None])[..., 0]
     n = (I_w @ bias["alpha"][..., None])[..., 0] + _cross(vel["w"], Iw_w)
-    N, B, _, nv = J_v.shape
-    out = J_v.reshape(N, B * 3, nv).transpose(0, 2, 1) @ f.reshape(N, B * 3, 1)
-    out += J_w.reshape(N, B * 3, nv).transpose(0, 2, 1) @ n.reshape(N, B * 3, 1)
-    return out[..., 0]
+    p0 = fk["p"][:, :1] if ct.floating else np.zeros((N, 1, 3))
+    S = skew(fk["c"] - p0)
+    Phi = np.empty((N, ct.n_bodies, 6, 6))
+    Phi[..., :3, :3] = m * EYE3
+    Phi[..., :3, 3:] = -m * S
+    Phi[..., 3:, :3] = m * S
+    Phi[..., 3:, 3:] = I_w - m * (S @ S)
+    wrench = np.concatenate([f, n + (S @ f[..., None])[..., 0]], axis=-1)
+    twist = _per_branch(ct, np.concatenate([_cross(fk["o_w"] - p0, fk["a_w"]), fk["a_w"]], axis=-1))
+    # composites over the bodies each joint moves: mask' sums over bodies
+    mask_t = ct.branch_mask.swapaxes(-1, -2)
+    Ic = (mask_t @ _per_branch(ct, Phi).reshape(N, n_br, d, 36)).reshape(N, n_br, d, 6, 6)
+    Wc = mask_t @ _per_branch(ct, wrench)
+    F = (Ic @ twist[..., None])[..., 0]  # (N, n_br, d, 6): Ic_s s_s
+    P = twist @ F.swapaxes(-1, -2)  # P[s, t] = s_s . Ic_t s_t
+    K = np.empty((N, n_br, nb + d, nb + d))
+    K[..., :nb, :nb] = _per_branch(ct, Phi)[..., :nb, :nb].sum(axis=2)
+    K[..., :nb, nb:] = F[..., :nb].swapaxes(-1, -2)
+    K[..., nb:, :nb] = F[..., :nb]
+    # M_ll[s, t] is P[s, t] where s moves t's body, P[t, s] where t strictly
+    # moves s's, and 0 between joints on different paths
+    K[..., nb:, nb:] = mask_t * P + (ct.branch_mask - np.eye(d)) * P.swapaxes(-1, -2)
+    h_joints = (twist * Wc).sum(axis=-1).reshape(N, -1)
+    if ct.floating:
+        return Phi[:, 0], K, np.concatenate([wrench.sum(axis=1), h_joints], axis=1)
+    return np.zeros((N, 0, 0)), K, h_joints
+
+
+def _add_point_force(ct: CompiledTree, fk, Q, body, x, force):
+    """Add to Q (N, nv) the generalized force of world forces (N, 3) applied
+    at world points x (N, 3) rigidly attached to ``body``."""
+    if ct.floating:
+        Q[:, 0:3] += force
+        Q[:, 3:6] += _cross(x - fk["p"][:, 0], force)
+    branch = ct.body_branch[body]
+    if branch >= 0:
+        a = _per_branch(ct, fk["a_w"])[:, branch]
+        lever = x[:, None] - _per_branch(ct, fk["o_w"])[:, branch]
+        torque = (a * _cross(lever, force[:, None])).sum(axis=-1)
+        _per_branch(ct, Q)[:, branch] += ct.branch_mask[branch, ct.body_slot[body]] * torque
+
+
+def _solve(ct: CompiledTree, T, K, r):
+    """Solve M x = r for the block-arrow M given by the base block T and the
+    branch blocks K (see ``_mass_blocks``).
+
+    Each branch's joint block M_ll is eliminated, the base part solves the
+    Schur complement S = M_bb - sum_l M_bl M_ll^-1 M_lb (nb x nb), and the
+    joint rates follow by back-substitution.
+    """
+    nb = ct.n_base
+    # M_ll^-1 [M_lb | r_l], (N, n_br, d, nb + 1)
+    X = np.linalg.solve(
+        K[..., nb:, nb:], np.concatenate([K[..., nb:, :nb], _per_branch(ct, r)[..., None]], axis=-1)
+    )
+    Y = K[..., :nb, nb:] @ X
+    S = T + (K[..., :nb, :nb] - Y[..., :nb]).sum(axis=1)
+    x_b = np.linalg.solve(S, r[:, :nb, None] - Y[..., nb:].sum(axis=1))
+    x_l = X[..., nb:] - X[..., :nb] @ x_b[:, None]
+    return np.concatenate([x_b[..., 0], x_l.reshape(r.shape[0], -1)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -269,102 +375,87 @@ def contact_force_law(contact_cfg, friction, pos, vel):
 # forward dynamics and stepping
 
 
-def _point_jacobian(fk, J_v, J_w, body, point):
-    """(N, 3, nv) Jacobian of a world point (N, 3) rigidly attached to body;
-    for an array of F bodies with points (N, F, 3) it is (N, F, 3, nv).
-
-    Columns: J_p = J_v - skew(lever) @ J_w  (since w x lever = -lever x w).
-    """
-    lever = point - fk["c"][:, body]
-    return J_v[:, body] - skew(lever) @ J_w[:, body]
-
-
 def _assemble(ct: CompiledTree, bs: BatchState, tau, ext, params):
-    """Common dynamics assembly: M, applied-minus-bias forces (without the
-    contact dampers), and per-foot contact context."""
+    """Common dynamics assembly: the mass blocks (T, K), the applied-minus-
+    bias generalized force (without contact forces), and the foot context
+    with each foot's Jacobian in its branch's local coordinates."""
     fk = bs.cache[0] if bs.cache is not None else _fk(ct, bs)
     vel = bs.cache[1] if bs.cache is not None else _velocities(ct, bs, fk)
     bias = _bias_accelerations(ct, bs, fk, vel)
-    I_w = _world_inertia(ct, fk)
-    J_v, J_w = _jacobians(ct, bs, fk)
-    M = _mass_matrix(params, J_v, J_w, I_w)
-    h = _bias_forces(params, vel, bias, I_w, J_v, J_w)
-    off = 6 if ct.floating else 0
-    Q = np.zeros((bs.n, ct.nv))
-    if ct.n_joints:
-        Q[:, off:] = tau
+    T, K, h = _mass_blocks(ct, params, fk, vel, bias)
+    rhs = -h
+    rhs[:, ct.n_base:] += tau
     for body, point, force in ext or []:
-        J_p = _point_jacobian(fk, J_v, J_w, body, point)
-        Q += (J_p.transpose(0, 2, 1) @ force[..., None])[..., 0]
+        _add_point_force(ct, fk, rhs, body, point, force)
     contact = None
     if ct.tree.foot_body_indices:
-        pos, v = foot_points(ct, fk, vel)
-        feet = np.asarray(ct.tree.foot_body_indices, dtype=int)
-        J_p = _point_jacobian(fk, J_v, J_w, feet, pos)  # (N, n_feet, 3, nv)
-        contact = {"pos": pos, "vel": v, "J_p": J_p}
-    return M, Q - h, contact
+        pos, v = foot_points(ct, fk, vel)  # foot f is on branch f
+        J = _foot_jacobians(ct, fk, pos)
+        contact = {"pos": pos, "vel": v, "J": J}
+    return T, K, rhs, contact
 
 
-def _foot_wrench(J_p, forces):
-    """Generalized force of per-foot world forces: sum_f J_p' f."""
-    N, F, _, nv = J_p.shape
-    return (J_p.reshape(N, F * 3, nv).transpose(0, 2, 1) @ forces.reshape(N, F * 3, 1))[..., 0]
+def _foot_force(ct: CompiledTree, J, forces):
+    """Generalized force (N, nv) of per-foot world forces (N, n_feet, 3)."""
+    return _from_local(ct, (J.swapaxes(-1, -2) @ forces[..., None])[..., 0])
 
 
-def _implicit_contact_velocity_update(ct, bs, dt, M, rhs, contact, params):
+def _implicit_contact_velocity_update(ct, bs, dt, T, K, rhs, contact, params):
     """Velocity update with the contact dampers integrated implicitly.
 
     The explicit contact dampers are unconditionally unstable at the model's
     stiffness constants and dt (k_t dt far exceeds the foot's apparent mass),
     so the damper force is evaluated at the end-of-step velocity: the damper
-    Jacobian dt * J' D J joins the mass matrix. The Coulomb cone is enforced
-    by one active-set pass: feet whose implied tangent force exceeds mu * N
-    are re-solved with an explicit saturated sliding force.
+    Jacobian dt * J' D J joins the mass matrix, each foot's term in the block
+    of its own branch. The velocity change then solves
+    (M + dt J' D J) dv = dt (rhs + J' (f_spring - D J v)). The Coulomb cone is
+    enforced by one active-set pass: feet whose implied tangent force exceeds
+    mu * N are re-solved with an explicit saturated sliding force, in the
+    rows (envs) that have such a foot only. Returns the new generalized
+    velocity and the (N, n_feet) mask of those feet.
     """
     cfg = ct.tree.contact
     k_n = float(cfg["normal_stiffness"])
     c_n = float(cfg["normal_damping"])
     k_t = float(cfg["tangential_damping"])
-    pos, v, J_p = contact["pos"], contact["vel"], contact["J_p"]
+    pos, v, J = contact["pos"], contact["vel"], contact["J"]
     in_contact = pos[..., 2] < 0.0  # (N, F)
     depth = np.where(in_contact, -pos[..., 2], 0.0)
     spring_n = k_n * depth  # explicit spring part of the normal force
     approach = in_contact & (v[..., 2] < 0.0)
-
-    spring_force = np.zeros(pos.shape)
-    spring_force[..., 2] = spring_n
     v_cur = _generalized_velocity(ct, bs)
-    mv = (M @ v_cur[..., None])[..., 0] + dt * (rhs + _foot_wrench(J_p, spring_force))
-    N, F, _, nv = J_p.shape
-    J_flat = J_p.reshape(N, F * 3, nv)
 
-    def solve(d_tan, d_norm, extra_Q):
-        # damping weights per foot/axis -> dt * J' D J added to M
-        D = np.zeros(pos.shape)  # (N, F, 3)
-        D[..., 0] = d_tan
-        D[..., 1] = d_tan
-        D[..., 2] = d_norm
-        DJ = (D[..., None] * J_p).reshape(N, F * 3, nv)
-        A = M + dt * (J_flat.transpose(0, 2, 1) @ DJ)
-        return np.linalg.solve(A, (mv + dt * extra_Q)[..., None])[..., 0]
+    def solve(rows, D, f):
+        # D (n, F, 3): damper weights per foot axis; f: explicit foot forces
+        J_r = J[rows]
+        A = K[rows] + dt * (J_r.swapaxes(-1, -2) @ (D[..., None] * J_r))
+        return v_cur[rows] + dt * _solve(ct, T[rows], A, rhs[rows] + _foot_force(ct, J_r, f))
 
-    d_tan = k_t * in_contact
-    d_norm = c_n * approach
-    v_new = solve(d_tan, d_norm, 0.0)
+    D = np.empty(pos.shape)
+    D[..., 0] = D[..., 1] = d_tan = k_t * in_contact
+    D[..., 2] = d_norm = c_n * approach
+    f = -D * v
+    f[..., 2] += spring_n
+    v_new = solve(slice(None), D, f)
 
     # implied contact forces at the new velocity
-    v_feet = (J_p @ v_new[:, None, :, None])[..., 0]
+    v_feet = (J @ _local(ct, v_new)[..., None])[..., 0]
     normal = spring_n + d_norm * np.maximum(0.0, -v_feet[..., 2])
     f_tan = -d_tan[..., None] * v_feet[..., :2]
     t_norm = np.linalg.norm(f_tan, axis=-1)
     limit = params.friction[:, None] * normal
     saturated = in_contact & (t_norm > limit + 1e-12)
-    if np.any(saturated):
-        direction = f_tan / np.where(t_norm[..., None] > 0, t_norm[..., None], 1.0)
-        slide = np.zeros(pos.shape)
-        slide[..., :2] = direction * limit[..., None] * saturated[..., None]
-        v_new = solve(d_tan * ~saturated, d_norm, _foot_wrench(J_p, slide))
-    return v_new
+    rows = np.flatnonzero(saturated.any(axis=1))
+    if rows.size:
+        sat, t_r = saturated[rows, :, None], t_norm[rows, :, None]
+        direction = f_tan[rows] / np.where(t_r > 0, t_r, 1.0)
+        D_r = D[rows]
+        D_r[..., :2] *= ~sat
+        f_r = -D_r * v[rows]
+        f_r[..., 2] += spring_n[rows]
+        f_r[..., :2] += direction * limit[rows, :, None] * sat
+        v_new[rows] = solve(rows, D_r, f_r)
+    return v_new, saturated
 
 
 def _generalized_velocity(ct, bs):
@@ -384,12 +475,12 @@ def step_batch(ct: CompiledTree, bs: BatchState, tau, dt, ext=None, params=None)
     """
     if params is None:
         params = BatchParams.from_tree(ct, bs.n)
-    M, rhs, contact = _assemble(ct, bs, tau, ext, params)
+    T, K, rhs, contact = _assemble(ct, bs, tau, ext, params)
     if contact is not None:
-        v_new = _implicit_contact_velocity_update(ct, bs, dt, M, rhs, contact, params)
+        v_new, saturated = _implicit_contact_velocity_update(ct, bs, dt, T, K, rhs, contact, params)
     else:
-        qacc = np.linalg.solve(M, rhs[..., None])[..., 0]
-        v_new = _generalized_velocity(ct, bs) + dt * qacc
+        v_new = _generalized_velocity(ct, bs) + dt * _solve(ct, T, K, rhs)
+        saturated = np.zeros((bs.n, 1), dtype=bool)
     off = 6 if ct.floating else 0
     if ct.floating:
         linvel = v_new[:, 0:3]
@@ -426,6 +517,7 @@ def step_batch(ct: CompiledTree, bs: BatchState, tau, dt, ext=None, params=None)
         n_feet = 1
         new.contact_flags = np.zeros((bs.n, n_feet), dtype=bool)
         new.contact_forces = np.zeros((bs.n, n_feet, 3))
+    new.cone_saturated = saturated
     return new
 
 
@@ -453,6 +545,7 @@ def default_state(tree: KinematicTree, q=None, base_pos=(0.0, 0.0, 0.0)) -> Batc
         contact_flags=np.zeros((n, n_feet), dtype=bool),
         contact_forces=np.zeros((n, n_feet, 3)),
         diverged=np.zeros(n, dtype=bool),
+        cone_saturated=np.zeros((n, n_feet), dtype=bool),
     )
 
 
@@ -487,11 +580,11 @@ def forward_dynamics(tree: KinematicTree, state: BatchState, tau, ext=None):
     _check_ext(ext)
     ct = tree.compiled()
     params = BatchParams.from_tree(ct, state.n)
-    M, rhs, contact = _assemble(ct, replace(state, cache=None), tau, ext, params)
+    T, K, rhs, contact = _assemble(ct, replace(state, cache=None), tau, ext, params)
     if contact is not None:
         forces = contact_force_law(ct.tree.contact, params.friction, contact["pos"], contact["vel"])
-        rhs = rhs + _foot_wrench(contact["J_p"], forces)
-    return np.linalg.solve(M, rhs[..., None])[..., 0]
+        rhs = rhs + _foot_force(ct, contact["J"], forces)
+    return _solve(ct, T, K, rhs)
 
 
 def contact_forces(tree: KinematicTree, state: BatchState, friction_coefficient):
@@ -536,9 +629,22 @@ def kinematics(tree: KinematicTree, state: BatchState):
 def mass_matrix(tree: KinematicTree, state: BatchState):
     """Joint-space mass matrices (N, nv, nv) at the tree's nominal masses."""
     ct = tree.compiled()
-    fk = _fk(ct, state)
-    J_v, J_w = _jacobians(ct, state, fk)
-    return _mass_matrix(BatchParams.from_tree(ct, state.n), J_v, J_w, _world_inertia(ct, fk))
+    params = BatchParams.from_tree(ct, state.n)
+    T, K, _, _ = _assemble(ct, replace(state, cache=None), 0.0, None, params)
+    return _dense_mass_matrix(ct, T, K)
+
+
+def _dense_mass_matrix(ct: CompiledTree, T, K):
+    """Scatter the blocks (T, K) of ``_mass_blocks`` into (N, nv, nv)."""
+    nb = ct.n_base
+    base = np.arange(nb)
+    dofs = _per_branch(ct, np.arange(ct.nv)[None])[0]  # (n_br, d) columns of each branch
+    M = np.zeros((T.shape[0], ct.nv, ct.nv))
+    M[:, :nb, :nb] = T + K[..., :nb, :nb].sum(axis=1)
+    M[:, base[:, None], dofs[:, None, :]] = K[..., :nb, nb:]
+    M[:, dofs[..., None], base] = K[..., nb:, :nb]
+    M[:, dofs[..., None], dofs[:, None, :]] = K[..., nb:, nb:]
+    return M
 
 
 def total_energy(tree: KinematicTree, state: BatchState):

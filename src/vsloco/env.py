@@ -222,7 +222,7 @@ class VecLocomotionEnv:
         s = self.state
         s.cache = None
         for name in ("base_pos", "base_quat", "base_linvel", "base_angvel", "q", "qdot", "time",
-                     "contact_flags", "contact_forces", "diverged"):
+                     "contact_flags", "contact_forces", "diverged", "cone_saturated"):
             getattr(s, name)[idx] = getattr(placed, name)
         self.prev_action[idx] = 0.0
         self.prev_qdot[idx] = 0.0
@@ -309,7 +309,9 @@ class VecLocomotionEnv:
         # joint limits: violation terminates, state is stored clamped
         lo, hi = self.q_limits
         limit_hit = np.any((state.q < lo - 1e-9) | (state.q > hi + 1e-9), axis=1)
-        np.clip(state.q, lo, hi, out=state.q)
+        if np.any((state.q < lo) | (state.q > hi)):
+            np.clip(state.q, lo, hi, out=state.q)
+            state.cache = None  # the (fk, vel) of step_batch is of the unclamped pose
 
         n_collisions = self._collision_counts()
         reasons = self._termination_reasons(limit_hit, n_collisions)

@@ -158,17 +158,9 @@ class CompiledTree:
         )
         self.axis_skew = skew(self.joint_axis)
         self.axis_skew_sq = self.axis_skew @ self.axis_skew
-        # ancestors[b, j] is True when joint j lies on the path root -> body b
-        anc = np.zeros((B, nj), dtype=bool)
-        for b in range(B):
-            cur = b
-            while cur >= 0:
-                j = tree.joint_of_body(cur)
-                if j >= 0:
-                    anc[b, j] = True
-                cur = tree.bodies[cur].parent
-        self.ancestors = anc
-        # jointed bodies grouped by tree depth so recursions batch per level
+        self._compile_branches(tree)
+        # jointed bodies grouped by tree depth so recursions batch per level;
+        # a level is rooted (parents -1, the world) only at depth 0
         depth = np.zeros(B, dtype=int)
         for b in range(B):
             depth[b] = 0 if self.parent[b] < 0 else depth[self.parent[b]] + 1
@@ -177,7 +169,59 @@ class CompiledTree:
         for d in sorted(set(depth[start:])) if B > start else []:
             bodies = np.flatnonzero((depth == d) & (np.arange(B) >= start))
             joints = np.array([tree.joint_of_body(b) for b in bodies])
-            self.levels.append((bodies, joints, self.parent[bodies]))
+            self.levels.append(
+                (_index(bodies), _index(joints), _index(self.parent[bodies]), d == 0)
+            )
+
+    def _compile_branches(self, tree):
+        """The branches: the subtrees hanging off the floating base (off the
+        world for a fixed base). A branch's joints move only its own bodies,
+        so the mass matrix over [base, branch 0, branch 1, ...] is
+        block-arrow. The blocks are batched over branches as reshapes of the
+        body, joint and velocity axes, so the branches must have equal sizes
+        and their bodies must be listed branch by branch; a foot, if the tree
+        has any, must sit on each branch, in branch order."""
+        B = self.n_bodies
+        root = 0 if tree.floating else -1
+        self.n_base = 6 if tree.floating else 0
+        self.body_branch = np.full(B, -1)  # -1: the floating base
+        self.body_slot = np.zeros(B, dtype=int)  # index within its branch
+        n_br = 0
+        for b in range(B):
+            if b == root:
+                continue
+            if self.parent[b] == root:
+                n_br += 1
+                self.body_branch[b] = n_br - 1
+            else:
+                self.body_branch[b] = self.body_branch[self.parent[b]]
+                self.body_slot[b] = (self.body_branch[:b] == self.body_branch[b]).sum()
+        jointed = self.body_branch[self.body_branch >= 0]
+        d = jointed.size // n_br if n_br else 0
+        if not np.array_equal(jointed, np.repeat(np.arange(n_br), d)):
+            raise ValueError("branches must have equal sizes and be listed branch by branch")
+        self.n_branches, self.branch_size = n_br, d
+        # branch_mask[i, k, s] = 1 when joint s of branch i moves its body k
+        self.branch_mask = np.zeros((n_br, d, d))
+        for b in range(B):
+            cur = b
+            while cur != root:
+                self.branch_mask[self.body_branch[b], self.body_slot[b], self.body_slot[cur]] = 1.0
+                cur = self.parent[cur]
+        feet = np.asarray(tree.foot_body_indices, dtype=int)
+        if feet.size and not np.array_equal(self.body_branch[feet], np.arange(n_br)):
+            raise ValueError("a tree with feet needs one foot on each branch, in branch order")
+        # foot_mask[i, s] = 1 when joint s of branch i moves the branch's foot
+        self.foot_mask = self.branch_mask[np.arange(feet.size), self.body_slot[feet]]
+
+
+def _index(idx):
+    """idx as a slice when it is an increasing arithmetic sequence, so that
+    indexing with it gives views, not copies; else the array itself."""
+    step = idx[1] - idx[0] if idx.size > 1 else 1
+    if step > 0 and np.array_equal(idx, np.arange(idx[0], idx[-1] + 1, step)):
+        return slice(int(idx[0]), int(idx[-1]) + 1, int(step))
+    return idx
 
 
 def _diag(values):

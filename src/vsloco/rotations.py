@@ -8,6 +8,7 @@ batch dimension: quaternions are (..., 4), vectors (..., 3), matrices
 import numpy as np
 
 IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
+_EYE3 = np.eye(3)
 
 
 def quat_normalize(q):
@@ -79,4 +80,4 @@ def rotation_about_axis(axis_skew, axis_skew_sq, angle):
     """
     s = np.sin(angle)[..., None, None]
     c = (1.0 - np.cos(angle))[..., None, None]
-    return np.eye(3) + s * axis_skew + c * axis_skew_sq
+    return _EYE3 + s * axis_skew + c * axis_skew_sq

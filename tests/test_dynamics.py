@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 
+import dense_dynamics as dense
 import numpy as np
 import pytest
 
@@ -209,6 +210,131 @@ def test_entry_points_ignore_cache_of_edited_state(quad):
                           dyn.forward_dynamics(quad, fresh, tau=np.zeros(12)))
     assert np.array_equal(dyn.step(quad, s, tau=np.zeros(12)).base_linvel,
                           dyn.step(quad, fresh, tau=np.zeros(12)).base_linvel)
+
+
+# ---------------------------------------------------------------------------
+# block-arrow engine against the dense oracle (tests/dense_dynamics.py)
+
+
+def _random_quad_batch(quad, rng, n, speed=1.0):
+    """n quadruped states with feet up to 1 cm in the floor, random velocities
+    and external forces of the given scale, randomized body masses, and
+    friction between 0.05 and 1. The forces act on the trunk and a thigh."""
+    ct = quad.compiled()
+    s = dyn.standing_state(quad, quad.default_pose + rng.normal(0, 0.2, (n, 12)))
+    s.base_pos[:, 2] -= rng.uniform(0.0, 0.01, n)
+    s.base_linvel[:] = rng.normal(0, speed, (n, 3))
+    s.base_angvel[:] = rng.normal(0, speed, (n, 3))
+    s.qdot[:] = rng.normal(0, 2 * speed, (n, 12))
+    params = dyn.BatchParams.from_tree(ct, n)
+    params.masses *= rng.uniform(0.8, 1.2, params.masses.shape)
+    params.friction[:] = rng.uniform(0.05, 1.0, n)
+    ext = [(0, s.base_pos + rng.normal(0, 0.05, (n, 3)), rng.normal(0, 50 * speed, (n, 3))),
+           (5, s.base_pos + rng.normal(0, 0.2, (n, 3)), rng.normal(0, 20 * speed, (n, 3)))]
+    return s, params, ext
+
+
+def _other_trees(rng, n):
+    """(tree, state) pairs for the fixed-base chains and the floating box."""
+    out = []
+    for tree in (pendulum_tree(), double_pendulum_tree(), floating_box_tree()):
+        s = dyn.default_state(tree, q=rng.normal(0, 1, (n, tree.n_joints)), base_pos=(0, 0, 1))
+        s.qdot[:] = rng.normal(0, 2, s.qdot.shape)
+        s.base_linvel[:] = rng.normal(0, 1, (n, 3))
+        s.base_angvel[:] = rng.normal(0, 1, (n, 3))
+        out.append((tree, s))
+    return out
+
+
+def _relative(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+
+
+def test_block_assembly_matches_dense_oracle(quad):
+    rng = np.random.default_rng(21)
+    s, params, ext = _random_quad_batch(quad, rng, 64)
+    cases = [(quad, s, params, rng.normal(0, 5, (64, 12)), ext)]
+    for tree, st in _other_trees(rng, 8):
+        ct = tree.compiled()
+        tau = rng.normal(0, 1, (8, tree.n_joints))
+        cases.append((tree, st, dyn.BatchParams.from_tree(ct, 8), tau,
+                      [(ct.n_bodies - 1, st.base_pos + 0.1, rng.normal(0, 3, (8, 3)))]))
+    for tree, st, prm, tau, forces in cases:
+        ct = tree.compiled()
+        T, K, rhs, _ = dyn._assemble(ct, st, tau, forces, prm)
+        M_ref, rhs_ref, _ = dense.assemble(ct, st, tau, forces, prm)
+        M = dyn._dense_mass_matrix(ct, T, K)
+        assert _relative(M, M_ref) <= 1e-12
+        assert _relative(rhs, rhs_ref) <= 1e-12
+        qacc_ref = np.linalg.solve(M_ref, rhs_ref[..., None])[..., 0]
+        assert _relative(dyn._solve(ct, T, K, rhs), qacc_ref) <= 1e-12
+        M_nominal = dense.assemble(ct, st, tau, None, dyn.BatchParams.from_tree(ct, st.n))[0]
+        assert _relative(dyn.mass_matrix(tree, st), M_nominal) <= 1e-12
+        assert _relative(dyn.forward_dynamics(tree, st, tau, ext=forces),
+                         dense.forward_dynamics(ct, st, tau, ext=forces)) <= 1e-12
+
+
+def _pd_torque(tree, state, q_ref):
+    kp, kd = 150.0, 0.2 * np.sqrt(150.0)
+    tau = kp * (q_ref - state.q) - kd * state.qdot
+    return np.clip(tau, -tree.torque_limits, tree.torque_limits)
+
+
+def test_step_batch_matches_dense_oracle_over_one_second(quad):
+    # 500 substeps of 2 ms: the quadrupeds start from random poses and
+    # velocities under a PD hold of the default pose, with feet sliding on
+    # low-friction floors and a trunk push and a thigh force for 0.5 s
+    rng = np.random.default_rng(5)
+    s, params, ext = _random_quad_batch(quad, rng, 16, speed=0.3)
+    runs = [(quad, s, params, ext, lambda st: _pd_torque(quad, st, quad.default_pose))]
+    for tree, st in _other_trees(rng, 4):
+        c = tree.compiled()
+        runs.append((tree, st, dyn.BatchParams.from_tree(c, 4),
+                     [(c.n_bodies - 1, st.base_pos + 0.1, rng.normal(0, 3, (4, 3)))],
+                     lambda st, nj=tree.n_joints: np.zeros((st.n, nj))))
+    for tree, st, prm, forces, torque in runs:
+        c = tree.compiled()
+        ref = copy.deepcopy(st)
+        n_saturated = 0
+        for _ in range(500):
+            tau = torque(st)
+            st = dyn.step_batch(c, st, tau, 0.002, ext=forces, params=prm)
+            (base_pos, base_quat, v, q), saturated = dense.step_batch(
+                c, ref, torque(ref), 0.002, ext=forces, params=prm)
+            ref = dyn.BatchState(base_pos=base_pos, base_quat=base_quat, base_linvel=v[:, 0:3],
+                                 base_angvel=v[:, 3:6], q=q, qdot=v[:, c.n_base:], time=st.time)
+            if not tree.floating:
+                ref.base_linvel, ref.base_angvel = st.base_linvel, st.base_angvel
+            for f in ("base_pos", "base_quat", "base_linvel", "base_angvel", "q", "qdot"):
+                assert np.abs(getattr(st, f) - getattr(ref, f)).max(initial=0.0) <= 1e-9, f
+            if saturated is not None:
+                assert np.array_equal(st.cone_saturated, saturated)
+                n_saturated += int(saturated.sum())
+            forces = forces if st.time[0] < 0.5 else None  # the pushes end at 0.5 s
+        if tree is quad:
+            assert 0 < n_saturated < 500 * 16 * 4
+
+
+def test_cone_saturation_flags(quad):
+    ct = quad.compiled()
+    assert not dyn.default_state(quad).cone_saturated.any()
+    # settled standing on mu = 1: every foot sticks
+    kp, kd = 150.0, 0.2 * np.sqrt(150.0)
+    s = dyn.standing_state(quad)
+    for _ in range(500):
+        tau = np.clip(kp * (quad.default_pose - s.q) - kd * s.qdot, -quad.torque_limits,
+                      quad.torque_limits)
+        s = dyn.step(quad, s, tau=tau)
+    assert s.contact_flags.all()
+    assert s.cone_saturated.shape == (1, 4) and not s.cone_saturated.any()
+    # base sliding at 1 m/s on mu = 0.05: every foot in contact slides
+    s = dyn.standing_state(quad)
+    s.base_pos[0, 2] -= 0.002
+    s.base_linvel[0] = (1.0, 0.0, 0.0)
+    params = dyn.BatchParams.from_tree(ct, 1)
+    params.friction[:] = 0.05
+    s2 = dyn.step_batch(ct, s, np.zeros((1, 12)), 0.002, params=params)
+    assert s2.cone_saturated.all()
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ determinism, and vectorization."""
 import numpy as np
 import pytest
 
+from vsloco import dynamics as dyn
 from vsloco import randomization as dr
 from vsloco.actuation import action_dim
 from vsloco.env import (
@@ -220,6 +221,27 @@ def test_termination_illegal_contact():
     obs, priv, rew, done, info = env.step(np.zeros((1, env.action_dim)))
     assert bool(done[0])
     assert info["reasons"][0] in (REASON_CODE["illegal_contact"], REASON_CODE["joint_limit"])
+
+
+def test_joint_limit_clamp_refreshes_kinematics_cache():
+    # a knee driven past its limit is stored clamped; the (fk, vel) cache the
+    # step leaves behind, which the collision count, the reward and the next
+    # substep read, is that of the clamped pose
+    env = VecLocomotionEnv("PLS", n_envs=1, seed=1, config=quiet_config())
+    env.reset_all(randomization_on=False)
+    env.auto_reset = False
+    env.state.base_pos[0, 2] = 1.0  # in the air, so no foot contact damps the knee
+    env.state.qdot[0, 2] = 300.0  # FR knee, towards its upper limit
+    env.state.cache = None
+    _, _, _, done, info = env.step(np.zeros((1, env.action_dim)))
+    assert done[0] and info["reasons"][0] == REASON_CODE["joint_limit"]
+    assert env.state.q[0, 2] == env.q_limits[1][2]
+    fk, vel = env.state.cache
+    fresh_fk = dyn._fk(env.ct, env.state)
+    fresh_vel = dyn._velocities(env.ct, env.state, fresh_fk)
+    for cached, fresh in ((fk, fresh_fk), (vel, fresh_vel)):
+        for key in fresh:
+            assert np.array_equal(cached[key], fresh[key]), key
 
 
 def test_truncation_at_episode_end():
