@@ -170,7 +170,7 @@ class CompiledTree:
             bodies = np.flatnonzero((depth == d) & (np.arange(B) >= start))
             joints = np.array([tree.joint_of_body(b) for b in bodies])
             self.levels.append(
-                (_index(bodies), _index(joints), _index(self.parent[bodies]), d == 0)
+                (_index(bodies), _index(joints), _index(self.parent[bodies]), bool(d == 0))
             )
 
     def _compile_branches(self, tree):
@@ -216,10 +216,11 @@ class CompiledTree:
 
 
 def _index(idx):
-    """idx as a slice when it is an increasing arithmetic sequence, so that
-    indexing with it gives views, not copies; else the array itself."""
+    """idx as a slice when it is an increasing arithmetic sequence of valid
+    indices, so that indexing with it gives views, not copies; else the
+    array itself (a world parent, -1, stays an array)."""
     step = idx[1] - idx[0] if idx.size > 1 else 1
-    if step > 0 and np.array_equal(idx, np.arange(idx[0], idx[-1] + 1, step)):
+    if idx[0] >= 0 and step > 0 and np.array_equal(idx, np.arange(idx[0], idx[-1] + 1, step)):
         return slice(int(idx[0]), int(idx[-1]) + 1, int(step))
     return idx
 

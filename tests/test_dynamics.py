@@ -9,6 +9,10 @@ import pytest
 
 from vsloco import dynamics as dyn
 from vsloco.model import (
+    Body,
+    JointSpec,
+    KinematicTree,
+    SpatialInertia,
     build_quadruped,
     double_pendulum_tree,
     floating_box_tree,
@@ -272,6 +276,28 @@ def test_block_assembly_matches_dense_oracle(quad):
         assert _relative(dyn.mass_matrix(tree, st), M_nominal) <= 1e-12
         assert _relative(dyn.forward_dynamics(tree, st, tau, ext=forces),
                          dense.forward_dynamics(ct, st, tau, ext=forces)) <= 1e-12
+
+
+def test_tree_layouts_outside_the_block_form_rejected(quad):
+    def link(parent):
+        return Body(SpatialInertia(1.0, [0.0, 0.0, -0.1], np.eye(3) * 1e-3), parent=parent)
+
+    def joint(parent):
+        return JointSpec([0.0, 1.0, 0.0], parent, [0.0, 0.0, -0.1], (-3, 3), 10.0, 10.0)
+
+    def floating(parents):
+        return KinematicTree(bodies=[link(-1)] + [link(p) for p in parents],
+                             joints=[joint(p) for p in parents], floating=True)
+
+    assert floating([0, 1, 0, 3]).compiled().n_branches == 2
+    for parents in ([0, 0, 2], [0, 0, 1, 2]):  # branch sizes 1 and 2; branches interleaved
+        with pytest.raises(ValueError, match="branch by branch"):
+            floating(parents).compiled()
+    swapped = KinematicTree(bodies=quad.bodies, joints=quad.joints, floating=True,
+                            foot_body_indices=quad.foot_body_indices[::-1],
+                            foot_offsets=quad.foot_offsets, contact=quad.contact)
+    with pytest.raises(ValueError, match="one foot on each branch"):
+        swapped.compiled()
 
 
 def _pd_torque(tree, state, q_ref):
