@@ -27,9 +27,27 @@ grow with the number of legs in Python loops.
 Integration is semi-implicit Euler: velocities from forward dynamics, then
 positions from the new velocities, base orientation via the quaternion
 exponential map.
+
+The rows (envs) of a substep are independent, so ``step_batch`` splits a
+large batch into contiguous row shards, one per core, and runs the whole
+substep on each in a thread pool: the calling thread takes the first shard
+and a module-level pool of cores - 1 threads the others. The results are
+stitched in row order and equal those of one shard bit for bit. Threads
+pay only where numpy releases the GIL for long enough. Measured on 2 cores
+at 512 rows, two threads ran elementwise ufuncs, einsum and most stacked
+matmuls 1.3-2.1x faster than one, but LAPACK's stacked solve 0.9-1.0x and
+a stacked matmul with a transposed second operand 0.5-1.0x, and calls of a
+few microseconds gain nothing. So the d x d joint blocks are solved by an
+unrolled elimination instead of LAPACK (4.6x faster serially at 512 rows),
+R' in R I R' and F' in the joint-block product are made contiguous, and a
+shard has at least MIN_SHARD_ROWS rows. Per substep of a PJS stance (2 cores,
+numpy 2.4), one shard against two: 256 rows 9.7-12.2 against 13.0-14.2 ms,
+512 rows 21.7-22.4 against 15.0-15.9 ms, 1024 rows 44-47 against 24-26 ms.
 """
 
-from dataclasses import dataclass, field, replace
+import os
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -49,9 +67,21 @@ DIVERGENCE_SPEED = 1.0e4
 EYE3 = np.eye(3)
 MAX_DT = 0.01
 
+# row shards of step_batch: at most one per core, each at least MIN_SHARD_ROWS
+# rows; two shards of 128 rows lost to one of 256, two of 256 won (see the
+# module docstring)
+MIN_SHARD_ROWS = 256
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_POOL = None  # ThreadPoolExecutor of _CORES - 1 workers, made on first use
+
 
 def _cross(a, b):
-    """Component-wise cross product; avoids np.cross's axis plumbing."""
+    """Component-wise cross product; avoids np.cross's axis plumbing. Small
+    operands take the gather form, which makes fewer calls; large ones the
+    component form, whose ufunc loops run over whole columns. Both make the
+    same products in the same order, so they agree bit for bit."""
+    if a.size <= _SMALL and b.size <= _SMALL:
+        return a.take(_YZX, -1) * b.take(_ZXY, -1) - a.take(_ZXY, -1) * b.take(_YZX, -1)
     ax, ay, az = a[..., 0], a[..., 1], a[..., 2]
     bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
     x = ay * bz - az * by
@@ -60,6 +90,16 @@ def _cross(a, b):
     out[..., 1] = az * bx - ax * bz
     out[..., 2] = ax * by - ay * bx
     return out
+
+
+_SMALL = 256  # operand size up to which _cross gathers
+_SKEW = skew(EYE3).reshape(3, 9)  # skew(v) = (v @ _SKEW).reshape(3, 3): skew is linear
+_YZX, _ZXY = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def _stack(*arrays):
+    """np.stack(arrays) at a third of its call overhead."""
+    return np.concatenate([a[None] for a in arrays])
 
 
 @dataclass
@@ -79,8 +119,9 @@ class BatchState:
     # feet whose friction cone the last substep saturated: the active-set
     # pass re-solved them with a sliding force
     cone_saturated: np.ndarray = None  # (N, n_feet)
-    # (fk, vel) of the fields above, set and read by step_batch: reset it to
-    # None after writing a field in place (the checked entry points ignore it)
+    # (fk, vel, feet) of the fields above (see _kinematics), set and read by
+    # step_batch: reset it to None after writing a field in place (the
+    # checked entry points ignore it)
     cache: tuple = field(default=None, repr=False, compare=False)
 
     @property
@@ -186,18 +227,21 @@ def _bias_accelerations(ct: CompiledTree, bs: BatchState, fk, vel):
             continue
         w_p, al_p = w[:, parents], alpha[:, parents]
         # one cross product call for al_p x dp, w_p x (w_p x dp) and w_p x a
-        lever = np.stack([p[:, bodies] - p[:, parents], v_o[:, bodies] - v_o[:, parents],
-                          fk["a_w"][:, joints]])
-        terms = _cross(np.stack([al_p, w_p, w_p]), lever)
+        lever = _stack(p[:, bodies] - p[:, parents], v_o[:, bodies] - v_o[:, parents],
+                       fk["a_w"][:, joints])
+        terms = _cross(_stack(al_p, w_p, w_p), lever)
         a_o[:, bodies] = a_o[:, parents] + terms[0] + terms[1]
         alpha[:, bodies] = al_p + bs.qdot[:, joints, None] * terms[2]
-    terms = _cross(np.stack([alpha, w]), np.stack([fk["c"] - p, vel["v_c"] - v_o]))
+    terms = _cross(_stack(alpha, w), _stack(fk["c"] - p, vel["v_c"] - v_o))
     return {"alpha": alpha, "a_c": a_o + terms[0] + terms[1]}
 
 
 def _world_inertia(ct: CompiledTree, fk):
+    """Body rotational inertias about their coms in world axes, R I R'.
+    (Stacked tiny matmuls are fast on contiguous operands only, hence the
+    copy of R'.)"""
     R = fk["R"]
-    return R @ ct.inertia @ R.transpose(0, 1, 3, 2)
+    return R @ (ct.inertia @ np.ascontiguousarray(R.swapaxes(-1, -2)))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +260,7 @@ def _local(ct: CompiledTree, v):
     """Generalized vector v (N, nv) in each branch's local coordinates
     [base, branch joints]: (N, n_br, nb + d)."""
     nb = ct.n_base
-    base = np.broadcast_to(v[:, None, :nb], (v.shape[0], ct.n_branches, nb))
+    base = np.repeat(v[:, None, :nb], ct.n_branches, axis=1)
     return np.concatenate([base, _per_branch(ct, v)], axis=-1)
 
 
@@ -246,14 +290,17 @@ def _mass_blocks(ct: CompiledTree, params: BatchParams, fk, vel, bias):
     """The mass matrix and the bias forces in block-arrow form, assembled
     from composite rigid bodies.
 
-    Each body's spatial inertia and bias wrench are taken about the base
-    origin p0 (the world origin for a fixed base), in the coordinates of the
-    base velocity (v_p0, w): Phi = [[m I, -m [r]], [m [r], I_w - m [r]^2]]
-    with r = c - p0, and (f, n + r x f) for the body's bias force f and
-    moment n. Joint s moves with the twist s_s = [(o_s - p0) x a_s; a_s].
-    Summed over the bodies each joint moves, they give the composites Ic_s
-    and W_s, and then M_bl[:, s] = Ic_s s_s, M_ll[s, t] = s_s . Ic_t s_t
-    for s an ancestor of t (or t itself), and h_s = s_s . W_s.
+    Each body's inertia and bias wrench are taken about the base origin p0
+    (the world origin for a fixed base), in the coordinates of the base
+    velocity (v_p0, w), as 19 numbers: the mass m, the first moment h = m r,
+    the rotational inertia J = I_w + m (|r|^2 1 - r r') with r = c - p0, and
+    the wrench (f, n + r x f) of the body's bias force f and moment n. Their
+    spatial inertia is [[m 1, -[h]], [[h], J]]. Summed over the bodies each
+    joint moves, they give the composite of each joint s, which maps the
+    joint's twist s_s = [v; a] = [(o_s - p0) x a_s; a_s] to the wrench
+    F_s = [m v - h x a; h x v + J a]. Then M_bl[:, s] = F_s,
+    M_ll[s, t] = s_s . F_t for s an ancestor of t (or t itself), and
+    h_s = s_s . W_s for the composite wrench W_s.
 
     Returns T (N, nb, nb), the base body's share of the base-base block;
     K (N, n_br, nb + d, nb + d), each branch's block over its local
@@ -261,38 +308,56 @@ def _mass_blocks(ct: CompiledTree, params: BatchParams, fk, vel, bias):
     composite inertia, so that T + sum K_bb = M_bb; and h (N, nv), the
     generalized bias force (gravity and velocity products).
     """
-    N, nb, n_br, d = fk["R"].shape[0], ct.n_base, ct.n_branches, ct.branch_size
-    m = params.masses[..., None, None]
-    I_w = _world_inertia(ct, fk)
-    f = params.masses[..., None] * (bias["a_c"] - params.gravity[:, None, :])
-    Iw_w = (I_w @ vel["w"][..., None])[..., 0]
-    n = (I_w @ bias["alpha"][..., None])[..., 0] + _cross(vel["w"], Iw_w)
+    N, B = fk["R"].shape[:2]
+    nb, n_br, d = ct.n_base, ct.n_branches, ct.branch_size
+    m = params.masses[..., None]
     p0 = fk["p"][:, :1] if ct.floating else np.zeros((N, 1, 3))
-    S = skew(fk["c"] - p0)
-    Phi = np.empty((N, ct.n_bodies, 6, 6))
-    Phi[..., :3, :3] = m * EYE3
-    Phi[..., :3, 3:] = -m * S
-    Phi[..., 3:, :3] = m * S
-    Phi[..., 3:, 3:] = I_w - m * (S @ S)
-    wrench = np.concatenate([f, n + (S @ f[..., None])[..., 0]], axis=-1)
-    twist = _per_branch(ct, np.concatenate([_cross(fk["o_w"] - p0, fk["a_w"]), fk["a_w"]], axis=-1))
-    # composites over the bodies each joint moves: mask' sums over bodies
-    mask_t = ct.branch_mask.swapaxes(-1, -2)
-    Ic = (mask_t @ _per_branch(ct, Phi).reshape(N, n_br, d, 36)).reshape(N, n_br, d, 6, 6)
-    Wc = mask_t @ _per_branch(ct, wrench)
-    F = (Ic @ twist[..., None])[..., 0]  # (N, n_br, d, 6): Ic_s s_s
-    P = twist @ F.swapaxes(-1, -2)  # P[s, t] = s_s . Ic_t s_t
+    r = fk["c"] - p0
+    I_w = _world_inertia(ct, fk)
+    w = vel["w"]
+    X = np.empty((N, B, 19))  # per body: m, h (3), J (3 x 3), f (3), n + r x f (3)
+    X[..., 0] = params.masses
+    h = np.multiply(m, r, out=X[..., 1:4])
+    J = np.subtract(I_w, h[..., :, None] * r[..., None, :], out=X[..., 4:13].reshape(N, B, 3, 3))
+    J.reshape(N, B, 9)[..., ::4] += (h * r).sum(axis=-1, keepdims=True)
+    f = np.multiply(m, bias["a_c"] - params.gravity[:, None], out=X[..., 13:16])
+    Iw = I_w @ np.concatenate([w[..., None], bias["alpha"][..., None]], axis=-1)
+    t = _cross(_stack(w, r), _stack(Iw[..., 0], f))
+    np.add(Iw[..., 1], t[0] + t[1], out=X[..., 16:19])  # I_w alpha + w x I_w w + r x f
+    # composites over the bodies each joint moves
+    Xb = _per_branch(ct, X)
+    Xc = ct.moves @ Xb  # (N, n_br, d, 19)
+    a = _per_branch(ct, fk["a_w"])
+    v = _cross(_per_branch(ct, fk["o_w"]) - p0[:, None], a)
+    hc = Xc[..., 1:4]
+    t = _cross(_stack(hc, a), _stack(v, hc))
+    twist = np.concatenate([v, a], axis=-1)  # (N, n_br, d, 6)
+    Ja = np.einsum("nlsij,nlsj->nlsi", Xc[..., 4:13].reshape(N, n_br, d, 3, 3), a)
+    # F' (N, n_br, 6, d): column s is F_s
+    Ft = np.concatenate([(Xc[..., :1] * v + t[1]).swapaxes(-1, -2),
+                         (t[0] + Ja).swapaxes(-1, -2)], axis=-2)
+    P = twist @ Ft  # P[s, t] = s_s . F_t
     K = np.empty((N, n_br, nb + d, nb + d))
-    K[..., :nb, :nb] = _per_branch(ct, Phi)[..., :nb, :nb].sum(axis=2)
-    K[..., :nb, nb:] = F[..., :nb].swapaxes(-1, -2)
-    K[..., nb:, :nb] = F[..., :nb]
+    K[..., :nb, nb:] = Ft[..., :nb, :]
+    K[..., nb:, :nb] = Ft[..., :nb, :].swapaxes(-1, -2)
     # M_ll[s, t] is P[s, t] where s moves t's body, P[t, s] where t strictly
     # moves s's, and 0 between joints on different paths
-    K[..., nb:, nb:] = mask_t * P + (ct.branch_mask - np.eye(d)) * P.swapaxes(-1, -2)
-    h_joints = (twist * Wc).sum(axis=-1).reshape(N, -1)
-    if ct.floating:
-        return Phi[:, 0], K, np.concatenate([wrench.sum(axis=1), h_joints], axis=1)
-    return np.zeros((N, 0, 0)), K, h_joints
+    M_ll = np.multiply(ct.moves, P, out=K[..., nb:, nb:])
+    M_ll += ct.moved_by * P.swapaxes(-1, -2)
+    h_joints = np.einsum("nlsc,nlsc->nls", twist, Xc[..., 13:]).reshape(N, -1)
+    if not ct.floating:
+        return np.zeros((N, 0, 0)), K, h_joints
+    # the spatial inertias of the base body and of each branch's composite,
+    # which is that of the branch's first joint: it moves all the branch
+    G = np.concatenate([X[:, :1], Xc[:, :, :1].reshape(N, n_br, 19)], axis=1)
+    S = np.empty((N, 1 + n_br, 6, 6))
+    S[..., :3, :3] = G[..., :1, None] * EYE3
+    hx = (G[..., 1:4] @ _SKEW).reshape(N, 1 + n_br, 3, 3)  # [h]
+    S[..., 3:, :3] = hx
+    S[..., :3, 3:] = -hx
+    S[..., 3:, 3:] = G[..., 4:13].reshape(N, 1 + n_br, 3, 3)
+    K[..., :nb, :nb] = S[:, 1:]
+    return S[:, 0], K, np.concatenate([G[..., 13:].sum(axis=1), h_joints], axis=1)
 
 
 def _add_point_force(ct: CompiledTree, fk, Q, body, x, force):
@@ -309,19 +374,37 @@ def _add_point_force(ct: CompiledTree, fk, Q, body, x, force):
         _per_branch(ct, Q)[:, branch] += ct.branch_mask[branch, ct.body_slot[body]] * torque
 
 
+def _spd_solve(A):
+    """Solve M X = B for stacks of small symmetric positive definite M
+    (..., d, d), given A = [M | B] (..., d, d + c); returns X (..., d, c).
+    An LDL' elimination unrolled over the d rows, each step vectorised over
+    the stack: per-matrix LAPACK calls do not pay at d <= 3. Overwrites A."""
+    d = A.shape[-2]
+    for k in range(d - 1):  # L's column k below the pivot D_k
+        below = A[..., k + 1:, k + 1:]
+        np.subtract(below, A[..., k + 1:, k, None] / A[..., k, None, k, None]
+                    * A[..., k, None, k + 1:], out=below)
+    for k in reversed(range(d)):  # back-substitution, one unknown row at a time
+        x = A[..., k, d:]
+        np.divide(x, A[..., k, k, None], out=x)
+        if k:
+            above = A[..., :k, d:]
+            np.subtract(above, A[..., :k, k, None] * x[..., None, :], out=above)
+    return A[..., d:]
+
+
 def _solve(ct: CompiledTree, T, K, r):
     """Solve M x = r for the block-arrow M given by the base block T and the
     branch blocks K (see ``_mass_blocks``).
 
     Each branch's joint block M_ll is eliminated, the base part solves the
-    Schur complement S = M_bb - sum_l M_bl M_ll^-1 M_lb (nb x nb), and the
-    joint rates follow by back-substitution.
+    Schur complement S = M_bb - sum_l M_bl M_ll^-1 M_lb (nb x nb, LAPACK),
+    and the joint rates follow by back-substitution.
     """
     nb = ct.n_base
     # M_ll^-1 [M_lb | r_l], (N, n_br, d, nb + 1)
-    X = np.linalg.solve(
-        K[..., nb:, nb:], np.concatenate([K[..., nb:, :nb], _per_branch(ct, r)[..., None]], axis=-1)
-    )
+    X = _spd_solve(np.concatenate(
+        [K[..., nb:, nb:], K[..., nb:, :nb], _per_branch(ct, r)[..., None]], axis=-1))
     Y = K[..., :nb, nb:] @ X
     S = T + (K[..., :nb, :nb] - Y[..., :nb]).sum(axis=1)
     x_b = np.linalg.solve(S, r[:, :nb, None] - Y[..., nb:].sum(axis=1))
@@ -361,7 +444,7 @@ def contact_force_law(contact_cfg, friction, pos, vel):
     normal = k_n * depth + c_n * np.maximum(0.0, -vel[..., 2]) * in_contact
     normal = np.maximum(normal, 0.0) * in_contact
     tangent = -k_t * vel[..., :2] * in_contact[..., None]
-    t_norm = np.linalg.norm(tangent, axis=-1)
+    t_norm = np.sqrt(tangent[..., 0] * tangent[..., 0] + tangent[..., 1] * tangent[..., 1])
     limit = friction[:, None] * normal
     with np.errstate(invalid="ignore", divide="ignore"):
         scale = np.where(t_norm > limit, limit / np.where(t_norm > 0, t_norm, 1.0), 1.0)
@@ -375,12 +458,23 @@ def contact_force_law(contact_cfg, friction, pos, vel):
 # forward dynamics and stepping
 
 
+def _kinematics(ct: CompiledTree, bs: BatchState):
+    """The state's cache (fk, vel, feet), computed and stored when missing:
+    ``_fk``, ``_velocities`` and the foot (positions, velocities) of
+    ``foot_points``, None for a tree without feet."""
+    if bs.cache is None:
+        fk = _fk(ct, bs)
+        vel = _velocities(ct, bs, fk)
+        feet = foot_points(ct, fk, vel) if ct.tree.foot_body_indices else None
+        bs.cache = (fk, vel, feet)
+    return bs.cache
+
+
 def _assemble(ct: CompiledTree, bs: BatchState, tau, ext, params):
     """Common dynamics assembly: the mass blocks (T, K), the applied-minus-
     bias generalized force (without contact forces), and the foot context
     with each foot's Jacobian in its branch's local coordinates."""
-    fk = bs.cache[0] if bs.cache is not None else _fk(ct, bs)
-    vel = bs.cache[1] if bs.cache is not None else _velocities(ct, bs, fk)
+    fk, vel, feet = _kinematics(ct, bs)
     bias = _bias_accelerations(ct, bs, fk, vel)
     T, K, h = _mass_blocks(ct, params, fk, vel, bias)
     rhs = -h
@@ -388,10 +482,9 @@ def _assemble(ct: CompiledTree, bs: BatchState, tau, ext, params):
     for body, point, force in ext or []:
         _add_point_force(ct, fk, rhs, body, point, force)
     contact = None
-    if ct.tree.foot_body_indices:
-        pos, v = foot_points(ct, fk, vel)  # foot f is on branch f
-        J = _foot_jacobians(ct, fk, pos)
-        contact = {"pos": pos, "vel": v, "J": J}
+    if feet is not None:
+        pos, v = feet  # foot f is on branch f
+        contact = {"pos": pos, "vel": v, "J": _foot_jacobians(ct, fk, pos)}
     return T, K, rhs, contact
 
 
@@ -442,7 +535,7 @@ def _implicit_contact_velocity_update(ct, bs, dt, T, K, rhs, contact, params):
     v_feet = (J @ _local(ct, v_new)[..., None])[..., 0]
     normal = spring_n + d_norm * np.maximum(0.0, -v_feet[..., 2])
     f_tan = -d_tan[..., None] * v_feet[..., :2]
-    t_norm = np.linalg.norm(f_tan, axis=-1)
+    t_norm = np.sqrt(f_tan[..., 0] * f_tan[..., 0] + f_tan[..., 1] * f_tan[..., 1])
     limit = params.friction[:, None] * normal
     saturated = in_contact & (t_norm > limit + 1e-12)
     rows = np.flatnonzero(saturated.any(axis=1))
@@ -467,14 +560,9 @@ def _generalized_velocity(ct, bs):
     return np.concatenate(parts, axis=1)
 
 
-def step_batch(ct: CompiledTree, bs: BatchState, tau, dt, ext=None, params=None) -> BatchState:
-    """One semi-implicit Euler substep for the whole batch.
-
-    ``ext`` is a list of (body, point (N, 3), force (N, 3)) tuples: world
-    forces applied at world points rigidly attached to the bodies.
-    """
-    if params is None:
-        params = BatchParams.from_tree(ct, bs.n)
+def _step_rows(ct: CompiledTree, bs: BatchState, tau, ext, params, dt) -> BatchState:
+    """``step_batch`` on the rows of bs, without the contact forces: the new
+    state with its contact flags, saturated feet and (fk, vel, feet) cache."""
     T, K, rhs, contact = _assemble(ct, bs, tau, ext, params)
     if contact is not None:
         v_new, saturated = _implicit_contact_velocity_update(ct, bs, dt, T, K, rhs, contact, params)
@@ -505,19 +593,85 @@ def step_batch(ct: CompiledTree, bs: BatchState, tau, dt, ext=None, params=None)
         qdot=qdot,
         time=bs.time + dt,
         diverged=diverged,
+        cone_saturated=saturated,
     )
-    fk2 = _fk(ct, new)
-    vel2 = _velocities(ct, new, fk2)
-    new.cache = (fk2, vel2)
-    if ct.tree.foot_body_indices:
-        pos, v = foot_points(ct, fk2, vel2)
-        new.contact_flags = pos[..., 2] < 0.0
-        new.contact_forces = contact_force_law(ct.tree.contact, params.friction, pos, v)
+    feet = _kinematics(ct, new)[2]
+    if feet is not None:
+        new.contact_flags = feet[0][..., 2] < 0.0
     else:
-        n_feet = 1
-        new.contact_flags = np.zeros((bs.n, n_feet), dtype=bool)
-        new.contact_forces = np.zeros((bs.n, n_feet, 3))
-    new.cone_saturated = saturated
+        new.contact_flags = np.zeros((bs.n, 1), dtype=bool)
+    return new
+
+
+def _map(fn, *trees):
+    """fn over the arrays of equally shaped nests of dicts, tuples and None."""
+    head = trees[0]
+    if head is None:
+        return None
+    if isinstance(head, dict):
+        return {k: _map(fn, *(t[k] for t in trees)) for k in head}
+    if isinstance(head, tuple):
+        return tuple(_map(fn, *parts) for parts in zip(*trees))
+    return fn(*trees)
+
+
+def _state_fields(bs):
+    return {f.name: getattr(bs, f.name) for f in fields(BatchState)}
+
+
+def _shard(bs, tau, ext, params, rows):
+    """The inputs of ``_step_rows`` for the env rows ``rows`` (a slice)."""
+    def cut(x):  # (N, k) inputs are per env; others broadcast over all rows
+        x = np.asarray(x)
+        return x[rows] if x.ndim == 2 and len(x) == bs.n else x
+
+    shard = BatchState(**_map(lambda x: x[rows], _state_fields(bs)))
+    ext = [(body, cut(point), cut(force)) for body, point, force in ext or []]
+    return shard, cut(tau), ext or None, BatchParams(
+        params.masses[rows], params.gravity[rows], params.friction[rows])
+
+
+def _stitch(parts):
+    """One state (and cache) of the row shards ``parts``, in order."""
+    return BatchState(**_map(lambda *xs: np.concatenate(xs), *map(_state_fields, parts)))
+
+
+def _pool():
+    global _POOL
+    if _POOL is None:
+        _POOL = ThreadPoolExecutor(max_workers=max(1, _CORES - 1),
+                                   thread_name_prefix="vsloco-step")
+    return _POOL
+
+
+def step_batch(ct: CompiledTree, bs: BatchState, tau, dt, ext=None, params=None,
+               _shards=None) -> BatchState:
+    """One semi-implicit Euler substep for the whole batch.
+
+    ``ext`` is a list of (body, point (N, 3), force (N, 3)) tuples: world
+    forces applied at world points rigidly attached to the bodies. Large
+    batches run as row shards on the pool (see the module docstring);
+    ``_shards`` overrides the shard count, for tests.
+    """
+    if params is None:
+        params = BatchParams.from_tree(ct, bs.n)
+    shards = min(_CORES, bs.n // MIN_SHARD_ROWS) if _shards is None else min(_shards, bs.n)
+    if shards < 2:
+        new = _step_rows(ct, bs, tau, ext, params, dt)
+    else:
+        bounds = [bs.n * i // shards for i in range(shards + 1)]
+        jobs = [_shard(bs, tau, ext, params, slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+        futures = [_pool().submit(_step_rows, ct, *job, dt=dt) for job in jobs[1:]]
+        try:
+            head = _step_rows(ct, *jobs[0], dt=dt)
+        finally:  # wait for every shard, and raise its error if it failed
+            tail = [f.result() for f in futures]
+        new = _stitch([head] + tail)
+    feet = new.cache[2]
+    if feet is not None:
+        new.contact_forces = contact_force_law(ct.tree.contact, params.friction, *feet)
+    else:
+        new.contact_forces = np.zeros((bs.n, 1, 3))
     return new
 
 

@@ -311,7 +311,7 @@ class VecLocomotionEnv:
         limit_hit = np.any((state.q < lo - 1e-9) | (state.q > hi + 1e-9), axis=1)
         if np.any((state.q < lo) | (state.q > hi)):
             np.clip(state.q, lo, hi, out=state.q)
-            state.cache = None  # the (fk, vel) of step_batch is of the unclamped pose
+            state.cache = None  # the kinematics of step_batch are of the unclamped pose
 
         n_collisions = self._collision_counts()
         reasons = self._termination_reasons(limit_hit, n_collisions)
@@ -352,15 +352,8 @@ class VecLocomotionEnv:
     # ------------------------------------------------------------------
     # termination / collisions
 
-    def _fk_cache(self):
-        if self.state.cache is None:
-            fk = dyn._fk(self.ct, self.state)
-            vel = dyn._velocities(self.ct, self.state, fk)
-            self.state.cache = (fk, vel)
-        return self.state.cache
-
     def _termination_reasons(self, limit_hit, n_collisions):
-        fk, _ = self._fk_cache()
+        fk = dyn._kinematics(self.ct, self.state)[0]
         reasons = np.zeros(self.n, dtype=int)
         g_proj_z = -fk["R"][:, TRUNK_BODY, 2, 2]  # base-frame z of world -z
         reasons[n_collisions > 0] = REASON_CODE["illegal_contact"]
@@ -370,7 +363,7 @@ class VecLocomotionEnv:
         return reasons
 
     def _collision_counts(self):
-        fk, _ = self._fk_cache()
+        fk = dyn._kinematics(self.ct, self.state)[0]
         R0 = fk["R"][:, TRUNK_BODY]
         trunk_z = (
             self.state.base_pos[:, None, 2]
@@ -388,16 +381,21 @@ class VecLocomotionEnv:
     # rewards and observations
 
     def _base_frame(self):
-        R0 = quat_to_matrix(self.state.base_quat)
+        # the trunk rotation quat_to_matrix(base_quat), which _fk computed for
+        # the kinematics cache of step_batch unless a reset or clamp dropped it
+        cache = self.state.cache
+        if cache is not None:
+            R0 = cache[0]["R"][:, TRUNK_BODY]
+        else:
+            R0 = quat_to_matrix(self.state.base_quat)
         v_base = np.einsum("nji,nj->ni", R0, self.state.base_linvel)
         w_base = np.einsum("nji,nj->ni", R0, self.state.base_angvel)
         g_proj = -R0[:, 2, :]  # world (0,0,-1) expressed in the base frame
         return v_base, w_base, g_proj
 
     def _rewards(self, actions, gains, touchdown_air, n_collisions, terminated):
-        fk, vel = self._fk_cache()
+        fk, _, (foot_pos, foot_vel) = dyn._kinematics(self.ct, self.state)
         v_base, w_base, g_proj = self._base_frame()
-        foot_pos, foot_vel = dyn.foot_points(self.ct, fk, vel)
         com = np.einsum("nb,nbi->ni", self.params.masses, fk["c"])
         com /= self.params.masses.sum(axis=1, keepdims=True)
         qdot = self.state.qdot

@@ -208,6 +208,10 @@ class CompiledTree:
             while cur != root:
                 self.branch_mask[self.body_branch[b], self.body_slot[b], self.body_slot[cur]] = 1.0
                 cur = self.parent[cur]
+        # over joint pairs (s, t) of a branch: s moves t's body (s is t or an
+        # ancestor of t), and t strictly moves s's body
+        self.moves = np.ascontiguousarray(self.branch_mask.swapaxes(-1, -2))
+        self.moved_by = self.branch_mask - np.eye(d)
         feet = np.asarray(tree.foot_body_indices, dtype=int)
         if feet.size and not np.array_equal(self.body_branch[feet], np.arange(n_br)):
             raise ValueError("a tree with feet needs one foot on each branch, in branch order")

@@ -11,23 +11,26 @@ IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
 _EYE3 = np.eye(3)
 
 
+def _norm(x):
+    """np.linalg.norm(x, axis=-1, keepdims=True), the same sums without
+    its dispatch overhead."""
+    return np.sqrt((x * x).sum(axis=-1, keepdims=True))
+
+
 def quat_normalize(q):
-    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+    return q / _norm(q)
 
 
 def quat_mul(a, b):
     """Hamilton product a ⊗ b."""
     aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
+    out = np.empty(np.broadcast(a, b).shape)
+    out[..., 0] = aw * bw - ax * bx - ay * by - az * bz
+    out[..., 1] = aw * bx + ax * bw + ay * bz - az * by
+    out[..., 2] = aw * by - ax * bz + ay * bw + az * bx
+    out[..., 3] = aw * bz + ax * by - ay * bx + az * bw
+    return out
 
 
 def quat_to_matrix(q):
@@ -36,10 +39,17 @@ def quat_to_matrix(q):
     xx, yy, zz = x * x, y * y, z * z
     wx, wy, wz = w * x, w * y, w * z
     xy, xz, yz = x * y, x * z, y * z
-    row0 = np.stack([1 - 2 * (yy + zz), 2 * (xy - wz), 2 * (xz + wy)], axis=-1)
-    row1 = np.stack([2 * (xy + wz), 1 - 2 * (xx + zz), 2 * (yz - wx)], axis=-1)
-    row2 = np.stack([2 * (xz - wy), 2 * (yz + wx), 1 - 2 * (xx + yy)], axis=-1)
-    return np.stack([row0, row1, row2], axis=-2)
+    R = np.empty(q.shape[:-1] + (3, 3))
+    R[..., 0, 0] = 1 - 2 * (yy + zz)
+    R[..., 0, 1] = 2 * (xy - wz)
+    R[..., 0, 2] = 2 * (xz + wy)
+    R[..., 1, 0] = 2 * (xy + wz)
+    R[..., 1, 1] = 1 - 2 * (xx + zz)
+    R[..., 1, 2] = 2 * (yz - wx)
+    R[..., 2, 0] = 2 * (xz - wy)
+    R[..., 2, 1] = 2 * (yz + wx)
+    R[..., 2, 2] = 1 - 2 * (xx + yy)
+    return R
 
 
 def quat_exp(phi):
@@ -48,7 +58,7 @@ def quat_exp(phi):
     Uses the Taylor expansion of sinc near zero so tiny angular steps stay
     exact to machine precision.
     """
-    angle = np.linalg.norm(phi, axis=-1, keepdims=True)
+    angle = _norm(phi)
     half = 0.5 * angle
     small = angle < 1e-8
     # sin(half)/angle, guarded at angle -> 0 where it tends to 1/2

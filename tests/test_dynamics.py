@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import sys
 
 import dense_dynamics as dense
 import numpy as np
@@ -339,6 +340,87 @@ def test_step_batch_matches_dense_oracle_over_one_second(quad):
             forces = forces if st.time[0] < 0.5 else None  # the pushes end at 0.5 s
         if tree is quad:
             assert 0 < n_saturated < 500 * 16 * 4
+
+
+def _assert_same_state(a, b):
+    """Every field of two states and of their kinematics caches, bit for bit."""
+    for f in dataclasses.fields(dyn.BatchState):
+        if f.name != "cache":
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+    (fk_a, vel_a, feet_a), (fk_b, vel_b, feet_b) = a.cache, b.cache
+    for x, y in ((fk_a, fk_b), (vel_a, vel_b)):
+        assert x.keys() == y.keys()
+        for key in x:
+            assert np.array_equal(x[key], y[key]), key
+    for x, y in zip(feet_a, feet_b):
+        assert np.array_equal(x, y)
+
+
+def test_sharded_step_is_bit_identical(quad):
+    # 7 rows in 1, 2 and 3 row shards (sizes 7; 3 + 4; 2 + 2 + 3) over 5
+    # substeps, with feet sliding on low-friction floors and a trunk push;
+    # the threads switch every microsecond, so they interleave finely
+    ct = quad.compiled()
+    rng = np.random.default_rng(17)
+    s, params, _ = _random_quad_batch(quad, rng, 7)
+    ext = [(0, s.base_pos + rng.normal(0, 0.05, (7, 3)), rng.normal(0, 80, (7, 3)))]
+    tau = rng.normal(0, 5, (7, 12))
+    runs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for shards in (1, 2, 3):
+            st, runs[shards] = dataclasses.replace(s, cache=None), []
+            for _ in range(5):
+                st = dyn.step_batch(ct, st, tau, 0.002, ext=ext, params=params, _shards=shards)
+                runs[shards].append(st)
+    finally:
+        sys.setswitchinterval(interval)
+    assert any(st.cone_saturated.any() for st in runs[1])
+    for shards in (2, 3):
+        for a, b in zip(runs[shards], runs[1]):
+            _assert_same_state(a, b)
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_step_caches_the_kinematics_of_the_new_state(quad, shards):
+    ct = quad.compiled()
+    s, params, ext = _random_quad_batch(quad, np.random.default_rng(3), 4)
+    new = dyn.step_batch(ct, s, np.zeros((4, 12)), 0.002, ext=ext, params=params,
+                         _shards=shards)
+    fresh = dataclasses.replace(new, cache=None)
+    fk = dyn._fk(ct, fresh)
+    vel = dyn._velocities(ct, fresh, fk)
+    pos, v = dyn.foot_points(ct, fk, vel)
+    _, _, (cached_pos, cached_v) = new.cache
+    assert np.array_equal(cached_pos, pos) and np.array_equal(cached_v, v)
+    assert np.array_equal(new.contact_flags, pos[..., 2] < 0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_unrolled_spd_solve_matches_lapack(d):
+    rng = np.random.default_rng(d)
+    L = rng.normal(size=(50, 4, d, d))
+    M = L @ L.swapaxes(-1, -2) + 0.1 * np.eye(d)
+    B = rng.normal(size=(50, 4, d, 7))
+    X = dyn._spd_solve(np.concatenate([M, B], axis=-1))
+    assert _relative(X, np.linalg.solve(M, B)) <= 1e-12
+
+
+def test_fixed_base_chains_solve_through_the_joint_blocks():
+    # nb = 0: no base block and no Schur complement, only the unrolled
+    # joint-block solve of one branch of 1 or 2 joints
+    rng = np.random.default_rng(8)
+    for tree in (pendulum_tree(), double_pendulum_tree()):
+        ct = tree.compiled()
+        s = dyn.default_state(tree, q=rng.normal(0, 1, (5, tree.n_joints)))
+        s.qdot[:] = rng.normal(0, 2, s.qdot.shape)
+        T, K, rhs, _ = dyn._assemble(ct, s, rng.normal(0, 1, (5, tree.n_joints)), None,
+                                     dyn.BatchParams.from_tree(ct, 5))
+        nj = tree.n_joints
+        assert ct.n_base == 0 and T.shape == (5, 0, 0) and K.shape == (5, 1, nj, nj)
+        qacc = np.linalg.solve(dyn._dense_mass_matrix(ct, T, K), rhs[..., None])[..., 0]
+        assert _relative(dyn._solve(ct, T, K, rhs), qacc) <= 1e-12
 
 
 def test_cone_saturation_flags(quad):

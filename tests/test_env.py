@@ -14,6 +14,7 @@ from vsloco.env import (
     sample_command,
     schedule_pushes,
 )
+from vsloco.rotations import quat_to_matrix
 
 
 def quiet_config(**overrides):
@@ -144,7 +145,9 @@ def test_reset_identity_when_disabled():
 
 def test_command_schedule_four_intervals():
     # hold the default pose stiffly (raw stiffness +1 -> kp 60) so the
-    # episode runs the full 20 s; commands must refresh at 5/10/15 s
+    # episode runs the full 20 s; commands must refresh at 5/10/15 s. The
+    # refresh rule reads only step_count, so the steps between the windows
+    # around each refresh and the episode end are skipped by advancing it.
     env = VecLocomotionEnv(
         "PLS", n_envs=1, seed=9,
         config=EnvConfig(push_enabled=False, reset_joint_noise=0.0),
@@ -154,18 +157,24 @@ def test_command_schedule_four_intervals():
     action[0, 12:] = 1.0
     seen = [env.command[0].copy()]
     resample_steps = []
-    for k in range(env.cfg.max_steps):
-        before = env.command[0].copy()
-        obs, priv, rew, done, info = env.step(action)
-        if bool(done[0]):
-            assert info["truncated"][0]
-            break
-        if not np.allclose(env.command[0], before):
-            resample_steps.append(k + 1)
-            seen.append(env.command[0].copy())
+    windows = [range(0, 4), range(247, 254), range(497, 504), range(747, 754), range(996, 1001)]
+    ended = None
+    for window in windows:
+        env.step_count[:] = window[0]
+        for k in window:
+            before = env.command[0].copy()
+            obs, priv, rew, done, info = env.step(action)
+            if bool(done[0]):
+                assert info["truncated"][0]
+                ended = k + 1
+                break
+            if not np.allclose(env.command[0], before):
+                resample_steps.append(k + 1)
+                seen.append(env.command[0].copy())
     # the refresh lands on the control step that begins at t = 5, 10, 15 s
     assert resample_steps == [251, 501, 751]
     assert len(seen) == 4
+    assert ended == env.cfg.max_steps == 1000  # truncated at 20 s
 
 
 def test_push_schedule_timing():
@@ -236,7 +245,7 @@ def test_joint_limit_clamp_refreshes_kinematics_cache():
     _, _, _, done, info = env.step(np.zeros((1, env.action_dim)))
     assert done[0] and info["reasons"][0] == REASON_CODE["joint_limit"]
     assert env.state.q[0, 2] == env.q_limits[1][2]
-    fk, vel = env.state.cache
+    fk, vel, _ = env.state.cache
     fresh_fk = dyn._fk(env.ct, env.state)
     fresh_vel = dyn._velocities(env.ct, env.state, fresh_fk)
     for cached, fresh in ((fk, fresh_fk), (vel, fresh_vel)):
@@ -299,6 +308,31 @@ def test_push_impulse_changes_velocity():
         env.step(np.zeros((1, env.action_dim)))
     # impulse 12 N s on 18 kg -> order 0.6 m/s; contact friction eats a lot
     assert env.state.base_linvel[0, 0] > 0.1
+
+
+def test_base_frame_reads_the_trunk_rotation_of_the_cache():
+    # observations use the trunk rotation the kinematics cache holds; it must
+    # equal quat_to_matrix(base_quat) bit for bit, after steps and resets
+    env = VecLocomotionEnv("PJS", n_envs=3, seed=6)
+
+    def expected(env):
+        s = env.state
+        R0 = quat_to_matrix(s.base_quat)
+        v = np.einsum("nji,nj->ni", R0, s.base_linvel)
+        w = np.einsum("nji,nj->ni", R0, s.base_angvel)
+        return np.concatenate([v, w, -R0[:, 2, :]], axis=1)
+
+    rng = np.random.default_rng(4)
+    for k in range(4):
+        if k == 2:
+            env._reset_envs([1])
+        elif k == 3:
+            env.reset_all()
+        else:
+            env.step(rng.uniform(-1, 1, (3, env.action_dim)))
+            assert env.state.cache is not None  # observe reads the rotation from it
+        assert np.array_equal(env.observe(noisy=False)[:, 3:12], expected(env))
+        assert np.array_equal(env.observe_privileged()[:, -env.obs_dim:][:, 3:12], expected(env))
 
 
 def test_vector_env_matches_single_env():
