@@ -28,6 +28,12 @@ Integration is semi-implicit Euler: velocities from forward dynamics, then
 positions from the new velocities, base orientation via the quaternion
 exponential map.
 
+Ground contact is one penalty law (``_penalty``, ``_cone``): a spring on
+penetration depth, viscous dampers and the Coulomb cone. A substep
+integrates the dampers implicitly, and ``BatchState.contact_forces`` holds
+the foot forces that solve applied. ``contact_force_law`` is the same law,
+explicit at a given state.
+
 The rows (envs) of a substep are independent, so ``step_batch`` splits a
 large batch into contiguous row shards, one per core, and runs the whole
 substep on each in a thread pool: the calling thread takes the first shard
@@ -114,6 +120,8 @@ class BatchState:
     qdot: np.ndarray
     time: np.ndarray  # (N,)
     contact_flags: np.ndarray = None  # (N, n_feet)
+    # the foot forces the last substep applied: the implicit penalty law at
+    # its solved velocity, not the law at the new state
     contact_forces: np.ndarray = None  # (N, n_feet, 3)
     diverged: np.ndarray = None  # (N,)
     # feet whose friction cone the last substep saturated: the active-set
@@ -429,26 +437,44 @@ def foot_points(ct: CompiledTree, fk, vel=None):
     return pos, v
 
 
+def _penalty(contact_cfg, pos, vel):
+    """The penalty law's terms at foot states pos/vel (N, n_feet, 3): the
+    contact mask (z < 0), the normal spring force k_n * depth (N, n_feet),
+    and the damper weights D (N, n_feet, 3) per foot axis: k_t on the tangent
+    axes of feet in contact, c_n on the normal of feet in contact moving down."""
+    k_n = float(contact_cfg["normal_stiffness"])
+    c_n = float(contact_cfg["normal_damping"])
+    k_t = float(contact_cfg["tangential_damping"])
+    in_contact = pos[..., 2] < 0.0
+    spring = k_n * np.where(in_contact, -pos[..., 2], 0.0)
+    D = np.empty(pos.shape)
+    D[..., 0] = D[..., 1] = k_t * in_contact
+    D[..., 2] = c_n * (in_contact & (vel[..., 2] < 0.0))
+    return in_contact, spring, D
+
+
+def _cone(spring, D, friction, vel):
+    """The law's normal force, tangent force (N, n_feet, 2), the tangent's
+    norm and the Coulomb limit mu * normal at foot velocities vel, before
+    the clamp; friction is (N,)."""
+    normal = spring + D[..., 2] * np.maximum(0.0, -vel[..., 2])
+    tangent = -D[..., :2] * vel[..., :2]
+    t_norm = np.sqrt(tangent[..., 0] * tangent[..., 0] + tangent[..., 1] * tangent[..., 1])
+    return normal, tangent, t_norm, friction[:, None] * normal
+
+
 def contact_force_law(contact_cfg, friction, pos, vel):
-    """Penalty normal + viscous tangent clamped to the Coulomb cone.
+    """Penalty normal + viscous tangent clamped to the Coulomb cone, all
+    explicit at the given foot states.
 
     pos/vel are (N, n_feet, 3) world foot states; friction is (N,).
     Returns per-foot world forces (N, n_feet, 3); zero when not penetrating.
     """
-    k_n = float(contact_cfg["normal_stiffness"])
-    c_n = float(contact_cfg["normal_damping"])
-    k_t = float(contact_cfg["tangential_damping"])
-    z = pos[..., 2]
-    in_contact = z < 0.0
-    depth = np.where(in_contact, -z, 0.0)
-    normal = k_n * depth + c_n * np.maximum(0.0, -vel[..., 2]) * in_contact
-    normal = np.maximum(normal, 0.0) * in_contact
-    tangent = -k_t * vel[..., :2] * in_contact[..., None]
-    t_norm = np.sqrt(tangent[..., 0] * tangent[..., 0] + tangent[..., 1] * tangent[..., 1])
-    limit = friction[:, None] * normal
+    _, spring, D = _penalty(contact_cfg, pos, vel)
+    normal, tangent, t_norm, limit = _cone(spring, D, friction, vel)
     with np.errstate(invalid="ignore", divide="ignore"):
         scale = np.where(t_norm > limit, limit / np.where(t_norm > 0, t_norm, 1.0), 1.0)
-    forces = np.zeros(pos.shape)
+    forces = np.empty(pos.shape)
     forces[..., :2] = tangent * scale[..., None]
     forces[..., 2] = normal
     return forces
@@ -505,38 +531,35 @@ def _implicit_contact_velocity_update(ct, bs, dt, T, K, rhs, contact, params):
     enforced by one active-set pass: feet whose implied tangent force exceeds
     mu * N are re-solved with an explicit saturated sliding force, in the
     rows (envs) that have such a foot only. Returns the new generalized
-    velocity and the (N, n_feet) mask of those feet.
+    velocity, the (N, n_feet, 3) foot forces the solve applied,
+    f_spring (+ f_slide) - D J v_new from each row's final solve, and the
+    (N, n_feet) mask of the saturated feet.
     """
-    cfg = ct.tree.contact
-    k_n = float(cfg["normal_stiffness"])
-    c_n = float(cfg["normal_damping"])
-    k_t = float(cfg["tangential_damping"])
     pos, v, J = contact["pos"], contact["vel"], contact["J"]
-    in_contact = pos[..., 2] < 0.0  # (N, F)
-    depth = np.where(in_contact, -pos[..., 2], 0.0)
-    spring_n = k_n * depth  # explicit spring part of the normal force
-    approach = in_contact & (v[..., 2] < 0.0)
+    in_contact, spring, D = _penalty(ct.tree.contact, pos, v)
     v_cur = _generalized_velocity(ct, bs)
 
-    def solve(rows, D, f):
-        # D (n, F, 3): damper weights per foot axis; f: explicit foot forces
+    def solve(rows, D, slide=None):
+        # D (n, F, 3): damper weights per foot axis; slide: the explicit
+        # sliding force on the tangent axes. Returns the new velocity, the
+        # foot velocities and the foot forces at it.
+        def force(u):  # spring (+ slide) - D u at foot velocities u
+            f = -D * u
+            f[..., 2] += spring[rows]
+            if slide is not None:
+                f[..., :2] += slide
+            return f
+
         J_r = J[rows]
         A = K[rows] + dt * (J_r.swapaxes(-1, -2) @ (D[..., None] * J_r))
-        return v_cur[rows] + dt * _solve(ct, T[rows], A, rhs[rows] + _foot_force(ct, J_r, f))
+        Q = rhs[rows] + _foot_force(ct, J_r, force(v[rows]))
+        v_new = v_cur[rows] + dt * _solve(ct, T[rows], A, Q)
+        v_feet = (J_r @ _local(ct, v_new)[..., None])[..., 0]
+        return v_new, v_feet, force(v_feet)
 
-    D = np.empty(pos.shape)
-    D[..., 0] = D[..., 1] = d_tan = k_t * in_contact
-    D[..., 2] = d_norm = c_n * approach
-    f = -D * v
-    f[..., 2] += spring_n
-    v_new = solve(slice(None), D, f)
-
+    v_new, v_feet, applied = solve(slice(None), D)
     # implied contact forces at the new velocity
-    v_feet = (J @ _local(ct, v_new)[..., None])[..., 0]
-    normal = spring_n + d_norm * np.maximum(0.0, -v_feet[..., 2])
-    f_tan = -d_tan[..., None] * v_feet[..., :2]
-    t_norm = np.sqrt(f_tan[..., 0] * f_tan[..., 0] + f_tan[..., 1] * f_tan[..., 1])
-    limit = params.friction[:, None] * normal
+    _, f_tan, t_norm, limit = _cone(spring, D, params.friction, v_feet)
     saturated = in_contact & (t_norm > limit + 1e-12)
     rows = np.flatnonzero(saturated.any(axis=1))
     if rows.size:
@@ -544,11 +567,8 @@ def _implicit_contact_velocity_update(ct, bs, dt, T, K, rhs, contact, params):
         direction = f_tan[rows] / np.where(t_r > 0, t_r, 1.0)
         D_r = D[rows]
         D_r[..., :2] *= ~sat
-        f_r = -D_r * v[rows]
-        f_r[..., 2] += spring_n[rows]
-        f_r[..., :2] += direction * limit[rows, :, None] * sat
-        v_new[rows] = solve(rows, D_r, f_r)
-    return v_new, saturated
+        v_new[rows], _, applied[rows] = solve(rows, D_r, direction * limit[rows, :, None] * sat)
+    return v_new, applied, saturated
 
 
 def _generalized_velocity(ct, bs):
@@ -561,13 +581,15 @@ def _generalized_velocity(ct, bs):
 
 
 def _step_rows(ct: CompiledTree, bs: BatchState, tau, ext, params, dt) -> BatchState:
-    """``step_batch`` on the rows of bs, without the contact forces: the new
-    state with its contact flags, saturated feet and (fk, vel, feet) cache."""
+    """``step_batch`` on the rows of bs: the new state with its contact
+    flags, applied contact forces, saturated feet and (fk, vel, feet) cache."""
     T, K, rhs, contact = _assemble(ct, bs, tau, ext, params)
     if contact is not None:
-        v_new, saturated = _implicit_contact_velocity_update(ct, bs, dt, T, K, rhs, contact, params)
+        v_new, applied, saturated = _implicit_contact_velocity_update(
+            ct, bs, dt, T, K, rhs, contact, params)
     else:
         v_new = _generalized_velocity(ct, bs) + dt * _solve(ct, T, K, rhs)
+        applied = np.zeros((bs.n, 1, 3))
         saturated = np.zeros((bs.n, 1), dtype=bool)
     off = 6 if ct.floating else 0
     if ct.floating:
@@ -592,6 +614,7 @@ def _step_rows(ct: CompiledTree, bs: BatchState, tau, ext, params, dt) -> BatchS
         q=q,
         qdot=qdot,
         time=bs.time + dt,
+        contact_forces=applied,
         diverged=diverged,
         cone_saturated=saturated,
     )
@@ -657,22 +680,15 @@ def step_batch(ct: CompiledTree, bs: BatchState, tau, dt, ext=None, params=None,
         params = BatchParams.from_tree(ct, bs.n)
     shards = min(_CORES, bs.n // MIN_SHARD_ROWS) if _shards is None else min(_shards, bs.n)
     if shards < 2:
-        new = _step_rows(ct, bs, tau, ext, params, dt)
-    else:
-        bounds = [bs.n * i // shards for i in range(shards + 1)]
-        jobs = [_shard(bs, tau, ext, params, slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
-        futures = [_pool().submit(_step_rows, ct, *job, dt=dt) for job in jobs[1:]]
-        try:
-            head = _step_rows(ct, *jobs[0], dt=dt)
-        finally:  # wait for every shard, and raise its error if it failed
-            tail = [f.result() for f in futures]
-        new = _stitch([head] + tail)
-    feet = new.cache[2]
-    if feet is not None:
-        new.contact_forces = contact_force_law(ct.tree.contact, params.friction, *feet)
-    else:
-        new.contact_forces = np.zeros((bs.n, 1, 3))
-    return new
+        return _step_rows(ct, bs, tau, ext, params, dt)
+    bounds = [bs.n * i // shards for i in range(shards + 1)]
+    jobs = [_shard(bs, tau, ext, params, slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+    futures = [_pool().submit(_step_rows, ct, *job, dt=dt) for job in jobs[1:]]
+    try:
+        head = _step_rows(ct, *jobs[0], dt=dt)
+    finally:  # wait for every shard, and raise its error if it failed
+        tail = [f.result() for f in futures]
+    return _stitch([head] + tail)
 
 
 # ---------------------------------------------------------------------------

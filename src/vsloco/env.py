@@ -170,14 +170,8 @@ class VecLocomotionEnv:
         self.prev_contact = np.ones((n, 4), dtype=bool)
         self.step_count = np.zeros(n, dtype=int)
         self.episode_return = np.zeros(n)
-        zeros_gains = act.decode_action(
+        self.gains = act.decode_action(
             self.grouping, np.zeros((n, adim)), self.q_default, self.q_limits
-        )
-        self.gains = zeros_gains
-        self.prev_gains = act.GainState(
-            kp=zeros_gains.kp.copy(),
-            kd=zeros_gains.kd.copy(),
-            q_target=zeros_gains.q_target.copy(),
         )
         self.last_tau = np.zeros((n, 12))
         self.active_push = np.zeros((n, 3))
@@ -237,7 +231,6 @@ class VecLocomotionEnv:
         )
         for f in ("kp", "kd", "q_target"):
             getattr(self.gains, f)[idx] = getattr(hold, f)
-            getattr(self.prev_gains, f)[idx] = getattr(hold, f)
 
     # ------------------------------------------------------------------
     # stepping
@@ -273,8 +266,7 @@ class VecLocomotionEnv:
                 self.key, due, self._next_draw(due), cfg.command_ranges
             )
 
-        for f in ("kp", "kd", "q_target"):
-            getattr(self.prev_gains, f)[:] = getattr(self.gains, f)
+        prev_gains = self.gains  # held for the first delay_substeps substeps
         new_gains = act.decode_action(self.grouping, actions, self.q_default, self.q_limits)
         self.gains = new_gains
 
@@ -283,9 +275,9 @@ class VecLocomotionEnv:
         rand = act.GainRandomization(self.kp_scale, self.kd_scale, self.motor_strength)
         for sub in range(cfg.physics_substeps):
             use_new = (sub >= self.delay_substeps)[:, None]
-            kp = np.where(use_new, new_gains.kp, self.prev_gains.kp)
-            kd = np.where(use_new, new_gains.kd, self.prev_gains.kd)
-            q_tgt = np.where(use_new, new_gains.q_target, self.prev_gains.q_target)
+            kp = np.where(use_new, new_gains.kp, prev_gains.kp)
+            kd = np.where(use_new, new_gains.kd, prev_gains.kd)
+            q_tgt = np.where(use_new, new_gains.q_target, prev_gains.q_target)
             eff = act.GainState(kp=kp, kd=kd, q_target=q_tgt)
             tau = act.compute_torque_randomized(
                 eff, state.q, state.qdot, rand, torque_limit=self.torque_limit

@@ -86,7 +86,6 @@ class KinematicTree:
     floating: bool
     foot_body_indices: tuple = ()
     foot_offsets: np.ndarray = None
-    collision_body_indices: tuple = ()
     gravity: float = 9.81
     contact: dict = field(default_factory=dict)
     default_pose: np.ndarray = None
@@ -361,7 +360,6 @@ def build_quadruped(cfg=None) -> KinematicTree:
         floating=True,
         foot_body_indices=tuple(foot_bodies),
         foot_offsets=np.tile([0.0, 0.0, -l_calf], (4, 1)),
-        collision_body_indices=(0, 1, 4, 7, 10),
         gravity=float(cfg.get("gravity", 9.81)),
         contact=dict(cfg["contact"]),
         default_pose=default_pose,

@@ -8,7 +8,6 @@ config produce bit-identical metrics.
 
 import csv
 import os
-import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -227,24 +226,14 @@ METRIC_COLUMNS = (
 )
 
 
-def train(
-    grouping,
-    config: TrainConfig,
-    out_dir,
-    env_config=None,
-    tree=None,
-    log_fn=None,
-    metrics_name="metrics.csv",
-):
+def train(grouping, config: TrainConfig, out_dir):
     """Full training loop; writes checkpoints and a metrics CSV to out_dir.
 
     Returns (bundle, metrics_path, checkpoint_path).
     """
     cfg = config
     os.makedirs(out_dir, exist_ok=True)
-    env = VecLocomotionEnv(
-        grouping, n_envs=cfg.n_envs, seed=cfg.seed, tree=tree, config=env_config
-    )
+    env = VecLocomotionEnv(grouping, n_envs=cfg.n_envs, seed=cfg.seed)
     obs, priv = env.reset_all(randomization_on=cfg.randomization_on)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xA11CE)))
     agent = PPOAgent(grouping, env.obs_dim, env.priv_dim, env.action_dim, cfg, rng)
@@ -254,9 +243,8 @@ def train(
     )
     recent_returns = deque(maxlen=100)
     recent_lengths = deque(maxlen=100)
-    metrics_path = os.path.join(out_dir, metrics_name)
+    metrics_path = os.path.join(out_dir, "metrics.csv")
     ckpt_path = os.path.join(out_dir, f"policy_{grouping}.ckpt")
-    t_start = time.time()
     with open(metrics_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRIC_COLUMNS)
@@ -310,12 +298,6 @@ def train(
                     os.path.join(out_dir, f"policy_{grouping}_it{it + 1:06d}.ckpt"),
                     bundle,
                     extra_config={"iteration": it + 1, "train": cfg.__dict__.copy()},
-                )
-            if log_fn is not None and (it % 10 == 0 or it == cfg.n_iterations - 1):
-                log_fn(
-                    f"iter {it:5d} return {mean_ret:8.3f} len {mean_len:6.1f} "
-                    f"kl {stats.approx_kl:+.4f} std {np.exp(bundle.actor.log_std).mean():.3f} "
-                    f"({time.time() - t_start:6.1f}s)"
                 )
     save_checkpoint(ckpt_path, bundle, extra_config={"train": cfg.__dict__.copy()})
     return bundle, metrics_path, ckpt_path

@@ -114,7 +114,8 @@ def test_train_determinism_micro(tmp_path):
     )
     _, m1, _ = train("PLS", cfg, str(tmp_path / "a"))
     _, m2, _ = train("PLS", cfg, str(tmp_path / "b"))
-    assert open(m1).read() == open(m2).read()
+    with open(m1) as f1, open(m2) as f2:
+        assert f1.read() == f2.read()
 
 
 def test_fixed_gain_run_logs_constant_kp(tmp_path):

@@ -397,6 +397,27 @@ def test_step_caches_the_kinematics_of_the_new_state(quad, shards):
     assert np.array_equal(new.contact_flags, pos[..., 2] < 0.0)
 
 
+@pytest.mark.parametrize("shards", [1, 2])
+def test_reported_contact_forces_are_the_applied_ones(quad, shards):
+    # the substep's generalized force balance on the dense oracle,
+    # M (v_new - v) / dt - rhs = sum_f J_f' contact_forces[f], in the rows
+    # whose sliding feet were re-solved and in the rows that were not
+    ct = quad.compiled()
+    rng = np.random.default_rng(8)
+    s, params, ext = _random_quad_batch(quad, rng, 16, speed=0.1)
+    tau = rng.normal(0, 5, (16, 12))
+    M, rhs, contact = dense.assemble(ct, s, tau, ext, params)
+    new = dyn.step_batch(ct, dataclasses.replace(s, cache=None), tau, 0.002, ext=ext,
+                         params=params, _shards=shards)
+    sliding = new.cone_saturated.any(axis=1)
+    assert sliding.any() and not sliding.all()
+    dv = dense.generalized_velocity(ct, new) - dense.generalized_velocity(ct, s)
+    balance = (M @ dv[..., None])[..., 0] / 0.002 - rhs
+    applied = dense.foot_wrench(contact["J_p"], new.contact_forces)
+    for rows in (sliding, ~sliding):
+        assert _relative(applied[rows], balance[rows]) <= 1e-9
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_unrolled_spd_solve_matches_lapack(d):
     rng = np.random.default_rng(d)
