@@ -8,12 +8,13 @@ a state of any N; ``step_batch`` is the unchecked hot path. Generalized
 velocity layout is [base linear (world), base angular (world), joint rates]
 for floating trees and [joint rates] for fixed-base trees.
 
-The tree is a base plus branches of equal size (the quadruped: a trunk and
-four 3-DoF legs; a fixed-base chain: one branch and no base block; a free
-box: a base and no branch). A branch's joints move only its own bodies and
-each foot sits on one branch, so the mass matrix M and the implicit contact
-matrix M + dt J' D J are block-arrow: a base block M_bb, one base-branch
-block M_bl and one joint block M_ll per branch, nothing between branches.
+The tree is a base plus branches that are serial chains, a foot at each end
+(the quadruped: a trunk and four 3-DoF legs; a fixed-base chain: one branch
+and no base block; a free box: a base and no branch; see ``KinematicTree``).
+A branch's joints move only its own bodies and each foot sits on one
+branch, so the mass matrix M and the implicit contact matrix M + dt J' D J
+are block-arrow: a base block M_bb, one base-branch block M_bl and one
+joint block M_ll per branch, nothing between branches.
 The engine never forms the dense (N, nv, nv) matrix. ``_mass_blocks``
 builds each branch's (nb + d)-square block over [base, branch joints] from
 composite rigid-body inertias (Featherstone, "Rigid Body Dynamics
@@ -57,7 +58,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .model import CompiledTree, KinematicTree
+from .model import KinematicTree
 from .rotations import (
     IDENTITY_QUAT,
     quat_exp,
@@ -146,11 +147,11 @@ class BatchParams:
     friction: np.ndarray  # (N,)
 
     @staticmethod
-    def from_tree(ct: CompiledTree, n: int) -> "BatchParams":
-        mu = float(ct.tree.contact.get("friction", 1.0)) if ct.tree.contact else 1.0
+    def from_tree(tree: KinematicTree, n: int) -> "BatchParams":
+        mu = float(tree.contact.get("friction", 1.0)) if tree.contact else 1.0
         return BatchParams(
-            masses=np.repeat(ct.mass[None], n, axis=0),
-            gravity=np.repeat((GRAVITY_DIR * ct.tree.gravity)[None], n, axis=0),
+            masses=np.repeat(tree.mass[None], n, axis=0),
+            gravity=np.repeat((GRAVITY_DIR * tree.gravity)[None], n, axis=0),
             friction=np.full(n, mu),
         )
 
@@ -166,7 +167,7 @@ def _require_finite(name, arr):
 # kinematic passes
 
 
-def _fk(ct: CompiledTree, bs: BatchState):
+def _fk(ct: KinematicTree, bs: BatchState):
     """World rotations/origins/coms of every body, world joint axes/origins.
 
     Recursions run level-by-level so all bodies at one tree depth (e.g. the
@@ -198,7 +199,7 @@ def _fk(ct: CompiledTree, bs: BatchState):
     return {"R": R, "p": p, "c": c, "a_w": a_w, "o_w": o_w}
 
 
-def _velocities(ct: CompiledTree, bs: BatchState, fk):
+def _velocities(ct: KinematicTree, bs: BatchState, fk):
     """Body angular velocities and com/origin linear velocities (world)."""
     N, B = bs.n, ct.n_bodies
     w = np.empty((N, B, 3))
@@ -220,7 +221,7 @@ def _velocities(ct: CompiledTree, bs: BatchState, fk):
     return {"w": w, "v_o": v_o, "v_c": v_c}
 
 
-def _bias_accelerations(ct: CompiledTree, bs: BatchState, fk, vel):
+def _bias_accelerations(ct: KinematicTree, bs: BatchState, fk, vel):
     """Com and angular accelerations at zero generalized acceleration.
 
     The centripetal terms w x (w x r) take w x r from the velocity pass:
@@ -244,7 +245,7 @@ def _bias_accelerations(ct: CompiledTree, bs: BatchState, fk, vel):
     return {"alpha": alpha, "a_c": a_o + terms[0] + terms[1]}
 
 
-def _world_inertia(ct: CompiledTree, fk):
+def _world_inertia(ct: KinematicTree, fk):
     """Body rotational inertias about their coms in world axes, R I R'.
     (Stacked tiny matmuls are fast on contiguous operands only, hence the
     copy of R'.)"""
@@ -256,7 +257,7 @@ def _world_inertia(ct: CompiledTree, fk):
 # block-arrow assembly and solve
 
 
-def _per_branch(ct: CompiledTree, x):
+def _per_branch(ct: KinematicTree, x):
     """View (N, n_br, d, ...) of the jointed part of axis 1 of x: its last
     n_br * d entries, which are the branch bodies of a body array, all of a
     joint array, or the joint rates of a generalized vector."""
@@ -264,7 +265,7 @@ def _per_branch(ct: CompiledTree, x):
     return x[:, x.shape[1] - n_br * d:].reshape((x.shape[0], n_br, d) + x.shape[2:])
 
 
-def _local(ct: CompiledTree, v):
+def _local(ct: KinematicTree, v):
     """Generalized vector v (N, nv) in each branch's local coordinates
     [base, branch joints]: (N, n_br, nb + d)."""
     nb = ct.n_base
@@ -272,20 +273,21 @@ def _local(ct: CompiledTree, v):
     return np.concatenate([base, _per_branch(ct, v)], axis=-1)
 
 
-def _from_local(ct: CompiledTree, y):
+def _from_local(ct: KinematicTree, y):
     """Generalized force (N, nv) of forces y (N, n_br, nb + d) given in each
     branch's local coordinates: the base parts add up."""
     nb = ct.n_base
     return np.concatenate([y[..., :nb].sum(axis=1), y[..., nb:].reshape(y.shape[0], -1)], axis=1)
 
 
-def _foot_jacobians(ct: CompiledTree, fk, pos):
+def _foot_jacobians(ct: KinematicTree, fk, pos):
     """Linear Jacobians (N, n_br, 3, nb + d) of the foot points pos
     (N, n_br, 3), foot i on branch i, over each branch's local coordinates:
     the nb base velocities, [I, -skew(pos - p0)], then the branch's d
-    joints, a_s x (pos - o_s) for the joints that move the foot, else 0."""
+    joints, a_s x (pos - o_s): the foot is on the chain's last body, so each
+    of them moves it."""
     lever = pos[:, :, None] - _per_branch(ct, fk["o_w"])
-    cols = _cross(_per_branch(ct, fk["a_w"]), lever) * ct.foot_mask[..., None]
+    cols = _cross(_per_branch(ct, fk["a_w"]), lever)
     J = np.empty(pos.shape + (ct.n_base + ct.branch_size,))
     if ct.floating:
         J[..., 0:3] = EYE3
@@ -294,7 +296,7 @@ def _foot_jacobians(ct: CompiledTree, fk, pos):
     return J
 
 
-def _mass_blocks(ct: CompiledTree, params: BatchParams, fk, vel, bias):
+def _mass_blocks(ct: KinematicTree, params: BatchParams, fk, vel, bias):
     """The mass matrix and the bias forces in block-arrow form, assembled
     from composite rigid bodies.
 
@@ -368,7 +370,7 @@ def _mass_blocks(ct: CompiledTree, params: BatchParams, fk, vel, bias):
     return S[:, 0], K, np.concatenate([G[..., 13:].sum(axis=1), h_joints], axis=1)
 
 
-def _add_point_force(ct: CompiledTree, fk, Q, body, x, force):
+def _add_point_force(ct: KinematicTree, fk, Q, body, x, force):
     """Add to Q (N, nv) the generalized force of world forces (N, 3) applied
     at world points x (N, 3) rigidly attached to ``body``."""
     if ct.floating:
@@ -401,7 +403,7 @@ def _spd_solve(A):
     return A[..., d:]
 
 
-def _solve(ct: CompiledTree, T, K, r):
+def _solve(ct: KinematicTree, T, K, r):
     """Solve M x = r for the block-arrow M given by the base block T and the
     branch blocks K (see ``_mass_blocks``).
 
@@ -424,10 +426,10 @@ def _solve(ct: CompiledTree, T, K, r):
 # contacts
 
 
-def foot_points(ct: CompiledTree, fk, vel=None):
+def foot_points(ct: KinematicTree, fk, vel=None):
     """World positions (and velocities) of the foot contact points."""
-    feet = np.asarray(ct.tree.foot_body_indices, dtype=int)
-    offs = ct.tree.foot_offsets
+    feet = np.asarray(ct.foot_body_indices, dtype=int)
+    offs = ct.foot_offsets
     p = fk["p"][:, feet]
     R = fk["R"][:, feet]
     pos = p + (R @ offs[..., None])[..., 0]
@@ -484,19 +486,19 @@ def contact_force_law(contact_cfg, friction, pos, vel):
 # forward dynamics and stepping
 
 
-def _kinematics(ct: CompiledTree, bs: BatchState):
+def _kinematics(ct: KinematicTree, bs: BatchState):
     """The state's cache (fk, vel, feet), computed and stored when missing:
     ``_fk``, ``_velocities`` and the foot (positions, velocities) of
     ``foot_points``, None for a tree without feet."""
     if bs.cache is None:
         fk = _fk(ct, bs)
         vel = _velocities(ct, bs, fk)
-        feet = foot_points(ct, fk, vel) if ct.tree.foot_body_indices else None
+        feet = foot_points(ct, fk, vel) if ct.foot_body_indices else None
         bs.cache = (fk, vel, feet)
     return bs.cache
 
 
-def _assemble(ct: CompiledTree, bs: BatchState, tau, ext, params):
+def _assemble(ct: KinematicTree, bs: BatchState, tau, ext, params):
     """Common dynamics assembly: the mass blocks (T, K), the applied-minus-
     bias generalized force (without contact forces), and the foot context
     with each foot's Jacobian in its branch's local coordinates."""
@@ -514,7 +516,7 @@ def _assemble(ct: CompiledTree, bs: BatchState, tau, ext, params):
     return T, K, rhs, contact
 
 
-def _foot_force(ct: CompiledTree, J, forces):
+def _foot_force(ct: KinematicTree, J, forces):
     """Generalized force (N, nv) of per-foot world forces (N, n_feet, 3)."""
     return _from_local(ct, (J.swapaxes(-1, -2) @ forces[..., None])[..., 0])
 
@@ -536,7 +538,7 @@ def _implicit_contact_velocity_update(ct, bs, dt, T, K, rhs, contact, params):
     (N, n_feet) mask of the saturated feet.
     """
     pos, v, J = contact["pos"], contact["vel"], contact["J"]
-    in_contact, spring, D = _penalty(ct.tree.contact, pos, v)
+    in_contact, spring, D = _penalty(ct.contact, pos, v)
     v_cur = _generalized_velocity(ct, bs)
 
     def solve(rows, D, slide=None):
@@ -580,7 +582,7 @@ def _generalized_velocity(ct, bs):
     return np.concatenate(parts, axis=1)
 
 
-def _step_rows(ct: CompiledTree, bs: BatchState, tau, ext, params, dt) -> BatchState:
+def _step_rows(ct: KinematicTree, bs: BatchState, tau, ext, params, dt) -> BatchState:
     """``step_batch`` on the rows of bs: the new state with its contact
     flags, applied contact forces, saturated feet and (fk, vel, feet) cache."""
     T, K, rhs, contact = _assemble(ct, bs, tau, ext, params)
@@ -667,7 +669,7 @@ def _pool():
     return _POOL
 
 
-def step_batch(ct: CompiledTree, bs: BatchState, tau, dt, ext=None, params=None,
+def step_batch(ct: KinematicTree, bs: BatchState, tau, dt, ext=None, params=None,
                _shards=None) -> BatchState:
     """One semi-implicit Euler substep for the whole batch.
 
@@ -723,8 +725,7 @@ def standing_state(tree: KinematicTree, q=None) -> BatchState:
     """``default_state`` in pose q (the default pose if None) with each base
     placed so that its lowest foot touches the floor exactly (z = 0)."""
     state = default_state(tree, q=tree.default_pose if q is None else q)
-    ct = tree.compiled()
-    pos, _ = foot_points(ct, _fk(ct, state))
+    pos, _ = foot_points(tree, _fk(tree, state))
     state.base_pos[:, 2] = -pos[..., 2].min(axis=1)
     return state
 
@@ -748,22 +749,20 @@ def forward_dynamics(tree: KinematicTree, state: BatchState, tau, ext=None):
     _require_finite("base_pos", state.base_pos)
     _require_finite("base velocities", np.hstack([state.base_linvel, state.base_angvel]))
     _check_ext(ext)
-    ct = tree.compiled()
-    params = BatchParams.from_tree(ct, state.n)
-    T, K, rhs, contact = _assemble(ct, replace(state, cache=None), tau, ext, params)
+    params = BatchParams.from_tree(tree, state.n)
+    T, K, rhs, contact = _assemble(tree, replace(state, cache=None), tau, ext, params)
     if contact is not None:
-        forces = contact_force_law(ct.tree.contact, params.friction, contact["pos"], contact["vel"])
-        rhs = rhs + _foot_force(ct, contact["J"], forces)
-    return _solve(ct, T, K, rhs)
+        forces = contact_force_law(tree.contact, params.friction, contact["pos"], contact["vel"])
+        rhs = rhs + _foot_force(tree, contact["J"], forces)
+    return _solve(tree, T, K, rhs)
 
 
 def contact_forces(tree: KinematicTree, state: BatchState, friction_coefficient):
     """Per-foot world contact forces (N, n_feet, 3) at the given state."""
     if friction_coefficient < 0:
         raise ValueError("friction_coefficient must be >= 0")
-    ct = tree.compiled()
-    fk = _fk(ct, state)
-    pos, v = foot_points(ct, fk, _velocities(ct, state, fk))
+    fk = _fk(tree, state)
+    pos, v = foot_points(tree, fk, _velocities(tree, state, fk))
     mu = np.full(state.n, float(friction_coefficient))
     return contact_force_law(tree.contact, mu, pos, v)
 
@@ -775,36 +774,34 @@ def step(tree: KinematicTree, state: BatchState, tau, ext=None, dt_physics=0.002
     tau = np.zeros(tree.n_joints) if tau is None else np.asarray(tau, dtype=float)
     _require_finite("tau", tau)
     _check_ext(ext)
-    return step_batch(tree.compiled(), replace(state, cache=None), tau, dt_physics, ext=ext)
+    return step_batch(tree, replace(state, cache=None), tau, dt_physics, ext=ext)
 
 
 def kinematics(tree: KinematicTree, state: BatchState):
     """Foot world positions and velocities, com, and the gravity direction
     in the base frame."""
-    ct = tree.compiled()
-    fk = _fk(ct, state)
+    fk = _fk(tree, state)
     out = {
-        "com_position": np.einsum("b,nbi->ni", ct.mass, fk["c"]) / ct.mass.sum(),
+        "com_position": np.einsum("b,nbi->ni", tree.mass, fk["c"]) / tree.mass.sum(),
         "projected_gravity": np.einsum("nji,j->ni", quat_to_matrix(state.base_quat), GRAVITY_DIR)
         if tree.floating
         else np.tile(GRAVITY_DIR, (state.n, 1)),
     }
     if tree.foot_body_indices:
         out["foot_positions"], out["foot_velocities"] = foot_points(
-            ct, fk, _velocities(ct, state, fk)
+            tree, fk, _velocities(tree, state, fk)
         )
     return out
 
 
 def mass_matrix(tree: KinematicTree, state: BatchState):
     """Joint-space mass matrices (N, nv, nv) at the tree's nominal masses."""
-    ct = tree.compiled()
-    params = BatchParams.from_tree(ct, state.n)
-    T, K, _, _ = _assemble(ct, replace(state, cache=None), 0.0, None, params)
-    return _dense_mass_matrix(ct, T, K)
+    params = BatchParams.from_tree(tree, state.n)
+    T, K, _, _ = _assemble(tree, replace(state, cache=None), 0.0, None, params)
+    return _dense_mass_matrix(tree, T, K)
 
 
-def _dense_mass_matrix(ct: CompiledTree, T, K):
+def _dense_mass_matrix(ct: KinematicTree, T, K):
     """Scatter the blocks (T, K) of ``_mass_blocks`` into (N, nv, nv)."""
     nb = ct.n_base
     base = np.arange(nb)
@@ -823,18 +820,16 @@ def total_energy(tree: KinematicTree, state: BatchState):
     Independent of the mass-matrix assembly, so it doubles as an oracle for
     both the integrator and M itself (via 0.5 v' M v comparisons in tests).
     """
-    ct = tree.compiled()
-    fk = _fk(ct, state)
-    vel = _velocities(ct, state, fk)
-    I_w = _world_inertia(ct, fk)
-    ke = 0.5 * np.einsum("b,nbi,nbi->n", ct.mass, vel["v_c"], vel["v_c"])
+    fk = _fk(tree, state)
+    vel = _velocities(tree, state, fk)
+    I_w = _world_inertia(tree, fk)
+    ke = 0.5 * np.einsum("b,nbi,nbi->n", tree.mass, vel["v_c"], vel["v_c"])
     ke += 0.5 * np.einsum("nbi,nbij,nbj->n", vel["w"], I_w, vel["w"])
-    pe = tree.gravity * np.einsum("b,nb->n", ct.mass, fk["c"][..., 2])
+    pe = tree.gravity * np.einsum("b,nb->n", tree.mass, fk["c"][..., 2])
     return ke + pe
 
 
 def total_linear_momentum(tree: KinematicTree, state: BatchState):
     """Total linear momentum (N, 3)."""
-    ct = tree.compiled()
-    fk = _fk(ct, state)
-    return np.einsum("b,nbi->ni", ct.mass, _velocities(ct, state, fk)["v_c"])
+    fk = _fk(tree, state)
+    return np.einsum("b,nbi->ni", tree.mass, _velocities(tree, state, fk)["v_c"])

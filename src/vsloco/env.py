@@ -12,7 +12,7 @@ pushes and noise are the same in any batch that starts from the same seed.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -119,7 +119,6 @@ class VecLocomotionEnv:
         self.n = int(n_envs)
         self.cfg = config or EnvConfig()
         self.tree = tree or build_quadruped()
-        self.ct = self.tree.compiled()
         self.action_dim = act.action_dim(grouping)
         self.obs_dim = 36 + self.action_dim
         self.priv_dim = 45 + self.obs_dim
@@ -135,10 +134,9 @@ class VecLocomotionEnv:
         # trunk collision corners for the illegal-contact test
         trunk = self.tree.bodies[TRUNK_BODY]
         self._trunk_points = np.stack([off for off, _ in trunk.collision_spheres])
-        self._hip_radius = float(self.tree.contact.get("hip_collision_radius", 0.04))
-        self._hip_points = np.stack(
-            [self.tree.bodies[b].collision_spheres[0][0] for b in HIP_BODY_INDICES]
-        )
+        hips = [self.tree.bodies[b].collision_spheres[0] for b in HIP_BODY_INDICES]
+        self._hip_points = np.stack([center for center, _ in hips])
+        self._hip_radius = np.array([radius for _, radius in hips])
         self.randomization_on = True
         self.auto_reset = True
         self.reset_all(randomization_on=True)
@@ -154,7 +152,7 @@ class VecLocomotionEnv:
 
     def _alloc(self):
         n, adim, slots = self.n, self.action_dim, self.cfg.max_pushes
-        self.params = dyn.BatchParams.from_tree(self.ct, n)
+        self.params = dyn.BatchParams.from_tree(self.tree, n)
         self.command = np.zeros((n, 3))
         self.push_start = np.full((n, slots), np.inf)
         self.push_end = np.full((n, slots), np.inf)
@@ -195,7 +193,7 @@ class VecLocomotionEnv:
             cfg.randomization, key, idx, self._next_draw(idx), enabled=self.randomization_on
         )
         self.mass_deltas[idx] = np.concatenate([ep["payload_mass"], ep["hip_mass"]], axis=1)
-        masses = np.repeat(self.ct.mass[None], idx.size, axis=0)
+        masses = np.repeat(self.tree.mass[None], idx.size, axis=0)
         masses[:, MASS_DELTA_BODIES] += self.mass_deltas[idx]
         self.params.masses[idx] = masses
         self.params.gravity[idx, 2] = -self.base_gravity + ep["gravity_offset"][:, 0]
@@ -215,9 +213,9 @@ class VecLocomotionEnv:
         placed = dyn.standing_state(self.tree, q)
         s = self.state
         s.cache = None
-        for name in ("base_pos", "base_quat", "base_linvel", "base_angvel", "q", "qdot", "time",
-                     "contact_flags", "contact_forces", "diverged", "cone_saturated"):
-            getattr(s, name)[idx] = getattr(placed, name)
+        for f in fields(dyn.BatchState):
+            if f.name != "cache":
+                getattr(s, f.name)[idx] = getattr(placed, f.name)
         self.prev_action[idx] = 0.0
         self.prev_qdot[idx] = 0.0
         self.air_time[idx] = 0.0
@@ -284,9 +282,8 @@ class VecLocomotionEnv:
             )
             push = self._active_push(state.time)
             ext = [(TRUNK_BODY, state.base_pos, push)] if np.any(push) else None
-            state = dyn.step_batch(
-                self.ct, state, tau, cfg.dt_physics, ext=ext, params=self.params
-            )
+            state = dyn.step_batch(self.tree, state, tau, cfg.dt_physics, ext=ext,
+                                   params=self.params)
             contact = state.contact_flags
             self.air_time[~contact] += cfg.dt_physics
             landing = contact & ~self.prev_contact
@@ -345,7 +342,7 @@ class VecLocomotionEnv:
     # termination / collisions
 
     def _termination_reasons(self, limit_hit, n_collisions):
-        fk = dyn._kinematics(self.ct, self.state)[0]
+        fk = dyn._kinematics(self.tree, self.state)[0]
         reasons = np.zeros(self.n, dtype=int)
         g_proj_z = -fk["R"][:, TRUNK_BODY, 2, 2]  # base-frame z of world -z
         reasons[n_collisions > 0] = REASON_CODE["illegal_contact"]
@@ -355,7 +352,7 @@ class VecLocomotionEnv:
         return reasons
 
     def _collision_counts(self):
-        fk = dyn._kinematics(self.ct, self.state)[0]
+        fk = dyn._kinematics(self.tree, self.state)[0]
         R0 = fk["R"][:, TRUNK_BODY]
         trunk_z = (
             self.state.base_pos[:, None, 2]
@@ -386,7 +383,7 @@ class VecLocomotionEnv:
         return v_base, w_base, g_proj
 
     def _rewards(self, actions, gains, touchdown_air, n_collisions, terminated):
-        fk, _, (foot_pos, foot_vel) = dyn._kinematics(self.ct, self.state)
+        fk, _, (foot_pos, foot_vel) = dyn._kinematics(self.tree, self.state)
         v_base, w_base, g_proj = self._base_frame()
         com = np.einsum("nb,nbi->ni", self.params.masses, fk["c"])
         com /= self.params.masses.sum(axis=1, keepdims=True)

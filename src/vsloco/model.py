@@ -1,8 +1,10 @@
 """Articulated model description: bodies, joints, and the quadruped builder.
 
-The dynamics engine consumes a compiled, array-based view of the tree; the
-dataclasses here are the user-facing description. All robot constants come
-from a YAML model file (see ``configs/model.yaml``), never from code.
+A ``KinematicTree`` is a base plus branches that are serial chains of equal
+length (the quadruped: a trunk and four 3-joint legs). It checks that layout
+when it is made and holds the arrays the batched dynamics engine reads. All
+robot constants come from a YAML model file (see ``configs/model.yaml``),
+never from code.
 """
 
 import importlib.resources
@@ -14,8 +16,6 @@ import yaml
 from .rotations import skew
 
 LEG_NAMES = ("FR", "FL", "RR", "RL")
-N_JOINTS = 12
-N_FEET = 4
 
 
 @dataclass
@@ -41,26 +41,20 @@ class JointSpec:
     """Revolute joint: unit axis and placement in the parent body frame."""
 
     axis: np.ndarray
-    parent_body: int
     origin_in_parent: np.ndarray
     position_limit: tuple
-    velocity_limit: float
     torque_limit: float
-    joint_kind: str = "revolute"
-    name: str = ""
 
     def __post_init__(self):
         self.axis = np.asarray(self.axis, dtype=float)
         self.origin_in_parent = np.asarray(self.origin_in_parent, dtype=float)
-        if self.joint_kind != "revolute":
-            raise ValueError(f"unsupported joint kind {self.joint_kind!r}")
         if abs(np.linalg.norm(self.axis) - 1.0) > 1e-9:
             raise ValueError("joint axis must be a unit vector")
         lo, hi = self.position_limit
         if not lo < hi:
             raise ValueError(f"position_limit min must be < max, got {self.position_limit}")
-        if not self.velocity_limit > 0 or not self.torque_limit > 0:
-            raise ValueError("velocity and torque limits must be positive")
+        if not self.torque_limit > 0:
+            raise ValueError("torque limit must be positive")
 
 
 @dataclass
@@ -69,16 +63,27 @@ class Body:
     parent: int  # -1 = world (fixed base) or the floating root's parent slot
     # collision spheres: list of (offset_in_body_frame, radius)
     collision_spheres: list = field(default_factory=list)
-    name: str = ""
 
 
 @dataclass
 class KinematicTree:
-    """Tree-structured rigid-body model.
+    """Rigid-body model: a base plus branches that are serial chains.
 
     ``floating`` trees treat body 0 as a 6-DoF base; each further body b is
     driven by ``joints[b-1]``. Fixed-base trees attach body b via
-    ``joints[b]`` (parent -1 meaning the world).
+    ``joints[b]`` (parent -1 meaning the world). The branches are serial
+    chains of equal length d, listed chain by chain: a chain's first body
+    hangs off the base (the world for a fixed base), each further body off
+    the one before. A tree with feet has one on the last body of each chain,
+    in chain order. Construction rejects any other layout.
+
+    It also builds the arrays the dynamics engine reads: the stacked body and
+    joint constants; each body's branch (-1: the base) and slot in it;
+    ``levels``, slot k of every chain as (bodies, joints, parents, rooted),
+    so the recursions take one vectorized step per depth; and the chain
+    masks (n_branches, d, d): ``branch_mask[i, k, s]`` = 1 when joint s moves
+    body k, which on a chain is s <= k, ``moves`` its transpose over joint
+    pairs and ``moved_by`` its strict part.
     """
 
     bodies: list
@@ -91,15 +96,48 @@ class KinematicTree:
     default_pose: np.ndarray = None
 
     def __post_init__(self):
-        offset = 1 if self.floating else 0
-        if len(self.joints) != len(self.bodies) - offset:
+        B, nj = len(self.bodies), len(self.joints)
+        start = 1 if self.floating else 0  # the first jointed body
+        root = start - 1  # parent of each chain's first body: the base, or the world
+        if nj != B - start:
             raise ValueError("need exactly one joint per non-root body")
-        for b, body in enumerate(self.bodies):
-            if body.parent >= b:
-                raise ValueError("bodies must be topologically ordered (parent < child)")
+        parents = [body.parent for body in self.bodies]
+        n_br = parents[start:].count(root)
+        d = nj // n_br if n_br else 0
+        chains = [-1] * start + [root if k == 0 else start + i * d + k - 1
+                                 for i in range(n_br) for k in range(d)]
+        if parents != chains:
+            raise ValueError("branches must be serial chains of equal length, "
+                             "listed branch by branch")
+        feet = np.asarray(self.foot_body_indices, dtype=int)
+        if feet.size and not np.array_equal(feet, start + d - 1 + d * np.arange(n_br)):
+            raise ValueError("a tree with feet needs one foot on the last body of each branch, "
+                             "in branch order")
         if self.foot_offsets is not None:
             self.foot_offsets = np.asarray(self.foot_offsets, dtype=float)
-        self._compiled = None
+
+        self.mass = np.array([b.inertia.mass for b in self.bodies])
+        self.com = np.stack([b.inertia.com_offset for b in self.bodies])
+        self.inertia = np.stack([b.inertia.rotational_inertia for b in self.bodies])
+        self.joint_axis = np.stack([j.axis for j in self.joints]) if nj else np.zeros((0, 3))
+        self.joint_origin = (
+            np.stack([j.origin_in_parent for j in self.joints]) if nj else np.zeros((0, 3))
+        )
+        self.axis_skew = skew(self.joint_axis)
+        self.axis_skew_sq = self.axis_skew @ self.axis_skew
+        self.n_base, self.n_branches, self.branch_size = 6 * start, n_br, d
+        self.body_branch = np.concatenate([np.full(start, -1), np.repeat(np.arange(n_br), d)])
+        self.body_slot = np.concatenate([np.zeros(start, dtype=int), np.tile(np.arange(d), n_br)])
+        self.branch_mask = np.repeat(np.tril(np.ones((d, d)))[None], n_br, axis=0)
+        self.moves = np.ascontiguousarray(self.branch_mask.swapaxes(-1, -2))
+        self.moved_by = self.branch_mask - np.eye(d)
+        # slot 0's parents are n_br copies of the root: an index array, as a
+        # slice cannot repeat an index
+        self.levels = [
+            (slice(start + k, B, d), slice(k, nj, d),
+             slice(start + k - 1, B, d) if k else np.full(n_br, root), k == 0 and not self.floating)
+            for k in range(d)
+        ]
 
     @property
     def n_bodies(self):
@@ -118,10 +156,6 @@ class KinematicTree:
         return b - 1 if self.floating else b
 
     @property
-    def total_mass(self):
-        return float(sum(body.inertia.mass for body in self.bodies))
-
-    @property
     def position_limits(self):
         lo = np.array([j.position_limit[0] for j in self.joints])
         hi = np.array([j.position_limit[1] for j in self.joints])
@@ -131,116 +165,15 @@ class KinematicTree:
     def torque_limits(self):
         return np.array([j.torque_limit for j in self.joints])
 
-    def compiled(self):
-        if self._compiled is None:
-            self._compiled = CompiledTree(self)
-        return self._compiled
-
-
-class CompiledTree:
-    """Array view of a KinematicTree used by the batched dynamics engine."""
-
-    def __init__(self, tree: KinematicTree):
-        B, nj = tree.n_bodies, tree.n_joints
-        self.tree = tree
-        self.floating = tree.floating
-        self.n_bodies = B
-        self.n_joints = nj
-        self.nv = tree.nv
-        self.parent = np.array([b.parent for b in tree.bodies], dtype=int)
-        self.mass = np.array([b.inertia.mass for b in tree.bodies])
-        self.com = np.stack([b.inertia.com_offset for b in tree.bodies])
-        self.inertia = np.stack([b.inertia.rotational_inertia for b in tree.bodies])
-        self.joint_axis = np.stack([j.axis for j in tree.joints]) if nj else np.zeros((0, 3))
-        self.joint_origin = (
-            np.stack([j.origin_in_parent for j in tree.joints]) if nj else np.zeros((0, 3))
-        )
-        self.axis_skew = skew(self.joint_axis)
-        self.axis_skew_sq = self.axis_skew @ self.axis_skew
-        self._compile_branches(tree)
-        # jointed bodies grouped by tree depth so recursions batch per level;
-        # a level is rooted (parents -1, the world) only at depth 0
-        depth = np.zeros(B, dtype=int)
-        for b in range(B):
-            depth[b] = 0 if self.parent[b] < 0 else depth[self.parent[b]] + 1
-        start = 1 if tree.floating else 0
-        self.levels = []
-        for d in sorted(set(depth[start:])) if B > start else []:
-            bodies = np.flatnonzero((depth == d) & (np.arange(B) >= start))
-            joints = np.array([tree.joint_of_body(b) for b in bodies])
-            self.levels.append(
-                (_index(bodies), _index(joints), _index(self.parent[bodies]), bool(d == 0))
-            )
-
-    def _compile_branches(self, tree):
-        """The branches: the subtrees hanging off the floating base (off the
-        world for a fixed base). A branch's joints move only its own bodies,
-        so the mass matrix over [base, branch 0, branch 1, ...] is
-        block-arrow. The blocks are batched over branches as reshapes of the
-        body, joint and velocity axes, so the branches must have equal sizes
-        and their bodies must be listed branch by branch; a foot, if the tree
-        has any, must sit on each branch, in branch order."""
-        B = self.n_bodies
-        root = 0 if tree.floating else -1
-        self.n_base = 6 if tree.floating else 0
-        self.body_branch = np.full(B, -1)  # -1: the floating base
-        self.body_slot = np.zeros(B, dtype=int)  # index within its branch
-        n_br = 0
-        for b in range(B):
-            if b == root:
-                continue
-            if self.parent[b] == root:
-                n_br += 1
-                self.body_branch[b] = n_br - 1
-            else:
-                self.body_branch[b] = self.body_branch[self.parent[b]]
-                self.body_slot[b] = (self.body_branch[:b] == self.body_branch[b]).sum()
-        jointed = self.body_branch[self.body_branch >= 0]
-        d = jointed.size // n_br if n_br else 0
-        if not np.array_equal(jointed, np.repeat(np.arange(n_br), d)):
-            raise ValueError("branches must have equal sizes and be listed branch by branch")
-        self.n_branches, self.branch_size = n_br, d
-        # branch_mask[i, k, s] = 1 when joint s of branch i moves its body k
-        self.branch_mask = np.zeros((n_br, d, d))
-        for b in range(B):
-            cur = b
-            while cur != root:
-                self.branch_mask[self.body_branch[b], self.body_slot[b], self.body_slot[cur]] = 1.0
-                cur = self.parent[cur]
-        # over joint pairs (s, t) of a branch: s moves t's body (s is t or an
-        # ancestor of t), and t strictly moves s's body
-        self.moves = np.ascontiguousarray(self.branch_mask.swapaxes(-1, -2))
-        self.moved_by = self.branch_mask - np.eye(d)
-        feet = np.asarray(tree.foot_body_indices, dtype=int)
-        if feet.size and not np.array_equal(self.body_branch[feet], np.arange(n_br)):
-            raise ValueError("a tree with feet needs one foot on each branch, in branch order")
-        # foot_mask[i, s] = 1 when joint s of branch i moves the branch's foot
-        self.foot_mask = self.branch_mask[np.arange(feet.size), self.body_slot[feet]]
-
-
-def _index(idx):
-    """idx as a slice when it is an increasing arithmetic sequence of valid
-    indices, so that indexing with it gives views, not copies; else the
-    array itself (a world parent, -1, stays an array)."""
-    step = idx[1] - idx[0] if idx.size > 1 else 1
-    if idx[0] >= 0 and step > 0 and np.array_equal(idx, np.arange(idx[0], idx[-1] + 1, step)):
-        return slice(int(idx[0]), int(idx[-1]) + 1, int(step))
-    return idx
-
 
 def _diag(values):
     return np.diag(np.asarray(values, dtype=float))
 
 
-def load_model_config(path=None):
-    """Load the robot model YAML (packaged default when path is None)."""
-    if path is None:
-        ref = importlib.resources.files("vsloco.configs") / "model.yaml"
-        text = ref.read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
-    return yaml.safe_load(text)
+def load_model_config():
+    """Load the packaged robot model YAML."""
+    ref = importlib.resources.files("vsloco.configs") / "model.yaml"
+    return yaml.safe_load(ref.read_text())
 
 
 def build_quadruped(cfg=None) -> KinematicTree:
@@ -257,12 +190,7 @@ def build_quadruped(cfg=None) -> KinematicTree:
 
     sx_sy = {"FR": (1, -1), "FL": (1, 1), "RR": (-1, -1), "RL": (-1, 1)}
     hx, hy = legs["hip_position"]
-    ab_off = legs["hip_abduction_offset"]
-    l_thigh = legs["thigh_length"]
-    l_calf = legs["calf_length"]
     lims = joints_cfg["position_limits"]
-    vel_lim = joints_cfg["velocity_limit"]
-    tau_lim = joints_cfg["torque_limit"]
 
     tsx, tsy, tsz = trunk["size"]
     corners = [
@@ -276,7 +204,6 @@ def build_quadruped(cfg=None) -> KinematicTree:
             inertia=SpatialInertia(trunk["mass"], trunk["com_offset"], _diag(trunk["inertia"])),
             parent=-1,
             collision_spheres=[(c, 0.0) for c in corners],
-            name="trunk",
         )
     ]
     joints = []
@@ -284,120 +211,56 @@ def build_quadruped(cfg=None) -> KinematicTree:
     foot_bodies = []
     for leg in LEG_NAMES:
         sx, sy = sx_sy[leg]
-        hip_parent = 0
-        hip = legs["hip"]
-        bodies.append(
-            Body(
-                inertia=SpatialInertia(
-                    hip["mass"], [0.0, sy * hip["com_lateral"], 0.0], _diag(hip["inertia"])
-                ),
-                parent=hip_parent,
-                collision_spheres=[(np.array([0.0, sy * hip["com_lateral"], 0.0]), hip_r)],
-                name=f"{leg}_hip",
-            )
+        # link, com in its body frame, joint axis, joint origin in the parent, limit
+        rows = (
+            ("hip", [0.0, sy * legs["hip"]["com_lateral"], 0.0], [1.0, 0.0, 0.0],
+             [sx * hx, sy * hy, 0.0], "hip"),
+            ("thigh", [0.0, 0.0, -legs["thigh"]["com_drop"]], [0.0, 1.0, 0.0],
+             [0.0, sy * legs["hip_abduction_offset"], 0.0], "thigh"),
+            ("calf", [0.0, 0.0, -legs["calf"]["com_drop"]], [0.0, 1.0, 0.0],
+             [0.0, 0.0, -legs["thigh_length"]], "knee"),
         )
-        joints.append(
-            JointSpec(
-                axis=[1.0, 0.0, 0.0],
-                parent_body=hip_parent,
-                origin_in_parent=[sx * hx, sy * hy, 0.0],
-                position_limit=tuple(lims["hip"]),
-                velocity_limit=vel_lim,
-                torque_limit=tau_lim,
-                name=f"{leg}_hip",
-            )
-        )
-        thigh_parent = len(bodies) - 1
-        thigh = legs["thigh"]
-        bodies.append(
-            Body(
-                inertia=SpatialInertia(
-                    thigh["mass"], [0.0, 0.0, -thigh["com_drop"]], _diag(thigh["inertia"])
-                ),
-                parent=thigh_parent,
-                name=f"{leg}_thigh",
-            )
-        )
-        joints.append(
-            JointSpec(
-                axis=[0.0, 1.0, 0.0],
-                parent_body=thigh_parent,
-                origin_in_parent=[0.0, sy * ab_off, 0.0],
-                position_limit=tuple(lims["thigh"]),
-                velocity_limit=vel_lim,
-                torque_limit=tau_lim,
-                name=f"{leg}_thigh",
-            )
-        )
-        calf_parent = len(bodies) - 1
-        calf = legs["calf"]
-        bodies.append(
-            Body(
-                inertia=SpatialInertia(
-                    calf["mass"], [0.0, 0.0, -calf["com_drop"]], _diag(calf["inertia"])
-                ),
-                parent=calf_parent,
-                name=f"{leg}_calf",
-            )
-        )
-        joints.append(
-            JointSpec(
-                axis=[0.0, 1.0, 0.0],
-                parent_body=calf_parent,
-                origin_in_parent=[0.0, 0.0, -l_thigh],
-                position_limit=tuple(lims["knee"]),
-                velocity_limit=vel_lim,
-                torque_limit=tau_lim,
-                name=f"{leg}_knee",
-            )
-        )
+        for k, (link, com, axis, origin, limit) in enumerate(rows):
+            # the hip's collision sphere sits at its com
+            spheres = [(np.array(com), hip_r)] if k == 0 else []
+            bodies.append(Body(
+                inertia=SpatialInertia(legs[link]["mass"], com, _diag(legs[link]["inertia"])),
+                parent=len(bodies) - 1 if k else 0,
+                collision_spheres=spheres,
+            ))
+            joints.append(JointSpec(axis, origin, tuple(lims[limit]), joints_cfg["torque_limit"]))
         foot_bodies.append(len(bodies) - 1)
 
     default_pose = np.tile(np.asarray(joints_cfg["default_pose"], dtype=float), 4)
-    tree = KinematicTree(
+    return KinematicTree(
         bodies=bodies,
         joints=joints,
         floating=True,
         foot_body_indices=tuple(foot_bodies),
-        foot_offsets=np.tile([0.0, 0.0, -l_calf], (4, 1)),
+        foot_offsets=np.tile([0.0, 0.0, -legs["calf_length"]], (4, 1)),
         gravity=float(cfg.get("gravity", 9.81)),
         contact=dict(cfg["contact"]),
         default_pose=default_pose,
     )
-    if tree.n_joints != N_JOINTS or len(tree.foot_body_indices) != N_FEET:
-        raise ValueError("quadruped must have 12 actuated joints and 4 feet")
-    return tree
 
 
 def pendulum_tree(mass=1.0, length=1.0, gravity=9.81, inertia_eps=1e-12, axis=(0.0, 1.0, 0.0)):
     """Fixed-base point-mass pendulum hanging along -z at q = 0 (test model)."""
-    body = Body(
-        inertia=SpatialInertia(mass, [0.0, 0.0, -length], np.eye(3) * inertia_eps),
-        parent=-1,
-        name="bob",
-    )
-    joint = JointSpec(
-        axis=list(axis),
-        parent_body=-1,
-        origin_in_parent=[0.0, 0.0, 0.0],
-        position_limit=(-100.0, 100.0),
-        velocity_limit=1e6,
-        torque_limit=1e6,
-        name="pivot",
-    )
+    body = Body(SpatialInertia(mass, [0.0, 0.0, -length], np.eye(3) * inertia_eps), parent=-1)
+    joint = JointSpec(list(axis), [0.0, 0.0, 0.0], (-100.0, 100.0), 1e6)
     return KinematicTree(bodies=[body], joints=[joint], floating=False, gravity=gravity)
 
 
 def double_pendulum_tree(m1=1.0, m2=0.7, l1=0.6, l2=0.4, gravity=9.81):
     """Fixed-base two-link chain of point masses (energy-oracle test model)."""
-    b1 = Body(SpatialInertia(m1, [0.0, 0.0, -l1], np.eye(3) * 1e-12), parent=-1, name="link1")
-    b2 = Body(SpatialInertia(m2, [0.0, 0.0, -l2], np.eye(3) * 1e-12), parent=0, name="link2")
-    j1 = JointSpec([0.0, 1.0, 0.0], -1, [0.0, 0.0, 0.0], (-100, 100), 1e6, 1e6, name="j1")
-    j2 = JointSpec([0.0, 1.0, 0.0], 0, [0.0, 0.0, -l1], (-100, 100), 1e6, 1e6, name="j2")
+    b1 = Body(SpatialInertia(m1, [0.0, 0.0, -l1], np.eye(3) * 1e-12), parent=-1)
+    b2 = Body(SpatialInertia(m2, [0.0, 0.0, -l2], np.eye(3) * 1e-12), parent=0)
+    j1 = JointSpec([0.0, 1.0, 0.0], [0.0, 0.0, 0.0], (-100, 100), 1e6)
+    j2 = JointSpec([0.0, 1.0, 0.0], [0.0, 0.0, -l1], (-100, 100), 1e6)
     return KinematicTree(bodies=[b1, b2], joints=[j1, j2], floating=False, gravity=gravity)
 
 
 def floating_box_tree(mass=2.0, inertia_diag=(0.02, 0.04, 0.05), gravity=9.81):
     """Single free-floating rigid body (momentum/free-fall test model)."""
-    body = Body(SpatialInertia(mass, [0.0, 0.0, 0.0], _diag(inertia_diag)), parent=-1, name="box")
+    body = Body(SpatialInertia(mass, [0.0, 0.0, 0.0], _diag(inertia_diag)), parent=-1)
     return KinematicTree(bodies=[body], joints=[], floating=True, gravity=gravity)

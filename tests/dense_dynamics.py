@@ -17,15 +17,14 @@ from vsloco.rotations import quat_exp, quat_mul, quat_normalize, skew
 
 def ancestors(ct):
     """(B, nj) bool: joint j lies on the path root -> body b."""
-    tree = ct.tree
     anc = np.zeros((ct.n_bodies, ct.n_joints), dtype=bool)
     for b in range(ct.n_bodies):
         cur = b
         while cur >= 0:
-            j = tree.joint_of_body(cur)
+            j = ct.joint_of_body(cur)
             if j >= 0:
                 anc[b, j] = True
-            cur = tree.bodies[cur].parent
+            cur = ct.bodies[cur].parent
     return anc
 
 
@@ -99,16 +98,16 @@ def assemble(ct, bs, tau, ext, params):
         J_p = point_jacobian(fk, J_v, J_w, body, point)
         Q += (J_p.transpose(0, 2, 1) @ force[..., None])[..., 0]
     contact = None
-    if ct.tree.foot_body_indices:
+    if ct.foot_body_indices:
         pos, v = dyn.foot_points(ct, fk, vel)
-        feet = np.asarray(ct.tree.foot_body_indices, dtype=int)
+        feet = np.asarray(ct.foot_body_indices, dtype=int)
         contact = {"pos": pos, "vel": v, "J_p": point_jacobian(fk, J_v, J_w, feet, pos)}
     return M, Q - h, contact
 
 
 def implicit_contact_velocity_update(ct, bs, dt, M, rhs, contact, params):
     """New generalized velocity and the saturated-foot mask (see the engine)."""
-    cfg = ct.tree.contact
+    cfg = ct.contact
     k_n = float(cfg["normal_stiffness"])
     c_n = float(cfg["normal_damping"])
     k_t = float(cfg["tangential_damping"])
@@ -184,7 +183,6 @@ def forward_dynamics(ct, bs, tau, ext=None):
     params = dyn.BatchParams.from_tree(ct, bs.n)
     M, rhs, contact = assemble(ct, bs, tau, ext, params)
     if contact is not None:
-        forces = dyn.contact_force_law(ct.tree.contact, params.friction, contact["pos"],
-                                       contact["vel"])
+        forces = dyn.contact_force_law(ct.contact, params.friction, contact["pos"], contact["vel"])
         rhs = rhs + foot_wrench(contact["J_p"], forces)
     return np.linalg.solve(M, rhs[..., None])[..., 0]

@@ -116,11 +116,10 @@ def test_kinetic_energy_consistent_with_mass_matrix(quad):
     M = dyn.mass_matrix(quad, s)[0]
     v = np.concatenate([s.base_linvel[0], s.base_angvel[0], s.qdot[0]])
     ke_m = 0.5 * v @ M @ v
-    ct = quad.compiled()
-    fk = dyn._fk(ct, s)
-    vel = dyn._velocities(ct, s, fk)
-    I_w = dyn._world_inertia(ct, fk)
-    ke_b = 0.5 * np.einsum("b,nbi,nbi->", ct.mass, vel["v_c"], vel["v_c"])
+    fk = dyn._fk(quad, s)
+    vel = dyn._velocities(quad, s, fk)
+    I_w = dyn._world_inertia(quad, fk)
+    ke_b = 0.5 * np.einsum("b,nbi,nbi->", quad.mass, vel["v_c"], vel["v_c"])
     ke_b += 0.5 * np.einsum("nbi,nbij,nbj->", vel["w"], I_w, vel["w"])
     assert abs(ke_m - ke_b) < 1e-9 * max(1.0, ke_b)
 
@@ -131,9 +130,8 @@ def test_spinning_body_angular_momentum_rate_zero():
     s = dyn.default_state(tree, base_pos=(0, 0, 1.0))
     s.base_angvel[:] = (2.0, -1.0, 0.5)
     qacc = dyn.forward_dynamics(tree, s, tau=np.zeros(0))[0]
-    ct = tree.compiled()
-    fk = dyn._fk(ct, s)
-    I_w = dyn._world_inertia(ct, fk)[0, 0]
+    fk = dyn._fk(tree, s)
+    I_w = dyn._world_inertia(tree, fk)[0, 0]
     residual = I_w @ qacc[3:6] + np.cross(s.base_angvel[0], I_w @ s.base_angvel[0])
     assert np.allclose(residual, 0, atol=1e-10)
     assert np.allclose(qacc[0:3], 0, atol=1e-12)
@@ -225,13 +223,12 @@ def _random_quad_batch(quad, rng, n, speed=1.0):
     """n quadruped states with feet up to 1 cm in the floor, random velocities
     and external forces of the given scale, randomized body masses, and
     friction between 0.05 and 1. The forces act on the trunk and a thigh."""
-    ct = quad.compiled()
     s = dyn.standing_state(quad, quad.default_pose + rng.normal(0, 0.2, (n, 12)))
     s.base_pos[:, 2] -= rng.uniform(0.0, 0.01, n)
     s.base_linvel[:] = rng.normal(0, speed, (n, 3))
     s.base_angvel[:] = rng.normal(0, speed, (n, 3))
     s.qdot[:] = rng.normal(0, 2 * speed, (n, 12))
-    params = dyn.BatchParams.from_tree(ct, n)
+    params = dyn.BatchParams.from_tree(quad, n)
     params.masses *= rng.uniform(0.8, 1.2, params.masses.shape)
     params.friction[:] = rng.uniform(0.05, 1.0, n)
     ext = [(0, s.base_pos + rng.normal(0, 0.05, (n, 3)), rng.normal(0, 50 * speed, (n, 3))),
@@ -260,45 +257,44 @@ def test_block_assembly_matches_dense_oracle(quad):
     s, params, ext = _random_quad_batch(quad, rng, 64)
     cases = [(quad, s, params, rng.normal(0, 5, (64, 12)), ext)]
     for tree, st in _other_trees(rng, 8):
-        ct = tree.compiled()
         tau = rng.normal(0, 1, (8, tree.n_joints))
-        cases.append((tree, st, dyn.BatchParams.from_tree(ct, 8), tau,
-                      [(ct.n_bodies - 1, st.base_pos + 0.1, rng.normal(0, 3, (8, 3)))]))
+        cases.append((tree, st, dyn.BatchParams.from_tree(tree, 8), tau,
+                      [(tree.n_bodies - 1, st.base_pos + 0.1, rng.normal(0, 3, (8, 3)))]))
     for tree, st, prm, tau, forces in cases:
-        ct = tree.compiled()
-        T, K, rhs, _ = dyn._assemble(ct, st, tau, forces, prm)
-        M_ref, rhs_ref, _ = dense.assemble(ct, st, tau, forces, prm)
-        M = dyn._dense_mass_matrix(ct, T, K)
+        T, K, rhs, _ = dyn._assemble(tree, st, tau, forces, prm)
+        M_ref, rhs_ref, _ = dense.assemble(tree, st, tau, forces, prm)
+        M = dyn._dense_mass_matrix(tree, T, K)
         assert _relative(M, M_ref) <= 1e-12
         assert _relative(rhs, rhs_ref) <= 1e-12
         qacc_ref = np.linalg.solve(M_ref, rhs_ref[..., None])[..., 0]
-        assert _relative(dyn._solve(ct, T, K, rhs), qacc_ref) <= 1e-12
-        M_nominal = dense.assemble(ct, st, tau, None, dyn.BatchParams.from_tree(ct, st.n))[0]
+        assert _relative(dyn._solve(tree, T, K, rhs), qacc_ref) <= 1e-12
+        M_nominal = dense.assemble(tree, st, tau, None, dyn.BatchParams.from_tree(tree, st.n))[0]
         assert _relative(dyn.mass_matrix(tree, st), M_nominal) <= 1e-12
         assert _relative(dyn.forward_dynamics(tree, st, tau, ext=forces),
-                         dense.forward_dynamics(ct, st, tau, ext=forces)) <= 1e-12
+                         dense.forward_dynamics(tree, st, tau, ext=forces)) <= 1e-12
 
 
 def test_tree_layouts_outside_the_block_form_rejected(quad):
     def link(parent):
         return Body(SpatialInertia(1.0, [0.0, 0.0, -0.1], np.eye(3) * 1e-3), parent=parent)
 
-    def joint(parent):
-        return JointSpec([0.0, 1.0, 0.0], parent, [0.0, 0.0, -0.1], (-3, 3), 10.0, 10.0)
-
-    def floating(parents):
+    def floating(parents, feet=()):
+        joint = JointSpec([0.0, 1.0, 0.0], [0.0, 0.0, -0.1], (-3, 3), 10.0)
         return KinematicTree(bodies=[link(-1)] + [link(p) for p in parents],
-                             joints=[joint(p) for p in parents], floating=True)
+                             joints=[joint] * len(parents), floating=True,
+                             foot_body_indices=feet, foot_offsets=np.zeros((len(feet), 3)))
 
-    assert floating([0, 1, 0, 3]).compiled().n_branches == 2
-    for parents in ([0, 0, 2], [0, 0, 1, 2]):  # branch sizes 1 and 2; branches interleaved
+    assert floating([0, 1, 0, 3], feet=(2, 4)).n_branches == 2
+    # branch sizes 1 and 2; branches interleaved; one branch forked after its first body
+    for parents in ([0, 0, 2], [0, 0, 1, 2], [0, 1, 1]):
         with pytest.raises(ValueError, match="branch by branch"):
-            floating(parents).compiled()
-    swapped = KinematicTree(bodies=quad.bodies, joints=quad.joints, floating=True,
-                            foot_body_indices=quad.foot_body_indices[::-1],
-                            foot_offsets=quad.foot_offsets, contact=quad.contact)
-    with pytest.raises(ValueError, match="one foot on each branch"):
-        swapped.compiled()
+            floating(parents)
+    with pytest.raises(ValueError, match="one foot on the last body of each branch"):
+        floating([0, 1, 0, 3], feet=(1, 4))  # the first foot mid-chain
+    with pytest.raises(ValueError, match="one foot on the last body of each branch"):
+        KinematicTree(bodies=quad.bodies, joints=quad.joints, floating=True,
+                      foot_body_indices=quad.foot_body_indices[::-1],
+                      foot_offsets=quad.foot_offsets, contact=quad.contact)
 
 
 def _pd_torque(tree, state, q_ref):
@@ -315,21 +311,19 @@ def test_step_batch_matches_dense_oracle_over_one_second(quad):
     s, params, ext = _random_quad_batch(quad, rng, 16, speed=0.3)
     runs = [(quad, s, params, ext, lambda st: _pd_torque(quad, st, quad.default_pose))]
     for tree, st in _other_trees(rng, 4):
-        c = tree.compiled()
-        runs.append((tree, st, dyn.BatchParams.from_tree(c, 4),
-                     [(c.n_bodies - 1, st.base_pos + 0.1, rng.normal(0, 3, (4, 3)))],
+        runs.append((tree, st, dyn.BatchParams.from_tree(tree, 4),
+                     [(tree.n_bodies - 1, st.base_pos + 0.1, rng.normal(0, 3, (4, 3)))],
                      lambda st, nj=tree.n_joints: np.zeros((st.n, nj))))
     for tree, st, prm, forces, torque in runs:
-        c = tree.compiled()
         ref = copy.deepcopy(st)
         n_saturated = 0
         for _ in range(500):
             tau = torque(st)
-            st = dyn.step_batch(c, st, tau, 0.002, ext=forces, params=prm)
+            st = dyn.step_batch(tree, st, tau, 0.002, ext=forces, params=prm)
             (base_pos, base_quat, v, q), saturated = dense.step_batch(
-                c, ref, torque(ref), 0.002, ext=forces, params=prm)
+                tree, ref, torque(ref), 0.002, ext=forces, params=prm)
             ref = dyn.BatchState(base_pos=base_pos, base_quat=base_quat, base_linvel=v[:, 0:3],
-                                 base_angvel=v[:, 3:6], q=q, qdot=v[:, c.n_base:], time=st.time)
+                                 base_angvel=v[:, 3:6], q=q, qdot=v[:, tree.n_base:], time=st.time)
             if not tree.floating:
                 ref.base_linvel, ref.base_angvel = st.base_linvel, st.base_angvel
             for f in ("base_pos", "base_quat", "base_linvel", "base_angvel", "q", "qdot"):
@@ -360,7 +354,6 @@ def test_sharded_step_is_bit_identical(quad):
     # 7 rows in 1, 2 and 3 row shards (sizes 7; 3 + 4; 2 + 2 + 3) over 5
     # substeps, with feet sliding on low-friction floors and a trunk push;
     # the threads switch every microsecond, so they interleave finely
-    ct = quad.compiled()
     rng = np.random.default_rng(17)
     s, params, _ = _random_quad_batch(quad, rng, 7)
     ext = [(0, s.base_pos + rng.normal(0, 0.05, (7, 3)), rng.normal(0, 80, (7, 3)))]
@@ -372,7 +365,7 @@ def test_sharded_step_is_bit_identical(quad):
         for shards in (1, 2, 3):
             st, runs[shards] = dataclasses.replace(s, cache=None), []
             for _ in range(5):
-                st = dyn.step_batch(ct, st, tau, 0.002, ext=ext, params=params, _shards=shards)
+                st = dyn.step_batch(quad, st, tau, 0.002, ext=ext, params=params, _shards=shards)
                 runs[shards].append(st)
     finally:
         sys.setswitchinterval(interval)
@@ -384,14 +377,13 @@ def test_sharded_step_is_bit_identical(quad):
 
 @pytest.mark.parametrize("shards", [1, 2])
 def test_step_caches_the_kinematics_of_the_new_state(quad, shards):
-    ct = quad.compiled()
     s, params, ext = _random_quad_batch(quad, np.random.default_rng(3), 4)
-    new = dyn.step_batch(ct, s, np.zeros((4, 12)), 0.002, ext=ext, params=params,
+    new = dyn.step_batch(quad, s, np.zeros((4, 12)), 0.002, ext=ext, params=params,
                          _shards=shards)
     fresh = dataclasses.replace(new, cache=None)
-    fk = dyn._fk(ct, fresh)
-    vel = dyn._velocities(ct, fresh, fk)
-    pos, v = dyn.foot_points(ct, fk, vel)
+    fk = dyn._fk(quad, fresh)
+    vel = dyn._velocities(quad, fresh, fk)
+    pos, v = dyn.foot_points(quad, fk, vel)
     _, _, (cached_pos, cached_v) = new.cache
     assert np.array_equal(cached_pos, pos) and np.array_equal(cached_v, v)
     assert np.array_equal(new.contact_flags, pos[..., 2] < 0.0)
@@ -402,16 +394,15 @@ def test_reported_contact_forces_are_the_applied_ones(quad, shards):
     # the substep's generalized force balance on the dense oracle,
     # M (v_new - v) / dt - rhs = sum_f J_f' contact_forces[f], in the rows
     # whose sliding feet were re-solved and in the rows that were not
-    ct = quad.compiled()
     rng = np.random.default_rng(8)
     s, params, ext = _random_quad_batch(quad, rng, 16, speed=0.1)
     tau = rng.normal(0, 5, (16, 12))
-    M, rhs, contact = dense.assemble(ct, s, tau, ext, params)
-    new = dyn.step_batch(ct, dataclasses.replace(s, cache=None), tau, 0.002, ext=ext,
+    M, rhs, contact = dense.assemble(quad, s, tau, ext, params)
+    new = dyn.step_batch(quad, dataclasses.replace(s, cache=None), tau, 0.002, ext=ext,
                          params=params, _shards=shards)
     sliding = new.cone_saturated.any(axis=1)
     assert sliding.any() and not sliding.all()
-    dv = dense.generalized_velocity(ct, new) - dense.generalized_velocity(ct, s)
+    dv = dense.generalized_velocity(quad, new) - dense.generalized_velocity(quad, s)
     balance = (M @ dv[..., None])[..., 0] / 0.002 - rhs
     applied = dense.foot_wrench(contact["J_p"], new.contact_forces)
     for rows in (sliding, ~sliding):
@@ -433,19 +424,17 @@ def test_fixed_base_chains_solve_through_the_joint_blocks():
     # joint-block solve of one branch of 1 or 2 joints
     rng = np.random.default_rng(8)
     for tree in (pendulum_tree(), double_pendulum_tree()):
-        ct = tree.compiled()
         s = dyn.default_state(tree, q=rng.normal(0, 1, (5, tree.n_joints)))
         s.qdot[:] = rng.normal(0, 2, s.qdot.shape)
-        T, K, rhs, _ = dyn._assemble(ct, s, rng.normal(0, 1, (5, tree.n_joints)), None,
-                                     dyn.BatchParams.from_tree(ct, 5))
+        T, K, rhs, _ = dyn._assemble(tree, s, rng.normal(0, 1, (5, tree.n_joints)), None,
+                                     dyn.BatchParams.from_tree(tree, 5))
         nj = tree.n_joints
-        assert ct.n_base == 0 and T.shape == (5, 0, 0) and K.shape == (5, 1, nj, nj)
-        qacc = np.linalg.solve(dyn._dense_mass_matrix(ct, T, K), rhs[..., None])[..., 0]
-        assert _relative(dyn._solve(ct, T, K, rhs), qacc) <= 1e-12
+        assert tree.n_base == 0 and T.shape == (5, 0, 0) and K.shape == (5, 1, nj, nj)
+        qacc = np.linalg.solve(dyn._dense_mass_matrix(tree, T, K), rhs[..., None])[..., 0]
+        assert _relative(dyn._solve(tree, T, K, rhs), qacc) <= 1e-12
 
 
 def test_cone_saturation_flags(quad):
-    ct = quad.compiled()
     assert not dyn.default_state(quad).cone_saturated.any()
     # settled standing on mu = 1: every foot sticks
     kp, kd = 150.0, 0.2 * np.sqrt(150.0)
@@ -460,9 +449,9 @@ def test_cone_saturation_flags(quad):
     s = dyn.standing_state(quad)
     s.base_pos[0, 2] -= 0.002
     s.base_linvel[0] = (1.0, 0.0, 0.0)
-    params = dyn.BatchParams.from_tree(ct, 1)
+    params = dyn.BatchParams.from_tree(quad, 1)
     params.friction[:] = 0.05
-    s2 = dyn.step_batch(ct, s, np.zeros((1, 12)), 0.002, params=params)
+    s2 = dyn.step_batch(quad, s, np.zeros((1, 12)), 0.002, params=params)
     assert s2.cone_saturated.all()
 
 
@@ -502,7 +491,7 @@ def test_momentum_gains_exactly_gravity_impulse(quad):
     # zero angular/joint rates: velocity-product terms vanish and the
     # per-step momentum change equals m g dt to roundoff
     dt = 0.002
-    m_tot = quad.total_mass
+    m_tot = quad.mass.sum()
     s = dyn.default_state(quad, q=quad.default_pose, base_pos=(0, 0, 3.0))
     s.base_linvel[:] = (0.4, -0.2, 0.1)
     for _ in range(5):

@@ -246,8 +246,8 @@ def test_joint_limit_clamp_refreshes_kinematics_cache():
     assert done[0] and info["reasons"][0] == REASON_CODE["joint_limit"]
     assert env.state.q[0, 2] == env.q_limits[1][2]
     fk, vel, _ = env.state.cache
-    fresh_fk = dyn._fk(env.ct, env.state)
-    fresh_vel = dyn._velocities(env.ct, env.state, fresh_fk)
+    fresh_fk = dyn._fk(env.tree, env.state)
+    fresh_vel = dyn._velocities(env.tree, env.state, fresh_fk)
     for cached, fresh in ((fk, fresh_fk), (vel, fresh_vel)):
         for key in fresh:
             assert np.array_equal(cached[key], fresh[key]), key

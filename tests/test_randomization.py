@@ -55,7 +55,7 @@ def test_mass_delta_layout():
     env = _env_with_rows({"payload_mass": (2.0, 2.0), "hip_mass": (0.1, 0.1)})
     assert np.allclose(env.mass_deltas[0], [2.0, 0.1, 0.1, 0.1, 0.1])
     assert np.allclose(env.observe_privileged()[0, 37:42], [2.0, 0.1, 0.1, 0.1, 0.1])
-    added = env.params.masses[0] - env.ct.mass
+    added = env.params.masses[0] - env.tree.mass
     expected = np.zeros_like(added)
     expected[[0, 1, 4, 7, 10]] = [2.0, 0.1, 0.1, 0.1, 0.1]
     assert np.allclose(added, expected, atol=1e-12)
