@@ -125,8 +125,8 @@ class VecLocomotionEnv:
         self.q_default = self.tree.default_pose
         self.q_limits = self.tree.position_limits
         self.torque_limit = self.tree.torque_limits
-        self.base_friction = float(self.tree.contact.get("friction", 1.0))
-        self.base_gravity = float(self.tree.gravity)
+        # the tree's masses, gravity and friction, from which resets rebuild rows
+        self.nominal_params = dyn.BatchParams.from_tree(self.tree, self.n)
         self.seed = int(seed)
         self.key = dr.seed_key(self.seed)
         self.env_ids = np.arange(self.n)
@@ -193,11 +193,12 @@ class VecLocomotionEnv:
             cfg.randomization, key, idx, self._next_draw(idx), enabled=self.randomization_on
         )
         self.mass_deltas[idx] = np.concatenate([ep["payload_mass"], ep["hip_mass"]], axis=1)
-        masses = np.repeat(self.tree.mass[None], idx.size, axis=0)
+        nominal = self.nominal_params
+        masses = nominal.masses[idx]
         masses[:, MASS_DELTA_BODIES] += self.mass_deltas[idx]
         self.params.masses[idx] = masses
-        self.params.gravity[idx, 2] = -self.base_gravity + ep["gravity_offset"][:, 0]
-        self.params.friction[idx] = self.base_friction * ep["ground_friction"][:, 0]
+        self.params.gravity[idx, 2] = nominal.gravity[idx, 2] + ep["gravity_offset"][:, 0]
+        self.params.friction[idx] = nominal.friction[idx] * ep["ground_friction"][:, 0]
         delay = (ep["system_delay"][:, 0] / 1000.0 / cfg.dt_physics).astype(int)
         self.delay_substeps[idx] = np.minimum(delay, cfg.physics_substeps - 1)
         self.kp_scale[idx] = ep["kp_scale"]
@@ -211,11 +212,9 @@ class VecLocomotionEnv:
             self.state = dyn.default_state(self.tree, np.zeros((self.n, 12)))
         # place each reset robot with its lowest foot exactly on the floor
         placed = dyn.standing_state(self.tree, q)
-        s = self.state
-        s.cache = None
         for f in fields(dyn.BatchState):
             if f.name != "cache":
-                getattr(s, f.name)[idx] = getattr(placed, f.name)
+                getattr(self.state, f.name)[idx] = getattr(placed, f.name)
         self.prev_action[idx] = 0.0
         self.prev_qdot[idx] = 0.0
         self.air_time[idx] = 0.0
@@ -280,10 +279,8 @@ class VecLocomotionEnv:
             tau = act.compute_torque_randomized(
                 eff, state.q, state.qdot, rand, torque_limit=self.torque_limit
             )
-            push = self._active_push(state.time)
-            ext = [(TRUNK_BODY, state.base_pos, push)] if np.any(push) else None
-            state = dyn.step_batch(self.tree, state, tau, cfg.dt_physics, ext=ext,
-                                   params=self.params)
+            state = dyn.step_batch(self.tree, state, tau, cfg.dt_physics,
+                                   push=self._active_push(state.time), params=self.params)
             contact = state.contact_flags
             self.air_time[~contact] += cfg.dt_physics
             landing = contact & ~self.prev_contact
@@ -298,9 +295,7 @@ class VecLocomotionEnv:
         # joint limits: violation terminates, state is stored clamped
         lo, hi = self.q_limits
         limit_hit = np.any((state.q < lo - 1e-9) | (state.q > hi + 1e-9), axis=1)
-        if np.any((state.q < lo) | (state.q > hi)):
-            np.clip(state.q, lo, hi, out=state.q)
-            state.cache = None  # the kinematics of step_batch are of the unclamped pose
+        np.clip(state.q, lo, hi, out=state.q)
 
         n_collisions = self._collision_counts()
         reasons = self._termination_reasons(limit_hit, n_collisions)
@@ -370,13 +365,7 @@ class VecLocomotionEnv:
     # rewards and observations
 
     def _base_frame(self):
-        # the trunk rotation quat_to_matrix(base_quat), which _fk computed for
-        # the kinematics cache of step_batch unless a reset or clamp dropped it
-        cache = self.state.cache
-        if cache is not None:
-            R0 = cache[0]["R"][:, TRUNK_BODY]
-        else:
-            R0 = quat_to_matrix(self.state.base_quat)
+        R0 = quat_to_matrix(self.state.base_quat)
         v_base = np.einsum("nji,nj->ni", R0, self.state.base_linvel)
         w_base = np.einsum("nji,nj->ni", R0, self.state.base_angvel)
         g_proj = -R0[:, 2, :]  # world (0,0,-1) expressed in the base frame

@@ -78,12 +78,11 @@ class KinematicTree:
     in chain order. Construction rejects any other layout.
 
     It also builds the arrays the dynamics engine reads: the stacked body and
-    joint constants; each body's branch (-1: the base) and slot in it;
-    ``levels``, slot k of every chain as (bodies, joints, parents, rooted),
-    so the recursions take one vectorized step per depth; and the chain
-    masks (n_branches, d, d): ``branch_mask[i, k, s]`` = 1 when joint s moves
-    body k, which on a chain is s <= k, ``moves`` its transpose over joint
-    pairs and ``moved_by`` its strict part.
+    joint constants; ``levels``, slot k of every chain as (bodies, joints,
+    parents, rooted), so the recursions take one vectorized step per depth;
+    and the chain masks (d, d), the same on every chain: ``moves[s, t]`` = 1
+    when joint s moves joint t's body, which on a chain is s <= t, and
+    ``moved_by[s, t]`` = 1 when joint t moves joint s's body, t < s.
     """
 
     bodies: list
@@ -126,11 +125,8 @@ class KinematicTree:
         self.axis_skew = skew(self.joint_axis)
         self.axis_skew_sq = self.axis_skew @ self.axis_skew
         self.n_base, self.n_branches, self.branch_size = 6 * start, n_br, d
-        self.body_branch = np.concatenate([np.full(start, -1), np.repeat(np.arange(n_br), d)])
-        self.body_slot = np.concatenate([np.zeros(start, dtype=int), np.tile(np.arange(d), n_br)])
-        self.branch_mask = np.repeat(np.tril(np.ones((d, d)))[None], n_br, axis=0)
-        self.moves = np.ascontiguousarray(self.branch_mask.swapaxes(-1, -2))
-        self.moved_by = self.branch_mask - np.eye(d)
+        self.moves = np.triu(np.ones((d, d)))
+        self.moved_by = np.tril(np.ones((d, d)), -1)
         # slot 0's parents are n_br copies of the root: an index array, as a
         # slice cannot repeat an index
         self.levels = [

@@ -48,9 +48,6 @@ class MLP:
             acts.append(h)
         return h, acts
 
-    def __call__(self, x):
-        return self.forward(x)[0]
-
     def backward(self, acts, grad_out):
         """Gradients of sum(grad_out * output) w.r.t. params and input."""
         gW = [None] * len(self.W)
@@ -114,23 +111,23 @@ class GaussianActor:
         std = np.exp(self.log_std)
         noise = rng.standard_normal(mean.shape).astype(F32)
         action = mean + std * noise
-        logp = self.log_prob_of(mean, action)
+        logp, _ = self.log_prob_of(mean, action)
         return action, logp
 
     def mean_action(self, obs):
         return self.mlp.forward(obs)[0]
 
     def log_prob_of(self, mean, action):
-        std = np.exp(self.log_std)
-        z = (action - mean) / std
-        return (-0.5 * (z**2) - self.log_std - 0.5 * LOG_2PI).sum(axis=-1)
+        """Log-density of action under the policy with this mean, and the
+        standardized action z = (action - mean) / std."""
+        z = (action - mean) / np.exp(self.log_std)
+        return (-0.5 * (z**2) - self.log_std - 0.5 * LOG_2PI).sum(axis=-1), z
 
     def evaluate(self, obs, action):
         """Log-probs, entropy and the caches needed for the backward pass."""
         mean, acts = self.mlp.forward(obs)
         std = np.exp(self.log_std)
-        z = (action - mean) / std
-        logp = (-0.5 * (z**2) - self.log_std - 0.5 * LOG_2PI).sum(axis=-1)
+        logp, z = self.log_prob_of(mean, action)
         entropy = float(self.log_std.sum() + 0.5 * self.log_std.size * (LOG_2PI + 1.0))
         return logp, entropy, {"acts": acts, "z": z, "std": std}
 

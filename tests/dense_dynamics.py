@@ -81,7 +81,7 @@ def foot_wrench(J_p, forces):
     return (J_p.reshape(N, F * 3, nv).transpose(0, 2, 1) @ forces.reshape(N, F * 3, 1))[..., 0]
 
 
-def assemble(ct, bs, tau, ext, params):
+def assemble(ct, bs, tau, push, params):
     """Dense M (N, nv, nv), applied-minus-bias force (N, nv), foot context."""
     fk = dyn._fk(ct, bs)
     vel = dyn._velocities(ct, bs, fk)
@@ -94,9 +94,9 @@ def assemble(ct, bs, tau, ext, params):
     Q = np.zeros((bs.n, ct.nv))
     if ct.n_joints:
         Q[:, off:] = tau
-    for body, point, force in ext or []:
-        J_p = point_jacobian(fk, J_v, J_w, body, point)
-        Q += (J_p.transpose(0, 2, 1) @ force[..., None])[..., 0]
+    if push is not None:  # a world force at the base origin
+        J_p = point_jacobian(fk, J_v, J_w, 0, bs.base_pos)
+        Q += (J_p.transpose(0, 2, 1) @ push[..., None])[..., 0]
     contact = None
     if ct.foot_body_indices:
         pos, v = dyn.foot_points(ct, fk, vel)
@@ -158,12 +158,12 @@ def generalized_velocity(ct, bs):
     return np.concatenate(parts, axis=1)
 
 
-def step_batch(ct, bs, tau, dt, ext=None, params=None):
+def step_batch(ct, bs, tau, dt, push=None, params=None):
     """One semi-implicit Euler substep; returns the new state's (base_pos,
     base_quat, v_new, q) and the saturated-foot mask (None without feet)."""
     if params is None:
         params = dyn.BatchParams.from_tree(ct, bs.n)
-    M, rhs, contact = assemble(ct, bs, tau, ext, params)
+    M, rhs, contact = assemble(ct, bs, tau, push, params)
     saturated = None
     if contact is not None:
         v_new, saturated = implicit_contact_velocity_update(ct, bs, dt, M, rhs, contact, params)
@@ -178,10 +178,10 @@ def step_batch(ct, bs, tau, dt, ext=None, params=None):
     return (base_pos, base_quat, v_new, q), saturated
 
 
-def forward_dynamics(ct, bs, tau, ext=None):
+def forward_dynamics(ct, bs, tau, push=None):
     """Generalized accelerations with explicit penalty contact forces."""
     params = dyn.BatchParams.from_tree(ct, bs.n)
-    M, rhs, contact = assemble(ct, bs, tau, ext, params)
+    M, rhs, contact = assemble(ct, bs, tau, push, params)
     if contact is not None:
         forces = dyn.contact_force_law(ct.contact, params.friction, contact["pos"], contact["vel"])
         rhs = rhs + foot_wrench(contact["J_p"], forces)

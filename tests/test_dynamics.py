@@ -150,18 +150,27 @@ def test_rejects_non_finite_input(quad):
 
 def test_rejects_non_finite_external_force(quad):
     s = dyn.standing_state(quad)
-    finite, bad = np.zeros((1, 3)), np.array([[0.0, np.nan, np.inf]])
-    for point, force in ((finite, bad), (bad, finite)):
-        with pytest.raises(ValueError, match="external force"):
-            dyn.step(quad, s, tau=np.zeros(12), ext=[(0, point, force)])
-        with pytest.raises(ValueError, match="external force"):
-            dyn.forward_dynamics(quad, s, tau=np.zeros(12), ext=[(0, point, force)])
+    bad = np.array([[0.0, np.nan, np.inf]])
+    with pytest.raises(ValueError, match="external force"):
+        dyn.step(quad, s, tau=np.zeros(12), push=bad)
+    with pytest.raises(ValueError, match="external force"):
+        dyn.forward_dynamics(quad, s, tau=np.zeros(12), push=bad)
 
 
-def _row(state, i):
-    """Row i of a state as an N = 1 state."""
+def test_rejects_push_on_fixed_base():
+    tree = pendulum_tree()
+    s = pendulum_state(tree, 0.3)
+    push = np.array([[1.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="floating base"):
+        dyn.step(tree, s, tau=np.zeros(1), push=push)
+    with pytest.raises(ValueError, match="floating base"):
+        dyn.forward_dynamics(tree, s, tau=np.zeros(1), push=push)
+
+
+def _copy(state, rows=slice(None)):
+    """The rows of a state as a new state without a kinematics cache."""
     return dyn.BatchState(**{
-        f.name: getattr(state, f.name)[i:i + 1].copy()
+        f.name: getattr(state, f.name)[rows].copy()
         for f in dataclasses.fields(state)
         if f.name != "cache"
     })
@@ -176,11 +185,10 @@ def test_entry_points_act_row_by_row(quad):
     s.base_angvel[:] = rng.normal(0, 0.5, (3, 3))
     s.qdot[:] = rng.normal(0, 1, (3, 12))
     tau = rng.normal(0, 3, (3, 12))
-    point = s.base_pos + rng.normal(0, 0.05, (3, 3))
-    force = rng.normal(0, 20, (3, 3))
+    push = rng.normal(0, 20, (3, 3))
     batched = {
-        "step": dyn.step(quad, s, tau=tau, ext=[(0, point, force)]),
-        "forward_dynamics": dyn.forward_dynamics(quad, s, tau=tau, ext=[(0, point, force)]),
+        "step": dyn.step(quad, s, tau=tau, push=push),
+        "forward_dynamics": dyn.forward_dynamics(quad, s, tau=tau, push=push),
         "total_energy": dyn.total_energy(quad, s),
         "contact_forces": dyn.contact_forces(quad, s, friction_coefficient=0.8),
     }
@@ -189,11 +197,11 @@ def test_entry_points_act_row_by_row(quad):
     assert batched["contact_forces"].shape == (3, 4, 3)
     assert np.any(batched["contact_forces"][..., 2] > 0.0)
     for i in range(3):
-        r = _row(s, i)
-        ext = [(0, point[i:i + 1], force[i:i + 1])]
+        r = _copy(s, slice(i, i + 1))
         single = {
-            "step": dyn.step(quad, r, tau=tau[i:i + 1], ext=ext),
-            "forward_dynamics": dyn.forward_dynamics(quad, r, tau=tau[i:i + 1], ext=ext),
+            "step": dyn.step(quad, r, tau=tau[i:i + 1], push=push[i:i + 1]),
+            "forward_dynamics": dyn.forward_dynamics(quad, r, tau=tau[i:i + 1],
+                                                     push=push[i:i + 1]),
             "total_energy": dyn.total_energy(quad, r),
             "contact_forces": dyn.contact_forces(quad, r, friction_coefficient=0.8),
         }
@@ -207,8 +215,8 @@ def test_entry_points_act_row_by_row(quad):
 
 def test_entry_points_ignore_cache_of_edited_state(quad):
     s = dyn.step(quad, dyn.standing_state(quad), tau=np.zeros(12))
-    s.base_pos[0, 2] -= 0.01  # in place: the (fk, vel) cache from step is now stale
-    fresh = dataclasses.replace(s, cache=None)
+    s.base_pos[0, 2] -= 0.01  # in place: the kinematics step cached are now stale
+    fresh = _copy(s)
     assert np.array_equal(dyn.forward_dynamics(quad, s, tau=np.zeros(12)),
                           dyn.forward_dynamics(quad, fresh, tau=np.zeros(12)))
     assert np.array_equal(dyn.step(quad, s, tau=np.zeros(12)).base_linvel,
@@ -221,8 +229,8 @@ def test_entry_points_ignore_cache_of_edited_state(quad):
 
 def _random_quad_batch(quad, rng, n, speed=1.0):
     """n quadruped states with feet up to 1 cm in the floor, random velocities
-    and external forces of the given scale, randomized body masses, and
-    friction between 0.05 and 1. The forces act on the trunk and a thigh."""
+    and base pushes of the given scale, randomized body masses, and friction
+    between 0.05 and 1."""
     s = dyn.standing_state(quad, quad.default_pose + rng.normal(0, 0.2, (n, 12)))
     s.base_pos[:, 2] -= rng.uniform(0.0, 0.01, n)
     s.base_linvel[:] = rng.normal(0, speed, (n, 3))
@@ -231,9 +239,7 @@ def _random_quad_batch(quad, rng, n, speed=1.0):
     params = dyn.BatchParams.from_tree(quad, n)
     params.masses *= rng.uniform(0.8, 1.2, params.masses.shape)
     params.friction[:] = rng.uniform(0.05, 1.0, n)
-    ext = [(0, s.base_pos + rng.normal(0, 0.05, (n, 3)), rng.normal(0, 50 * speed, (n, 3))),
-           (5, s.base_pos + rng.normal(0, 0.2, (n, 3)), rng.normal(0, 20 * speed, (n, 3)))]
-    return s, params, ext
+    return s, params, rng.normal(0, 50 * speed, (n, 3))
 
 
 def _other_trees(rng, n):
@@ -254,15 +260,15 @@ def _relative(a, b):
 
 def test_block_assembly_matches_dense_oracle(quad):
     rng = np.random.default_rng(21)
-    s, params, ext = _random_quad_batch(quad, rng, 64)
-    cases = [(quad, s, params, rng.normal(0, 5, (64, 12)), ext)]
+    s, params, push = _random_quad_batch(quad, rng, 64)
+    cases = [(quad, s, params, rng.normal(0, 5, (64, 12)), push)]
     for tree, st in _other_trees(rng, 8):
         tau = rng.normal(0, 1, (8, tree.n_joints))
         cases.append((tree, st, dyn.BatchParams.from_tree(tree, 8), tau,
-                      [(tree.n_bodies - 1, st.base_pos + 0.1, rng.normal(0, 3, (8, 3)))]))
-    for tree, st, prm, tau, forces in cases:
-        T, K, rhs, _ = dyn._assemble(tree, st, tau, forces, prm)
-        M_ref, rhs_ref, _ = dense.assemble(tree, st, tau, forces, prm)
+                      rng.normal(0, 3, (8, 3)) if tree.floating else None))
+    for tree, st, prm, tau, push in cases:
+        T, K, rhs, _ = dyn._assemble(tree, st, tau, push, prm)
+        M_ref, rhs_ref, _ = dense.assemble(tree, st, tau, push, prm)
         M = dyn._dense_mass_matrix(tree, T, K)
         assert _relative(M, M_ref) <= 1e-12
         assert _relative(rhs, rhs_ref) <= 1e-12
@@ -270,8 +276,8 @@ def test_block_assembly_matches_dense_oracle(quad):
         assert _relative(dyn._solve(tree, T, K, rhs), qacc_ref) <= 1e-12
         M_nominal = dense.assemble(tree, st, tau, None, dyn.BatchParams.from_tree(tree, st.n))[0]
         assert _relative(dyn.mass_matrix(tree, st), M_nominal) <= 1e-12
-        assert _relative(dyn.forward_dynamics(tree, st, tau, ext=forces),
-                         dense.forward_dynamics(tree, st, tau, ext=forces)) <= 1e-12
+        assert _relative(dyn.forward_dynamics(tree, st, tau, push=push),
+                         dense.forward_dynamics(tree, st, tau, push=push)) <= 1e-12
 
 
 def test_tree_layouts_outside_the_block_form_rejected(quad):
@@ -306,22 +312,22 @@ def _pd_torque(tree, state, q_ref):
 def test_step_batch_matches_dense_oracle_over_one_second(quad):
     # 500 substeps of 2 ms: the quadrupeds start from random poses and
     # velocities under a PD hold of the default pose, with feet sliding on
-    # low-friction floors and a trunk push and a thigh force for 0.5 s
+    # low-friction floors and a base push for 0.5 s (the box is pushed too)
     rng = np.random.default_rng(5)
-    s, params, ext = _random_quad_batch(quad, rng, 16, speed=0.3)
-    runs = [(quad, s, params, ext, lambda st: _pd_torque(quad, st, quad.default_pose))]
+    s, params, push = _random_quad_batch(quad, rng, 16, speed=0.3)
+    runs = [(quad, s, params, push, lambda st: _pd_torque(quad, st, quad.default_pose))]
     for tree, st in _other_trees(rng, 4):
         runs.append((tree, st, dyn.BatchParams.from_tree(tree, 4),
-                     [(tree.n_bodies - 1, st.base_pos + 0.1, rng.normal(0, 3, (4, 3)))],
+                     rng.normal(0, 3, (4, 3)) if tree.floating else None,
                      lambda st, nj=tree.n_joints: np.zeros((st.n, nj))))
-    for tree, st, prm, forces, torque in runs:
+    for tree, st, prm, push, torque in runs:
         ref = copy.deepcopy(st)
         n_saturated = 0
         for _ in range(500):
             tau = torque(st)
-            st = dyn.step_batch(tree, st, tau, 0.002, ext=forces, params=prm)
+            st = dyn.step_batch(tree, st, tau, 0.002, push=push, params=prm)
             (base_pos, base_quat, v, q), saturated = dense.step_batch(
-                tree, ref, torque(ref), 0.002, ext=forces, params=prm)
+                tree, ref, torque(ref), 0.002, push=push, params=prm)
             ref = dyn.BatchState(base_pos=base_pos, base_quat=base_quat, base_linvel=v[:, 0:3],
                                  base_angvel=v[:, 3:6], q=q, qdot=v[:, tree.n_base:], time=st.time)
             if not tree.floating:
@@ -331,7 +337,7 @@ def test_step_batch_matches_dense_oracle_over_one_second(quad):
             if saturated is not None:
                 assert np.array_equal(st.cone_saturated, saturated)
                 n_saturated += int(saturated.sum())
-            forces = forces if st.time[0] < 0.5 else None  # the pushes end at 0.5 s
+            push = push if st.time[0] < 0.5 else None  # the pushes end at 0.5 s
         if tree is quad:
             assert 0 < n_saturated < 500 * 16 * 4
 
@@ -341,31 +347,38 @@ def _assert_same_state(a, b):
     for f in dataclasses.fields(dyn.BatchState):
         if f.name != "cache":
             assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
-    (fk_a, vel_a, feet_a), (fk_b, vel_b, feet_b) = a.cache, b.cache
+    (fields_a, fk_a, vel_a, feet_a), (fields_b, fk_b, vel_b, feet_b) = a.cache, b.cache
     for x, y in ((fk_a, fk_b), (vel_a, vel_b)):
         assert x.keys() == y.keys()
         for key in x:
             assert np.array_equal(x[key], y[key]), key
-    for x, y in zip(feet_a, feet_b):
+    for x, y in zip(fields_a + feet_a, fields_b + feet_b):
         assert np.array_equal(x, y)
 
 
-def test_sharded_step_is_bit_identical(quad):
+def _split_rows(monkeypatch, shards):
+    """Make step_batch split a batch of at least 2 * shards rows into shards."""
+    monkeypatch.setattr(dyn, "MIN_SHARD_ROWS", 2)
+    monkeypatch.setattr(dyn, "_CORES", shards)
+
+
+def test_sharded_step_is_bit_identical(quad, monkeypatch):
     # 7 rows in 1, 2 and 3 row shards (sizes 7; 3 + 4; 2 + 2 + 3) over 5
-    # substeps, with feet sliding on low-friction floors and a trunk push;
+    # substeps, with feet sliding on low-friction floors and a base push;
     # the threads switch every microsecond, so they interleave finely
     rng = np.random.default_rng(17)
     s, params, _ = _random_quad_batch(quad, rng, 7)
-    ext = [(0, s.base_pos + rng.normal(0, 0.05, (7, 3)), rng.normal(0, 80, (7, 3)))]
+    push = rng.normal(0, 80, (7, 3))
     tau = rng.normal(0, 5, (7, 12))
     runs = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for shards in (1, 2, 3):
-            st, runs[shards] = dataclasses.replace(s, cache=None), []
+            _split_rows(monkeypatch, shards)
+            st, runs[shards] = s, []
             for _ in range(5):
-                st = dyn.step_batch(quad, st, tau, 0.002, ext=ext, params=params, _shards=shards)
+                st = dyn.step_batch(quad, st, tau, 0.002, push=push, params=params)
                 runs[shards].append(st)
     finally:
         sys.setswitchinterval(interval)
@@ -376,30 +389,55 @@ def test_sharded_step_is_bit_identical(quad):
 
 
 @pytest.mark.parametrize("shards", [1, 2])
-def test_step_caches_the_kinematics_of_the_new_state(quad, shards):
-    s, params, ext = _random_quad_batch(quad, np.random.default_rng(3), 4)
-    new = dyn.step_batch(quad, s, np.zeros((4, 12)), 0.002, ext=ext, params=params,
-                         _shards=shards)
-    fresh = dataclasses.replace(new, cache=None)
-    fk = dyn._fk(quad, fresh)
-    vel = dyn._velocities(quad, fresh, fk)
+def test_step_caches_the_kinematics_of_the_new_state(quad, shards, monkeypatch):
+    _split_rows(monkeypatch, shards)
+    s, params, push = _random_quad_batch(quad, np.random.default_rng(3), 4)
+    new = dyn.step_batch(quad, s, np.zeros((4, 12)), 0.002, push=push, params=params)
+    fk = dyn._fk(quad, new)
+    vel = dyn._velocities(quad, new, fk)
     pos, v = dyn.foot_points(quad, fk, vel)
-    _, _, (cached_pos, cached_v) = new.cache
+    fields, _, _, (cached_pos, cached_v) = new.cache
+    for name, copy_ in zip(dyn._KINEMATIC_FIELDS, fields):  # copies of the fields
+        assert copy_ is not getattr(new, name) and np.array_equal(copy_, getattr(new, name))
     assert np.array_equal(cached_pos, pos) and np.array_equal(cached_v, v)
     assert np.array_equal(new.contact_flags, pos[..., 2] < 0.0)
 
 
+def test_step_batch_recomputes_the_kinematics_of_an_edited_state(quad):
+    # a state from step_batch, edited in place, steps as its copy without a
+    # kinematics cache does
+    s, params, push = _random_quad_batch(quad, np.random.default_rng(4), 4)
+    tau = np.zeros((4, 12))
+    s = dyn.step_batch(quad, s, tau, 0.002, push=push, params=params)
+    s.base_pos[:, 2] += 0.003
+    s.q[:, 1] -= 0.1
+    _assert_same_state(dyn.step_batch(quad, s, tau, 0.002, push=push, params=params),
+                       dyn.step_batch(quad, _copy(s), tau, 0.002, push=push, params=params))
+
+
+def test_kinematics_cache_keeps_non_finite_rows(quad):
+    # a NaN left alone compares equal, so a diverged row does not force a
+    # recompute; an edit of another field does
+    s = dyn.standing_state(quad, np.tile(quad.default_pose, (2, 1)))
+    s.qdot[1, 0] = np.nan
+    fk = dyn._kinematics(quad, s)[0]
+    assert dyn._kinematics(quad, s)[0] is fk
+    s.base_angvel[0, 2] = 0.5
+    fresh = dyn._kinematics(quad, s)[0]
+    assert fresh is not fk and np.array_equal(fresh["R"], fk["R"])
+
+
 @pytest.mark.parametrize("shards", [1, 2])
-def test_reported_contact_forces_are_the_applied_ones(quad, shards):
+def test_reported_contact_forces_are_the_applied_ones(quad, shards, monkeypatch):
     # the substep's generalized force balance on the dense oracle,
     # M (v_new - v) / dt - rhs = sum_f J_f' contact_forces[f], in the rows
     # whose sliding feet were re-solved and in the rows that were not
     rng = np.random.default_rng(8)
-    s, params, ext = _random_quad_batch(quad, rng, 16, speed=0.1)
+    s, params, push = _random_quad_batch(quad, rng, 16, speed=0.1)
     tau = rng.normal(0, 5, (16, 12))
-    M, rhs, contact = dense.assemble(quad, s, tau, ext, params)
-    new = dyn.step_batch(quad, dataclasses.replace(s, cache=None), tau, 0.002, ext=ext,
-                         params=params, _shards=shards)
+    M, rhs, contact = dense.assemble(quad, s, tau, push, params)
+    _split_rows(monkeypatch, shards)
+    new = dyn.step_batch(quad, s, tau, 0.002, push=push, params=params)
     sliding = new.cone_saturated.any(axis=1)
     assert sliding.any() and not sliding.all()
     dv = dense.generalized_velocity(quad, new) - dense.generalized_velocity(quad, s)

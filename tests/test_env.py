@@ -116,7 +116,7 @@ def test_randomized_context_inside_supports():
     for _ in range(20):
         env.reset_all(randomization_on=True)
         payload, hips = env.mass_deltas[:, 0], env.mass_deltas[:, 1:]
-        friction_scale = env.params.friction / env.base_friction
+        friction_scale = env.params.friction / env.nominal_params.friction
         assert np.all((rows["payload_mass"][0] <= payload) & (payload <= rows["payload_mass"][1]))
         assert np.all(hips >= rows["hip_mass"][0])
         assert np.all(hips <= rows["hip_mass"][1])
@@ -138,8 +138,9 @@ def test_reset_identity_when_disabled():
     env.reset_all(randomization_on=False)
     assert np.all(env.mass_deltas[:, 0] == 0.0)
     assert np.all(env.kp_scale == 1.0)
-    assert np.all(env.params.friction == env.base_friction)
-    assert np.all(env.params.gravity[:, 2] == -env.base_gravity)
+    assert np.array_equal(env.params.friction, env.nominal_params.friction)
+    assert np.array_equal(env.params.gravity, env.nominal_params.gravity)
+    assert np.array_equal(env.params.masses, env.nominal_params.masses)
     assert np.all(env.delay_substeps == 0)
 
 
@@ -215,7 +216,6 @@ def test_termination_orientation():
     # flip the robot upside-down in mid-air
     env.state.base_pos[0] = (0.0, 0.0, 1.0)
     env.state.base_quat[0] = (0.0, 1.0, 0.0, 0.0)
-    env.state.cache = None
     obs, priv, rew, done, info = env.step(np.zeros((1, env.action_dim)))
     assert bool(done[0])
     assert info["reasons"][0] == REASON_CODE["orientation"]
@@ -226,26 +226,24 @@ def test_termination_illegal_contact():
     env = VecLocomotionEnv("PLS", n_envs=1, seed=1, config=quiet_config())
     env.reset_all(randomization_on=False)
     env.state.base_pos[0, 2] = 0.04  # trunk at the floor
-    env.state.cache = None
     obs, priv, rew, done, info = env.step(np.zeros((1, env.action_dim)))
     assert bool(done[0])
     assert info["reasons"][0] in (REASON_CODE["illegal_contact"], REASON_CODE["joint_limit"])
 
 
 def test_joint_limit_clamp_refreshes_kinematics_cache():
-    # a knee driven past its limit is stored clamped; the (fk, vel) cache the
-    # step leaves behind, which the collision count, the reward and the next
-    # substep read, is that of the clamped pose
+    # a knee driven past its limit is stored clamped; the kinematics cache
+    # the step leaves behind, which the collision count, the reward and the
+    # next substep read, is that of the clamped pose
     env = VecLocomotionEnv("PLS", n_envs=1, seed=1, config=quiet_config())
     env.reset_all(randomization_on=False)
     env.auto_reset = False
     env.state.base_pos[0, 2] = 1.0  # in the air, so no foot contact damps the knee
     env.state.qdot[0, 2] = 300.0  # FR knee, towards its upper limit
-    env.state.cache = None
     _, _, _, done, info = env.step(np.zeros((1, env.action_dim)))
     assert done[0] and info["reasons"][0] == REASON_CODE["joint_limit"]
     assert env.state.q[0, 2] == env.q_limits[1][2]
-    fk, vel, _ = env.state.cache
+    _, fk, vel, _ = env.state.cache
     fresh_fk = dyn._fk(env.tree, env.state)
     fresh_vel = dyn._velocities(env.tree, env.state, fresh_fk)
     for cached, fresh in ((fk, fresh_fk), (vel, fresh_vel)):
@@ -310,9 +308,9 @@ def test_push_impulse_changes_velocity():
     assert env.state.base_linvel[0, 0] > 0.1
 
 
-def test_base_frame_reads_the_trunk_rotation_of_the_cache():
-    # observations use the trunk rotation the kinematics cache holds; it must
-    # equal quat_to_matrix(base_quat) bit for bit, after steps and resets
+def test_base_frame_is_the_rotation_of_base_quat():
+    # observations express the base velocities and gravity in the frame of
+    # quat_to_matrix(base_quat), bit for bit, after steps and resets
     env = VecLocomotionEnv("PJS", n_envs=3, seed=6)
 
     def expected(env):
@@ -330,7 +328,6 @@ def test_base_frame_reads_the_trunk_rotation_of_the_cache():
             env.reset_all()
         else:
             env.step(rng.uniform(-1, 1, (3, env.action_dim)))
-            assert env.state.cache is not None  # observe reads the rotation from it
         assert np.array_equal(env.observe(noisy=False)[:, 3:12], expected(env))
         assert np.array_equal(env.observe_privileged()[:, -env.obs_dim:][:, 3:12], expected(env))
 
@@ -368,7 +365,6 @@ def test_batch_rows_draw_independent_streams():
             for env in (batch, single):
                 env.state.base_pos[0] = (0.0, 0.0, 1.0)
                 env.state.base_quat[0] = (0.0, 1.0, 0.0, 0.0)
-                env.state.cache = None
         acts = rng.uniform(-1, 1, (3, batch.action_dim))
         acts[0] = hold
         outs_b = batch.step(acts)
@@ -391,7 +387,6 @@ def test_non_finite_state_terminates_as_diverged():
         env = VecLocomotionEnv("HJLS", n_envs=3, seed=8)
         if inject:
             env.state.qdot[1, 0] = np.nan
-        env.state.cache = None
         outs.append(env.step(np.zeros((3, env.action_dim))))
     (obs0, priv0, rew0, done0, _), (obs, priv, rew, done, info) = outs
     assert info["reasons"][1] == REASON_CODE["diverged"]
