@@ -102,18 +102,6 @@ def decode_action(grouping, action, q_default, position_limits=None) -> GainStat
     return GainState(kp=kp, kd=damping_from_stiffness(kp), q_target=q_target)
 
 
-def compute_torque(gains: GainState, q, qdot, torque_limit=24.0):
-    """Impedance torque tau = kp (q_target - q) - kd qdot, clamped.
-
-    The same law for fixed and variable gains: with zero desired velocity
-    the two formulas coincide.
-    """
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(qdot))):
-        raise ValueError("q/qdot contain non-finite entries")
-    identity = GainRandomization.identity(np.shape(gains.kp))
-    return compute_torque_randomized(gains, q, qdot, identity, torque_limit=torque_limit)
-
-
 @dataclass
 class GainRandomization:
     """Multiplicative actuator randomization (stiffness, damping, strength)."""
@@ -122,16 +110,14 @@ class GainRandomization:
     kd_scale: np.ndarray
     motor_strength: np.ndarray
 
-    @staticmethod
-    def identity(shape=(N_JOINTS,)) -> "GainRandomization":
-        return GainRandomization(np.ones(shape), np.ones(shape), np.ones(shape))
-
 
 def compute_torque_randomized(
     gains: GainState, q, qdot, rand: GainRandomization, torque_limit=24.0
 ):
-    """Torque with randomized gains; motor strength multiplies the raw torque
-    before the clamp, so the clamp still bounds the delivered torque."""
+    """The one torque law: tau = kp (q_target - q) - kd qdot with kp and kd
+    scaled by the randomization (ones for nominal gains). Motor strength
+    multiplies the raw torque before the clamp, so the clamp still bounds
+    the delivered torque."""
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
     tau = gains.kp * rand.kp_scale * (gains.q_target - q) - gains.kd * rand.kd_scale * qdot

@@ -126,13 +126,20 @@ def save_checkpoint(path, bundle: PolicyBundle, extra_config=None):
 def _read_header(fh, path):
     """Parse the header at the start of an open checkpoint; leaves ``fh`` at
     the first array byte."""
-    if fh.read(4) != MAGIC:
+    prefix = fh.read(16)  # magic, u32 format version, u64 header length
+    if prefix[:4] != MAGIC:
         raise ValueError(f"{path} is not a policy checkpoint (bad magic)")
-    (version,) = struct.unpack("<I", fh.read(4))
+    if len(prefix) < 16:
+        raise ValueError(f"{path}: the checkpoint ends before its header length")
+    version, hlen = struct.unpack("<IQ", prefix[4:])
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format version {version}")
-    (hlen,) = struct.unpack("<Q", fh.read(8))
-    return json.loads(fh.read(hlen).decode("utf-8"))
+    # read no more than the file holds: the length is not trusted
+    raw = fh.read(min(hlen, os.fstat(fh.fileno()).st_size - fh.tell()))
+    if len(raw) != hlen:
+        raise ValueError(f"{path}: the checkpoint header declares {hlen} bytes, "
+                         f"but only {len(raw)} follow")
+    return json.loads(raw.decode("utf-8"))
 
 
 def read_header(path) -> dict:

@@ -2,11 +2,14 @@
 
 The engine is batched: every quantity carries a leading environment axis N,
 and ``BatchState`` is the only state type; a single simulation is a state
-with N = 1. The checked entry points at the end of the module (``step``,
-``forward_dynamics``, ``contact_forces``, ...) validate their inputs and take
-a state of any N; ``step_batch`` is the unchecked hot path. Generalized
-velocity layout is [base linear (world), base angular (world), joint rates]
-for floating trees and [joint rates] for fixed-base trees.
+with N = 1. ``step_batch`` is the one entry point: it advances a state of
+any N by one substep and does not check its inputs, which the environment
+builds (``EnvConfig`` checks the timestep, a diverged row is flagged in
+``BatchState.diverged``). ``default_state`` and ``standing_state`` make
+states to step, and ``contact_force_law`` is the contact law at a given
+state (see below). Generalized velocity layout is [base linear (world), base
+angular (world), joint rates] for floating trees and [joint rates] for
+fixed-base trees.
 
 The tree is a base plus branches that are serial chains, a foot at each end
 (the quadruped: a trunk and four 3-DoF legs; a fixed-base chain: one branch
@@ -79,7 +82,6 @@ from .rotations import (
 GRAVITY_DIR = np.array([0.0, 0.0, -1.0])
 DIVERGENCE_SPEED = 1.0e4
 EYE3 = np.eye(3)
-MAX_DT = 0.01
 
 # row shards of step_batch: at most one per core, each at least MIN_SHARD_ROWS
 # rows; two shards of 128 rows lost to one of 256, two of 256 won (see the
@@ -160,13 +162,6 @@ class BatchParams:
             gravity=np.repeat((GRAVITY_DIR * tree.gravity)[None], n, axis=0),
             friction=np.full(n, mu),
         )
-
-
-def _require_finite(name, arr):
-    arr = np.asarray(arr)
-    if not np.all(np.isfinite(arr)):
-        bad = np.argwhere(~np.isfinite(arr))[0]
-        raise ValueError(f"non-finite value in {name} at index {tuple(bad)}")
 
 
 # ---------------------------------------------------------------------------
@@ -696,8 +691,7 @@ def step_batch(ct: KinematicTree, bs: BatchState, tau, dt, push=None, params=Non
 
 
 # ---------------------------------------------------------------------------
-# checked entry points: each takes a BatchState of any N (a single
-# simulation is N = 1) and returns arrays with the leading N axis.
+# initial states
 
 
 def default_state(tree: KinematicTree, q=None, base_pos=(0.0, 0.0, 0.0)) -> BatchState:
@@ -728,111 +722,3 @@ def standing_state(tree: KinematicTree, q=None) -> BatchState:
     pos, _ = foot_points(tree, _fk(tree, state))
     state.base_pos[:, 2] = -pos[..., 2].min(axis=1)
     return state
-
-
-def _check_push(tree, push):
-    """Reject a push on a fixed-base tree or a non-finite one."""
-    if push is not None:
-        if not tree.floating:
-            raise ValueError("a push needs a floating base")
-        _require_finite("external force", push)
-
-
-def forward_dynamics(tree: KinematicTree, state: BatchState, tau, push=None):
-    """Generalized accelerations (N, nv) under gravity, contacts, tau and a
-    push (a world force at the base origin).
-
-    Contact forces follow the explicit penalty law at the given state.
-    """
-    tau = np.zeros(tree.n_joints) if tau is None else np.asarray(tau, dtype=float)
-    _require_finite("tau", tau)
-    _require_finite("q", state.q)
-    _require_finite("qdot", state.qdot)
-    _require_finite("base_pos", state.base_pos)
-    _require_finite("base velocities", np.hstack([state.base_linvel, state.base_angvel]))
-    _check_push(tree, push)
-    params = BatchParams.from_tree(tree, state.n)
-    T, K, rhs, contact = _assemble(tree, state, tau, push, params)
-    if contact is not None:
-        forces = contact_force_law(tree.contact, params.friction, contact["pos"], contact["vel"])
-        rhs = rhs + _foot_force(tree, contact["J"], forces)
-    return _solve(tree, T, K, rhs)
-
-
-def contact_forces(tree: KinematicTree, state: BatchState, friction_coefficient):
-    """Per-foot world contact forces (N, n_feet, 3) at the given state."""
-    if friction_coefficient < 0:
-        raise ValueError("friction_coefficient must be >= 0")
-    fk = _fk(tree, state)
-    pos, v = foot_points(tree, fk, _velocities(tree, state, fk))
-    mu = np.full(state.n, float(friction_coefficient))
-    return contact_force_law(tree.contact, mu, pos, v)
-
-
-def step(tree: KinematicTree, state: BatchState, tau, push=None, dt_physics=0.002) -> BatchState:
-    """Advance one substep; raises on out-of-range dt, non-finite input or
-    a push on a fixed-base tree."""
-    if not 0.0 < dt_physics <= MAX_DT:
-        raise ValueError(f"dt_physics must be in (0, {MAX_DT}], got {dt_physics}")
-    tau = np.zeros(tree.n_joints) if tau is None else np.asarray(tau, dtype=float)
-    _require_finite("tau", tau)
-    _check_push(tree, push)
-    return step_batch(tree, state, tau, dt_physics, push=push)
-
-
-def kinematics(tree: KinematicTree, state: BatchState):
-    """Foot world positions and velocities, com, and the gravity direction
-    in the base frame."""
-    fk = _fk(tree, state)
-    out = {
-        "com_position": np.einsum("b,nbi->ni", tree.mass, fk["c"]) / tree.mass.sum(),
-        "projected_gravity": np.einsum("nji,j->ni", quat_to_matrix(state.base_quat), GRAVITY_DIR)
-        if tree.floating
-        else np.tile(GRAVITY_DIR, (state.n, 1)),
-    }
-    if tree.foot_body_indices:
-        out["foot_positions"], out["foot_velocities"] = foot_points(
-            tree, fk, _velocities(tree, state, fk)
-        )
-    return out
-
-
-def mass_matrix(tree: KinematicTree, state: BatchState):
-    """Joint-space mass matrices (N, nv, nv) at the tree's nominal masses."""
-    params = BatchParams.from_tree(tree, state.n)
-    T, K, _, _ = _assemble(tree, state, 0.0, None, params)
-    return _dense_mass_matrix(tree, T, K)
-
-
-def _dense_mass_matrix(ct: KinematicTree, T, K):
-    """Scatter the blocks (T, K) of ``_mass_blocks`` into (N, nv, nv)."""
-    nb = ct.n_base
-    base = np.arange(nb)
-    dofs = _per_branch(ct, np.arange(ct.nv)[None])[0]  # (n_br, d) columns of each branch
-    M = np.zeros((T.shape[0], ct.nv, ct.nv))
-    M[:, :nb, :nb] = T + K[..., :nb, :nb].sum(axis=1)
-    M[:, base[:, None], dofs[:, None, :]] = K[..., :nb, nb:]
-    M[:, dofs[..., None], base] = K[..., nb:, :nb]
-    M[:, dofs[..., None], dofs[:, None, :]] = K[..., nb:, nb:]
-    return M
-
-
-def total_energy(tree: KinematicTree, state: BatchState):
-    """Kinetic + gravitational potential energy (N,), summed body-wise.
-
-    Independent of the mass-matrix assembly, so it doubles as an oracle for
-    both the integrator and M itself (via 0.5 v' M v comparisons in tests).
-    """
-    fk = _fk(tree, state)
-    vel = _velocities(tree, state, fk)
-    I_w = _world_inertia(tree, fk)
-    ke = 0.5 * np.einsum("b,nbi,nbi->n", tree.mass, vel["v_c"], vel["v_c"])
-    ke += 0.5 * np.einsum("nbi,nbij,nbj->n", vel["w"], I_w, vel["w"])
-    pe = tree.gravity * np.einsum("b,nb->n", tree.mass, fk["c"][..., 2])
-    return ke + pe
-
-
-def total_linear_momentum(tree: KinematicTree, state: BatchState):
-    """Total linear momentum (N, 3)."""
-    fk = _fk(tree, state)
-    return np.einsum("b,nbi->ni", tree.mass, _velocities(tree, state, fk)["v_c"])

@@ -12,6 +12,7 @@ pushes and noise are the same in any batch that starts from the same seed.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -36,6 +37,9 @@ TRUNK_BODY = 0
 HIP_BODY_INDICES = (1, 4, 7, 10)
 # bodies of the privileged mass-delta layout: trunk payload, then the hips
 MASS_DELTA_BODIES = (TRUNK_BODY,) + HIP_BODY_INDICES
+# the longest physics substep (s) a config may ask for: at 0.1 s substeps
+# every env ended on joint_limit or orientation within 3 control steps
+MAX_DT_PHYSICS = 0.01
 
 
 @dataclass
@@ -58,6 +62,21 @@ class EnvConfig:
     )
     reward_weights: RewardWeights = field(default_factory=RewardWeights)
     reward_params: RewardParams = field(default_factory=RewardParams)
+
+    def __post_init__(self):
+        substeps = self.physics_substeps
+        if not self.control_dt > 0:
+            raise ValueError(f"control_dt must be > 0, got {self.control_dt}")
+        if not (isinstance(substeps, numbers.Integral) and substeps >= 1):
+            raise ValueError(f"physics_substeps must be an integer >= 1, got {substeps!r}")
+        if not self.dt_physics <= MAX_DT_PHYSICS:
+            raise ValueError(f"dt_physics = control_dt / physics_substeps must be <= "
+                             f"{MAX_DT_PHYSICS} s, got {self.dt_physics}")
+        if not self.episode_length_s >= self.control_dt:
+            raise ValueError(f"episode_length_s must be >= control_dt, got "
+                             f"{self.episode_length_s}")
+        if not self.push_interval_s > 0:
+            raise ValueError(f"push_interval_s must be > 0, got {self.push_interval_s}")
 
     @property
     def dt_physics(self):

@@ -147,10 +147,6 @@ class KinematicTree:
     def nv(self):
         return (6 if self.floating else 0) + self.n_joints
 
-    def joint_of_body(self, b):
-        """Index of the joint driving body b, or -1 for the floating root."""
-        return b - 1 if self.floating else b
-
     @property
     def position_limits(self):
         lo = np.array([j.position_limit[0] for j in self.joints])
@@ -238,25 +234,3 @@ def build_quadruped(cfg=None) -> KinematicTree:
         contact=dict(cfg["contact"]),
         default_pose=default_pose,
     )
-
-
-def pendulum_tree(mass=1.0, length=1.0, gravity=9.81, inertia_eps=1e-12, axis=(0.0, 1.0, 0.0)):
-    """Fixed-base point-mass pendulum hanging along -z at q = 0 (test model)."""
-    body = Body(SpatialInertia(mass, [0.0, 0.0, -length], np.eye(3) * inertia_eps), parent=-1)
-    joint = JointSpec(list(axis), [0.0, 0.0, 0.0], (-100.0, 100.0), 1e6)
-    return KinematicTree(bodies=[body], joints=[joint], floating=False, gravity=gravity)
-
-
-def double_pendulum_tree(m1=1.0, m2=0.7, l1=0.6, l2=0.4, gravity=9.81):
-    """Fixed-base two-link chain of point masses (energy-oracle test model)."""
-    b1 = Body(SpatialInertia(m1, [0.0, 0.0, -l1], np.eye(3) * 1e-12), parent=-1)
-    b2 = Body(SpatialInertia(m2, [0.0, 0.0, -l2], np.eye(3) * 1e-12), parent=0)
-    j1 = JointSpec([0.0, 1.0, 0.0], [0.0, 0.0, 0.0], (-100, 100), 1e6)
-    j2 = JointSpec([0.0, 1.0, 0.0], [0.0, 0.0, -l1], (-100, 100), 1e6)
-    return KinematicTree(bodies=[b1, b2], joints=[j1, j2], floating=False, gravity=gravity)
-
-
-def floating_box_tree(mass=2.0, inertia_diag=(0.02, 0.04, 0.05), gravity=9.81):
-    """Single free-floating rigid body (momentum/free-fall test model)."""
-    body = Body(SpatialInertia(mass, [0.0, 0.0, 0.0], _diag(inertia_diag)), parent=-1)
-    return KinematicTree(bodies=[body], joints=[], floating=True, gravity=gravity)

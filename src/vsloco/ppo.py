@@ -15,7 +15,7 @@ import numpy as np
 
 from . import networks as nets
 from .checkpoint import PolicyBundle, obs_scale_vector, priv_scale_vector, save_checkpoint
-from .env import VecLocomotionEnv
+from .env import TERMINATION_REASONS, VecLocomotionEnv
 from .rewards import REWARD_TERMS
 
 F32 = np.float32
@@ -223,6 +223,9 @@ METRIC_COLUMNS = (
      "policy_loss", "value_loss", "entropy", "approx_kl", "clip_fraction",
      "grad_norm", "action_std", "mean_kp_hip", "mean_kp_thigh", "mean_kp_knee"]
     + [f"rew_{t}" for t in REWARD_TERMS]
+    # terminated envs per env-step, in all and by reason; the reasons sum to the total
+    + ["terminations_per_env_step"]
+    + [f"term_{reason}_per_env_step" for reason in TERMINATION_REASONS[1:]]
 )
 
 
@@ -245,12 +248,14 @@ def train(grouping, config: TrainConfig, out_dir):
     recent_lengths = deque(maxlen=100)
     metrics_path = os.path.join(out_dir, "metrics.csv")
     ckpt_path = os.path.join(out_dir, f"policy_{grouping}.ckpt")
+    rollout_env_steps = cfg.n_envs * cfg.steps_per_rollout
     with open(metrics_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRIC_COLUMNS)
         for it in range(cfg.n_iterations):
             kp_sum = np.zeros(3)
             rew_sums = np.zeros(len(REWARD_TERMS))
+            reason_counts = np.zeros(len(TERMINATION_REASONS), dtype=int)
             for t in range(cfg.steps_per_rollout):
                 action, logp = bundle.act_sampled(obs, rng)
                 value = bundle.value(priv)
@@ -276,12 +281,13 @@ def train(grouping, config: TrainConfig, out_dir):
                 kp_sum += (kp[:, 0::3].mean(), kp[:, 1::3].mean(), kp[:, 2::3].mean())
                 weighted = info["breakdown"].weighted
                 rew_sums += [weighted[term].mean() for term in REWARD_TERMS]
+                reason_counts += np.bincount(info["reasons"], minlength=len(TERMINATION_REASONS))
             buffer.values[-1] = bundle.value(priv)
             stats = agent.update(buffer, rng)
             mean_ret = float(np.mean(recent_returns)) if recent_returns else 0.0
             mean_len = float(np.mean(recent_lengths)) if recent_lengths else 0.0
             row = (
-                [it, (it + 1) * cfg.n_envs * cfg.steps_per_rollout,
+                [it, (it + 1) * rollout_env_steps,
                  _float_cell(mean_ret), _float_cell(mean_len),
                  _float_cell(stats.policy_loss), _float_cell(stats.value_loss),
                  _float_cell(stats.entropy), _float_cell(stats.approx_kl),
@@ -289,6 +295,8 @@ def train(grouping, config: TrainConfig, out_dir):
                  _float_cell(np.exp(bundle.actor.log_std).mean())]
                 + [_float_cell(v / cfg.steps_per_rollout) for v in kp_sum]
                 + [_float_cell(v / cfg.steps_per_rollout) for v in rew_sums]
+                + [_float_cell(c / rollout_env_steps)
+                   for c in (reason_counts[1:].sum(), *reason_counts[1:])]
             )
             writer.writerow(row)
             if not all(np.isfinite(float(x)) for x in row[2:]):

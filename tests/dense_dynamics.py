@@ -5,14 +5,76 @@ ancestor joints, the dense mass matrix J_v' m J_v + J_w' I J_w, the bias
 forces J' (f, n), and solves the implicit-contact velocity update as one
 (N, nv, nv) LU solve per pass, re-solving the whole batch when any foot
 saturates. The kinematic passes (FK, velocities, bias accelerations, world
-inertias, foot points) and the contact law are the engine's own; everything
-from the Jacobians on is independent of ``vsloco.dynamics``'s block code.
+inertias, foot points) are the engine's own; everything from the Jacobians
+on, the contact law included, is independent of ``vsloco.dynamics``.
+
+Besides the oracle, the tests compare against:
+- ``blocks_to_dense``: the engine's mass blocks scattered into (N, nv, nv);
+- ``total_energy`` and ``total_linear_momentum``: body-wise sums that do not
+  use the mass matrix;
+- the closed-form test models ``pendulum_tree``, ``double_pendulum_tree``
+  (fixed-base chains of point masses) and ``floating_box_tree`` (one free
+  rigid body).
 """
 
 import numpy as np
 
 from vsloco import dynamics as dyn
+from vsloco.model import Body, JointSpec, KinematicTree, SpatialInertia
 from vsloco.rotations import quat_exp, quat_mul, quat_normalize, skew
+
+
+def pendulum_tree(mass=1.0, length=1.0):
+    """Fixed-base point-mass pendulum about y, hanging along -z at q = 0."""
+    body = Body(SpatialInertia(mass, [0.0, 0.0, -length], np.eye(3) * 1e-12), parent=-1)
+    joint = JointSpec([0.0, 1.0, 0.0], [0.0, 0.0, 0.0], (-100.0, 100.0), 1e6)
+    return KinematicTree(bodies=[body], joints=[joint], floating=False)
+
+
+def double_pendulum_tree(m1=1.0, m2=0.7, l1=0.6, l2=0.4):
+    """Fixed-base two-link chain of point masses about y."""
+    b1 = Body(SpatialInertia(m1, [0.0, 0.0, -l1], np.eye(3) * 1e-12), parent=-1)
+    b2 = Body(SpatialInertia(m2, [0.0, 0.0, -l2], np.eye(3) * 1e-12), parent=0)
+    j1 = JointSpec([0.0, 1.0, 0.0], [0.0, 0.0, 0.0], (-100, 100), 1e6)
+    j2 = JointSpec([0.0, 1.0, 0.0], [0.0, 0.0, -l1], (-100, 100), 1e6)
+    return KinematicTree(bodies=[b1, b2], joints=[j1, j2], floating=False)
+
+
+def floating_box_tree(gravity=9.81):
+    """One free-floating rigid body of 2 kg."""
+    body = Body(SpatialInertia(2.0, [0.0, 0.0, 0.0], np.diag([0.02, 0.04, 0.05])), parent=-1)
+    return KinematicTree(bodies=[body], joints=[], floating=True, gravity=gravity)
+
+
+def blocks_to_dense(ct, T, K):
+    """Scatter the blocks (T, K) of the engine's ``_mass_blocks`` into
+    (N, nv, nv)."""
+    nb = ct.n_base
+    base = np.arange(nb)
+    dofs = dyn._per_branch(ct, np.arange(ct.nv)[None])[0]  # (n_br, d) columns of each branch
+    M = np.zeros((T.shape[0], ct.nv, ct.nv))
+    M[:, :nb, :nb] = T + K[..., :nb, :nb].sum(axis=1)
+    M[:, base[:, None], dofs[:, None, :]] = K[..., :nb, nb:]
+    M[:, dofs[..., None], base] = K[..., nb:, :nb]
+    M[:, dofs[..., None], dofs[:, None, :]] = K[..., nb:, nb:]
+    return M
+
+
+def total_energy(ct, bs):
+    """Kinetic + gravitational potential energy (N,), summed body-wise."""
+    fk = dyn._fk(ct, bs)
+    vel = dyn._velocities(ct, bs, fk)
+    I_w = dyn._world_inertia(ct, fk)
+    ke = 0.5 * np.einsum("b,nbi,nbi->n", ct.mass, vel["v_c"], vel["v_c"])
+    ke += 0.5 * np.einsum("nbi,nbij,nbj->n", vel["w"], I_w, vel["w"])
+    pe = ct.gravity * np.einsum("b,nb->n", ct.mass, fk["c"][..., 2])
+    return ke + pe
+
+
+def total_linear_momentum(ct, bs):
+    """Total linear momentum (N, 3)."""
+    fk = dyn._fk(ct, bs)
+    return np.einsum("b,nbi->ni", ct.mass, dyn._velocities(ct, bs, fk)["v_c"])
 
 
 def ancestors(ct):
@@ -21,7 +83,7 @@ def ancestors(ct):
     for b in range(ct.n_bodies):
         cur = b
         while cur >= 0:
-            j = ct.joint_of_body(cur)
+            j = cur - 1 if ct.floating else cur  # the joint driving body cur
             if j >= 0:
                 anc[b, j] = True
             cur = ct.bodies[cur].parent
@@ -176,13 +238,3 @@ def step_batch(ct, bs, tau, dt, push=None, params=None):
         base_quat = quat_normalize(quat_mul(quat_exp(dt * v_new[:, 3:6]), bs.base_quat))
     q = bs.q + dt * v_new[:, off:] if ct.n_joints else bs.q
     return (base_pos, base_quat, v_new, q), saturated
-
-
-def forward_dynamics(ct, bs, tau, push=None):
-    """Generalized accelerations with explicit penalty contact forces."""
-    params = dyn.BatchParams.from_tree(ct, bs.n)
-    M, rhs, contact = assemble(ct, bs, tau, push, params)
-    if contact is not None:
-        forces = dyn.contact_force_law(ct.contact, params.friction, contact["pos"], contact["vel"])
-        rhs = rhs + foot_wrench(contact["J_p"], forces)
-    return np.linalg.solve(M, rhs[..., None])[..., 0]

