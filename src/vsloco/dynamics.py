@@ -2,12 +2,10 @@
 
 The engine is batched: every quantity carries a leading environment axis N,
 and ``BatchState`` is the only state type; a single simulation is a state
-with N = 1. ``step_batch`` is the one entry point: it advances a state of
-any N by one substep and does not check its inputs, which the environment
-builds (``EnvConfig`` checks the timestep, a diverged row is flagged in
-``BatchState.diverged``). ``default_state`` and ``standing_state`` make
-states to step, and ``contact_force_law`` is the contact law at a given
-state (see below). Generalized velocity layout is [base linear (world), base
+with N = 1. ``step_batch`` is the one entry point and does not check its
+inputs (``EnvConfig`` checks the timestep; a diverged row is flagged in
+``BatchState.diverged``); ``contact_force_law`` is the contact law at a
+given state. Generalized velocity layout is [base linear (world), base
 angular (world), joint rates] for floating trees and [joint rates] for
 fixed-base trees.
 

@@ -7,9 +7,9 @@ import sys
 import dense_dynamics as dense
 import numpy as np
 import pytest
+from dense_dynamics import double_pendulum_tree, floating_box_tree, pendulum_tree
 
 from vsloco import dynamics as dyn
-from dense_dynamics import double_pendulum_tree, floating_box_tree, pendulum_tree
 from vsloco.model import Body, JointSpec, KinematicTree, SpatialInertia, build_quadruped
 
 G = 9.81
@@ -27,11 +27,11 @@ def pendulum_state(tree, q, qdot=0.0):
     return s
 
 
-def _qacc(tree, s, tau, push=None):
+def _qacc(tree, s, tau):
     """Generalized accelerations (N, nv) of a state with no foot in the
     floor, where the penalty law applies no force: the engine's block solve
     of its assembly at the tree's nominal parameters."""
-    T, K, rhs, contact = dyn._assemble(tree, s, tau, push, dyn.BatchParams.from_tree(tree, s.n))
+    T, K, rhs, contact = dyn._assemble(tree, s, tau, None, dyn.BatchParams.from_tree(tree, s.n))
     assert contact is None or np.all(contact["pos"][..., 2] >= 0.0), "a foot is in the floor"
     return dyn._solve(tree, T, K, rhs)
 
