@@ -1,13 +1,12 @@
 """Floating-base articulated rigid-body dynamics with penalty ground contact.
 
-The engine is batched: every quantity carries a leading environment axis N,
-and ``BatchState`` is the only state type; a single simulation is a state
-with N = 1. ``step_batch`` is the one entry point and does not check its
-inputs (``EnvConfig`` checks the timestep; a diverged row is flagged in
-``BatchState.diverged``); ``contact_force_law`` is the contact law at a
-given state. Generalized velocity layout is [base linear (world), base
-angular (world), joint rates] for floating trees and [joint rates] for
-fixed-base trees.
+The engine is batched over N environments, and ``BatchState`` is the only
+state type; a single simulation is a state with N = 1. ``step_batch`` is the
+one entry point and does not check its inputs (``EnvConfig`` checks the
+timestep; a diverged row is flagged in ``BatchState.diverged``);
+``contact_force_law`` is the contact law at a given state. Generalized
+velocity layout is [base linear (world), base angular (world), joint rates]
+for floating trees and [joint rates] for fixed-base trees.
 
 The tree is a base plus branches that are serial chains, a foot at each end
 (the quadruped: a trunk and four 3-DoF legs; a fixed-base chain: one branch
@@ -16,15 +15,13 @@ A branch's joints move only its own bodies and each foot sits on one
 branch, so the mass matrix M and the implicit contact matrix M + dt J' D J
 are block-arrow: a base block M_bb, one base-branch block M_bl and one
 joint block M_ll per branch, nothing between branches.
-The engine never forms the dense (N, nv, nv) matrix. ``_mass_blocks``
-builds each branch's (nb + d)-square block over [base, branch joints] from
+The engine never forms the dense (nv, nv) matrix. ``_mass_blocks`` builds
+each branch's (nb + d)-square block over [base, branch joints] from
 composite rigid-body inertias (Featherstone, "Rigid Body Dynamics
 Algorithms", 2008, ch. 6), each foot's contact term adds to its own
 branch's block, and ``_solve`` eliminates the joint blocks and solves the
 nb x nb Schur complement of the base (Featherstone, "Efficient factorization
 of the joint-space inertia matrix for branched kinematic trees", IJRR 2005).
-All of it is batched over (N, branch) axes, so the cost per env does not
-grow with the number of legs in Python loops.
 
 Integration is semi-implicit Euler: velocities from forward dynamics, then
 positions from the new velocities, base orientation via the quaternion
@@ -43,77 +40,79 @@ integrates the dampers implicitly, and ``BatchState.contact_forces`` holds
 the foot forces that solve applied. ``contact_force_law`` is the same law,
 explicit at a given state.
 
+Inside the engine every array is component-major with the env axis last
+and contiguous: vectors (3, B, N), rotations and inertias (3, 3, B, N), the
+body table of ``_mass_blocks`` (19, B, N), branch blocks
+(nb + d, nb + d, n_br, N) and generalized vectors (nv, N); the chain bodies
+of a body array are viewed as (..., d, n_br, N) by ``_per_branch``. So each
+numpy call runs over whole rows of envs: a 3 x 3 product is one
+leading-axis einsum or three row-wise multiply-adds, never one tiny matrix
+product per env, and the small eliminations of ``_spd_solve`` run row by
+row. No call sums over an axis in an order that depends on the batch, so a
+row comes out the same bit for bit in any batch. ``BatchState`` keeps the
+env axis first: ``step_batch`` transposes the six kinematic fields in (or
+reads their env-last copy from the cache) and its results out.
+
 The rows (envs) of a substep are independent, so ``step_batch`` splits a
-large batch into contiguous row shards, one per core, and runs the whole
-substep on each in a thread pool: the calling thread takes the first shard
-and a module-level pool of cores - 1 threads the others. The results are
-stitched in row order and equal those of one shard bit for bit. Threads
-pay only where numpy releases the GIL for long enough. Measured on 2 cores
-at 512 rows, two threads ran elementwise ufuncs, einsum and most stacked
-matmuls 1.3-2.1x faster than one, but LAPACK's stacked solve 0.9-1.0x and
-a stacked matmul with a transposed second operand 0.5-1.0x, and calls of a
-few microseconds gain nothing. So the d x d joint blocks are solved by an
-unrolled elimination instead of LAPACK (4.6x faster serially at 512 rows),
-R' in R I R' and F' in the joint-block product are made contiguous, and a
-shard has at least MIN_SHARD_ROWS rows. Per substep of a PJS stance (2 cores,
-numpy 2.4), one shard against two: 256 rows 9.7-12.2 against 13.0-14.2 ms,
-512 rows 21.7-22.4 against 15.0-15.9 ms, 1024 rows 44-47 against 24-26 ms.
+large batch into contiguous row shards, one per core: a shard is the slice
+[..., lo:hi] of every array, the calling thread takes the first and a
+module-level pool of cores - 1 threads the others, and each shard writes
+its new state and kinematics into arrays allocated once per call. Two
+threads pay only where each shard is large. Per substep of a PJS stance
+(2 cores, numpy 2.4, median [quartiles] of 6 runs), one shard against two:
+256 rows 6.5 [5.9, 7.1] against 9.8 [9.4, 10.0] ms, 512 rows 11.0
+[10.7, 11.7] against 12.9 [12.1, 13.3] ms, 1024 rows 21.6 [20.7, 22.5]
+against 18.2 [18.1, 19.0] ms. So a shard has at least MIN_SHARD_ROWS = 512
+rows.
 """
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import KinematicTree
-from .rotations import (
-    IDENTITY_QUAT,
-    quat_exp,
-    quat_mul,
-    quat_normalize,
-    quat_to_matrix,
-    rotation_about_axis,
-    skew,
-)
+from .rotations import IDENTITY_QUAT, quat_exp, quat_mul, quat_normalize, quat_to_matrix, skew
 
 GRAVITY_DIR = np.array([0.0, 0.0, -1.0])
 DIVERGENCE_SPEED = 1.0e4
-EYE3 = np.eye(3)
+_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 # row shards of step_batch: at most one per core, each at least MIN_SHARD_ROWS
-# rows; two shards of 128 rows lost to one of 256, two of 256 won (see the
+# rows; two shards of 256 rows lost to one of 512, two of 512 won (see the
 # module docstring)
-MIN_SHARD_ROWS = 256
+MIN_SHARD_ROWS = 512
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _POOL = None  # ThreadPoolExecutor of _CORES - 1 workers, made on first use
 
 
-def _cross(a, b):
-    """Component-wise cross product; avoids np.cross's axis plumbing. Small
-    operands take the gather form, which makes fewer calls; large ones the
-    component form, whose ufunc loops run over whole columns. Both make the
-    same products in the same order, so they agree bit for bit."""
-    if a.size <= _SMALL and b.size <= _SMALL:
-        return a.take(_YZX, -1) * b.take(_ZXY, -1) - a.take(_ZXY, -1) * b.take(_YZX, -1)
-    ax, ay, az = a[..., 0], a[..., 1], a[..., 2]
-    bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
-    x = ay * bz - az * by
-    out = np.empty(x.shape + (3,))
-    out[..., 0] = x
-    out[..., 1] = az * bx - ax * bz
-    out[..., 2] = ax * by - ay * bx
+def _cross(a, b, out=None):
+    """a x b over the leading (component) axis."""
+    if out is None:
+        out = np.empty((3,) + np.broadcast(a[0], b[0]).shape)
+    for i, j, k in _CYCLIC:
+        np.multiply(a[j], b[k], out=out[i])
+        out[i] -= a[k] * b[j]
     return out
 
 
-_SMALL = 256  # operand size up to which _cross gathers
-_SKEW = skew(EYE3).reshape(3, 9)  # skew(v) = (v @ _SKEW).reshape(3, 3): skew is linear
-_YZX, _ZXY = np.array([1, 2, 0]), np.array([2, 0, 1])
+def _mv(A, x):
+    """Matrices A (i, j, ...) times vectors x (j, ...) over the leading axes."""
+    return np.einsum("ij...,j...->i...", A, x)
 
 
-def _stack(*arrays):
-    """np.stack(arrays) at a third of its call overhead."""
-    return np.concatenate([a[None] for a in arrays])
+def _mm(A, B):
+    """Matrices A (i, j, ...) times matrices B (j, k, ...) over the leading axes."""
+    return np.einsum("ij...,jk...->ik...", A, B)
+
+
+def _branch_sum(a):
+    """Sum over the branch axis of a (..., n_br, N), branch by branch."""
+    out = np.zeros(a.shape[:-2] + a.shape[-1:])
+    for b in range(a.shape[-2]):
+        out += a[..., b, :]
+    return out
 
 
 @dataclass
@@ -135,9 +134,10 @@ class BatchState:
     # feet whose friction cone the last substep saturated: the active-set
     # pass re-solved them with a sliding force
     cone_saturated: np.ndarray = None  # (N, n_feet)
-    # (fields, fk, vel, feet): the kinematics of _kinematics and a copy of
-    # the fields they derive from, against which it checks itself
-    cache: tuple = field(default=None, repr=False, compare=False)
+    # the env-last view of the state (see _kinematics): a copy of the fields
+    # its kinematics derive from, against which it checks itself, and those
+    # kinematics
+    cache: dict = field(default=None, repr=False, compare=False)
 
     @property
     def n(self):
@@ -165,137 +165,204 @@ class BatchParams:
 # ---------------------------------------------------------------------------
 # kinematic passes
 
+_KINEMATIC_FIELDS = ("base_pos", "base_quat", "base_linvel", "base_angvel", "q", "qdot")
 
-def _fk(ct: KinematicTree, bs: BatchState):
-    """World rotations/origins/coms of every body, world joint axes/origins.
 
-    Recursions run level-by-level so all bodies at one tree depth (e.g. the
-    four hips) are processed in a single vectorized operation.
-    """
-    N, B, nj = bs.n, ct.n_bodies, ct.n_joints
-    R = np.empty((N, B, 3, 3))
-    p = np.empty((N, B, 3))
-    a_w = np.empty((N, nj, 3))
-    o_w = np.empty((N, nj, 3))
+def _empty_state(ct: KinematicTree, n):
+    """Env-last arrays for the kinematic fields of n envs and their
+    kinematics: the keys of ``_KINEMATIC_FIELDS`` (k, n); ``_fk``'s R
+    (3, 3, B, n), p and c (3, B, n), a_w and o_w (3, nj, n); ``_velocities``'
+    w, v_o and v_c (3, B, n); and foot_pos, foot_vel (3, n_feet, n) for a
+    tree with feet."""
+    B, nj = ct.n_bodies, ct.n_joints
+    shapes = {"base_pos": (3,), "base_quat": (4,), "base_linvel": (3,), "base_angvel": (3,),
+              "q": (nj,), "qdot": (nj,), "R": (3, 3, B), "p": (3, B), "c": (3, B),
+              "a_w": (3, nj), "o_w": (3, nj), "w": (3, B), "v_o": (3, B), "v_c": (3, B)}
+    if ct.foot_body_indices:
+        shapes["foot_pos"] = shapes["foot_vel"] = (3, len(ct.foot_body_indices))
+    return {key: np.empty(shape + (n,)) for key, shape in shapes.items()}
+
+
+def _per_branch(ct: KinematicTree, x):
+    """View (..., d, n_br, n) of the jointed part of x (..., k, n): the last
+    n_br * d entries of its axis before the env axis, which are the chain
+    bodies of a body array, all joints of a joint array or the joint rates
+    of a generalized vector. Entry (s, b) is slot s of chain b."""
+    n_br, d = ct.n_branches, ct.branch_size
+    part = x[..., x.shape[-2] - n_br * d:, :]
+    return part.reshape(part.shape[:-2] + (n_br, d, part.shape[-1])).swapaxes(-3, -2)
+
+
+def _parents(ct: KinematicTree, x):
+    """The values of a body array x (..., B, n) at each chain body's parent,
+    (..., d, n_br, n): the chain's previous body, and for its first body the
+    base, or zero for the fixed world."""
+    chain = _per_branch(ct, x)
+    out = np.empty(chain.shape)
+    out[..., 0, :, :] = x[..., :1, :] if ct.floating else 0.0
+    out[..., 1:, :, :] = chain[..., :-1, :, :]
+    return out
+
+
+def _cumulate(x):
+    """Sum x (..., d, n_br, n) along its chains in place: slot s becomes the
+    sum of slots 0 to s."""
+    for s in range(1, x.shape[-3]):
+        x[..., s, :, :] += x[..., s - 1, :, :]
+    return x
+
+
+def _fk(ct: KinematicTree, st):
+    """World rotations/origins/coms of every body, world joint axes/origins,
+    written into st from its fields. The chains are walked slot by slot, all
+    chains at once."""
+    R, p = st["R"], st["p"]
     if ct.floating:
-        R[:, 0] = quat_to_matrix(bs.base_quat)
-        p[:, 0] = bs.base_pos
-    for bodies, joints, parents, rooted in ct.levels:
-        Rj = rotation_about_axis(
-            ct.axis_skew[joints], ct.axis_skew_sq[joints], bs.q[:, joints]
-        )  # (N, L, 3, 3)
-        if rooted:
-            o_w[:, joints] = ct.joint_origin[joints]
-            a_w[:, joints] = ct.joint_axis[joints]
-            R[:, bodies] = Rj
-        else:
-            Rp = R[:, parents]
-            o_w[:, joints] = p[:, parents] + (Rp @ ct.joint_origin[joints][..., None])[..., 0]
-            a_w[:, joints] = (Rp @ ct.joint_axis[joints][..., None])[..., 0]
-            R[:, bodies] = Rp @ Rj
-        p[:, bodies] = o_w[:, joints]
-    c = p + (R @ ct.com[..., None])[..., 0]
-    return {"R": R, "p": p, "c": c, "a_w": a_w, "o_w": o_w}
+        R[:, :, 0] = quat_to_matrix(st["base_quat"].T).transpose(1, 2, 0)
+        p[:, 0] = st["base_pos"]
+    q = _per_branch(ct, st["q"])
+    Rj = np.sin(q) * ct.axis_skew + (1.0 - np.cos(q)) * ct.axis_skew_sq  # Rodrigues
+    for i in range(3):
+        Rj[i, i] += 1.0
+    Rc, pc = _per_branch(ct, R), _per_branch(ct, p)
+    a_w, o_w = _per_branch(ct, st["a_w"]), _per_branch(ct, st["o_w"])
+    for s in range(ct.branch_size):
+        if s or ct.floating:  # the parent is the chain's previous body or the base
+            Rp, pp = (Rc[:, :, s - 1], pc[:, s - 1]) if s else (R[:, :, :1], p[:, :1])
+            Rc[:, :, s] = _mm(Rp, Rj[:, :, s])
+            a_w[:, s] = _mv(Rp, ct.joint_axis[:, s])
+            np.add(pp, _mv(Rp, ct.joint_origin[:, s]), out=o_w[:, s])
+        else:  # a chain's first body hangs off the fixed world
+            Rc[:, :, 0] = Rj[:, :, 0]
+            a_w[:, 0] = ct.joint_axis[:, 0]
+            o_w[:, 0] = ct.joint_origin[:, 0]
+        pc[:, s] = o_w[:, s]
+    np.add(p, _mv(R, ct.com), out=st["c"])
 
 
-def _velocities(ct: KinematicTree, bs: BatchState, fk):
-    """Body angular velocities and com/origin linear velocities (world)."""
-    N, B = bs.n, ct.n_bodies
-    w = np.empty((N, B, 3))
-    v_o = np.empty((N, B, 3))
+def _velocities(ct: KinematicTree, st):
+    """Body angular velocities and com/origin linear velocities (world),
+    written into st. Along a chain, w adds each joint's spin a qdot and v_o
+    each lever's w(parent) x (p - p(parent))."""
+    w, v_o, p = st["w"], st["v_o"], st["p"]
     if ct.floating:
-        w[:, 0] = bs.base_angvel
-        v_o[:, 0] = bs.base_linvel
-    p = fk["p"]
-    for bodies, joints, parents, rooted in ct.levels:
-        if rooted:
-            w_p = 0.0
-            v_p = 0.0
-        else:
-            w_p = w[:, parents]
-            v_p = v_o[:, parents] + _cross(w_p, p[:, bodies] - p[:, parents])
-        w[:, bodies] = w_p + fk["a_w"][:, joints] * bs.qdot[:, joints, None]
-        v_o[:, bodies] = v_p
-    v_c = v_o + _cross(w, fk["c"] - p)
-    return {"w": w, "v_o": v_o, "v_c": v_c}
+        w[:, 0] = st["base_angvel"]
+        v_o[:, 0] = st["base_linvel"]
+    if ct.n_branches:
+        wc, vc = _per_branch(ct, w), _per_branch(ct, v_o)
+        np.multiply(_per_branch(ct, st["a_w"]), _per_branch(ct, st["qdot"]), out=wc)
+        if ct.floating:  # the chains start from the base's velocities
+            wc[:, 0] += w[:, :1]
+        _cumulate(wc)
+        _cross(_parents(ct, w), _per_branch(ct, p) - _parents(ct, p), out=vc)
+        if ct.floating:
+            vc[:, 0] += v_o[:, :1]
+        _cumulate(vc)
+    np.add(v_o, _cross(w, st["c"] - p), out=st["v_c"])
 
 
-def _bias_accelerations(ct: KinematicTree, bs: BatchState, fk, vel):
-    """Com and angular accelerations at zero generalized acceleration.
+def foot_points(ct: KinematicTree, st):
+    """World positions and velocities of the foot contact points, written
+    into st: each foot is on the last body of its chain."""
+    p = _per_branch(ct, st["p"])[:, -1]
+    pos = st["foot_pos"]
+    np.add(p, _mv(_per_branch(ct, st["R"])[:, :, -1], ct.foot_offsets.T[..., None]), out=pos)
+    np.add(_per_branch(ct, st["v_o"])[:, -1],
+           _cross(_per_branch(ct, st["w"])[:, -1], pos - p), out=st["foot_vel"])
+
+
+def _fill_kinematics(ct: KinematicTree, st):
+    _fk(ct, st)
+    _velocities(ct, st)
+    if ct.foot_body_indices:
+        foot_points(ct, st)
+
+
+def _bias_accelerations(ct: KinematicTree, st):
+    """Angular and com accelerations (alpha, a_c) at zero generalized
+    acceleration. Along a chain, alpha adds qdot w(parent) x a and the
+    origin acceleration a_o adds alpha(parent) x (p - p(parent)) +
+    w(parent) x (v_o - v_o(parent)); the base's are zero.
 
     The centripetal terms w x (w x r) take w x r from the velocity pass:
-    v_o(child) - v_o(parent) for the joint lever, v_c - v_o for the com.
+    v_o - v_o(parent) for the joint lever, v_c - v_o for the com.
     """
-    N, B = bs.n, ct.n_bodies
-    alpha = np.zeros((N, B, 3))
-    a_o = np.zeros((N, B, 3))
-    p, w, v_o = fk["p"], vel["w"], vel["v_o"]
-    for bodies, joints, parents, rooted in ct.levels:
-        if rooted:  # bodies on the fixed world: both stay zero
-            continue
-        w_p, al_p = w[:, parents], alpha[:, parents]
-        # one cross product call for al_p x dp, w_p x (w_p x dp) and w_p x a
-        lever = _stack(p[:, bodies] - p[:, parents], v_o[:, bodies] - v_o[:, parents],
-                       fk["a_w"][:, joints])
-        terms = _cross(_stack(al_p, w_p, w_p), lever)
-        a_o[:, bodies] = a_o[:, parents] + terms[0] + terms[1]
-        alpha[:, bodies] = al_p + bs.qdot[:, joints, None] * terms[2]
-    terms = _cross(_stack(alpha, w), _stack(fk["c"] - p, vel["v_c"] - v_o))
-    return {"alpha": alpha, "a_c": a_o + terms[0] + terms[1]}
+    p, w, v_o = st["p"], st["w"], st["v_o"]
+    alpha = np.zeros(p.shape)
+    a_o = np.zeros(p.shape)
+    if ct.n_branches:
+        w_p = _parents(ct, w)
+        np.multiply(_per_branch(ct, st["qdot"]), _cross(w_p, _per_branch(ct, st["a_w"])),
+                    out=_per_branch(ct, alpha))
+        _cumulate(_per_branch(ct, alpha))
+        np.add(_cross(_parents(ct, alpha), _per_branch(ct, p) - _parents(ct, p)),
+               _cross(w_p, _per_branch(ct, v_o) - _parents(ct, v_o)),
+               out=_per_branch(ct, a_o))
+        _cumulate(_per_branch(ct, a_o))
+    a_c = a_o + _cross(alpha, st["c"] - p) + _cross(w, st["v_c"] - v_o)
+    return alpha, a_c
 
 
-def _world_inertia(ct: KinematicTree, fk):
-    """Body rotational inertias about their coms in world axes, R I R'.
-    (Stacked tiny matmuls are fast on contiguous operands only, hence the
-    copy of R'.)"""
-    R = fk["R"]
-    return R @ (ct.inertia @ np.ascontiguousarray(R.swapaxes(-1, -2)))
+def _world_inertia(ct: KinematicTree, R):
+    """Body rotational inertias about their coms in world axes, R I R'."""
+    return np.einsum("ik...,jk...->ij...", _mm(R, ct.inertia), R)
 
 
 # ---------------------------------------------------------------------------
 # block-arrow assembly and solve
 
 
-def _per_branch(ct: KinematicTree, x):
-    """View (N, n_br, d, ...) of the jointed part of axis 1 of x: its last
-    n_br * d entries, which are the branch bodies of a body array, all of a
-    joint array, or the joint rates of a generalized vector."""
-    n_br, d = ct.n_branches, ct.branch_size
-    return x[:, x.shape[1] - n_br * d:].reshape((x.shape[0], n_br, d) + x.shape[2:])
-
-
 def _local(ct: KinematicTree, v):
-    """Generalized vector v (N, nv) in each branch's local coordinates
-    [base, branch joints]: (N, n_br, nb + d)."""
+    """Generalized vector v (nv, n) in each branch's local coordinates
+    [base, branch joints]: (nb + d, n_br, n)."""
     nb = ct.n_base
-    base = np.repeat(v[:, None, :nb], ct.n_branches, axis=1)
-    return np.concatenate([base, _per_branch(ct, v)], axis=-1)
+    out = np.empty((nb + ct.branch_size, ct.n_branches, v.shape[-1]))
+    out[:nb] = v[:nb, None]
+    out[nb:] = _per_branch(ct, v)
+    return out
 
 
 def _from_local(ct: KinematicTree, y):
-    """Generalized force (N, nv) of forces y (N, n_br, nb + d) given in each
+    """Generalized force (nv, n) of forces y (nb + d, n_br, n) given in each
     branch's local coordinates: the base parts add up."""
     nb = ct.n_base
-    return np.concatenate([y[..., :nb].sum(axis=1), y[..., nb:].reshape(y.shape[0], -1)], axis=1)
+    out = np.empty((ct.nv, y.shape[-1]))
+    out[:nb] = _branch_sum(y[:nb])
+    _per_branch(ct, out)[...] = y[nb:]
+    return out
 
 
-def _foot_jacobians(ct: KinematicTree, fk, pos):
-    """Linear Jacobians (N, n_br, 3, nb + d) of the foot points pos
-    (N, n_br, 3), foot i on branch i, over each branch's local coordinates:
-    the nb base velocities, [I, -skew(pos - p0)], then the branch's d
-    joints, a_s x (pos - o_s): the foot is on the chain's last body, so each
-    of them moves it."""
-    lever = pos[:, :, None] - _per_branch(ct, fk["o_w"])
-    cols = _cross(_per_branch(ct, fk["a_w"]), lever)
-    J = np.empty(pos.shape + (ct.n_base + ct.branch_size,))
+def _foot_jacobians(ct: KinematicTree, st):
+    """Linear Jacobians (3, nb + d, n_br, n) of the foot points, foot i on
+    branch i, over each branch's local coordinates: the nb base velocities,
+    [I, -skew(pos - p0)], then the branch's d joints, a_s x (pos - o_s): the
+    foot is on the chain's last body, so each of them moves it."""
+    nb, n_br, d = ct.n_base, ct.n_branches, ct.branch_size
+    pos = st["foot_pos"]
+    n = pos.shape[-1]
+    a = _per_branch(ct, st["a_w"])
+    lever = pos[:, None] - _per_branch(ct, st["o_w"])
+    J = np.empty((3, nb + d, n_br, n))
     if ct.floating:
-        J[..., 0:3] = EYE3
-        J[..., 3:6] = -skew(pos - fk["p"][:, :1])
-    J[..., ct.n_base:] = cols.swapaxes(-1, -2)
+        J[:, :3] = np.eye(3)[..., None, None]
+        J[:, 3:6] = skew((pos - st["p"][:, :1]).T).T  # -[r], the transpose of [r]
+    J[:, nb:] = _cross(a, lever)
     return J
 
 
-def _mass_blocks(ct: KinematicTree, params: BatchParams, fk, vel, bias):
+def _spatial_inertia(g, S):
+    """Write the spatial inertia [[m 1, -[h]], [[h], J]] of the body table
+    rows g (19, ...) (see ``_mass_blocks``) into S (6, 6, ...)."""
+    minus_hx = skew(g[1:4].T).T  # -[h], the transpose of [h]: .T reverses every axis
+    S[:3, :3] = 0.0
+    for i in range(3):
+        S[i, i] = g[0]
+    S[:3, 3:] = minus_hx
+    S[3:, :3] = minus_hx.swapaxes(0, 1)
+    S[3:, 3:] = g[4:13].reshape((3, 3) + g.shape[1:])
+
+
+def _mass_blocks(ct: KinematicTree, st, masses, gravity, alpha, a_c):
     """The mass matrix and the bias forces in block-arrow form, assembled
     from composite rigid bodies.
 
@@ -305,149 +372,144 @@ def _mass_blocks(ct: KinematicTree, params: BatchParams, fk, vel, bias):
     the rotational inertia J = I_w + m (|r|^2 1 - r r') with r = c - p0, and
     the wrench (f, n + r x f) of the body's bias force f and moment n. Their
     spatial inertia is [[m 1, -[h]], [[h], J]]. Summed over the bodies each
-    joint moves, they give the composite of each joint s, which maps the
-    joint's twist s_s = [v; a] = [(o_s - p0) x a_s; a_s] to the wrench
+    joint moves (on a chain: its own body and those after it), they give the
+    composite of each joint s, which maps the joint's twist
+    s_s = [v; a] = [(o_s - p0) x a_s; a_s] to the wrench
     F_s = [m v - h x a; h x v + J a]. Then M_bl[:, s] = F_s,
-    M_ll[s, t] = s_s . F_t for s an ancestor of t (or t itself), and
-    h_s = s_s . W_s for the composite wrench W_s.
+    M_ll[s, t] = M_ll[t, s] = s_s . F_t for s an ancestor of t (or t
+    itself), and h_s = s_s . W_s for the composite wrench W_s.
 
-    Returns T (N, nb, nb), the base body's share of the base-base block;
-    K (N, n_br, nb + d, nb + d), each branch's block over its local
-    coordinates [base, branch joints], whose base-base part is the branch's
-    composite inertia, so that T + sum K_bb = M_bb; and h (N, nv), the
-    generalized bias force (gravity and velocity products).
+    masses (B, n) and gravity (3, n) are env-last. Returns T (nb, nb, n),
+    the base body's share of the base-base block; K (nb + d, nb + d, n_br, n),
+    each branch's block over its local coordinates [base, branch joints],
+    whose base-base part is the branch's composite inertia, so that
+    T + sum K_bb = M_bb; and h (nv, n), the generalized bias force (gravity
+    and velocity products).
     """
-    N, B = fk["R"].shape[:2]
     nb, n_br, d = ct.n_base, ct.n_branches, ct.branch_size
-    m = params.masses[..., None]
-    p0 = fk["p"][:, :1] if ct.floating else np.zeros((N, 1, 3))
-    r = fk["c"] - p0
-    I_w = _world_inertia(ct, fk)
-    w = vel["w"]
-    X = np.empty((N, B, 19))  # per body: m, h (3), J (3 x 3), f (3), n + r x f (3)
-    X[..., 0] = params.masses
-    h = np.multiply(m, r, out=X[..., 1:4])
-    J = np.subtract(I_w, h[..., :, None] * r[..., None, :], out=X[..., 4:13].reshape(N, B, 3, 3))
-    J.reshape(N, B, 9)[..., ::4] += (h * r).sum(axis=-1, keepdims=True)
-    f = np.multiply(m, bias["a_c"] - params.gravity[:, None], out=X[..., 13:16])
-    Iw = I_w @ np.concatenate([w[..., None], bias["alpha"][..., None]], axis=-1)
-    t = _cross(_stack(w, r), _stack(Iw[..., 0], f))
-    np.add(Iw[..., 1], t[0] + t[1], out=X[..., 16:19])  # I_w alpha + w x I_w w + r x f
-    # composites over the bodies each joint moves
-    Xb = _per_branch(ct, X)
-    Xc = ct.moves @ Xb  # (N, n_br, d, 19)
-    a = _per_branch(ct, fk["a_w"])
-    v = _cross(_per_branch(ct, fk["o_w"]) - p0[:, None], a)
-    hc = Xc[..., 1:4]
-    t = _cross(_stack(hc, a), _stack(v, hc))
-    twist = np.concatenate([v, a], axis=-1)  # (N, n_br, d, 6)
-    Ja = np.einsum("nlsij,nlsj->nlsi", Xc[..., 4:13].reshape(N, n_br, d, 3, 3), a)
-    # F' (N, n_br, 6, d): column s is F_s
-    Ft = np.concatenate([(Xc[..., :1] * v + t[1]).swapaxes(-1, -2),
-                         (t[0] + Ja).swapaxes(-1, -2)], axis=-2)
-    P = twist @ Ft  # P[s, t] = s_s . F_t
-    K = np.empty((N, n_br, nb + d, nb + d))
-    K[..., :nb, nb:] = Ft[..., :nb, :]
-    K[..., nb:, :nb] = Ft[..., :nb, :].swapaxes(-1, -2)
-    # M_ll[s, t] is P[s, t] where s moves t's body, P[t, s] where t strictly
-    # moves s's, and 0 between joints on different paths
-    M_ll = np.multiply(ct.moves, P, out=K[..., nb:, nb:])
-    M_ll += ct.moved_by * P.swapaxes(-1, -2)
-    h_joints = np.einsum("nlsc,nlsc->nls", twist, Xc[..., 13:]).reshape(N, -1)
+    B, n = masses.shape
+    p0 = st["p"][:, :1] if ct.floating else np.zeros((3, 1, n))
+    r = st["c"] - p0
+    I_w = _world_inertia(ct, st["R"])
+    X = np.empty((19, B, n))  # per body: m, h (3), J (3 x 3), f (3), n + r x f (3)
+    X[0] = masses
+    h = np.multiply(masses, r, out=X[1:4])
+    J = np.subtract(I_w, np.einsum("i...,j...->ij...", h, r), out=X[4:13].reshape(3, 3, B, n))
+    hr = np.einsum("i...,i...->...", h, r)
+    for i in range(3):
+        J[i, i] += hr
+    f = np.multiply(masses, a_c - gravity[:, None], out=X[13:16])
+    w = st["w"]
+    np.add(_mv(I_w, alpha) + _cross(w, _mv(I_w, w)), _cross(r, f), out=X[16:19])
+    # composites over the bodies each joint moves, in place: the sums from
+    # each slot to the end of its chain; branch arrays are (..., d, n_br, n)
+    Xc = _per_branch(ct, X)
+    for k in reversed(range(d - 1)):
+        Xc[:, k] += Xc[:, k + 1]
+    a = _per_branch(ct, st["a_w"])
+    v = _cross(_per_branch(ct, st["o_w"]) - p0[:, None], a)
+    hc = Xc[1:4]
+    K = np.empty((nb + d, nb + d, n_br, n))
+    F = K[:nb, nb:] if nb else np.empty((6, d, n_br, n))  # column s is F_s
+    np.add(Xc[0] * v, _cross(a, hc), out=F[:3])
+    np.add(_cross(hc, v), _mv(Xc[4:13].reshape(3, 3, d, n_br, n), a), out=F[3:])
+    K[nb:, :nb] = F[:nb].swapaxes(0, 1)
+    twist = np.concatenate([v, a])  # (6, d, n_br, n)
+    M_ll = np.einsum("csbn,ctbn->stbn", twist, F, out=K[nb:, nb:])
+    for s in range(d):  # s_s . F_t is M_ll[s, t] for s <= t: mirror it
+        for t in range(s):
+            M_ll[s, t] = M_ll[t, s]
+    h_all = np.empty((ct.nv, n))
+    np.einsum("csbn,csbn->sbn", twist, Xc[13:], out=_per_branch(ct, h_all))
     if not ct.floating:
-        return np.zeros((N, 0, 0)), K, h_joints
+        return np.zeros((0, 0, n)), K, h_all
     # the spatial inertias of the base body and of each branch's composite,
     # which is that of the branch's first joint: it moves all the branch
-    G = np.concatenate([X[:, :1], Xc[:, :, :1].reshape(N, n_br, 19)], axis=1)
-    S = np.empty((N, 1 + n_br, 6, 6))
-    S[..., :3, :3] = G[..., :1, None] * EYE3
-    hx = (G[..., 1:4] @ _SKEW).reshape(N, 1 + n_br, 3, 3)  # [h]
-    S[..., 3:, :3] = hx
-    S[..., :3, 3:] = -hx
-    S[..., 3:, 3:] = G[..., 4:13].reshape(N, 1 + n_br, 3, 3)
-    K[..., :nb, :nb] = S[:, 1:]
-    return S[:, 0], K, np.concatenate([G[..., 13:].sum(axis=1), h_joints], axis=1)
+    T = np.empty((6, 6, n))
+    _spatial_inertia(X[:, 0], T)
+    h_all[:nb] = X[13:, 0]
+    if n_br:
+        _spatial_inertia(Xc[:, 0], K[:6, :6])
+        h_all[:nb] += _branch_sum(Xc[13:, 0])
+    return T, K, h_all
 
 
 def _spd_solve(A):
-    """Solve M X = B for stacks of small symmetric positive definite M
-    (..., d, d), given A = [M | B] (..., d, d + c); returns X (..., d, c).
-    An LDL' elimination unrolled over the d rows, each step vectorised over
-    the stack: per-matrix LAPACK calls do not pay at d <= 3. Overwrites A."""
-    d = A.shape[-2]
+    """Solve M X = B for symmetric positive definite M (d, d, ...), given
+    A = [M | B] (d, d + c, ...); returns X (d, c, ...). An LDL' elimination
+    unrolled over the d rows, each step a few calls over all trailing axes.
+    Overwrites A."""
+    d = A.shape[0]
     for k in range(d - 1):  # L's column k below the pivot D_k
-        below = A[..., k + 1:, k + 1:]
-        np.subtract(below, A[..., k + 1:, k, None] / A[..., k, None, k, None]
-                    * A[..., k, None, k + 1:], out=below)
+        below = A[k + 1:, k + 1:]
+        below -= A[k + 1:, k, None] / A[k, k] * A[k, None, k + 1:]
     for k in reversed(range(d)):  # back-substitution, one unknown row at a time
-        x = A[..., k, d:]
-        np.divide(x, A[..., k, k, None], out=x)
+        x = A[k, d:]
+        x /= A[k, k]
         if k:
-            above = A[..., :k, d:]
-            np.subtract(above, A[..., :k, k, None] * x[..., None, :], out=above)
-    return A[..., d:]
+            A[:k, d:] -= A[:k, k, None] * x
+    return A[:, d:]
 
 
 def _solve(ct: KinematicTree, T, K, r):
     """Solve M x = r for the block-arrow M given by the base block T and the
-    branch blocks K (see ``_mass_blocks``).
+    branch blocks K (see ``_mass_blocks``); r and x are (nv, n).
 
     Each branch's joint block M_ll is eliminated, the base part solves the
-    Schur complement S = M_bb - sum_l M_bl M_ll^-1 M_lb (nb x nb, LAPACK),
-    and the joint rates follow by back-substitution.
+    Schur complement S = M_bb - sum_l M_bl M_ll^-1 M_lb (nb x nb), and the
+    joint rates follow by back-substitution.
     """
     nb = ct.n_base
-    # M_ll^-1 [M_lb | r_l], (N, n_br, d, nb + 1)
+    x = np.empty(r.shape)
+    if not ct.n_branches:  # a free body: M is its base block
+        x[:] = _spd_solve(np.concatenate([T, r[:, None]], axis=1))[:, 0]
+        return x
+    # M_ll^-1 [M_lb | r_l], (d, nb + 1, n_br, n)
     X = _spd_solve(np.concatenate(
-        [K[..., nb:, nb:], K[..., nb:, :nb], _per_branch(ct, r)[..., None]], axis=-1))
-    Y = K[..., :nb, nb:] @ X
-    S = T + (K[..., :nb, :nb] - Y[..., :nb]).sum(axis=1)
-    x_b = np.linalg.solve(S, r[:, :nb, None] - Y[..., nb:].sum(axis=1))
-    x_l = X[..., nb:] - X[..., :nb] @ x_b[:, None]
-    return np.concatenate([x_b[..., 0], x_l.reshape(r.shape[0], -1)], axis=1)
+        [K[nb:, nb:], K[nb:, :nb], _per_branch(ct, r)[:, None]], axis=1))
+    if nb:
+        Y = _mm(K[:nb, nb:], X)  # M_bl M_ll^-1 [M_lb | r_l]
+        S = np.empty((nb, nb + 1, r.shape[-1]))  # the Schur complement | its right-hand side
+        np.subtract(_branch_sum(K[:nb, :nb]), _branch_sum(Y[:, :nb]), out=S[:, :nb])
+        S[:, :nb] += T
+        np.subtract(r[:nb], _branch_sum(Y[:, nb]), out=S[:, nb])
+        x[:nb] = _spd_solve(S)[:, 0]
+        X = X[:, nb] - _mv(X[:, :nb], x[:nb, None])
+    else:
+        X = X[:, 0]
+    _per_branch(ct, x)[...] = X
+    return x
 
 
 # ---------------------------------------------------------------------------
 # contacts
 
 
-def foot_points(ct: KinematicTree, fk, vel=None):
-    """World positions (and velocities) of the foot contact points."""
-    feet = np.asarray(ct.foot_body_indices, dtype=int)
-    offs = ct.foot_offsets
-    p = fk["p"][:, feet]
-    R = fk["R"][:, feet]
-    pos = p + (R @ offs[..., None])[..., 0]
-    if vel is None:
-        return pos, None
-    v = vel["v_o"][:, feet] + _cross(vel["w"][:, feet], pos - p)
-    return pos, v
-
-
 def _penalty(contact_cfg, pos, vel):
-    """The penalty law's terms at foot states pos/vel (N, n_feet, 3): the
-    contact mask (z < 0), the normal spring force k_n * depth (N, n_feet),
-    and the damper weights D (N, n_feet, 3) per foot axis: k_t on the tangent
-    axes of feet in contact, c_n on the normal of feet in contact moving down."""
+    """The penalty law's terms at foot states pos/vel (3, n_feet, n): the
+    contact mask (z < 0), the normal spring force k_n * depth (n_feet, n),
+    and the damper weights D (3, n_feet, n) per foot axis: k_t on the
+    tangent axes of feet in contact, c_n on the normal of feet in contact
+    moving down."""
     k_n = float(contact_cfg["normal_stiffness"])
     c_n = float(contact_cfg["normal_damping"])
     k_t = float(contact_cfg["tangential_damping"])
-    in_contact = pos[..., 2] < 0.0
-    spring = k_n * np.where(in_contact, -pos[..., 2], 0.0)
+    in_contact = pos[2] < 0.0
+    spring = k_n * np.where(in_contact, -pos[2], 0.0)
     D = np.empty(pos.shape)
-    D[..., 0] = D[..., 1] = k_t * in_contact
-    D[..., 2] = c_n * (in_contact & (vel[..., 2] < 0.0))
+    D[0] = D[1] = k_t * in_contact
+    D[2] = c_n * (in_contact & (vel[2] < 0.0))
     return in_contact, spring, D
 
 
 def _cone(spring, D, friction, vel):
-    """The law's normal force, tangent force (N, n_feet, 2), the tangent's
+    """The law's normal force, tangent force (2, n_feet, n), the tangent's
     norm and the Coulomb limit mu * normal at foot velocities vel, before
-    the clamp; friction is (N,)."""
-    normal = spring + D[..., 2] * np.maximum(0.0, -vel[..., 2])
-    tangent = -D[..., :2] * vel[..., :2]
-    t_norm = np.sqrt(tangent[..., 0] * tangent[..., 0] + tangent[..., 1] * tangent[..., 1])
-    return normal, tangent, t_norm, friction[:, None] * normal
+    the clamp; friction is (n,)."""
+    normal = spring + D[2] * np.maximum(0.0, -vel[2])
+    tangent = -D[:2] * vel[:2]
+    t_norm = np.sqrt(tangent[0] * tangent[0] + tangent[1] * tangent[1])
+    return normal, tangent, t_norm, friction * normal
 
 
 def contact_force_law(contact_cfg, friction, pos, vel):
@@ -457,67 +519,79 @@ def contact_force_law(contact_cfg, friction, pos, vel):
     pos/vel are (N, n_feet, 3) world foot states; friction is (N,).
     Returns per-foot world forces (N, n_feet, 3); zero when not penetrating.
     """
+    pos, vel = pos.T, vel.T
     _, spring, D = _penalty(contact_cfg, pos, vel)
     normal, tangent, t_norm, limit = _cone(spring, D, friction, vel)
     with np.errstate(invalid="ignore", divide="ignore"):
         scale = np.where(t_norm > limit, limit / np.where(t_norm > 0, t_norm, 1.0), 1.0)
     forces = np.empty(pos.shape)
-    forces[..., :2] = tangent * scale[..., None]
-    forces[..., 2] = normal
-    return forces
+    forces[:2] = tangent * scale
+    forces[2] = normal
+    return forces.T
 
 
 # ---------------------------------------------------------------------------
 # forward dynamics and stepping
 
 
-_KINEMATIC_FIELDS = ("base_pos", "base_quat", "base_linvel", "base_angvel", "q", "qdot")
+def _same_bits(a, b):
+    """Whether the field a (N, k) holds the bits of its env-last copy b."""
+    return a.shape == b.T.shape and a.tobytes() == b.T.tobytes()
 
 
 def _kinematics(ct: KinematicTree, bs: BatchState):
-    """(fk, vel, feet) of the state: ``_fk``, ``_velocities`` and the foot
-    (positions, velocities) of ``foot_points``, None for a tree without
-    feet. They are kept in ``bs.cache`` with a copy of the fields they
-    derive from and recomputed when the bits of any of those fields differ
-    from its copy: equal bits give the same kinematics bit for bit, and a
-    NaN left alone compares equal, so a diverged row does not force a
-    recompute every substep. (At N = 1 on 2 cores, numpy 2.4, comparing
-    bytes took 2.5 us and np.array_equal(equal_nan=True) over the six fields
-    52 us, against 1.2 ms for a substep.)"""
-    now = [getattr(bs, name) for name in _KINEMATIC_FIELDS]
-    if bs.cache is None or not all(
-            a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(now, bs.cache[0])):
-        fk = _fk(ct, bs)
-        vel = _velocities(ct, bs, fk)
-        feet = foot_points(ct, fk, vel) if ct.foot_body_indices else None
-        bs.cache = (tuple(x.copy() for x in now), fk, vel, feet)
-    return bs.cache[1:]
+    """The env-last view of the state (see ``_empty_state``): a copy of its
+    kinematic fields, its FK, velocities and foot points. It is kept in
+    ``bs.cache`` and recomputed when the bits of any field differ from its
+    copy: equal bits give the same kinematics bit for bit, and a NaN left
+    alone compares equal, so a diverged row does not force a recompute
+    every substep."""
+    st = bs.cache
+    if st is None or not all(_same_bits(getattr(bs, key), st[key]) for key in _KINEMATIC_FIELDS):
+        st = _empty_state(ct, bs.n)
+        for key in _KINEMATIC_FIELDS:
+            st[key][...] = getattr(bs, key).T
+        _fill_kinematics(ct, st)
+        bs.cache = st
+    return st
 
 
-def _assemble(ct: KinematicTree, bs: BatchState, tau, push, params):
+def _inputs(ct: KinematicTree, n, tau, push, params):
+    """Env-last views of step_batch's inputs: tau (nj, n), push (3, n) or
+    None, masses (B, n), gravity (3, n) and friction (n,)."""
+    return {"tau": np.broadcast_to(tau, (n, ct.n_joints)).T,
+            "push": None if push is None else np.broadcast_to(push, (n, 3)).T,
+            "masses": params.masses.T, "gravity": params.gravity.T, "friction": params.friction}
+
+
+def _assemble(ct: KinematicTree, st, inp):
     """Common dynamics assembly: the mass blocks (T, K), the applied-minus-
     bias generalized force (without contact forces), and the foot context
-    with each foot's Jacobian in its branch's local coordinates."""
-    fk, vel, feet = _kinematics(ct, bs)
-    bias = _bias_accelerations(ct, bs, fk, vel)
-    T, K, h = _mass_blocks(ct, params, fk, vel, bias)
+    (positions, velocities, Jacobians in each branch's local coordinates)."""
+    alpha, a_c = _bias_accelerations(ct, st)
+    T, K, h = _mass_blocks(ct, st, inp["masses"], inp["gravity"], alpha, a_c)
     rhs = -h
-    rhs[:, ct.n_base:] += tau
-    if push is not None:  # a force at the base origin, about which h is taken
-        rhs[:, :3] += push
+    rhs[ct.n_base:] += inp["tau"]
+    if inp["push"] is not None:  # a force at the base origin, about which h is taken
+        rhs[:3] += inp["push"]
     contact = None
-    if feet is not None:
-        pos, v = feet  # foot f is on branch f
-        contact = {"pos": pos, "vel": v, "J": _foot_jacobians(ct, fk, pos)}
+    if ct.foot_body_indices:  # foot f is on branch f
+        contact = st["foot_pos"], st["foot_vel"], _foot_jacobians(ct, st)
     return T, K, rhs, contact
 
 
+def _damper_block(J, E):
+    """J' E J (nb + d, nb + d, n_br, n) of the foot Jacobians J and damper
+    weights E (3, n_feet, n) per foot axis, each foot in its branch's block."""
+    return np.einsum("ai...,aj...->ij...", J, E[:, None] * J)
+
+
 def _foot_force(ct: KinematicTree, J, forces):
-    """Generalized force (N, nv) of per-foot world forces (N, n_feet, 3)."""
-    return _from_local(ct, (J.swapaxes(-1, -2) @ forces[..., None])[..., 0])
+    """Generalized force (nv, n) of per-foot world forces (3, n_feet, n)."""
+    return _from_local(ct, _mv(J.swapaxes(0, 1), forces))
 
 
-def _implicit_contact_velocity_update(ct, bs, dt, T, K, rhs, contact, params):
+def _implicit_contact_velocity_update(ct, v_cur, dt, T, K, rhs, contact, friction):
     """Velocity update with the contact dampers integrated implicitly.
 
     The explicit contact dampers are unconditionally unstable at the model's
@@ -529,131 +603,82 @@ def _implicit_contact_velocity_update(ct, bs, dt, T, K, rhs, contact, params):
     enforced by one active-set pass: feet whose implied tangent force exceeds
     mu * N are re-solved with an explicit saturated sliding force, in the
     rows (envs) that have such a foot only. Returns the new generalized
-    velocity, the (N, n_feet, 3) foot forces the solve applied,
+    velocity (nv, n), the (3, n_feet, n) foot forces the solve applied,
     f_spring (+ f_slide) - D J v_new from each row's final solve, and the
-    (N, n_feet) mask of the saturated feet.
+    (n_feet, n) mask of the saturated feet.
     """
-    pos, v, J = contact["pos"], contact["vel"], contact["J"]
+    pos, v, J = contact
     in_contact, spring, D = _penalty(ct.contact, pos, v)
-    v_cur = _generalized_velocity(ct, bs)
+    K += _damper_block(J, dt * D)  # now the blocks of M + dt J' D J
 
-    def solve(rows, D, slide=None):
-        # D (n, F, 3): damper weights per foot axis; slide: the explicit
-        # sliding force on the tangent axes. Returns the new velocity, the
-        # foot velocities and the foot forces at it.
+    def solve(A, rows, D, slide=None):
+        # A: the branch blocks with the dampers D (3, F, n) per foot axis;
+        # slide: the explicit sliding force on the tangent axes. Returns the
+        # new velocity, the foot velocities and the foot forces at it.
         def force(u):  # spring (+ slide) - D u at foot velocities u
             f = -D * u
-            f[..., 2] += spring[rows]
+            f[2] += spring[:, rows]
             if slide is not None:
-                f[..., :2] += slide
+                f[:2] += slide
             return f
 
-        J_r = J[rows]
-        A = K[rows] + dt * (J_r.swapaxes(-1, -2) @ (D[..., None] * J_r))
-        Q = rhs[rows] + _foot_force(ct, J_r, force(v[rows]))
-        v_new = v_cur[rows] + dt * _solve(ct, T[rows], A, Q)
-        v_feet = (J_r @ _local(ct, v_new)[..., None])[..., 0]
+        J_r = J[..., rows]
+        Q = rhs[:, rows] + _foot_force(ct, J_r, force(v[..., rows]))
+        v_new = v_cur[:, rows] + dt * _solve(ct, T[..., rows], A, Q)
+        v_feet = _mv(J_r, _local(ct, v_new))
         return v_new, v_feet, force(v_feet)
 
-    v_new, v_feet, applied = solve(slice(None), D)
+    v_new, v_feet, applied = solve(K, slice(None), D)
     # implied contact forces at the new velocity
-    _, f_tan, t_norm, limit = _cone(spring, D, params.friction, v_feet)
+    _, f_tan, t_norm, limit = _cone(spring, D, friction, v_feet)
     saturated = in_contact & (t_norm > limit + 1e-12)
-    rows = np.flatnonzero(saturated.any(axis=1))
+    rows = np.flatnonzero(saturated.any(axis=0))
     if rows.size:
-        sat, t_r = saturated[rows, :, None], t_norm[rows, :, None]
-        direction = f_tan[rows] / np.where(t_r > 0, t_r, 1.0)
-        D_r = D[rows]
-        D_r[..., :2] *= ~sat
-        v_new[rows], _, applied[rows] = solve(rows, D_r, direction * limit[rows, :, None] * sat)
+        sat, t_r = saturated[:, rows], t_norm[:, rows]
+        direction = f_tan[..., rows] / np.where(t_r > 0, t_r, 1.0)
+        D_r = D[..., rows]
+        D_r[:2] *= ~sat
+        A = K[..., rows]  # without the tangent dampers of the saturated feet
+        A -= _damper_block(J[..., rows], dt * (D[..., rows] - D_r))
+        v_new[:, rows], _, applied[..., rows] = solve(
+            A, rows, D_r, direction * limit[:, rows] * sat)
     return v_new, applied, saturated
 
 
-def _generalized_velocity(ct, bs):
-    parts = []
-    if ct.floating:
-        parts += [bs.base_linvel, bs.base_angvel]
-    if ct.n_joints:
-        parts.append(bs.qdot)
-    return np.concatenate(parts, axis=1)
+def _generalized_velocity(ct, st):
+    parts = [st["base_linvel"], st["base_angvel"]] if ct.floating else []
+    return np.concatenate(parts + [st["qdot"]])
 
 
-def _step_rows(ct: KinematicTree, bs: BatchState, tau, push, params, dt) -> BatchState:
-    """``step_batch`` on the rows of bs: the new state with its contact
-    flags, applied contact forces, saturated feet and kinematics cache."""
-    T, K, rhs, contact = _assemble(ct, bs, tau, push, params)
+def _step_rows(ct: KinematicTree, dt, st, inp, new, out):
+    """``step_batch`` on the rows of the env-last state st and inputs inp:
+    writes the new state and its kinematics into new (see ``_empty_state``)
+    and the applied contact forces (3, n_feet, n), the saturated feet
+    (n_feet, n) and the rows whose speed diverged (n,) into out."""
+    T, K, rhs, contact = _assemble(ct, st, inp)
+    v_cur = _generalized_velocity(ct, st)
     if contact is not None:
-        v_new, applied, saturated = _implicit_contact_velocity_update(
-            ct, bs, dt, T, K, rhs, contact, params)
+        v_new, out["contact_forces"][...], out["cone_saturated"][...] = \
+            _implicit_contact_velocity_update(ct, v_cur, dt, T, K, rhs, contact, inp["friction"])
     else:
-        v_new = _generalized_velocity(ct, bs) + dt * _solve(ct, T, K, rhs)
-        applied = np.zeros((bs.n, 1, 3))
-        saturated = np.zeros((bs.n, 1), dtype=bool)
-    off = 6 if ct.floating else 0
+        v_new = v_cur + dt * _solve(ct, T, K, rhs)
+        out["contact_forces"][...] = 0.0
+        out["cone_saturated"][...] = False
+    nb = ct.n_base
     if ct.floating:
-        linvel = v_new[:, 0:3]
-        angvel = v_new[:, 3:6]
-        base_pos = bs.base_pos + dt * linvel
-        base_quat = quat_normalize(quat_mul(quat_exp(dt * angvel), bs.base_quat))
+        new["base_linvel"][...] = v_new[0:3]
+        new["base_angvel"][...] = v_new[3:6]
+        np.add(st["base_pos"], dt * v_new[0:3], out=new["base_pos"])
+        new["base_quat"][...] = quat_normalize(quat_mul(
+            quat_exp(dt * v_new[3:6].T), st["base_quat"].T)).T
     else:
-        linvel, angvel = bs.base_linvel, bs.base_angvel
-        base_pos, base_quat = bs.base_pos, bs.base_quat
-    qdot = v_new[:, off:] if ct.n_joints else bs.qdot
-    q = bs.q + dt * qdot
+        for key in ("base_pos", "base_quat", "base_linvel", "base_angvel"):
+            new[key][...] = st[key]
+    new["qdot"][...] = v_new[nb:]
+    np.add(st["q"], dt * v_new[nb:], out=new["q"])
     # negated so that a non-finite velocity counts as diverged
-    diverged = ~(np.abs(v_new).max(axis=1) <= DIVERGENCE_SPEED)
-    if bs.diverged is not None:
-        diverged = diverged | bs.diverged
-    new = BatchState(
-        base_pos=base_pos,
-        base_quat=base_quat,
-        base_linvel=linvel,
-        base_angvel=angvel,
-        q=q,
-        qdot=qdot,
-        time=bs.time + dt,
-        contact_forces=applied,
-        diverged=diverged,
-        cone_saturated=saturated,
-    )
-    feet = _kinematics(ct, new)[2]
-    if feet is not None:
-        new.contact_flags = feet[0][..., 2] < 0.0
-    else:
-        new.contact_flags = np.zeros((bs.n, 1), dtype=bool)
-    return new
-
-
-def _map(fn, *trees):
-    """fn over the arrays of equally shaped nests of dicts, tuples and None."""
-    head = trees[0]
-    if head is None:
-        return None
-    if isinstance(head, dict):
-        return {k: _map(fn, *(t[k] for t in trees)) for k in head}
-    if isinstance(head, tuple):
-        return tuple(_map(fn, *parts) for parts in zip(*trees))
-    return fn(*trees)
-
-
-def _state_fields(bs):
-    return {f.name: getattr(bs, f.name) for f in fields(BatchState)}
-
-
-def _shard(bs, tau, push, params, rows):
-    """The inputs of ``_step_rows`` for the env rows ``rows`` (a slice)."""
-    def cut(x):  # (N, k) inputs are per env; others broadcast over all rows
-        x = np.asarray(x)
-        return x[rows] if x.ndim == 2 and len(x) == bs.n else x
-
-    shard = BatchState(**_map(lambda x: x[rows], _state_fields(bs)))
-    return shard, cut(tau), None if push is None else cut(push), BatchParams(
-        params.masses[rows], params.gravity[rows], params.friction[rows])
-
-
-def _stitch(parts):
-    """One state (and cache) of the row shards ``parts``, in order."""
-    return BatchState(**_map(lambda *xs: np.concatenate(xs), *map(_state_fields, parts)))
+    np.logical_not(np.abs(v_new).max(axis=0) <= DIVERGENCE_SPEED, out=out["diverged"])
+    _fill_kinematics(ct, new)
 
 
 def _pool():
@@ -673,19 +698,39 @@ def step_batch(ct: KinematicTree, bs: BatchState, tau, dt, push=None, params=Non
     the meantime (see ``_kinematics``). Large batches run as row shards on
     the pool (see the module docstring).
     """
+    n = bs.n
     if params is None:
-        params = BatchParams.from_tree(ct, bs.n)
-    shards = min(_CORES, bs.n // MIN_SHARD_ROWS)
-    if shards < 2:
-        return _step_rows(ct, bs, tau, push, params, dt)
-    bounds = [bs.n * i // shards for i in range(shards + 1)]
-    jobs = [_shard(bs, tau, push, params, slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
-    futures = [_pool().submit(_step_rows, ct, *job, dt=dt) for job in jobs[1:]]
+        params = BatchParams.from_tree(ct, n)
+    n_feet = max(len(ct.foot_body_indices), 1)
+    st = _kinematics(ct, bs)
+    inp = _inputs(ct, n, tau, push, params)
+    new = _empty_state(ct, n)
+    out = {"contact_forces": np.empty((3, n_feet, n)),
+           "cone_saturated": np.empty((n_feet, n), dtype=bool),
+           "diverged": np.empty(n, dtype=bool)}
+    shards = min(_CORES, n // MIN_SHARD_ROWS)
+    bounds = [n * i // shards for i in range(shards + 1)] if shards > 1 else [0, n]
+    jobs = [[{key: None if a is None else a[..., lo:hi] for key, a in part.items()}
+             for part in (st, inp, new, out)] for lo, hi in zip(bounds, bounds[1:])]
+    futures = [_pool().submit(_step_rows, ct, dt, *job) for job in jobs[1:]]
     try:
-        head = _step_rows(ct, *jobs[0], dt=dt)
+        _step_rows(ct, dt, *jobs[0])
     finally:  # wait for every shard, and raise its error if it failed
-        tail = [f.result() for f in futures]
-    return _stitch([head] + tail)
+        for future in futures:
+            future.result()
+    if bs.diverged is not None:
+        out["diverged"] |= bs.diverged
+    state = BatchState(
+        **{key: new[key].T.copy() for key in _KINEMATIC_FIELDS},
+        time=bs.time + dt,
+        contact_flags=(new["foot_pos"][2] < 0.0).T.copy() if ct.foot_body_indices
+        else np.zeros((n, 1), dtype=bool),
+        contact_forces=out["contact_forces"].T.copy(),
+        diverged=out["diverged"],
+        cone_saturated=out["cone_saturated"].T.copy(),
+    )
+    state.cache = new
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -717,6 +762,6 @@ def standing_state(tree: KinematicTree, q=None) -> BatchState:
     """``default_state`` in pose q (the default pose if None) with each base
     placed so that its lowest foot touches the floor exactly (z = 0)."""
     state = default_state(tree, q=tree.default_pose if q is None else q)
-    pos, _ = foot_points(tree, _fk(tree, state))
-    state.base_pos[:, 2] = -pos[..., 2].min(axis=1)
+    pos = _kinematics(tree, state)["foot_pos"]
+    state.base_pos[:, 2] = -pos[2].min(axis=0)
     return state

@@ -356,9 +356,9 @@ class VecLocomotionEnv:
     # termination / collisions
 
     def _termination_reasons(self, limit_hit, n_collisions):
-        fk = dyn._kinematics(self.tree, self.state)[0]
+        R = dyn._kinematics(self.tree, self.state)["R"]  # env-last (3, 3, B, N)
         reasons = np.zeros(self.n, dtype=int)
-        g_proj_z = -fk["R"][:, TRUNK_BODY, 2, 2]  # base-frame z of world -z
+        g_proj_z = -R[2, 2, TRUNK_BODY]  # base-frame z of world -z
         reasons[n_collisions > 0] = REASON_CODE["illegal_contact"]
         reasons[limit_hit] = REASON_CODE["joint_limit"]
         reasons[g_proj_z >= 0.0] = REASON_CODE["orientation"]
@@ -366,19 +366,17 @@ class VecLocomotionEnv:
         return reasons
 
     def _collision_counts(self):
-        fk = dyn._kinematics(self.tree, self.state)[0]
-        R0 = fk["R"][:, TRUNK_BODY]
-        trunk_z = (
-            self.state.base_pos[:, None, 2]
-            + np.einsum("nij,pj->npi", R0, self._trunk_points)[..., 2]
-        )
-        trunk_hit = np.any(trunk_z <= 0.0, axis=1)
-        hips = np.asarray(HIP_BODY_INDICES)
-        hip_centers = fk["p"][:, hips] + np.einsum(
-            "nhij,hj->nhi", fk["R"][:, hips], self._hip_points
-        )
-        hip_hits = (hip_centers[..., 2] - self._hip_radius) <= 0.0
-        return trunk_hit.astype(int) + hip_hits.sum(axis=1)
+        kin = dyn._kinematics(self.tree, self.state)  # env-last: (3, B, N), (3, 3, B, N)
+        R, hips = kin["R"], list(HIP_BODY_INDICES)
+
+        def world_z(body, points):  # (P, N) world heights of body-frame points (P, 3)
+            return sum(R[2, j, body] * points[:, j, None] for j in range(3))
+
+        trunk_z = self.state.base_pos[:, 2] + world_z(TRUNK_BODY, self._trunk_points)
+        trunk_hit = np.any(trunk_z <= 0.0, axis=0)
+        hip_z = kin["p"][2, hips] + world_z(hips, self._hip_points)
+        hip_hits = (hip_z - self._hip_radius[:, None]) <= 0.0
+        return trunk_hit.astype(int) + hip_hits.sum(axis=0)
 
     # ------------------------------------------------------------------
     # rewards and observations
@@ -391,9 +389,11 @@ class VecLocomotionEnv:
         return v_base, w_base, g_proj
 
     def _rewards(self, actions, gains, touchdown_air, n_collisions, terminated):
-        fk, _, (foot_pos, foot_vel) = dyn._kinematics(self.tree, self.state)
+        # env-first copies (N, k, 3) of the engine's env-last kinematics
+        kin = dyn._kinematics(self.tree, self.state)
+        coms, foot_pos, foot_vel = (kin[key].T.copy() for key in ("c", "foot_pos", "foot_vel"))
         v_base, w_base, g_proj = self._base_frame()
-        com = np.einsum("nb,nbi->ni", self.params.masses, fk["c"])
+        com = np.einsum("nb,nbi->ni", self.params.masses, coms)
         com /= self.params.masses.sum(axis=1, keepdims=True)
         qdot = self.state.qdot
         inputs = RewardInputs(

@@ -77,12 +77,13 @@ class KinematicTree:
     the one before. A tree with feet has one on the last body of each chain,
     in chain order. Construction rejects any other layout.
 
-    It also builds the arrays the dynamics engine reads: the stacked body and
-    joint constants; ``levels``, slot k of every chain as (bodies, joints,
-    parents, rooted), so the recursions take one vectorized step per depth;
-    and the chain masks (d, d), the same on every chain: ``moves[s, t]`` = 1
-    when joint s moves joint t's body, which on a chain is s <= t, and
-    ``moved_by[s, t]`` = 1 when joint t moves joint s's body, t < s.
+    It also builds the constants the dynamics engine reads, in its layout:
+    components first, then the body or joint axes, then an axis of length 1
+    that broadcasts over the envs. Body constants are indexed by body:
+    ``com`` (3, B, 1), ``inertia`` (3, 3, B, 1). Joint constants are
+    indexed by (slot, chain), the layout of the engine's chain views:
+    ``joint_axis`` and ``joint_origin`` (3, d, n_br, 1), ``axis_skew`` and
+    its square (3, 3, d, n_br, 1).
     """
 
     bodies: list
@@ -115,25 +116,23 @@ class KinematicTree:
         if self.foot_offsets is not None:
             self.foot_offsets = np.asarray(self.foot_offsets, dtype=float)
 
+        def engine(rows, joints=False):  # (k, components...) -> (components..., k, 1)
+            x = np.moveaxis(np.asarray(rows, dtype=float), 0, -1)[..., None]
+            if joints:  # k = n_br * d joints chain by chain -> (d, n_br)
+                x = x.reshape(x.shape[:-2] + (n_br, d, 1)).swapaxes(-3, -2)
+            return x
+
+        axes = np.array([j.axis for j in self.joints]).reshape(nj, 3)
+        skews = skew(axes)
         self.mass = np.array([b.inertia.mass for b in self.bodies])
-        self.com = np.stack([b.inertia.com_offset for b in self.bodies])
-        self.inertia = np.stack([b.inertia.rotational_inertia for b in self.bodies])
-        self.joint_axis = np.stack([j.axis for j in self.joints]) if nj else np.zeros((0, 3))
-        self.joint_origin = (
-            np.stack([j.origin_in_parent for j in self.joints]) if nj else np.zeros((0, 3))
-        )
-        self.axis_skew = skew(self.joint_axis)
-        self.axis_skew_sq = self.axis_skew @ self.axis_skew
+        self.com = engine([b.inertia.com_offset for b in self.bodies])
+        self.inertia = engine([b.inertia.rotational_inertia for b in self.bodies])
+        self.joint_axis = engine(axes, joints=True)
+        self.joint_origin = engine(np.reshape([j.origin_in_parent for j in self.joints], (nj, 3)),
+                                   joints=True)
+        self.axis_skew = engine(skews, joints=True)
+        self.axis_skew_sq = engine(skews @ skews, joints=True)
         self.n_base, self.n_branches, self.branch_size = 6 * start, n_br, d
-        self.moves = np.triu(np.ones((d, d)))
-        self.moved_by = np.tril(np.ones((d, d)), -1)
-        # slot 0's parents are n_br copies of the root: an index array, as a
-        # slice cannot repeat an index
-        self.levels = [
-            (slice(start + k, B, d), slice(k, nj, d),
-             slice(start + k - 1, B, d) if k else np.full(n_br, root), k == 0 and not self.floating)
-            for k in range(d)
-        ]
 
     @property
     def n_bodies(self):

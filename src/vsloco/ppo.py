@@ -226,6 +226,8 @@ METRIC_COLUMNS = (
     # terminated envs per env-step, in all and by reason; the reasons sum to the total
     + ["terminations_per_env_step"]
     + [f"term_{reason}_per_env_step" for reason in TERMINATION_REASONS[1:]]
+    # shares of the rollout's foot-steps in contact and with a saturated friction cone
+    + ["contact_frac", "cone_saturated_frac"]
 )
 
 
@@ -256,6 +258,7 @@ def train(grouping, config: TrainConfig, out_dir):
             kp_sum = np.zeros(3)
             rew_sums = np.zeros(len(REWARD_TERMS))
             reason_counts = np.zeros(len(TERMINATION_REASONS), dtype=int)
+            foot_counts = np.zeros(2, dtype=int)  # feet in contact, feet saturated
             for t in range(cfg.steps_per_rollout):
                 action, logp = bundle.act_sampled(obs, rng)
                 value = bundle.value(priv)
@@ -282,6 +285,7 @@ def train(grouping, config: TrainConfig, out_dir):
                 weighted = info["breakdown"].weighted
                 rew_sums += [weighted[term].mean() for term in REWARD_TERMS]
                 reason_counts += np.bincount(info["reasons"], minlength=len(TERMINATION_REASONS))
+                foot_counts += (env.state.contact_flags.sum(), env.state.cone_saturated.sum())
             buffer.values[-1] = bundle.value(priv)
             stats = agent.update(buffer, rng)
             mean_ret = float(np.mean(recent_returns)) if recent_returns else 0.0
@@ -297,6 +301,8 @@ def train(grouping, config: TrainConfig, out_dir):
                 + [_float_cell(v / cfg.steps_per_rollout) for v in rew_sums]
                 + [_float_cell(c / rollout_env_steps)
                    for c in (reason_counts[1:].sum(), *reason_counts[1:])]
+                + [_float_cell(c / (rollout_env_steps * env.state.contact_flags.shape[1]))
+                   for c in foot_counts]
             )
             writer.writerow(row)
             if not all(np.isfinite(float(x)) for x in row[2:]):

@@ -8,7 +8,6 @@ batch dimension: quaternions are (..., 4), vectors (..., 3), matrices
 import numpy as np
 
 IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
-_EYE3 = np.eye(3)
 
 
 def _norm(x):
@@ -80,14 +79,3 @@ def skew(v):
     out[..., 2, 0] = -v[..., 1]
     out[..., 2, 1] = v[..., 0]
     return out
-
-
-def rotation_about_axis(axis_skew, axis_skew_sq, angle):
-    """Rodrigues rotation about a fixed axis for a batch of angles.
-
-    axis_skew / axis_skew_sq are the constant (3, 3) skew matrix and its
-    square for the unit axis; angle is (...,). Returns (..., 3, 3).
-    """
-    s = np.sin(angle)[..., None, None]
-    c = (1.0 - np.cos(angle))[..., None, None]
-    return _EYE3 + s * axis_skew + c * axis_skew_sq

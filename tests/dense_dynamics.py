@@ -5,8 +5,9 @@ ancestor joints, the dense mass matrix J_v' m J_v + J_w' I J_w, the bias
 forces J' (f, n), and solves the implicit-contact velocity update as one
 (N, nv, nv) LU solve per pass, re-solving the whole batch when any foot
 saturates. The kinematic passes (FK, velocities, bias accelerations, world
-inertias, foot points) are the engine's own; everything from the Jacobians
-on, the contact law included, is independent of ``vsloco.dynamics``.
+inertias, foot points) are the engine's own, read env-first through
+``env_first``; everything from the Jacobians on, the contact law included,
+is independent of ``vsloco.dynamics``.
 
 Besides the oracle, the tests compare against:
 - ``blocks_to_dense``: the engine's mass blocks scattered into (N, nv, nv);
@@ -46,12 +47,33 @@ def floating_box_tree(gravity=9.81):
     return KinematicTree(bodies=[body], joints=[], floating=True, gravity=gravity)
 
 
+def env_first(a, comps=1):
+    """An engine array, its comps component axes first and the env axis
+    last, as (N, other axes..., components...)."""
+    a = np.moveaxis(a, -1, 0)
+    return np.moveaxis(a, range(1, 1 + comps), range(a.ndim - comps, a.ndim))
+
+
+def engine_kinematics(ct, bs):
+    """The engine's kinematics of bs env-first: ``_kinematics``' R
+    (N, B, 3, 3), p, c, a_w, o_w, w, v_o, v_c and the foot states (N, k, 3),
+    the bias accelerations alpha and a_c, and the world inertias I_w."""
+    st = dyn._kinematics(ct, bs)
+    kin = {key: env_first(a, 2 if key == "R" else 1)
+           for key, a in st.items() if key not in dyn._KINEMATIC_FIELDS}
+    kin["alpha"], kin["a_c"] = map(env_first, dyn._bias_accelerations(ct, st))
+    kin["I_w"] = env_first(dyn._world_inertia(ct, st["R"]), 2)
+    return kin
+
+
 def blocks_to_dense(ct, T, K):
-    """Scatter the blocks (T, K) of the engine's ``_mass_blocks`` into
-    (N, nv, nv)."""
+    """Scatter the blocks (T, K) of the engine's ``_mass_blocks`` (env-last)
+    into (N, nv, nv)."""
+    T, K = env_first(T, 2), env_first(K, 2)
     nb = ct.n_base
     base = np.arange(nb)
-    dofs = dyn._per_branch(ct, np.arange(ct.nv)[None])[0]  # (n_br, d) columns of each branch
+    # (n_br, d) columns of each branch
+    dofs = nb + np.arange(ct.n_joints).reshape(ct.n_branches, ct.branch_size)
     M = np.zeros((T.shape[0], ct.nv, ct.nv))
     M[:, :nb, :nb] = T + K[..., :nb, :nb].sum(axis=1)
     M[:, base[:, None], dofs[:, None, :]] = K[..., :nb, nb:]
@@ -62,19 +84,16 @@ def blocks_to_dense(ct, T, K):
 
 def total_energy(ct, bs):
     """Kinetic + gravitational potential energy (N,), summed body-wise."""
-    fk = dyn._fk(ct, bs)
-    vel = dyn._velocities(ct, bs, fk)
-    I_w = dyn._world_inertia(ct, fk)
-    ke = 0.5 * np.einsum("b,nbi,nbi->n", ct.mass, vel["v_c"], vel["v_c"])
-    ke += 0.5 * np.einsum("nbi,nbij,nbj->n", vel["w"], I_w, vel["w"])
-    pe = ct.gravity * np.einsum("b,nb->n", ct.mass, fk["c"][..., 2])
+    kin = engine_kinematics(ct, bs)
+    ke = 0.5 * np.einsum("b,nbi,nbi->n", ct.mass, kin["v_c"], kin["v_c"])
+    ke += 0.5 * np.einsum("nbi,nbij,nbj->n", kin["w"], kin["I_w"], kin["w"])
+    pe = ct.gravity * np.einsum("b,nb->n", ct.mass, kin["c"][..., 2])
     return ke + pe
 
 
 def total_linear_momentum(ct, bs):
     """Total linear momentum (N, 3)."""
-    fk = dyn._fk(ct, bs)
-    return np.einsum("b,nbi->ni", ct.mass, dyn._velocities(ct, bs, fk)["v_c"])
+    return np.einsum("b,nbi->ni", ct.mass, engine_kinematics(ct, bs)["v_c"])
 
 
 def ancestors(ct):
@@ -121,10 +140,10 @@ def mass_matrix(params, J_v, J_w, I_w):
     return M
 
 
-def bias_forces(params, vel, bias, I_w, J_v, J_w):
-    f = params.masses[:, :, None] * (bias["a_c"] - params.gravity[:, None, :])
-    Iw_w = (I_w @ vel["w"][..., None])[..., 0]
-    n = (I_w @ bias["alpha"][..., None])[..., 0] + np.cross(vel["w"], Iw_w)
+def bias_forces(params, kin, I_w, J_v, J_w):
+    f = params.masses[:, :, None] * (kin["a_c"] - params.gravity[:, None, :])
+    Iw_w = (I_w @ kin["w"][..., None])[..., 0]
+    n = (I_w @ kin["alpha"][..., None])[..., 0] + np.cross(kin["w"], Iw_w)
     N, B, _, nv = J_v.shape
     out = J_v.reshape(N, B * 3, nv).transpose(0, 2, 1) @ f.reshape(N, B * 3, 1)
     out += J_w.reshape(N, B * 3, nv).transpose(0, 2, 1) @ n.reshape(N, B * 3, 1)
@@ -145,25 +164,23 @@ def foot_wrench(J_p, forces):
 
 def assemble(ct, bs, tau, push, params):
     """Dense M (N, nv, nv), applied-minus-bias force (N, nv), foot context."""
-    fk = dyn._fk(ct, bs)
-    vel = dyn._velocities(ct, bs, fk)
-    bias = dyn._bias_accelerations(ct, bs, fk, vel)
-    I_w = dyn._world_inertia(ct, fk)
-    J_v, J_w = jacobians(ct, bs, fk)
+    kin = engine_kinematics(ct, bs)
+    I_w = kin["I_w"]
+    J_v, J_w = jacobians(ct, bs, kin)
     M = mass_matrix(params, J_v, J_w, I_w)
-    h = bias_forces(params, vel, bias, I_w, J_v, J_w)
+    h = bias_forces(params, kin, I_w, J_v, J_w)
     off = 6 if ct.floating else 0
     Q = np.zeros((bs.n, ct.nv))
     if ct.n_joints:
         Q[:, off:] = tau
     if push is not None:  # a world force at the base origin
-        J_p = point_jacobian(fk, J_v, J_w, 0, bs.base_pos)
+        J_p = point_jacobian(kin, J_v, J_w, 0, bs.base_pos)
         Q += (J_p.transpose(0, 2, 1) @ push[..., None])[..., 0]
     contact = None
     if ct.foot_body_indices:
-        pos, v = dyn.foot_points(ct, fk, vel)
+        pos, v = kin["foot_pos"], kin["foot_vel"]
         feet = np.asarray(ct.foot_body_indices, dtype=int)
-        contact = {"pos": pos, "vel": v, "J_p": point_jacobian(fk, J_v, J_w, feet, pos)}
+        contact = {"pos": pos, "vel": v, "J_p": point_jacobian(kin, J_v, J_w, feet, pos)}
     return M, Q - h, contact
 
 

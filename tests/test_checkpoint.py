@@ -18,7 +18,7 @@ from vsloco.checkpoint import (
     read_header,
     save_checkpoint,
 )
-from vsloco.env import TERMINATION_REASONS
+from vsloco.env import TERMINATION_REASONS, VecLocomotionEnv
 from vsloco.networks import Critic, GaussianActor
 from vsloco.ppo import TrainConfig, train
 from vsloco.rewards import DEFAULT_WEIGHTS
@@ -151,12 +151,23 @@ def test_fixed_gain_run_logs_constant_kp(tmp_path):
         assert float(row["mean_kp_knee"]) == 20.0
 
 
-def test_metrics_log_terminations_by_reason(tmp_path):
-    # a micro run in which one env ends on illegal contact in iteration 1
+def test_metrics_log_terminations_by_reason(tmp_path, monkeypatch):
+    # a micro run in which one env ends on illegal contact in iteration 1;
+    # the contact and cone-saturation shares match a count of the flags the
+    # state holds after each env step
     cfg = TrainConfig(
         n_envs=4, n_iterations=3, steps_per_rollout=8, hidden=[16], seed=1,
         checkpoint_every=0,
     )
+    counts = []  # (feet in contact, feet saturated) after each env step
+    step = VecLocomotionEnv.step
+
+    def counting_step(env, actions):
+        out = step(env, actions)
+        counts.append((env.state.contact_flags.sum(), env.state.cone_saturated.sum()))
+        return out
+
+    monkeypatch.setattr(VecLocomotionEnv, "step", counting_step)
     _, metrics_path, _ = train("PLS", cfg, str(tmp_path))
     with open(metrics_path) as fh:
         rows = list(csv.DictReader(fh))
@@ -169,3 +180,9 @@ def test_metrics_log_terminations_by_reason(tmp_path):
         assert sum(values[1:]) == pytest.approx(total, rel=1e-12, abs=0)
         assert float(row["rew_termination"]) == pytest.approx(per_termination * total, abs=1e-15)
     assert sum(float(row["terminations_per_env_step"]) for row in rows) > 0
+    foot_steps = 4 * 8 * 4  # envs x steps x feet
+    shares = np.reshape(counts, (3, 8, 2)).sum(axis=1) / foot_steps
+    for row, (contact, saturated) in zip(rows, shares):
+        assert float(row["contact_frac"]) == contact
+        assert float(row["cone_saturated_frac"]) == saturated
+    assert 0 < shares[:, 0].min() and shares[:, 1].max() < 1

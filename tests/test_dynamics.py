@@ -2,7 +2,9 @@
 
 import copy
 import dataclasses
+import multiprocessing
 import sys
+import threading
 
 import dense_dynamics as dense
 import numpy as np
@@ -27,18 +29,26 @@ def pendulum_state(tree, q, qdot=0.0):
     return s
 
 
+def _assembly(tree, s, tau, push=None, params=None):
+    """The engine's env-last assembly (T, K, rhs, contact) of state s, at
+    the tree's nominal parameters unless params are given."""
+    params = dyn.BatchParams.from_tree(tree, s.n) if params is None else params
+    inputs = dyn._inputs(tree, s.n, tau, push, params)
+    return dyn._assemble(tree, dyn._kinematics(tree, s), inputs)
+
+
 def _qacc(tree, s, tau):
     """Generalized accelerations (N, nv) of a state with no foot in the
     floor, where the penalty law applies no force: the engine's block solve
     of its assembly at the tree's nominal parameters."""
-    T, K, rhs, contact = dyn._assemble(tree, s, tau, None, dyn.BatchParams.from_tree(tree, s.n))
-    assert contact is None or np.all(contact["pos"][..., 2] >= 0.0), "a foot is in the floor"
-    return dyn._solve(tree, T, K, rhs)
+    T, K, rhs, contact = _assembly(tree, s, tau)
+    assert contact is None or np.all(contact[0][2] >= 0.0), "a foot is in the floor"
+    return dyn._solve(tree, T, K, rhs).T
 
 
 def _mass_matrix(tree, s):
     """The engine's mass matrix (N, nv, nv) at the tree's nominal masses."""
-    T, K = dyn._assemble(tree, s, 0.0, None, dyn.BatchParams.from_tree(tree, s.n))[:2]
+    T, K = _assembly(tree, s, 0.0)[:2]
     return dense.blocks_to_dense(tree, T, K)
 
 
@@ -123,11 +133,9 @@ def test_kinetic_energy_consistent_with_mass_matrix(quad):
     M = _mass_matrix(quad, s)[0]
     v = np.concatenate([s.base_linvel[0], s.base_angvel[0], s.qdot[0]])
     ke_m = 0.5 * v @ M @ v
-    fk = dyn._fk(quad, s)
-    vel = dyn._velocities(quad, s, fk)
-    I_w = dyn._world_inertia(quad, fk)
-    ke_b = 0.5 * np.einsum("b,nbi,nbi->", quad.mass, vel["v_c"], vel["v_c"])
-    ke_b += 0.5 * np.einsum("nbi,nbij,nbj->", vel["w"], I_w, vel["w"])
+    kin = dense.engine_kinematics(quad, s)
+    ke_b = 0.5 * np.einsum("b,nbi,nbi->", quad.mass, kin["v_c"], kin["v_c"])
+    ke_b += 0.5 * np.einsum("nbi,nbij,nbj->", kin["w"], kin["I_w"], kin["w"])
     assert abs(ke_m - ke_b) < 1e-9 * max(1.0, ke_b)
 
 
@@ -137,8 +145,7 @@ def test_spinning_body_angular_momentum_rate_zero():
     s = dyn.default_state(tree, base_pos=(0, 0, 1.0))
     s.base_angvel[:] = (2.0, -1.0, 0.5)
     qacc = _qacc(tree, s, np.zeros(0))[0]
-    fk = dyn._fk(tree, s)
-    I_w = dyn._world_inertia(tree, fk)[0, 0]
+    I_w = dense.engine_kinematics(tree, s)["I_w"][0, 0]
     residual = I_w @ qacc[3:6] + np.cross(s.base_angvel[0], I_w @ s.base_angvel[0])
     assert np.allclose(residual, 0, atol=1e-10)
     assert np.allclose(qacc[0:3], 0, atol=1e-12)
@@ -153,8 +160,10 @@ def _copy(state, rows=slice(None)):
     })
 
 
-def test_entry_points_act_row_by_row(quad):
-    # three poses and velocities in one N = 3 state, some feet in the floor
+def test_entry_points_act_row_by_row(quad, split_rows):
+    # three poses and velocities in one N = 3 state, some feet in the floor,
+    # stepped in 2 row shards: each row is the same bit for bit alone
+    split_rows(2)
     rng = np.random.default_rng(11)
     s = dyn.standing_state(quad, quad.default_pose + rng.normal(0, 0.2, (3, 12)))
     s.base_pos[:, 2] -= (0.0, 0.002, 0.004)
@@ -170,8 +179,7 @@ def test_entry_points_act_row_by_row(quad):
         single = dyn.step_batch(quad, _copy(s, rows), tau[rows], 0.002, push=push[rows])
         for f in ("base_pos", "base_quat", "base_linvel", "base_angvel", "q", "qdot", "time",
                   "contact_flags", "contact_forces", "diverged"):
-            assert np.allclose(getattr(batched, f)[i], getattr(single, f)[0],
-                               rtol=1e-12, atol=1e-12), f
+            assert np.array_equal(getattr(batched, f)[i], getattr(single, f)[0]), f
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +226,12 @@ def test_block_assembly_matches_dense_oracle(quad):
         cases.append((tree, st, dyn.BatchParams.from_tree(tree, 8), tau,
                       rng.normal(0, 3, (8, 3)) if tree.floating else None))
     for tree, st, prm, tau, push in cases:
-        T, K, rhs, _ = dyn._assemble(tree, st, tau, push, prm)
+        T, K, rhs, _ = _assembly(tree, st, tau, push, prm)
         M_ref, rhs_ref, _ = dense.assemble(tree, st, tau, push, prm)
         assert _relative(dense.blocks_to_dense(tree, T, K), M_ref) <= 1e-12
-        assert _relative(rhs, rhs_ref) <= 1e-12
+        assert _relative(rhs.T, rhs_ref) <= 1e-12
         qacc_ref = np.linalg.solve(M_ref, rhs_ref[..., None])[..., 0]
-        assert _relative(dyn._solve(tree, T, K, rhs), qacc_ref) <= 1e-12
+        assert _relative(dyn._solve(tree, T, K, rhs).T, qacc_ref) <= 1e-12
 
 
 def test_tree_layouts_outside_the_block_form_rejected(quad):
@@ -293,22 +301,28 @@ def _assert_same_state(a, b):
     for f in dataclasses.fields(dyn.BatchState):
         if f.name != "cache":
             assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
-    (fields_a, fk_a, vel_a, feet_a), (fields_b, fk_b, vel_b, feet_b) = a.cache, b.cache
-    for x, y in ((fk_a, fk_b), (vel_a, vel_b)):
-        assert x.keys() == y.keys()
-        for key in x:
-            assert np.array_equal(x[key], y[key]), key
-    for x, y in zip(fields_a + feet_a, fields_b + feet_b):
-        assert np.array_equal(x, y)
+    assert a.cache.keys() == b.cache.keys()
+    for key in a.cache:
+        assert np.array_equal(a.cache[key], b.cache[key]), key
 
 
-def _split_rows(monkeypatch, shards):
-    """Make step_batch split a batch of at least 2 * shards rows into shards."""
-    monkeypatch.setattr(dyn, "MIN_SHARD_ROWS", 2)
-    monkeypatch.setattr(dyn, "_CORES", shards)
+@pytest.fixture
+def split_rows(monkeypatch):
+    """split_rows(shards) makes step_batch split a batch of at least
+    `shards` rows into shards, on a thread pool of the test's own, which is
+    shut down after the test."""
+    monkeypatch.setattr(dyn, "_POOL", None)
+
+    def split(shards):
+        monkeypatch.setattr(dyn, "MIN_SHARD_ROWS", 1)
+        monkeypatch.setattr(dyn, "_CORES", shards)
+
+    yield split
+    if dyn._POOL is not None:
+        dyn._POOL.shutdown()
 
 
-def test_sharded_step_is_bit_identical(quad, monkeypatch):
+def test_sharded_step_is_bit_identical(quad, split_rows):
     # 7 rows in 1, 2 and 3 row shards (sizes 7; 3 + 4; 2 + 2 + 3) over 5
     # substeps, with feet sliding on low-friction floors and a base push;
     # the threads switch every microsecond, so they interleave finely
@@ -321,7 +335,7 @@ def test_sharded_step_is_bit_identical(quad, monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for shards in (1, 2, 3):
-            _split_rows(monkeypatch, shards)
+            split_rows(shards)
             st, runs[shards] = s, []
             for _ in range(5):
                 st = dyn.step_batch(quad, st, tau, 0.002, push=push, params=params)
@@ -334,19 +348,33 @@ def test_sharded_step_is_bit_identical(quad, monkeypatch):
             _assert_same_state(a, b)
 
 
+def test_sharded_step_starts_no_process(quad, split_rows):
+    # the shards run on threads of the pool, cores - 1 at most, and no
+    # process is started
+    split_rows(2)
+    before = set(threading.enumerate())
+    s, params, push = _random_quad_batch(quad, np.random.default_rng(6), 8)
+    for _ in range(3):
+        s = dyn.step_batch(quad, s, np.zeros((8, 12)), 0.002, push=push, params=params)
+    assert multiprocessing.active_children() == []
+    started = [t for t in threading.enumerate() if t not in before]
+    assert all(t.name.startswith("vsloco-step") for t in started)
+    assert 1 <= len(started) <= dyn._CORES - 1
+
+
 @pytest.mark.parametrize("shards", [1, 2])
-def test_step_caches_the_kinematics_of_the_new_state(quad, shards, monkeypatch):
-    _split_rows(monkeypatch, shards)
+def test_step_caches_the_kinematics_of_the_new_state(quad, shards, split_rows):
+    split_rows(shards)
     s, params, push = _random_quad_batch(quad, np.random.default_rng(3), 4)
     new = dyn.step_batch(quad, s, np.zeros((4, 12)), 0.002, push=push, params=params)
-    fk = dyn._fk(quad, new)
-    vel = dyn._velocities(quad, new, fk)
-    pos, v = dyn.foot_points(quad, fk, vel)
-    fields, _, _, (cached_pos, cached_v) = new.cache
-    for name, copy_ in zip(dyn._KINEMATIC_FIELDS, fields):  # copies of the fields
-        assert copy_ is not getattr(new, name) and np.array_equal(copy_, getattr(new, name))
-    assert np.array_equal(cached_pos, pos) and np.array_equal(cached_v, v)
-    assert np.array_equal(new.contact_flags, pos[..., 2] < 0.0)
+    fresh = dyn._kinematics(quad, _copy(new))
+    assert new.cache.keys() == fresh.keys()
+    for key in fresh:
+        assert np.array_equal(new.cache[key], fresh[key]), key
+    for name in dyn._KINEMATIC_FIELDS:  # env-last copies of the fields
+        assert np.array_equal(new.cache[name].T, getattr(new, name))
+        assert not np.shares_memory(new.cache[name], getattr(new, name))
+    assert np.array_equal(new.contact_flags, fresh["foot_pos"][2].T < 0.0)
 
 
 def test_step_batch_recomputes_the_kinematics_of_an_edited_state(quad):
@@ -366,15 +394,15 @@ def test_kinematics_cache_keeps_non_finite_rows(quad):
     # recompute; an edit of another field does
     s = dyn.standing_state(quad, np.tile(quad.default_pose, (2, 1)))
     s.qdot[1, 0] = np.nan
-    fk = dyn._kinematics(quad, s)[0]
-    assert dyn._kinematics(quad, s)[0] is fk
+    kin = dyn._kinematics(quad, s)
+    assert dyn._kinematics(quad, s) is kin
     s.base_angvel[0, 2] = 0.5
-    fresh = dyn._kinematics(quad, s)[0]
-    assert fresh is not fk and np.array_equal(fresh["R"], fk["R"])
+    fresh = dyn._kinematics(quad, s)
+    assert fresh is not kin and np.array_equal(fresh["R"], kin["R"])
 
 
 @pytest.mark.parametrize("shards", [1, 2])
-def test_reported_contact_forces_are_the_applied_ones(quad, shards, monkeypatch):
+def test_reported_contact_forces_are_the_applied_ones(quad, shards, split_rows):
     # the substep's generalized force balance on the dense oracle,
     # M (v_new - v) / dt - rhs = sum_f J_f' contact_forces[f], in the rows
     # whose sliding feet were re-solved and in the rows that were not
@@ -382,7 +410,7 @@ def test_reported_contact_forces_are_the_applied_ones(quad, shards, monkeypatch)
     s, params, push = _random_quad_batch(quad, rng, 16, speed=0.1)
     tau = rng.normal(0, 5, (16, 12))
     M, rhs, contact = dense.assemble(quad, s, tau, push, params)
-    _split_rows(monkeypatch, shards)
+    split_rows(shards)
     new = dyn.step_batch(quad, s, tau, 0.002, push=push, params=params)
     sliding = new.cone_saturated.any(axis=1)
     assert sliding.any() and not sliding.all()
@@ -399,8 +427,9 @@ def test_unrolled_spd_solve_matches_lapack(d):
     L = rng.normal(size=(50, 4, d, d))
     M = L @ L.swapaxes(-1, -2) + 0.1 * np.eye(d)
     B = rng.normal(size=(50, 4, d, 7))
-    X = dyn._spd_solve(np.concatenate([M, B], axis=-1))
-    assert _relative(X, np.linalg.solve(M, B)) <= 1e-12
+    # the engine's layout: the matrix axes first, the stack axes last
+    X = dyn._spd_solve(np.concatenate([M, B], axis=-1).transpose(2, 3, 0, 1))
+    assert _relative(X.transpose(2, 3, 0, 1), np.linalg.solve(M, B)) <= 1e-12
 
 
 def test_fixed_base_chains_solve_through_the_joint_blocks():
@@ -410,12 +439,11 @@ def test_fixed_base_chains_solve_through_the_joint_blocks():
     for tree in (pendulum_tree(), double_pendulum_tree()):
         s = dyn.default_state(tree, q=rng.normal(0, 1, (5, tree.n_joints)))
         s.qdot[:] = rng.normal(0, 2, s.qdot.shape)
-        T, K, rhs, _ = dyn._assemble(tree, s, rng.normal(0, 1, (5, tree.n_joints)), None,
-                                     dyn.BatchParams.from_tree(tree, 5))
+        T, K, rhs, _ = _assembly(tree, s, rng.normal(0, 1, (5, tree.n_joints)))
         nj = tree.n_joints
-        assert tree.n_base == 0 and T.shape == (5, 0, 0) and K.shape == (5, 1, nj, nj)
-        qacc = np.linalg.solve(dense.blocks_to_dense(tree, T, K), rhs[..., None])[..., 0]
-        assert _relative(dyn._solve(tree, T, K, rhs), qacc) <= 1e-12
+        assert tree.n_base == 0 and T.shape == (0, 0, 5) and K.shape == (nj, nj, 1, 5)
+        qacc = np.linalg.solve(dense.blocks_to_dense(tree, T, K), rhs.T[..., None])[..., 0]
+        assert _relative(dyn._solve(tree, T, K, rhs).T, qacc) <= 1e-12
 
 
 def test_cone_saturation_flags(quad):
@@ -540,7 +568,9 @@ def test_quasi_static_stand_drift(quad):
 
 def _law_forces(tree, s, mu):
     """The penalty law's foot forces (N, n_feet, 3), explicit at the state."""
-    return dyn.contact_force_law(tree.contact, np.full(s.n, mu), *dyn._kinematics(tree, s)[2])
+    kin = dyn._kinematics(tree, s)
+    return dyn.contact_force_law(tree.contact, np.full(s.n, mu), kin["foot_pos"].T,
+                                 kin["foot_vel"].T)
 
 
 def test_contact_zero_above_floor(quad):
@@ -591,7 +621,7 @@ def test_contact_normal_damping_only_on_approach():
 
 def test_projected_gravity_upright_and_rolled(quad):
     def projected_gravity(s):  # world -z in the trunk frame of FK
-        return dyn.GRAVITY_DIR @ dyn._kinematics(quad, s)[0]["R"][0, 0]
+        return dyn.GRAVITY_DIR @ dyn._kinematics(quad, s)["R"][:, :, 0, 0]
 
     s = dyn.standing_state(quad)
     g = projected_gravity(s)
@@ -603,14 +633,14 @@ def test_projected_gravity_upright_and_rolled(quad):
 
 
 def test_default_stance_com_over_foot_centroid(quad):
-    fk, _, (foot_pos, _) = dyn._kinematics(quad, dyn.standing_state(quad))
-    com = quad.mass @ fk["c"][0] / quad.mass.sum()
-    centroid = foot_pos[0, :, :2].mean(axis=0)
+    kin = dyn._kinematics(quad, dyn.standing_state(quad))
+    com = kin["c"][..., 0] @ quad.mass / quad.mass.sum()
+    centroid = kin["foot_pos"][:2, :, 0].mean(axis=1)
     assert np.allclose(com[:2], centroid, atol=1e-6)
 
 
 def test_feet_on_floor_in_standing_state(quad):
     s = dyn.standing_state(quad)
-    foot_pos = dyn._kinematics(quad, s)[2][0]
-    assert np.allclose(foot_pos[0, :, 2], 0.0, atol=1e-12)
+    foot_pos = dyn._kinematics(quad, s)["foot_pos"]
+    assert np.allclose(foot_pos[2, :, 0], 0.0, atol=1e-12)
     assert abs(s.base_pos[0, 2] - 0.30694) < 5e-4

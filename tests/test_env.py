@@ -1,6 +1,8 @@
 """Environment behaviour: observation layout, termination, schedules,
 determinism, and vectorization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -261,12 +263,11 @@ def test_joint_limit_clamp_refreshes_kinematics_cache():
     _, _, _, done, info = env.step(np.zeros((1, env.action_dim)))
     assert done[0] and info["reasons"][0] == REASON_CODE["joint_limit"]
     assert env.state.q[0, 2] == env.q_limits[1][2]
-    _, fk, vel, _ = env.state.cache
-    fresh_fk = dyn._fk(env.tree, env.state)
-    fresh_vel = dyn._velocities(env.tree, env.state, fresh_fk)
-    for cached, fresh in ((fk, fresh_fk), (vel, fresh_vel)):
-        for key in fresh:
-            assert np.array_equal(cached[key], fresh[key]), key
+    cached = env.state.cache
+    fresh = dyn._kinematics(env.tree, dataclasses.replace(env.state, cache=None))
+    assert fresh is not cached and fresh.keys() == cached.keys()
+    for key in fresh:
+        assert np.array_equal(cached[key], fresh[key]), key
 
 
 def test_truncation_at_episode_end():
