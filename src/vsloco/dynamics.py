@@ -14,14 +14,15 @@ and no base block; a free box: a base and no branch; see ``KinematicTree``).
 A branch's joints move only its own bodies and each foot sits on one
 branch, so the mass matrix M and the implicit contact matrix M + dt J' D J
 are block-arrow: a base block M_bb, one base-branch block M_bl and one
-joint block M_ll per branch, nothing between branches.
-The engine never forms the dense (nv, nv) matrix. ``_mass_blocks`` builds
-each branch's (nb + d)-square block over [base, branch joints] from
-composite rigid-body inertias (Featherstone, "Rigid Body Dynamics
-Algorithms", 2008, ch. 6), each foot's contact term adds to its own
-branch's block, and ``_solve`` eliminates the joint blocks and solves the
-nb x nb Schur complement of the base (Featherstone, "Efficient factorization
-of the joint-space inertia matrix for branched kinematic trees", IJRR 2005).
+joint block M_ll per branch, nothing between branches. The engine keeps
+them in their smallest form: the whole base block T = M_bb (nb x nb) and
+each branch's joint columns K = [M_bl; M_ll] ((nb + d) x d), built by
+``_mass_blocks`` from composite rigid-body inertias (Featherstone, "Rigid
+Body Dynamics Algorithms", 2008, ch. 6). ``_add_dampers`` adds each foot's
+contact term to T and to its branch's K in place, and ``_solve`` eliminates
+the joint blocks and solves the nb x nb Schur complement of the base
+(Featherstone, "Efficient factorization of the joint-space inertia matrix
+for branched kinematic trees", IJRR 2005).
 
 Integration is semi-implicit Euler: velocities from forward dynamics, then
 positions from the new velocities, base orientation via the quaternion
@@ -42,8 +43,8 @@ explicit at a given state.
 
 Inside the engine every array is component-major with the env axis last
 and contiguous: vectors (3, B, N), rotations and inertias (3, 3, B, N), the
-body table of ``_mass_blocks`` (19, B, N), branch blocks
-(nb + d, nb + d, n_br, N) and generalized vectors (nv, N); the chain bodies
+body table of ``_mass_blocks`` (19, B, N), joint columns (nb + d, d, n_br, N)
+and generalized vectors (nv, N); the chain bodies
 of a body array are viewed as (..., d, n_br, N) by ``_per_branch``. So each
 numpy call runs over whole rows of envs: a 3 x 3 product is one
 leading-axis einsum or three row-wise multiply-adds, never one tiny matrix
@@ -56,17 +57,21 @@ reads their env-last copy from the cache) and its results out.
 The rows (envs) of a substep are independent, so ``step_batch`` splits a
 large batch into contiguous row shards, one per core: a shard is the slice
 [..., lo:hi] of every array, the calling thread takes the first and a
-module-level pool of cores - 1 threads the others, and each shard writes
-its new state and kinematics into arrays allocated once per call. Two
-threads pay only where each shard is large. Per substep of a PJS stance
-(2 cores, numpy 2.4, median [quartiles] of 6 runs), one shard against two:
-256 rows 6.5 [5.9, 7.1] against 9.8 [9.4, 10.0] ms, 512 rows 11.0
-[10.7, 11.7] against 12.9 [12.1, 13.3] ms, 1024 rows 21.6 [20.7, 22.5]
-against 18.2 [18.1, 19.0] ms. So a shard has at least MIN_SHARD_ROWS = 512
-rows.
+module-level pool of cores - 1 threads the others. Each shard writes its
+new state and kinematics into arrays allocated once per call, and works in
+its thread's scratch (``_scratch``): buffers sized to the shard and reused
+by every later substep, so a warm substep maps no fresh memory. Per substep
+of a stance (2 cores, numpy 2.4, median [quartiles] of 10 paired runs), one
+shard against two: 256 rows 4.0 [3.7, 4.1] against 7.6 [6.6, 8.3] ms, 512
+rows 6.6 [6.5, 6.9] against 9.5 [8.9, 9.8] ms, 1024 rows 12.5 [11.8, 12.7]
+against 12.3 [11.7, 12.7] ms (two won 7 of 10). So a shard has at least
+MIN_SHARD_ROWS = 512 rows.
 """
 
+import itertools
+import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -80,11 +85,15 @@ DIVERGENCE_SPEED = 1.0e4
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 # row shards of step_batch: at most one per core, each at least MIN_SHARD_ROWS
-# rows; two shards of 256 rows lost to one of 512, two of 512 won (see the
-# module docstring)
+# rows (see the module docstring)
 MIN_SHARD_ROWS = 512
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _POOL = None  # ThreadPoolExecutor of _CORES - 1 workers, made on first use
+# per-thread buffers of _scratch; arrays whose lifetimes do not overlap share
+# one: 0 holds _mass_blocks' body table, then the damper products, _solve's
+# work and _fk's joint rotations; 1 the world inertias and joint twists, then
+# the foot Jacobians; 2 the joint columns K
+_SCRATCH = threading.local()
 
 
 def _cross(a, b, out=None):
@@ -97,22 +106,28 @@ def _cross(a, b, out=None):
     return out
 
 
-def _mv(A, x):
+def _mv(A, x, out=None):
     """Matrices A (i, j, ...) times vectors x (j, ...) over the leading axes."""
-    return np.einsum("ij...,j...->i...", A, x)
+    return np.einsum("ij...,j...->i...", A, x, out=out)
 
 
-def _mm(A, B):
+def _mm(A, B, out=None):
     """Matrices A (i, j, ...) times matrices B (j, k, ...) over the leading axes."""
-    return np.einsum("ij...,jk...->ik...", A, B)
+    return np.einsum("ij...,jk...->ik...", A, B, out=out)
 
 
-def _branch_sum(a):
-    """Sum over the branch axis of a (..., n_br, N), branch by branch."""
-    out = np.zeros(a.shape[:-2] + a.shape[-1:])
-    for b in range(a.shape[-2]):
-        out += a[..., b, :]
-    return out
+def _scratch(slot, *shapes):
+    """Arrays of the given shapes, one after another in the calling thread's
+    buffer of the slot (see ``_SCRATCH``), which grows to its largest
+    request and is reused by every later one; they hold until the slot's
+    next request in the same thread."""
+    sizes = [math.prod(shape) for shape in shapes]
+    buffer = vars(_SCRATCH).get(slot)
+    if buffer is None or buffer.size < sum(sizes):
+        buffer = vars(_SCRATCH)[slot] = np.empty(sum(sizes))
+    ends = itertools.accumulate(sizes)
+    arrays = [buffer[end - size:end].reshape(shape) for shape, size, end in zip(shapes, sizes, ends)]
+    return arrays if len(arrays) > 1 else arrays[0]
 
 
 @dataclass
@@ -221,7 +236,8 @@ def _fk(ct: KinematicTree, st):
         R[:, :, 0] = quat_to_matrix(st["base_quat"].T).transpose(1, 2, 0)
         p[:, 0] = st["base_pos"]
     q = _per_branch(ct, st["q"])
-    Rj = np.sin(q) * ct.axis_skew + (1.0 - np.cos(q)) * ct.axis_skew_sq  # Rodrigues
+    Rj = np.multiply(np.sin(q), ct.axis_skew, out=_scratch(0, ct.axis_skew.shape[:-1] + q.shape[-1:]))
+    Rj += (1.0 - np.cos(q)) * ct.axis_skew_sq  # Rodrigues
     for i in range(3):
         Rj[i, i] += 1.0
     Rc, pc = _per_branch(ct, R), _per_branch(ct, p)
@@ -303,33 +319,14 @@ def _bias_accelerations(ct: KinematicTree, st):
     return alpha, a_c
 
 
-def _world_inertia(ct: KinematicTree, R):
-    """Body rotational inertias about their coms in world axes, R I R'."""
-    return np.einsum("ik...,jk...->ij...", _mm(R, ct.inertia), R)
+def _world_inertia(ct: KinematicTree, R, out=None, work=None):
+    """Body rotational inertias about their coms in world axes, R I R',
+    written into out if given; work, if given, takes R I."""
+    return np.einsum("ik...,jk...->ij...", _mm(R, ct.inertia, out=work), R, out=out)
 
 
 # ---------------------------------------------------------------------------
 # block-arrow assembly and solve
-
-
-def _local(ct: KinematicTree, v):
-    """Generalized vector v (nv, n) in each branch's local coordinates
-    [base, branch joints]: (nb + d, n_br, n)."""
-    nb = ct.n_base
-    out = np.empty((nb + ct.branch_size, ct.n_branches, v.shape[-1]))
-    out[:nb] = v[:nb, None]
-    out[nb:] = _per_branch(ct, v)
-    return out
-
-
-def _from_local(ct: KinematicTree, y):
-    """Generalized force (nv, n) of forces y (nb + d, n_br, n) given in each
-    branch's local coordinates: the base parts add up."""
-    nb = ct.n_base
-    out = np.empty((ct.nv, y.shape[-1]))
-    out[:nb] = _branch_sum(y[:nb])
-    _per_branch(ct, out)[...] = y[nb:]
-    return out
 
 
 def _foot_jacobians(ct: KinematicTree, st):
@@ -339,14 +336,13 @@ def _foot_jacobians(ct: KinematicTree, st):
     foot is on the chain's last body, so each of them moves it."""
     nb, n_br, d = ct.n_base, ct.n_branches, ct.branch_size
     pos = st["foot_pos"]
-    n = pos.shape[-1]
     a = _per_branch(ct, st["a_w"])
     lever = pos[:, None] - _per_branch(ct, st["o_w"])
-    J = np.empty((3, nb + d, n_br, n))
+    J = _scratch(1, (3, nb + d, n_br, pos.shape[-1]))
     if ct.floating:
         J[:, :3] = np.eye(3)[..., None, None]
         J[:, 3:6] = skew((pos - st["p"][:, :1]).T).T  # -[r], the transpose of [r]
-    J[:, nb:] = _cross(a, lever)
+    _cross(a, lever, out=J[:, nb:])
     return J
 
 
@@ -377,45 +373,47 @@ def _mass_blocks(ct: KinematicTree, st, masses, gravity, alpha, a_c):
     s_s = [v; a] = [(o_s - p0) x a_s; a_s] to the wrench
     F_s = [m v - h x a; h x v + J a]. Then M_bl[:, s] = F_s,
     M_ll[s, t] = M_ll[t, s] = s_s . F_t for s an ancestor of t (or t
-    itself), and h_s = s_s . W_s for the composite wrench W_s.
+    itself), and h_s = s_s . W_s for the composite wrench W_s. M_bb is the
+    spatial inertia of the base body's row plus each branch's composite,
+    which is that of the branch's first joint.
 
-    masses (B, n) and gravity (3, n) are env-last. Returns T (nb, nb, n),
-    the base body's share of the base-base block; K (nb + d, nb + d, n_br, n),
-    each branch's block over its local coordinates [base, branch joints],
-    whose base-base part is the branch's composite inertia, so that
-    T + sum K_bb = M_bb; and h (nv, n), the generalized bias force (gravity
-    and velocity products).
+    masses (B, n) and gravity (3, n) are env-last. Returns T = M_bb
+    (nb, nb, n); K = [M_bl; M_ll] (nb + d, d, n_br, n), each branch's joint
+    columns, in the calling thread's scratch; and h (nv, n), the generalized
+    bias force (gravity and velocity products).
     """
     nb, n_br, d = ct.n_base, ct.n_branches, ct.branch_size
     B, n = masses.shape
     p0 = st["p"][:, :1] if ct.floating else np.zeros((3, 1, n))
     r = st["c"] - p0
-    I_w = _world_inertia(ct, st["R"])
-    X = np.empty((19, B, n))  # per body: m, h (3), J (3 x 3), f (3), n + r x f (3)
+    X = _scratch(0, (19, B, n))  # per body: m, h (3), J (3 x 3), f (3), n + r x f (3)
+    J = X[4:13].reshape(3, 3, B, n)
+    I_w = _world_inertia(ct, st["R"], out=_scratch(1, (3, 3, B, n)), work=J)
     X[0] = masses
     h = np.multiply(masses, r, out=X[1:4])
-    J = np.subtract(I_w, np.einsum("i...,j...->ij...", h, r), out=X[4:13].reshape(3, 3, B, n))
+    np.subtract(I_w, np.einsum("i...,j...->ij...", h, r, out=J), out=J)
     hr = np.einsum("i...,i...->...", h, r)
     for i in range(3):
         J[i, i] += hr
-    f = np.multiply(masses, a_c - gravity[:, None], out=X[13:16])
-    w = st["w"]
-    np.add(_mv(I_w, alpha) + _cross(w, _mv(I_w, w)), _cross(r, f), out=X[16:19])
+    f = np.multiply(masses, np.subtract(a_c, gravity[:, None], out=X[13:16]), out=X[13:16])
+    moment = _mv(I_w, alpha, out=X[16:19])
+    moment += _cross(st["w"], _mv(I_w, st["w"]))
+    moment += _cross(r, f)
     # composites over the bodies each joint moves, in place: the sums from
     # each slot to the end of its chain; branch arrays are (..., d, n_br, n)
     Xc = _per_branch(ct, X)
     for k in reversed(range(d - 1)):
         Xc[:, k] += Xc[:, k + 1]
+    twist = _scratch(1, (6, d, n_br, n))  # [v; a] of each joint
     a = _per_branch(ct, st["a_w"])
-    v = _cross(_per_branch(ct, st["o_w"]) - p0[:, None], a)
+    v = _cross(_per_branch(ct, st["o_w"]) - p0[:, None], a, out=twist[:3])
+    twist[3:] = a
     hc = Xc[1:4]
-    K = np.empty((nb + d, nb + d, n_br, n))
-    F = K[:nb, nb:] if nb else np.empty((6, d, n_br, n))  # column s is F_s
+    K = _scratch(2, (nb + d, d, n_br, n))
+    F = K[:nb] if nb else np.empty((6, d, n_br, n))  # column s is F_s
     np.add(Xc[0] * v, _cross(a, hc), out=F[:3])
     np.add(_cross(hc, v), _mv(Xc[4:13].reshape(3, 3, d, n_br, n), a), out=F[3:])
-    K[nb:, :nb] = F[:nb].swapaxes(0, 1)
-    twist = np.concatenate([v, a])  # (6, d, n_br, n)
-    M_ll = np.einsum("csbn,ctbn->stbn", twist, F, out=K[nb:, nb:])
+    M_ll = np.einsum("csbn,ctbn->stbn", twist, F, out=K[nb:])
     for s in range(d):  # s_s . F_t is M_ll[s, t] for s <= t: mirror it
         for t in range(s):
             M_ll[s, t] = M_ll[t, s]
@@ -423,14 +421,12 @@ def _mass_blocks(ct: KinematicTree, st, masses, gravity, alpha, a_c):
     np.einsum("csbn,csbn->sbn", twist, Xc[13:], out=_per_branch(ct, h_all))
     if not ct.floating:
         return np.zeros((0, 0, n)), K, h_all
-    # the spatial inertias of the base body and of each branch's composite,
-    # which is that of the branch's first joint: it moves all the branch
+    g = X[:, 0].copy()  # the whole tree's row
+    for b in range(n_br):
+        g += Xc[:, 0, b]
     T = np.empty((6, 6, n))
-    _spatial_inertia(X[:, 0], T)
-    h_all[:nb] = X[13:, 0]
-    if n_br:
-        _spatial_inertia(Xc[:, 0], K[:6, :6])
-        h_all[:nb] += _branch_sum(Xc[13:, 0])
+    _spatial_inertia(g, T)
+    h_all[:nb] = g[13:]
     return T, K, h_all
 
 
@@ -453,26 +449,24 @@ def _spd_solve(A):
 
 def _solve(ct: KinematicTree, T, K, r):
     """Solve M x = r for the block-arrow M given by the base block T and the
-    branch blocks K (see ``_mass_blocks``); r and x are (nv, n).
+    joint columns K (see ``_mass_blocks``); r and x are (nv, n).
 
     Each branch's joint block M_ll is eliminated, the base part solves the
     Schur complement S = M_bb - sum_l M_bl M_ll^-1 M_lb (nb x nb), and the
     joint rates follow by back-substitution.
     """
-    nb = ct.n_base
-    x = np.empty(r.shape)
-    if not ct.n_branches:  # a free body: M is its base block
-        x[:] = _spd_solve(np.concatenate([T, r[:, None]], axis=1))[:, 0]
-        return x
-    # M_ll^-1 [M_lb | r_l], (d, nb + 1, n_br, n)
-    X = _spd_solve(np.concatenate(
-        [K[nb:, nb:], K[nb:, :nb], _per_branch(ct, r)[:, None]], axis=1))
+    nb, n_br, d = ct.n_base, ct.n_branches, ct.branch_size
+    x, n = np.empty(r.shape), r.shape[-1]
+    A, Y = _scratch(0, (d, d + nb + 1, n_br, n), (nb, nb + 1, n_br, n))
+    A[:, :d] = K[nb:]
+    A[:, d:-1] = K[:nb].swapaxes(0, 1)
+    A[:, -1] = _per_branch(ct, r)
+    X = _spd_solve(A)  # M_ll^-1 [M_lb | r_l], (d, nb + 1, n_br, n)
     if nb:
-        Y = _mm(K[:nb, nb:], X)  # M_bl M_ll^-1 [M_lb | r_l]
-        S = np.empty((nb, nb + 1, r.shape[-1]))  # the Schur complement | its right-hand side
-        np.subtract(_branch_sum(K[:nb, :nb]), _branch_sum(Y[:, :nb]), out=S[:, :nb])
-        S[:, :nb] += T
-        np.subtract(r[:nb], _branch_sum(Y[:, nb]), out=S[:, nb])
+        _mm(K[:nb], X, out=Y)  # M_bl M_ll^-1 [M_lb | r_l]
+        S = np.concatenate([T, r[:nb, None]], axis=1)  # the Schur complement | its rhs
+        for b in range(n_br):
+            S -= Y[..., b, :]
         x[:nb] = _spd_solve(S)[:, 0]
         X = X[:, nb] - _mv(X[:, :nb], x[:nb, None])
     else:
@@ -580,15 +574,31 @@ def _assemble(ct: KinematicTree, st, inp):
     return T, K, rhs, contact
 
 
-def _damper_block(J, E):
-    """J' E J (nb + d, nb + d, n_br, n) of the foot Jacobians J and damper
-    weights E (3, n_feet, n) per foot axis, each foot in its branch's block."""
-    return np.einsum("ai...,aj...->ij...", J, E[:, None] * J)
+def _add_dampers(ct: KinematicTree, T, K, J, E):
+    """Add J' E J of the foot Jacobians J (3, nb + d, n_br, n) and damper
+    weights E (3, n_feet, n) per foot axis to the blocks (T, K) in place:
+    each foot's joint columns to its branch's K, and its base-base part,
+    summed over the branches, to T."""
+    nb, n_br = ct.n_base, ct.n_branches
+    EJ, P = _scratch(0, J.shape, (max(K.size, T.size * n_br),))  # P: each product in turn
+    np.multiply(E[:, None], J, out=EJ)
+    K += np.einsum("ai...,aj...->ij...", J, EJ[:, nb:], out=P[:K.size].reshape(K.shape))
+    P = np.einsum("ai...,aj...->ij...", J[:, :nb], EJ[:, :nb],
+                  out=P[:T.size * n_br].reshape((nb, nb) + K.shape[2:]))
+    for b in range(n_br):
+        T += P[..., b, :]
 
 
 def _foot_force(ct: KinematicTree, J, forces):
-    """Generalized force (nv, n) of per-foot world forces (3, n_feet, n)."""
-    return _from_local(ct, _mv(J.swapaxes(0, 1), forces))
+    """Generalized force (nv, n) of per-foot world forces (3, n_feet, n):
+    each foot's in its branch's local coordinates, the base parts summed."""
+    nb, y = ct.n_base, _mv(J.swapaxes(0, 1), forces)  # (nb + d, n_br, n)
+    out = np.empty((ct.nv, y.shape[-1]))
+    out[:nb] = y[:nb, 0]
+    for b in range(1, ct.n_branches):
+        out[:nb] += y[:nb, b]
+    _per_branch(ct, out)[...] = y[nb:]
+    return out
 
 
 def _implicit_contact_velocity_update(ct, v_cur, dt, T, K, rhs, contact, friction):
@@ -607,14 +617,14 @@ def _implicit_contact_velocity_update(ct, v_cur, dt, T, K, rhs, contact, frictio
     f_spring (+ f_slide) - D J v_new from each row's final solve, and the
     (n_feet, n) mask of the saturated feet.
     """
-    pos, v, J = contact
+    nb, (pos, v, J) = ct.n_base, contact
     in_contact, spring, D = _penalty(ct.contact, pos, v)
-    K += _damper_block(J, dt * D)  # now the blocks of M + dt J' D J
+    _add_dampers(ct, T, K, J, dt * D)  # now the blocks of M + dt J' D J
 
-    def solve(A, rows, D, slide=None):
-        # A: the branch blocks with the dampers D (3, F, n) per foot axis;
-        # slide: the explicit sliding force on the tangent axes. Returns the
-        # new velocity, the foot velocities and the foot forces at it.
+    def solve(T, K, J, rows, D, slide=None):
+        # (T, K, J): the rows' blocks with the dampers D (3, F, n) and foot
+        # Jacobians; slide: the explicit sliding force on the tangent axes.
+        # Returns the new velocity, the foot velocities and forces at it.
         def force(u):  # spring (+ slide) - D u at foot velocities u
             f = -D * u
             f[2] += spring[:, rows]
@@ -622,13 +632,12 @@ def _implicit_contact_velocity_update(ct, v_cur, dt, T, K, rhs, contact, frictio
                 f[:2] += slide
             return f
 
-        J_r = J[..., rows]
-        Q = rhs[:, rows] + _foot_force(ct, J_r, force(v[..., rows]))
-        v_new = v_cur[:, rows] + dt * _solve(ct, T[..., rows], A, Q)
-        v_feet = _mv(J_r, _local(ct, v_new))
+        Q = rhs[:, rows] + _foot_force(ct, J, force(v[..., rows]))
+        v_new = v_cur[:, rows] + dt * _solve(ct, T, K, Q)
+        v_feet = _mv(J[:, :nb], v_new[:nb, None]) + _mv(J[:, nb:], _per_branch(ct, v_new))
         return v_new, v_feet, force(v_feet)
 
-    v_new, v_feet, applied = solve(K, slice(None), D)
+    v_new, v_feet, applied = solve(T, K, J, slice(None), D)
     # implied contact forces at the new velocity
     _, f_tan, t_norm, limit = _cone(spring, D, friction, v_feet)
     saturated = in_contact & (t_norm > limit + 1e-12)
@@ -638,10 +647,11 @@ def _implicit_contact_velocity_update(ct, v_cur, dt, T, K, rhs, contact, frictio
         direction = f_tan[..., rows] / np.where(t_r > 0, t_r, 1.0)
         D_r = D[..., rows]
         D_r[:2] *= ~sat
-        A = K[..., rows]  # without the tangent dampers of the saturated feet
-        A -= _damper_block(J[..., rows], dt * (D[..., rows] - D_r))
+        # the rows' blocks without the tangent dampers of the saturated feet
+        T_r, K_r, J_r = T[..., rows], K[..., rows], J[..., rows]
+        _add_dampers(ct, T_r, K_r, J_r, dt * (D_r - D[..., rows]))
         v_new[:, rows], _, applied[..., rows] = solve(
-            A, rows, D_r, direction * limit[:, rows] * sat)
+            T_r, K_r, J_r, rows, D_r, direction * limit[:, rows] * sat)
     return v_new, applied, saturated
 
 

@@ -3,11 +3,12 @@
 Asymmetric actor-critic: the actor consumes the noisy deployable
 observation, the critic the privileged simulator state; the critic is
 dropped at inference. All math is seeded numpy, so two runs with the same
-config produce bit-identical metrics.
+config produce bit-identical metrics but for the wall-time columns.
 """
 
 import csv
 import os
+import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -218,6 +219,7 @@ def _float_cell(x):
     return repr(float(x))
 
 
+WALL_TIME_COLUMNS = ("rollout_s", "update_s", "env_steps_per_s")
 METRIC_COLUMNS = (
     ["iteration", "env_steps", "mean_episode_return", "mean_episode_length",
      "policy_loss", "value_loss", "entropy", "approx_kl", "clip_fraction",
@@ -228,6 +230,8 @@ METRIC_COLUMNS = (
     + [f"term_{reason}_per_env_step" for reason in TERMINATION_REASONS[1:]]
     # shares of the rollout's foot-steps in contact and with a saturated friction cone
     + ["contact_frac", "cone_saturated_frac"]
+    # wall time of the rollout and of the update, the rollout's env-steps per second
+    + list(WALL_TIME_COLUMNS)
 )
 
 
@@ -259,6 +263,7 @@ def train(grouping, config: TrainConfig, out_dir):
             rew_sums = np.zeros(len(REWARD_TERMS))
             reason_counts = np.zeros(len(TERMINATION_REASONS), dtype=int)
             foot_counts = np.zeros(2, dtype=int)  # feet in contact, feet saturated
+            started = time.perf_counter()
             for t in range(cfg.steps_per_rollout):
                 action, logp = bundle.act_sampled(obs, rng)
                 value = bundle.value(priv)
@@ -287,7 +292,9 @@ def train(grouping, config: TrainConfig, out_dir):
                 reason_counts += np.bincount(info["reasons"], minlength=len(TERMINATION_REASONS))
                 foot_counts += (env.state.contact_flags.sum(), env.state.cone_saturated.sum())
             buffer.values[-1] = bundle.value(priv)
+            rollout_s = time.perf_counter() - started
             stats = agent.update(buffer, rng)
+            update_s = time.perf_counter() - started - rollout_s
             mean_ret = float(np.mean(recent_returns)) if recent_returns else 0.0
             mean_len = float(np.mean(recent_lengths)) if recent_lengths else 0.0
             row = (
@@ -303,6 +310,8 @@ def train(grouping, config: TrainConfig, out_dir):
                    for c in (reason_counts[1:].sum(), *reason_counts[1:])]
                 + [_float_cell(c / (rollout_env_steps * env.state.contact_flags.shape[1]))
                    for c in foot_counts]
+                + [_float_cell(rollout_s), _float_cell(update_s),
+                   _float_cell(rollout_env_steps / rollout_s)]
             )
             writer.writerow(row)
             if not all(np.isfinite(float(x)) for x in row[2:]):

@@ -67,7 +67,8 @@ def engine_kinematics(ct, bs):
 
 
 def blocks_to_dense(ct, T, K):
-    """Scatter the blocks (T, K) of the engine's ``_mass_blocks`` (env-last)
+    """Scatter the blocks of the engine's ``_mass_blocks`` (env-last), the
+    base block T = M_bb and each branch's joint columns K = [M_bl; M_ll],
     into (N, nv, nv)."""
     T, K = env_first(T, 2), env_first(K, 2)
     nb = ct.n_base
@@ -75,10 +76,10 @@ def blocks_to_dense(ct, T, K):
     # (n_br, d) columns of each branch
     dofs = nb + np.arange(ct.n_joints).reshape(ct.n_branches, ct.branch_size)
     M = np.zeros((T.shape[0], ct.nv, ct.nv))
-    M[:, :nb, :nb] = T + K[..., :nb, :nb].sum(axis=1)
-    M[:, base[:, None], dofs[:, None, :]] = K[..., :nb, nb:]
-    M[:, dofs[..., None], base] = K[..., nb:, :nb]
-    M[:, dofs[..., None], dofs[:, None, :]] = K[..., nb:, nb:]
+    M[:, :nb, :nb] = T
+    M[:, base[:, None], dofs[:, None, :]] = K[..., :nb, :]
+    M[:, dofs[..., None], base] = K[..., :nb, :].swapaxes(-1, -2)
+    M[:, dofs[..., None], dofs[:, None, :]] = K[..., nb:, :]
     return M
 
 

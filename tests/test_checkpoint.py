@@ -20,7 +20,7 @@ from vsloco.checkpoint import (
 )
 from vsloco.env import TERMINATION_REASONS, VecLocomotionEnv
 from vsloco.networks import Critic, GaussianActor
-from vsloco.ppo import TrainConfig, train
+from vsloco.ppo import WALL_TIME_COLUMNS, TrainConfig, train
 from vsloco.rewards import DEFAULT_WEIGHTS
 
 
@@ -133,8 +133,29 @@ def test_train_determinism_micro(tmp_path):
     )
     _, m1, _ = train("PLS", cfg, str(tmp_path / "a"))
     _, m2, _ = train("PLS", cfg, str(tmp_path / "b"))
-    with open(m1) as f1, open(m2) as f2:
-        assert f1.read() == f2.read()
+    with open(m1, newline="") as f1, open(m2, newline="") as f2:
+        rows1, rows2 = list(csv.reader(f1)), list(csv.reader(f2))
+    assert rows1[0] == rows2[0] and len(rows1) == len(rows2) == 3
+    # every cell the same, byte for byte, but the wall times
+    kept = [i for i, name in enumerate(rows1[0]) if name not in WALL_TIME_COLUMNS]
+    assert len(kept) == len(rows1[0]) - len(WALL_TIME_COLUMNS)
+    for a, b in zip(rows1, rows2):
+        assert [a[i] for i in kept] == [b[i] for i in kept]
+
+
+def test_metrics_log_wall_time(tmp_path):
+    cfg = TrainConfig(
+        n_envs=4, n_iterations=2, steps_per_rollout=6, hidden=[16], seed=2,
+        checkpoint_every=0,
+    )
+    _, metrics_path, _ = train("PLS", cfg, str(tmp_path))
+    with open(metrics_path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    for row in rows:
+        rollout_s, update_s, rate = (float(row[name]) for name in WALL_TIME_COLUMNS)
+        assert all(np.isfinite(v) and v > 0.0 for v in (rollout_s, update_s, rate))
+        assert rate == 4 * 6 / rollout_s
 
 
 def test_fixed_gain_run_logs_constant_kp(tmp_path):

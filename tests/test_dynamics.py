@@ -5,6 +5,7 @@ import dataclasses
 import multiprocessing
 import sys
 import threading
+import tracemalloc
 
 import dense_dynamics as dense
 import numpy as np
@@ -234,6 +235,34 @@ def test_block_assembly_matches_dense_oracle(quad):
         assert _relative(dyn._solve(tree, T, K, rhs).T, qacc_ref) <= 1e-12
 
 
+def test_damper_update_matches_dense_oracle(quad):
+    # the blocks after the in-place damper update are M + dt J' D J of the
+    # dense oracle, with every damper and with the tangent dampers of the
+    # feet the substep saturates taken out again, as its re-solve does
+    rng = np.random.default_rng(31)
+    s, params, push = _random_quad_batch(quad, rng, 64)
+    tau = rng.normal(0, 5, (64, 12))
+    dt = 0.002
+    saturated = dyn.step_batch(quad, s, tau, dt, push=push, params=params).cone_saturated.T
+    rows = np.flatnonzero(saturated.any(axis=0))
+    assert 0 < rows.size < 64
+    M, _, contact = dense.assemble(quad, s, tau, push, params)
+
+    def dense_with(D):  # M + dt J' D J for env-last weights D (3, n_feet, N)
+        return M + dt * np.einsum("nfai,nfa,nfaj->nij", contact["J_p"], D.T, contact["J_p"])
+
+    T, K, _, (pos, vel, J) = _assembly(quad, s, tau, push, params)
+    D = dyn._penalty(quad.contact, pos, vel)[2]
+    assert D[:2].any() and D[2].any()
+    dyn._add_dampers(quad, T, K, J, dt * D)
+    assert _relative(dense.blocks_to_dense(quad, T, K), dense_with(D)) <= 1e-12
+    D_r = D.copy()
+    D_r[:2] *= ~saturated
+    T_r, K_r, J_r = T[..., rows], K[..., rows], J[..., rows]
+    dyn._add_dampers(quad, T_r, K_r, J_r, dt * (D_r[..., rows] - D[..., rows]))
+    assert _relative(dense.blocks_to_dense(quad, T_r, K_r), dense_with(D_r)[rows]) <= 1e-12
+
+
 def test_tree_layouts_outside_the_block_form_rejected(quad):
     def link(parent):
         return Body(SpatialInertia(1.0, [0.0, 0.0, -0.1], np.eye(3) * 1e-3), parent=parent)
@@ -360,6 +389,39 @@ def test_sharded_step_starts_no_process(quad, split_rows):
     started = [t for t in threading.enumerate() if t not in before]
     assert all(t.name.startswith("vsloco-step") for t in started)
     assert 1 <= len(started) <= dyn._CORES - 1
+
+
+def test_warm_substep_allocates_little(quad):
+    # once warm, a 512-row substep of a stance allocates its new state (1.8
+    # MB with its kinematics) and small temporaries; its blocks, body table
+    # and foot Jacobians are the thread's scratch. The engine that allocated
+    # them afresh in every substep peaked at 6.1 MB here.
+    s = dyn.standing_state(quad, np.tile(quad.default_pose, (512, 1)))
+    for _ in range(5):
+        s = dyn.step_batch(quad, s, _pd_torque(quad, s, quad.default_pose), 0.002)
+    tau = _pd_torque(quad, s, quad.default_pose)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        dyn.step_batch(quad, s, tau, 0.002)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5e6
+
+
+def test_shards_keep_scratch_of_their_own(quad, split_rows):
+    # the calling thread and the pool's thread each work in arrays of their own
+    split_rows(2)
+    s, params, push = _random_quad_batch(quad, np.random.default_rng(9), 8)
+    dyn.step_batch(quad, s, np.zeros((8, 12)), 0.002, push=push, params=params)
+    mine = list(vars(dyn._SCRATCH).values())
+    theirs = list(dyn._pool().submit(lambda: vars(dyn._SCRATCH).copy()).result().values())
+    assert len(mine) == len(theirs) == 3
+    for a in mine:
+        for b in theirs:
+            assert not np.shares_memory(a, b)
 
 
 @pytest.mark.parametrize("shards", [1, 2])
