@@ -68,6 +68,7 @@ against 12.3 [11.7, 12.7] ms (two won 7 of 10). So a shard has at least
 MIN_SHARD_ROWS = 512 rows.
 """
 
+import functools
 import itertools
 import math
 import os
@@ -621,37 +622,41 @@ def _implicit_contact_velocity_update(ct, v_cur, dt, T, K, rhs, contact, frictio
     in_contact, spring, D = _penalty(ct.contact, pos, v)
     _add_dampers(ct, T, K, J, dt * D)  # now the blocks of M + dt J' D J
 
-    def solve(T, K, J, rows, D, slide=None):
-        # (T, K, J): the rows' blocks with the dampers D (3, F, n) and foot
-        # Jacobians; slide: the explicit sliding force on the tangent axes.
-        # Returns the new velocity, the foot velocities and forces at it.
+    def solve(T, K, J, rhs, v_cur, v, spring, D, slide=None):
+        # the rows' blocks with the dampers D (3, F, n), foot Jacobians,
+        # forces, velocities and springs; slide: the explicit sliding force
+        # on the tangent axes. Returns the new velocity, the foot velocities
+        # and the foot forces at it.
         def force(u):  # spring (+ slide) - D u at foot velocities u
             f = -D * u
-            f[2] += spring[:, rows]
+            f[2] += spring
             if slide is not None:
                 f[:2] += slide
             return f
 
-        Q = rhs[:, rows] + _foot_force(ct, J, force(v[..., rows]))
-        v_new = v_cur[:, rows] + dt * _solve(ct, T, K, Q)
+        Q = rhs + _foot_force(ct, J, force(v))
+        v_new = v_cur + dt * _solve(ct, T, K, Q)
         v_feet = _mv(J[:, :nb], v_new[:nb, None]) + _mv(J[:, nb:], _per_branch(ct, v_new))
         return v_new, v_feet, force(v_feet)
 
-    v_new, v_feet, applied = solve(T, K, J, slice(None), D)
+    v_new, v_feet, applied = solve(T, K, J, rhs, v_cur, v, spring, D)
     # implied contact forces at the new velocity
     _, f_tan, t_norm, limit = _cone(spring, D, friction, v_feet)
     saturated = in_contact & (t_norm > limit + 1e-12)
     rows = np.flatnonzero(saturated.any(axis=0))
     if rows.size:
-        sat, t_r = saturated[:, rows], t_norm[:, rows]
-        direction = f_tan[..., rows] / np.where(t_r > 0, t_r, 1.0)
-        D_r = D[..., rows]
+        # env-last copies of the rows: a[..., rows] would lay them out env-first
+        take = functools.partial(np.take, indices=rows, axis=-1)
+        sat, t_r = take(saturated), take(t_norm)
+        direction = take(f_tan) / np.where(t_r > 0, t_r, 1.0)
+        D_r = take(D)
         D_r[:2] *= ~sat
         # the rows' blocks without the tangent dampers of the saturated feet
-        T_r, K_r, J_r = T[..., rows], K[..., rows], J[..., rows]
-        _add_dampers(ct, T_r, K_r, J_r, dt * (D_r - D[..., rows]))
+        T_r, K_r, J_r = take(T), take(K), take(J)
+        _add_dampers(ct, T_r, K_r, J_r, dt * (D_r - take(D)))
         v_new[:, rows], _, applied[..., rows] = solve(
-            T_r, K_r, J_r, rows, D_r, direction * limit[:, rows] * sat)
+            T_r, K_r, J_r, take(rhs), take(v_cur), take(v), take(spring), D_r,
+            direction * take(limit) * sat)
     return v_new, applied, saturated
 
 
