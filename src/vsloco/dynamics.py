@@ -127,7 +127,7 @@ def _scratch(slot, *shapes):
     if buffer is None or buffer.size < sum(sizes):
         buffer = vars(_SCRATCH)[slot] = np.empty(sum(sizes))
     ends = itertools.accumulate(sizes)
-    arrays = [buffer[end - size:end].reshape(shape) for shape, size, end in zip(shapes, sizes, ends)]
+    arrays = [buffer[e - size:e].reshape(shape) for shape, size, e in zip(shapes, sizes, ends)]
     return arrays if len(arrays) > 1 else arrays[0]
 
 
@@ -237,8 +237,9 @@ def _fk(ct: KinematicTree, st):
         R[:, :, 0] = quat_to_matrix(st["base_quat"].T).transpose(1, 2, 0)
         p[:, 0] = st["base_pos"]
     q = _per_branch(ct, st["q"])
-    Rj = np.multiply(np.sin(q), ct.axis_skew, out=_scratch(0, ct.axis_skew.shape[:-1] + q.shape[-1:]))
-    Rj += (1.0 - np.cos(q)) * ct.axis_skew_sq  # Rodrigues
+    Rj = _scratch(0, ct.axis_skew.shape[:-1] + q.shape[-1:])  # Rodrigues
+    np.multiply(np.sin(q), ct.axis_skew, out=Rj)
+    Rj += (1.0 - np.cos(q)) * ct.axis_skew_sq
     for i in range(3):
         Rj[i, i] += 1.0
     Rc, pc = _per_branch(ct, R), _per_branch(ct, p)
@@ -321,8 +322,7 @@ def _bias_accelerations(ct: KinematicTree, st):
 
 
 def _world_inertia(ct: KinematicTree, R, out=None, work=None):
-    """Body rotational inertias about their coms in world axes, R I R',
-    written into out if given; work, if given, takes R I."""
+    """Body rotational inertias about their coms in world axes, R I R' (R I into work)."""
     return np.einsum("ik...,jk...->ij...", _mm(R, ct.inertia, out=work), R, out=out)
 
 
@@ -608,8 +608,8 @@ def _implicit_contact_velocity_update(ct, v_cur, dt, T, K, rhs, contact, frictio
     The explicit contact dampers are unconditionally unstable at the model's
     stiffness constants and dt (k_t dt far exceeds the foot's apparent mass),
     so the damper force is evaluated at the end-of-step velocity: the damper
-    Jacobian dt * J' D J joins the mass matrix, each foot's term in the block
-    of its own branch. The velocity change then solves
+    Jacobian dt * J' D J joins the mass matrix in place (``_add_dampers``).
+    The velocity change then solves
     (M + dt J' D J) dv = dt (rhs + J' (f_spring - D J v)). The Coulomb cone is
     enforced by one active-set pass: feet whose implied tangent force exceeds
     mu * N are re-solved with an explicit saturated sliding force, in the

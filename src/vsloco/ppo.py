@@ -310,8 +310,7 @@ def train(grouping, config: TrainConfig, out_dir):
                    for c in (reason_counts[1:].sum(), *reason_counts[1:])]
                 + [_float_cell(c / (rollout_env_steps * env.state.contact_flags.shape[1]))
                    for c in foot_counts]
-                + [_float_cell(rollout_s), _float_cell(update_s),
-                   _float_cell(rollout_env_steps / rollout_s)]
+                + [_float_cell(x) for x in (rollout_s, update_s, rollout_env_steps / rollout_s)]
             )
             writer.writerow(row)
             if not all(np.isfinite(float(x)) for x in row[2:]):

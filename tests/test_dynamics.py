@@ -394,8 +394,8 @@ def test_sharded_step_starts_no_process(quad, split_rows):
 def test_warm_substep_allocates_little(quad):
     # once warm, a 512-row substep of a stance allocates its new state (1.8
     # MB with its kinematics) and small temporaries; its blocks, body table
-    # and foot Jacobians are the thread's scratch. The engine that allocated
-    # them afresh in every substep peaked at 6.1 MB here.
+    # and foot Jacobians are the thread's scratch. With them allocated afresh
+    # in every substep, the peak on this stance was 6.1 MB.
     s = dyn.standing_state(quad, np.tile(quad.default_pose, (512, 1)))
     for _ in range(5):
         s = dyn.step_batch(quad, s, _pd_torque(quad, s, quad.default_pose), 0.002)
