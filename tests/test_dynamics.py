@@ -3,8 +3,12 @@
 import copy
 import dataclasses
 import multiprocessing
+import os
+import select
+import subprocess
 import sys
-import threading
+import textwrap
+import time
 import tracemalloc
 
 import dense_dynamics as dense
@@ -338,63 +342,129 @@ def _assert_same_state(a, b):
 @pytest.fixture
 def split_rows(monkeypatch):
     """split_rows(shards) makes step_batch split a batch of at least
-    `shards` rows into shards, on a thread pool of the test's own, which is
-    shut down after the test."""
-    monkeypatch.setattr(dyn, "_POOL", None)
+    `shards` rows into shards, run by worker processes of the test's own.
+    After the test they are stopped, and none may be left."""
+    monkeypatch.setattr(dyn, "_WORKERS", {})
 
     def split(shards):
         monkeypatch.setattr(dyn, "MIN_SHARD_ROWS", 1)
         monkeypatch.setattr(dyn, "_CORES", shards)
 
     yield split
-    if dyn._POOL is not None:
-        dyn._POOL.shutdown()
+    dyn._close_workers()
+    assert multiprocessing.active_children() == []
 
 
 def test_sharded_step_is_bit_identical(quad, split_rows):
     # 7 rows in 1, 2 and 3 row shards (sizes 7; 3 + 4; 2 + 2 + 3) over 5
     # substeps, with feet sliding on low-friction floors and a base push;
-    # the threads switch every microsecond, so they interleave finely
+    # then, through the same workers, the pendulums and the pushed box (each
+    # a tree to send) and the quadruped again at 40 rows (a larger block)
     rng = np.random.default_rng(17)
     s, params, _ = _random_quad_batch(quad, rng, 7)
-    push = rng.normal(0, 80, (7, 3))
-    tau = rng.normal(0, 5, (7, 12))
-    runs = {}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for shards in (1, 2, 3):
-            split_rows(shards)
-            st, runs[shards] = s, []
+    runs = [(quad, s, rng.normal(0, 5, (7, 12)), rng.normal(0, 80, (7, 3)), params)]
+    for tree, st in _other_trees(rng, 7):
+        runs.append((tree, st, rng.normal(0, 1, (7, tree.n_joints)),
+                     rng.normal(0, 3, (7, 3)) if tree.floating else None, None))
+    s, params, push = _random_quad_batch(quad, rng, 40)
+    runs.append((quad, s, rng.normal(0, 5, (40, 12)), push, params))
+    states = {}
+    for shards in (1, 2, 3):
+        split_rows(shards)
+        states[shards] = []
+        for tree, st, tau, push, params in runs:
             for _ in range(5):
-                st = dyn.step_batch(quad, st, tau, 0.002, push=push, params=params)
-                runs[shards].append(st)
-    finally:
-        sys.setswitchinterval(interval)
-    assert any(st.cone_saturated.any() for st in runs[1])
+                st = dyn.step_batch(tree, st, tau, 0.002, push=push, params=params)
+                states[shards].append(st)
+    assert any(st.cone_saturated.any() for st in states[1][:5])
     for shards in (2, 3):
-        for a, b in zip(runs[shards], runs[1]):
+        for a, b in zip(states[shards], states[1], strict=True):
             _assert_same_state(a, b)
 
 
-def test_sharded_step_starts_no_process(quad, split_rows):
-    # the shards run on threads of the pool, cores - 1 at most, and no
-    # process is started
+def _running(pid):
+    """Whether process pid exists and is not a zombie (Linux /proc)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_shard_workers_do_not_outlive_their_caller(quad, split_rows):
+    # cores - 1 workers at most, none left once stopped (split_rows checks
+    # that), and none alive 5 s after a caller that stepped a sharded batch
+    # was killed: each worker exits on EOF of its pipe
     split_rows(2)
-    before = set(threading.enumerate())
     s, params, push = _random_quad_batch(quad, np.random.default_rng(6), 8)
     for _ in range(3):
         s = dyn.step_batch(quad, s, np.zeros((8, 12)), 0.002, push=push, params=params)
-    assert multiprocessing.active_children() == []
-    started = [t for t in threading.enumerate() if t not in before]
-    assert all(t.name.startswith("vsloco-step") for t in started)
-    assert 1 <= len(started) <= dyn._CORES - 1
+    assert 1 <= len(multiprocessing.active_children()) <= dyn._CORES - 1
+    script = textwrap.dedent("""
+        import time
+        import numpy as np
+        from vsloco import dynamics as dyn
+        from vsloco.model import build_quadruped
+        dyn.MIN_SHARD_ROWS, dyn._CORES = 1, 2
+        quad = build_quadruped()
+        s = dyn.standing_state(quad, np.tile(quad.default_pose, (8, 1)))
+        dyn.step_batch(quad, s, np.zeros(12), 0.002)
+        print(*(worker.process.pid for worker in dyn._WORKERS.values()), flush=True)
+        time.sleep(60)
+    """)
+    src = os.path.dirname(os.path.dirname(dyn.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    caller = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                              env={**os.environ, "PYTHONPATH": path}, text=True)
+    try:
+        assert select.select([caller.stdout], [], [], 60.0)[0], "the caller printed no worker"
+        workers = [int(pid) for pid in caller.stdout.readline().split()]
+        assert len(workers) == 1 and _running(workers[0])
+    finally:
+        caller.kill()
+        caller.wait(timeout=10)
+        caller.stdout.close()
+    deadline = time.monotonic() + 5.0
+    while _running(workers[0]) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _running(workers[0])
+
+
+def test_shard_error_in_a_worker_raises_in_the_caller(quad, split_rows, monkeypatch):
+    # the patch is in place before the workers fork, so they inherit it; the
+    # marked row is in the worker's shard (rows 3 to 5 of 6). After either
+    # error, the next call forks a new worker.
+    step_rows = dyn._step_rows
+
+    def failing(ct, dt, st, inp, new, out):
+        if np.any(inp["tau"] == 99.0):
+            raise ValueError("a marked row")
+        step_rows(ct, dt, st, inp, new, out)
+
+    monkeypatch.setattr(dyn, "_step_rows", failing)
+    split_rows(2)
+    s, params, push = _random_quad_batch(quad, np.random.default_rng(12), 6)
+    tau = np.zeros((6, 12))
+    tau[4, 0] = 99.0
+    with pytest.raises(ValueError, match="a marked row") as raised:
+        dyn.step_batch(quad, s, tau, 0.002, push=push, params=params)
+    assert "in failing" in raised.value.__notes__[-1]  # the worker's traceback
+    tau[4, 0] = 0.0
+    stepped = dyn.step_batch(quad, s, tau, 0.002, push=push, params=params)
+    # a worker that died raises, and does not hang the caller
+    dyn._WORKERS[0].process.kill()
+    dyn._WORKERS[0].process.join(timeout=10)
+    with pytest.raises(RuntimeError, match="exited"):
+        dyn.step_batch(quad, s, tau, 0.002, push=push, params=params)
+    _assert_same_state(stepped, dyn.step_batch(quad, s, tau, 0.002, push=push, params=params))
+    split_rows(1)
+    _assert_same_state(stepped, dyn.step_batch(quad, s, tau, 0.002, push=push, params=params))
 
 
 def test_warm_substep_allocates_little(quad):
     # once warm, a 512-row substep of a stance allocates its new state (1.8
     # MB with its kinematics) and small temporaries; its blocks, body table
-    # and foot Jacobians are the thread's scratch. With them allocated afresh
+    # and foot Jacobians are the module's scratch. With them allocated afresh
     # in every substep, the peak on this stance was 6.1 MB.
     s = dyn.standing_state(quad, np.tile(quad.default_pose, (512, 1)))
     for _ in range(5):
@@ -409,19 +479,6 @@ def test_warm_substep_allocates_little(quad):
     finally:
         tracemalloc.stop()
     assert peak <= 3.5e6
-
-
-def test_shards_keep_scratch_of_their_own(quad, split_rows):
-    # the calling thread and the pool's thread each work in arrays of their own
-    split_rows(2)
-    s, params, push = _random_quad_batch(quad, np.random.default_rng(9), 8)
-    dyn.step_batch(quad, s, np.zeros((8, 12)), 0.002, push=push, params=params)
-    mine = list(vars(dyn._SCRATCH).values())
-    theirs = list(dyn._pool().submit(lambda: vars(dyn._SCRATCH).copy()).result().values())
-    assert len(mine) == len(theirs) == 3
-    for a in mine:
-        for b in theirs:
-            assert not np.shares_memory(a, b)
 
 
 @pytest.mark.parametrize("shards", [1, 2])
@@ -451,9 +508,10 @@ def test_step_batch_recomputes_the_kinematics_of_an_edited_state(quad):
                        dyn.step_batch(quad, _copy(s), tau, 0.002, push=push, params=params))
 
 
-def test_kinematics_cache_keeps_non_finite_rows(quad):
+def test_kinematics_cache_keeps_non_finite_rows(quad, split_rows):
     # a NaN left alone compares equal, so a diverged row does not force a
-    # recompute; an edit of another field does
+    # recompute; an edit of another field does. Stepped in two shards, the
+    # NaN row, in the worker's shard, is flagged and warns of nothing.
     s = dyn.standing_state(quad, np.tile(quad.default_pose, (2, 1)))
     s.qdot[1, 0] = np.nan
     kin = dyn._kinematics(quad, s)
@@ -461,6 +519,9 @@ def test_kinematics_cache_keeps_non_finite_rows(quad):
     s.base_angvel[0, 2] = 0.5
     fresh = dyn._kinematics(quad, s)
     assert fresh is not kin and np.array_equal(fresh["R"], kin["R"])
+    split_rows(2)
+    assert dyn.step_batch(quad, s, np.zeros(12), 0.002).diverged.tolist() == [False, True]
+    assert len(dyn._WORKERS) == 1
 
 
 @pytest.mark.parametrize("shards", [1, 2])
@@ -596,11 +657,17 @@ def test_quaternion_norm_preserved(quad):
         assert abs(np.linalg.norm(s.base_quat[0]) - 1.0) < 1e-9
 
 
-def test_divergence_flagged():
+def test_divergence_flagged(split_rows):
+    # the fast row alone, then in the worker's shard of two
+    split_rows(2)
     tree = pendulum_tree()
     s = pendulum_state(tree, 0.0, qdot=2e4)
     s2 = dyn.step_batch(tree, s, np.zeros(1), 0.002)
     assert s2.diverged[0]
+    s = dyn.default_state(tree, q=np.zeros((2, 1)))
+    s.qdot[1] = 2e4
+    assert dyn.step_batch(tree, s, np.zeros(1), 0.002).diverged.tolist() == [False, True]
+    assert len(dyn._WORKERS) == 1
 
 
 def test_quasi_static_stand_drift(quad):
