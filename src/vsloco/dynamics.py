@@ -11,6 +11,8 @@ for floating trees and [joint rates] for fixed-base trees.
 The tree is a base plus branches that are serial chains, a foot at each end
 (the quadruped: a trunk and four 3-DoF legs; a fixed-base chain: one branch
 and no base block; a free box: a base and no branch; see ``KinematicTree``).
+Every joint turns about a coordinate axis, so ``_fk`` turns two columns of
+its parent's rotation in their plane (Featherstone 2008, ch. 4).
 A branch's joints move only its own bodies and each foot sits on one
 branch, so the mass matrix M and the implicit contact matrix M + dt J' D J
 are block-arrow: a base block M_bb, one base-branch block M_bl and one
@@ -119,9 +121,9 @@ _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else o
 _FORK = multiprocessing.get_context("fork")
 _WORKERS = {}  # shard i + 1 -> its _Worker i, started on first use
 # the buffers of _scratch; arrays whose lifetimes do not overlap share one: 0
-# holds _mass_blocks' body table, then the damper products, _solve's work and
-# _fk's joint rotations; 1 the world inertias and joint twists, then the foot
-# Jacobians; 2 the joint columns K
+# holds _mass_blocks' body table, then the damper products and _solve's work;
+# 1 the world inertias and joint twists, then the foot Jacobians; 2 the joint
+# columns K
 _SCRATCH = {}
 
 
@@ -272,30 +274,27 @@ def _cumulate(x):
 def _fk(ct: KinematicTree, st):
     """World rotations/origins/coms of every body, world joint axes/origins,
     written into st from its fields. The chains are walked slot by slot, all
-    chains at once."""
+    chains at once; a joint about axis k keeps its parent's column k and
+    turns the other two, i and j (cyclic after k), by cos q and +-sin q."""
     R, p = st["R"], st["p"]
     if ct.floating:
         R[:, :, 0] = quat_to_matrix(st["base_quat"].T).transpose(1, 2, 0)
         p[:, 0] = st["base_pos"]
     q = _per_branch(ct, st["q"])
-    Rj = _scratch(0, ct.axis_skew.shape[:-1] + q.shape[-1:])  # Rodrigues
-    np.multiply(np.sin(q), ct.axis_skew, out=Rj)
-    Rj += (1.0 - np.cos(q)) * ct.axis_skew_sq
-    for i in range(3):
-        Rj[i, i] += 1.0
+    cos, sin = np.cos(q), ct.axis_sign * np.sin(q)
     Rc, pc = _per_branch(ct, R), _per_branch(ct, p)
     a_w, o_w = _per_branch(ct, st["a_w"]), _per_branch(ct, st["o_w"])
-    for s in range(ct.branch_size):
-        if s or ct.floating:  # the parent is the chain's previous body or the base
-            Rp, pp = (Rc[:, :, s - 1], pc[:, s - 1]) if s else (R[:, :, :1], p[:, :1])
-            Rc[:, :, s] = _mm(Rp, Rj[:, :, s])
-            a_w[:, s] = _mv(Rp, ct.joint_axis[:, s])
-            np.add(pp, _mv(Rp, ct.joint_origin[:, s]), out=o_w[:, s])
-        else:  # a chain's first body hangs off the fixed world
-            Rc[:, :, 0] = Rj[:, :, 0]
-            a_w[:, 0] = ct.joint_axis[:, 0]
-            o_w[:, 0] = ct.joint_origin[:, 0]
+    # a chain's first body hangs off the base, or off the fixed world
+    Rp, pp = (R[:, :, :1], p[:, :1]) if ct.floating else (np.eye(3)[..., None, None], 0.0)
+    for s, k in enumerate(ct.axis_index):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        Rc[:, k, s] = Rp[:, k]
+        Rc[:, i, s] = cos[s] * Rp[:, i] + sin[s] * Rp[:, j]
+        Rc[:, j, s] = cos[s] * Rp[:, j] - sin[s] * Rp[:, i]
+        np.multiply(ct.axis_sign[s], Rp[:, k], out=a_w[:, s])
+        np.add(pp, _mv(Rp, ct.joint_origin[:, s]), out=o_w[:, s])
         pc[:, s] = o_w[:, s]
+        Rp, pp = Rc[:, :, s], pc[:, s]
     np.add(p, _mv(R, ct.com), out=st["c"])
 
 

@@ -345,7 +345,6 @@ class VecLocomotionEnv:
         }
         if np.any(done):
             info["final_privileged"] = self.observe_privileged()
-            info["final_observation"] = self.observe(noisy=False)
             if self.auto_reset:
                 self._reset_envs(np.flatnonzero(done))
         obs = self.observe()

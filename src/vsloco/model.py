@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .rotations import skew
-
 LEG_NAMES = ("FR", "FL", "RR", "RL")
 
 
@@ -38,7 +36,7 @@ class SpatialInertia:
 
 @dataclass
 class JointSpec:
-    """Revolute joint: unit axis and placement in the parent body frame."""
+    """Revolute joint about +-e_x, +-e_y or +-e_z, placed in the parent body frame."""
 
     axis: np.ndarray
     origin_in_parent: np.ndarray
@@ -48,8 +46,8 @@ class JointSpec:
     def __post_init__(self):
         self.axis = np.asarray(self.axis, dtype=float)
         self.origin_in_parent = np.asarray(self.origin_in_parent, dtype=float)
-        if abs(np.linalg.norm(self.axis) - 1.0) > 1e-9:
-            raise ValueError("joint axis must be a unit vector")
+        if self.axis.shape != (3,) or sorted(np.abs(self.axis)) != [0.0, 0.0, 1.0]:
+            raise ValueError(f"joint axis must be +-e_x, +-e_y or +-e_z, got {self.axis}")
         lo, hi = self.position_limit
         if not lo < hi:
             raise ValueError(f"position_limit min must be < max, got {self.position_limit}")
@@ -75,15 +73,17 @@ class KinematicTree:
     chains of equal length d, listed chain by chain: a chain's first body
     hangs off the base (the world for a fixed base), each further body off
     the one before. A tree with feet has one on the last body of each chain,
-    in chain order. Construction rejects any other layout.
+    in chain order. Each joint turns about a coordinate axis, and a slot's
+    joints turn about the same one in every chain, with either sign.
+    Construction rejects any other layout.
 
     It also builds the constants the dynamics engine reads, in its layout:
     components first, then the body or joint axes, then an axis of length 1
     that broadcasts over the envs. Body constants are indexed by body:
     ``com`` (3, B, 1), ``inertia`` (3, 3, B, 1). Joint constants are
     indexed by (slot, chain), the layout of the engine's chain views:
-    ``joint_axis`` and ``joint_origin`` (3, d, n_br, 1), ``axis_skew`` and
-    its square (3, 3, d, n_br, 1).
+    ``joint_origin`` (3, d, n_br, 1) and the axis signs ``axis_sign``
+    (d, n_br, 1); ``axis_index`` holds each slot's axis, 0, 1 or 2.
     """
 
     bodies: list
@@ -122,16 +122,17 @@ class KinematicTree:
                 x = x.reshape(x.shape[:-2] + (n_br, d, 1)).swapaxes(-3, -2)
             return x
 
-        axes = np.array([j.axis for j in self.joints]).reshape(nj, 3)
-        skews = skew(axes)
+        axes = np.array([j.axis for j in self.joints]).reshape(n_br, d, 3)
+        index = np.abs(axes).argmax(-1)  # (n_br, d)
+        if (index != index[:1]).any():
+            raise ValueError("a slot's joints must turn about the same axis in every branch")
         self.mass = np.array([b.inertia.mass for b in self.bodies])
         self.com = engine([b.inertia.com_offset for b in self.bodies])
         self.inertia = engine([b.inertia.rotational_inertia for b in self.bodies])
-        self.joint_axis = engine(axes, joints=True)
         self.joint_origin = engine(np.reshape([j.origin_in_parent for j in self.joints], (nj, 3)),
                                    joints=True)
-        self.axis_skew = engine(skews, joints=True)
-        self.axis_skew_sq = engine(skews @ skews, joints=True)
+        self.axis_index = tuple(int(k) for k in index[0]) if n_br else ()
+        self.axis_sign = axes.sum(-1).T[..., None]
         self.n_base, self.n_branches, self.branch_size = 6 * start, n_br, d
 
     @property

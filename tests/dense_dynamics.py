@@ -7,7 +7,8 @@ forces J' (f, n), and solves the implicit-contact velocity update as one
 saturates. The kinematic passes (FK, velocities, bias accelerations, world
 inertias, foot points) are the engine's own, read env-first through
 ``env_first``; everything from the Jacobians on, the contact law included,
-is independent of ``vsloco.dynamics``.
+is independent of ``vsloco.dynamics``. FK itself is checked against
+``reference_fk``, built from the ``JointSpec``s alone.
 
 Besides the oracle, the tests compare against:
 - ``blocks_to_dense``: the engine's mass blocks scattered into (N, nv, nv);
@@ -22,7 +23,7 @@ import numpy as np
 
 from vsloco import dynamics as dyn
 from vsloco.model import Body, JointSpec, KinematicTree, SpatialInertia
-from vsloco.rotations import quat_exp, quat_mul, quat_normalize, skew
+from vsloco.rotations import quat_exp, quat_mul, quat_normalize, quat_to_matrix, skew
 
 
 def pendulum_tree(mass=1.0, length=1.0):
@@ -64,6 +65,29 @@ def engine_kinematics(ct, bs):
     kin["alpha"], kin["a_c"] = map(env_first, dyn._bias_accelerations(ct, st))
     kin["I_w"] = env_first(dyn._world_inertia(ct, st["R"]), 2)
     return kin
+
+
+def reference_fk(ct, bs):
+    """World body rotations R (N, B, 3, 3) and origins p (N, B, 3), and
+    world joint axes a_w and origins o_w (N, nj, 3), from the bodies'
+    parents and the ``JointSpec``s alone: a body is its parent's frame (the
+    world's for a fixed root), moved to the joint origin and turned by
+    exp(axis q)."""
+    N, B, nj = bs.n, ct.n_bodies, ct.n_joints
+    start = 1 if ct.floating else 0
+    R, p = np.zeros((N, B, 3, 3)), np.zeros((N, B, 3))
+    a_w, o_w = np.zeros((N, nj, 3)), np.zeros((N, nj, 3))
+    if ct.floating:
+        R[:, 0], p[:, 0] = quat_to_matrix(bs.base_quat), bs.base_pos
+    for j, joint in enumerate(ct.joints):
+        b = j + start
+        parent = ct.bodies[b].parent
+        R_p, p_p = (R[:, parent], p[:, parent]) if parent >= 0 else (np.eye(3), np.zeros(3))
+        a_w[:, j] = R_p @ joint.axis
+        o_w[:, j] = p_p + R_p @ joint.origin_in_parent
+        R[:, b] = R_p @ quat_to_matrix(quat_exp(joint.axis * bs.q[:, j, None]))
+        p[:, b] = o_w[:, j]
+    return {"R": R, "p": p, "a_w": a_w, "o_w": o_w}
 
 
 def blocks_to_dense(ct, T, K):

@@ -18,6 +18,7 @@ from dense_dynamics import double_pendulum_tree, floating_box_tree, pendulum_tre
 
 from vsloco import dynamics as dyn
 from vsloco.model import Body, JointSpec, KinematicTree, SpatialInertia, build_quadruped
+from vsloco.rotations import quat_exp, quat_mul, quat_normalize
 
 G = 9.81
 
@@ -288,6 +289,78 @@ def test_tree_layouts_outside_the_block_form_rejected(quad):
         KinematicTree(bodies=quad.bodies, joints=quad.joints, floating=True,
                       foot_body_indices=quad.foot_body_indices[::-1],
                       foot_offsets=quad.foot_offsets, contact=quad.contact)
+
+
+def test_joint_axes_must_be_coordinate_axes(quad):
+    JointSpec([0.0, 0.0, -1.0], [0.0, 0.0, 0.0], (-1, 1), 1.0)
+    for axis in ([0.0, 0.6, 0.8], [0.0, 2.0, 0.0], [1.0, 1.0, 0.0]):
+        with pytest.raises(ValueError, match="e_x, "):
+            JointSpec(axis, [0.0, 0.0, 0.0], (-1, 1), 1.0)
+    # the first leg's hip about y, the other legs' about x
+    joints = list(quad.joints)
+    joints[0] = dataclasses.replace(joints[0], axis=[0.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="same axis in every branch"):
+        dataclasses.replace(quad, joints=joints)
+
+
+def _random_poses(quad, rng, n):
+    """n quadruped states at random joint angles, base orientations and
+    velocities."""
+    s = dyn.default_state(quad, q=rng.uniform(-np.pi, np.pi, (n, 12)))
+    s.base_pos[:] = rng.normal(0, 1, (n, 3))
+    s.base_quat[:] = quat_normalize(rng.normal(0, 1, (n, 4)))
+    s.base_linvel[:] = rng.normal(0, 1, (n, 3))
+    s.base_angvel[:] = rng.normal(0, 1, (n, 3))
+    s.qdot[:] = rng.normal(0, 2, (n, 12))
+    return s
+
+
+def test_fk_matches_the_joint_spec_reference(quad):
+    s = _random_poses(quad, np.random.default_rng(21), 64)
+    kin, ref = dense.engine_kinematics(quad, s), dense.reference_fk(quad, s)
+    for key in ("R", "p", "a_w", "o_w"):
+        assert np.max(np.abs(kin[key] - ref[key])) <= 1e-12, key
+
+
+def test_body_angular_velocity_is_the_rate_of_fk(quad):
+    # w of every body against the central difference of FK's R along the
+    # joint rates and the base's world angular velocity: [w] = dR/dt R'
+    s, h = _random_poses(quad, np.random.default_rng(22), 64), 1e-5
+
+    def rotations(t):
+        moved = _copy(s)
+        moved.q += t * s.qdot
+        moved.base_quat[:] = quat_mul(quat_exp(t * s.base_angvel), s.base_quat)
+        return dense.engine_kinematics(quad, moved)["R"]
+
+    kin = dense.engine_kinematics(quad, s)
+    W = (rotations(h) - rotations(-h)) / (2 * h) @ kin["R"].swapaxes(-1, -2)
+    w = 0.5 * np.stack([W[..., 2, 1] - W[..., 1, 2], W[..., 0, 2] - W[..., 2, 0],
+                        W[..., 1, 0] - W[..., 0, 1]], axis=-1)
+    assert np.max(np.abs(w - kin["w"])) <= 1e-7
+
+
+def test_negated_joint_axes_turn_the_bodies_the_same(quad):
+    # sin(-q) * -1 is sin q and cos(-q) is cos q bit for bit, so a robot
+    # whose every axis is negated, at -q, -qdot and -tau, moves the same:
+    # over 20 substeps with feet in the floor its rotations, its base and
+    # its contact forces stay the same bit for bit and its joints mirrored
+    mirror = dataclasses.replace(quad, joints=[dataclasses.replace(j, axis=-j.axis)
+                                               for j in quad.joints])
+    rng = np.random.default_rng(23)
+    s, params, push = _random_quad_batch(quad, rng, 16)
+    m = _copy(s)
+    m.q *= -1.0
+    m.qdot *= -1.0
+    for _ in range(20):
+        tau = rng.normal(0, 5, (16, 12))
+        s = dyn.step_batch(quad, s, tau, 0.002, push=push, params=params)
+        m = dyn.step_batch(mirror, m, -tau, 0.002, push=push, params=params)
+        assert np.array_equal(s.cache["R"], m.cache["R"])
+        assert np.array_equal(s.q, -m.q) and np.array_equal(s.qdot, -m.qdot)
+        for f in ("base_pos", "base_quat", "base_linvel", "base_angvel", "contact_forces"):
+            assert np.array_equal(getattr(s, f), getattr(m, f)), f
+    assert s.contact_flags.any()
 
 
 def _pd_torque(tree, state, q_ref):
