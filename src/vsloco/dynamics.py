@@ -56,53 +56,16 @@ row comes out the same bit for bit in any batch. ``BatchState`` keeps the
 env axis first: ``step_batch`` transposes the six kinematic fields in (or
 reads their env-last copy from the cache) and its results out.
 
-The rows (envs) of a substep are independent, so ``step_batch`` splits a
-large batch into contiguous row shards, one per core: a shard is the slice
-[..., lo:hi] of every array. The caller steps the first shard itself and
-hands each other one to a worker process (``_Worker``), one of cores - 1
-forked on the first batch that shards. Threads would not pay: the GIL
-serialises a substep's many small numpy calls, so two 512-row thread
-shards stepped a 1024-row stance in 14.41 ms against 14.46 ms for one
-shard, at 22.2 ms of CPU and about 440 voluntary context switches per
-substep, while two processes of 512 rows each, side by side, took 9.88 ms
-(medians of six interleaved repeats of 100 substeps). A worker owns an
-anonymous shared mmap sized to its shard. The caller copies the shard's
-slices of the state and inputs into it (laid out by ``_shard_arrays``),
-sends the row count, dt, whether there is a push and, when it changed, the
-tree over a pipe, steps its own shard and copies the worker's new state and
-outputs back; a 1024-row substep then makes about 0 voluntary context
-switches. A worker's error is raised in the caller once its own shard is
-done, and a worker that died raises a RuntimeError; any error stops every
-worker, and the next batch that shards forks new ones. Workers are
-daemonic and exit on EOF of their pipe, so none outlives its caller. A
-shard of an env-last array is strided, so the copies stay: stepping in the
-block itself would take arrays allocated per shard and joined afterwards.
-
-Workers are forked, so they start from the caller's imports and state.
-From Python 3.12 on, ``fork`` warns when the caller has live threads, such
-as OpenBLAS's, and a test run that turns warnings into errors fails there;
-this module is written for Python 3.11 and Linux.
-
 A process steps one batch at a time (``step_batch`` is not safe to call
 from two threads at once), so its scratch (``_scratch``) is one set of
-buffers, sized to its shard and reused by every later substep: a warm
-substep maps no fresh memory. Per substep of an HJLS env with random
-actions (2 cores, numpy 2.4; median [quartiles] of 10 paired runs, each in
-a fresh process), one shard against two: 256 rows 5.2 [4.7, 5.5] against
-5.3 [5.1, 6.5] ms (two won 5 of 10), 512 rows 8.4 [8.1, 8.9] against 6.9
-[6.8, 7.4] ms (8 of 10), 1024 rows 15.5 [14.7, 16.8] against 11.3
-[10.9, 11.4] ms (10 of 10). Two shards do not win 9 of 10 at 512 rows, so
-a shard has at least MIN_SHARD_ROWS = 512 rows.
+buffers, sized to its batch and reused by every later substep: a warm
+substep maps no fresh memory. The rows of a substep are independent, so a
+caller may step a batch in row shards (``vsloco.shards``).
 """
 
 import functools
 import itertools
 import math
-import mmap
-import multiprocessing
-import os
-import signal
-import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,13 +76,6 @@ from .rotations import IDENTITY_QUAT, quat_exp, quat_mul, quat_normalize, quat_t
 GRAVITY_DIR = np.array([0.0, 0.0, -1.0])
 DIVERGENCE_SPEED = 1.0e4
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-
-# row shards of step_batch: at most one per core, each at least MIN_SHARD_ROWS
-# rows (see the module docstring)
-MIN_SHARD_ROWS = 512
-_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_FORK = multiprocessing.get_context("fork")
-_WORKERS = {}  # shard i + 1 -> its _Worker i, started on first use
 # the buffers of _scratch; arrays whose lifetimes do not overlap share one: 0
 # holds _mass_blocks' body table, then the damper products and _solve's work;
 # 1 the world inertias and joint twists, then the foot Jacobians; 2 the joint
@@ -213,33 +169,19 @@ class BatchParams:
 _KINEMATIC_FIELDS = ("base_pos", "base_quat", "base_linvel", "base_angvel", "q", "qdot")
 
 
-_FLAGS = ("cone_saturated", "diverged")  # the bool arrays of _step_rows; the others are float
-
-
-def _shapes(ct: KinematicTree):
-    """The shapes, without the env axis, of the arrays that ``_step_rows``
-    reads and writes: those of a state and its kinematics (see
-    ``_empty_state``), of its inputs with a push (see ``_inputs``) and of
-    its outputs."""
-    B, nj = ct.n_bodies, ct.n_joints
-    state = {"base_pos": (3,), "base_quat": (4,), "base_linvel": (3,), "base_angvel": (3,),
-             "q": (nj,), "qdot": (nj,), "R": (3, 3, B), "p": (3, B), "c": (3, B),
-             "a_w": (3, nj), "o_w": (3, nj), "w": (3, B), "v_o": (3, B), "v_c": (3, B)}
-    if ct.foot_body_indices:
-        state["foot_pos"] = state["foot_vel"] = (3, len(ct.foot_body_indices))
-    inputs = {"tau": (nj,), "push": (3,), "masses": (B,), "gravity": (3,), "friction": ()}
-    n_feet = max(len(ct.foot_body_indices), 1)
-    outputs = {"contact_forces": (3, n_feet), "cone_saturated": (n_feet,), "diverged": ()}
-    return state, inputs, outputs
-
-
 def _empty_state(ct: KinematicTree, n):
     """Env-last arrays for the kinematic fields of n envs and their
     kinematics: the keys of ``_KINEMATIC_FIELDS`` (k, n); ``_fk``'s R
     (3, 3, B, n), p and c (3, B, n), a_w and o_w (3, nj, n); ``_velocities``'
     w, v_o and v_c (3, B, n); and foot_pos, foot_vel (3, n_feet, n) for a
     tree with feet."""
-    return {key: np.empty(shape + (n,)) for key, shape in _shapes(ct)[0].items()}
+    B, nj = ct.n_bodies, ct.n_joints
+    shapes = {"base_pos": (3,), "base_quat": (4,), "base_linvel": (3,), "base_angvel": (3,),
+              "q": (nj,), "qdot": (nj,), "R": (3, 3, B), "p": (3, B), "c": (3, B),
+              "a_w": (3, nj), "o_w": (3, nj), "w": (3, B), "v_o": (3, B), "v_c": (3, B)}
+    if ct.foot_body_indices:
+        shapes["foot_pos"] = shapes["foot_vel"] = (3, len(ct.foot_body_indices))
+    return {key: np.empty(shape + (n,)) for key, shape in shapes.items()}
 
 
 def _per_branch(ct: KinematicTree, x):
@@ -705,21 +647,27 @@ def _generalized_velocity(ct, st):
     return np.concatenate(parts + [st["qdot"]])
 
 
-def _step_rows(ct: KinematicTree, dt, st, inp, new, out):
-    """``step_batch`` on the rows of the env-last state st and inputs inp:
-    writes the new state and its kinematics into new (see ``_empty_state``)
-    and the applied contact forces (3, n_feet, n), the saturated feet
-    (n_feet, n) and the rows whose speed diverged (n,) into out."""
-    T, K, rhs, contact = _assemble(ct, st, inp)
+def step_batch(ct: KinematicTree, bs: BatchState, tau, dt, push=None, params=None) -> BatchState:
+    """One semi-implicit Euler substep for the whole batch.
+
+    ``push`` (N, 3), if given, is a world force at the base origin of a
+    floating tree. The new state carries the kinematics of its fields in
+    its cache, which the next substep reads unless a field was edited in
+    the meantime (see ``_kinematics``).
+    """
+    n = bs.n
+    if params is None:
+        params = BatchParams.from_tree(ct, n)
+    st = _kinematics(ct, bs)
+    T, K, rhs, contact = _assemble(ct, st, _inputs(ct, n, tau, push, params))
     v_cur = _generalized_velocity(ct, st)
     if contact is not None:
-        v_new, out["contact_forces"][...], out["cone_saturated"][...] = \
-            _implicit_contact_velocity_update(ct, v_cur, dt, T, K, rhs, contact, inp["friction"])
+        v_new, forces, saturated = _implicit_contact_velocity_update(
+            ct, v_cur, dt, T, K, rhs, contact, params.friction)
     else:
         v_new = v_cur + dt * _solve(ct, T, K, rhs)
-        out["contact_forces"][...] = 0.0
-        out["cone_saturated"][...] = False
-    nb = ct.n_base
+        forces, saturated = np.zeros((3, 1, n)), np.zeros((1, n), dtype=bool)
+    nb, new = ct.n_base, _empty_state(ct, n)
     if ct.floating:
         new["base_linvel"][...] = v_new[0:3]
         new["base_angvel"][...] = v_new[3:6]
@@ -731,172 +679,19 @@ def _step_rows(ct: KinematicTree, dt, st, inp, new, out):
             new[key][...] = st[key]
     new["qdot"][...] = v_new[nb:]
     np.add(st["q"], dt * v_new[nb:], out=new["q"])
-    # negated so that a non-finite velocity counts as diverged
-    np.logical_not(np.abs(v_new).max(axis=0) <= DIVERGENCE_SPEED, out=out["diverged"])
     _fill_kinematics(ct, new)
-
-
-def _shard_arrays(ct: KinematicTree, n, block=None):
-    """``_step_rows``' arguments st, inp, new and out for n rows, laid out
-    one after another in block (nothing is laid out when block is None),
-    and the bytes they take. The flags come last, so each float array starts
-    at a multiple of 8 bytes."""
-    state, inputs, outputs = _shapes(ct)
-    parts, offset = [], 0
-    for shapes in (state, inputs, state, outputs):
-        part = {}
-        for key, shape in shapes.items():
-            dtype = np.dtype(bool if key in _FLAGS else float)
-            if block is not None:
-                part[key] = np.ndarray(shape + (n,), dtype, block, offset)
-            offset += math.prod(shape) * n * dtype.itemsize
-        parts.append(part)
-    return parts, offset
-
-
-def _serve(conn, caller_end, block):
-    """A worker's loop: step the shard laid out in block (``_shard_arrays``)
-    for each (rows, dt, whether there is a push, the tree if it changed)
-    received, and reply None or the error the shard raised. It returns when
-    the caller's end of the pipe closes, which the caller's exit does too."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
-    # copies of the callers' ends would keep the pipes open after the caller exits
-    caller_end.close()
-    for worker in _WORKERS.values():
-        worker.conn.close()
-    tree = None
-    try:
-        while True:
-            rows, dt, pushed, sent = conn.recv()
-            tree = tree if sent is None else sent
-            try:
-                (st, inp, new, out), _ = _shard_arrays(tree, rows, block)
-                if not pushed:
-                    inp["push"] = None
-                _step_rows(tree, dt, st, inp, new, out)
-                reply = None
-            except Exception as error:  # the caller raises it
-                error.add_note(f"in a step_batch worker:\n{traceback.format_exc()}")
-                reply = error
-            conn.send(reply)
-    except (EOFError, BrokenPipeError):
-        return
-
-
-class _Worker:
-    """A daemonic process, forked, that steps row shards of ``step_batch``
-    one at a time in an anonymous shared block (see the module docstring).
-    It holds the last tree it was sent."""
-
-    def __init__(self, nbytes):
-        self.block = mmap.mmap(-1, nbytes)  # anonymous and shared: the fork maps it too
-        self.tree = None
-        self.arrays = None  # the shard's arrays in the block while it runs
-        self.conn, worker_end = _FORK.Pipe()
-        self.process = _FORK.Process(target=_serve, args=(worker_end, self.conn, self.block),
-                                     name="vsloco-step", daemon=True)
-        self.process.start()
-        worker_end.close()
-
-    def _pipe(self, call, *args):
-        try:
-            return call(*args)
-        except (EOFError, OSError) as error:
-            self.close()
-            raise RuntimeError(f"step_batch worker {self.process.pid} exited "
-                               f"(code {self.process.exitcode})") from error
-
-    def submit(self, ct, dt, st, inp, rows):
-        """Copy the rows (a slice) of st and inp into the block and start
-        their shard."""
-        self.arrays, _ = _shard_arrays(ct, rows.stop - rows.start, self.block)
-        for part, arrays in zip((st, inp), self.arrays):
-            for key, a in arrays.items():
-                if part[key] is not None:
-                    a[...] = part[key][..., rows]
-        self._pipe(self.conn.send, (rows.stop - rows.start, dt, inp["push"] is not None,
-                                    None if ct is self.tree else ct))
-        self.tree = ct
-
-    def collect(self, new, out, rows):
-        """Wait for the shard, copy its new state and outputs into the rows
-        of new and out, and raise its error if it raised one."""
-        error = self._pipe(self.conn.recv)
-        if error is not None:
-            raise error
-        for part, arrays in zip((new, out), self.arrays[2:]):
-            for key, a in arrays.items():
-                part[key][..., rows] = a
-        self.arrays = None
-
-    def close(self):
-        """Stop the worker. It holds nothing to flush, so it is killed."""
-        self.conn.close()
-        self.process.kill()
-        self.process.join()
-
-
-def _worker(i, nbytes):
-    """Worker i, started, or replaced if it was closed or its block is
-    smaller than nbytes."""
-    worker = _WORKERS.get(i)
-    if worker is None or worker.conn.closed or len(worker.block) < nbytes:
-        if worker is not None:
-            worker.close()
-        worker = _WORKERS[i] = _Worker(nbytes)
-    return worker
-
-
-def _close_workers():
-    """Stop every worker; the next batch that shards starts new ones."""
-    for worker in _WORKERS.values():
-        worker.close()
-    _WORKERS.clear()
-
-
-def step_batch(ct: KinematicTree, bs: BatchState, tau, dt, push=None, params=None) -> BatchState:
-    """One semi-implicit Euler substep for the whole batch.
-
-    ``push`` (N, 3), if given, is a world force at the base origin of a
-    floating tree. The new state carries the kinematics of its fields in
-    its cache, which the next substep reads unless a field was edited in
-    the meantime (see ``_kinematics``). Large batches run as row shards in
-    worker processes (see the module docstring).
-    """
-    n = bs.n
-    if params is None:
-        params = BatchParams.from_tree(ct, n)
-    st = _kinematics(ct, bs)
-    inp = _inputs(ct, n, tau, push, params)
-    new = _empty_state(ct, n)
-    out = {key: np.empty(shape + (n,), bool if key in _FLAGS else float)
-           for key, shape in _shapes(ct)[2].items()}
-    shards = min(_CORES, n // MIN_SHARD_ROWS)
-    bounds = [n * i // shards for i in range(shards + 1)] if shards > 1 else [0, n]
-    mine, *theirs = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    started = []
-    try:
-        for i, rows in enumerate(theirs):
-            worker = _worker(i, _shard_arrays(ct, rows.stop - rows.start)[1])
-            worker.submit(ct, dt, st, inp, rows)
-            started.append((worker, rows))
-        _step_rows(ct, dt, *({key: None if a is None else a[..., mine] for key, a in part.items()}
-                             for part in (st, inp, new, out)))
-        for worker, rows in started:  # raises a shard's error
-            worker.collect(new, out, rows)
-    except BaseException:  # no worker may be left with a shard, a reply or part of a message
-        _close_workers()
-        raise
+    # negated so that a non-finite velocity counts as diverged
+    diverged = ~(np.abs(v_new).max(axis=0) <= DIVERGENCE_SPEED)
     if bs.diverged is not None:
-        out["diverged"] |= bs.diverged
+        diverged |= bs.diverged
     state = BatchState(
         **{key: new[key].T.copy() for key in _KINEMATIC_FIELDS},
         time=bs.time + dt,
         contact_flags=(new["foot_pos"][2] < 0.0).T.copy() if ct.foot_body_indices
         else np.zeros((n, 1), dtype=bool),
-        contact_forces=out["contact_forces"].T.copy(),
-        diverged=out["diverged"],
-        cone_saturated=out["cone_saturated"].T.copy(),
+        contact_forces=forces.T.copy(),
+        diverged=diverged,
+        cone_saturated=saturated.T.copy(),
     )
     state.cache = new
     return state

@@ -20,6 +20,7 @@ import numpy as np
 from . import actuation as act
 from . import dynamics as dyn
 from . import randomization as dr
+from . import shards
 from .model import KinematicTree, build_quadruped
 from .rewards import (
     HIP_JOINT_INDICES,
@@ -123,6 +124,64 @@ def schedule_pushes(key, env, counter, cfg: EnvConfig):
     return start, start + impulse / magnitude, force
 
 
+# the state fields that env.step's physics loop reads and writes, and the
+# env's own per-row arrays it reads (see _physics)
+_STATE_IN = ("base_pos", "base_quat", "base_linvel", "base_angvel", "q", "qdot", "time", "diverged")
+_STATE_OUT = tuple(f.name for f in fields(dyn.BatchState) if f.name != "cache")
+_ENV_IN = ("delay_substeps", "kp_scale", "kd_scale", "motor_strength", "push_start", "push_end",
+           "push_force", "air_time", "prev_contact")
+
+
+def _active_push(start, end, force, t):
+    """The push force (m, 3) at times t (m,) of push schedules (m, slots)."""
+    active = (start <= t[:, None]) & (t[:, None] < end)
+    return np.einsum("nk,nki->ni", active.astype(float), force)
+
+
+def _physics(rows, out, tree, cfg):
+    """``VecLocomotionEnv.step``'s physics loop over the rows of a batch:
+    cfg.physics_substeps substeps of the torque law at the gains of each row
+    (the previous ones for its first delay_substeps substeps), its push and
+    ``step_batch``, with the feet's air time and touchdowns.
+
+    rows holds the env-first arrays of the state (``_STATE_IN``), the
+    previous and the new gains (prev_kp, ..., kp, kd, q_target), the env's
+    own arrays (``_ENV_IN``) and the masses, gravity and friction. out
+    receives the new state's fields (``_STATE_OUT``), its kinematics as
+    kin_<key> (the transposes of ``BatchState.cache``'s env-last arrays),
+    air_time, prev_contact, the air time of the feet that touched down
+    (touchdown_air) and the last substep's torques (last_tau). A row's
+    results depend on that row alone, so ``shards.run`` may split the rows.
+    """
+    dt = cfg.dt_physics
+    state = dyn.BatchState(**{key: rows[key] for key in _STATE_IN})
+    params = dyn.BatchParams(rows["masses"], rows["gravity"], rows["friction"])
+    rand = act.GainRandomization(rows["kp_scale"], rows["kd_scale"], rows["motor_strength"])
+    torque_limit = tree.torque_limits
+    air_time, touchdown_air, contact = out["air_time"], out["touchdown_air"], rows["prev_contact"]
+    air_time[...] = rows["air_time"]
+    touchdown_air[...] = 0.0
+    for sub in range(cfg.physics_substeps):
+        use_new = (sub >= rows["delay_substeps"])[:, None]
+        eff = act.GainState(**{key: np.where(use_new, rows[key], rows["prev_" + key])
+                               for key in ("kp", "kd", "q_target")})
+        tau = act.compute_torque_randomized(eff, state.q, state.qdot, rand,
+                                            torque_limit=torque_limit)
+        push = _active_push(rows["push_start"], rows["push_end"], rows["push_force"], state.time)
+        state = dyn.step_batch(tree, state, tau, dt, push=push, params=params)
+        landing = state.contact_flags & ~contact
+        contact = state.contact_flags
+        air_time[~contact] += dt
+        touchdown_air[landing] += air_time[landing]
+        air_time[contact] = 0.0
+    out["prev_contact"][...] = contact
+    out["last_tau"][...] = tau
+    for key in _STATE_OUT:
+        out[key][...] = getattr(state, key)
+    for key, a in state.cache.items():
+        out["kin_" + key].T[...] = a
+
+
 class VecLocomotionEnv:
     """N parallel locomotion tasks over one robot model and one grouping."""
 
@@ -143,7 +202,6 @@ class VecLocomotionEnv:
         self.priv_dim = 45 + self.obs_dim
         self.q_default = self.tree.default_pose
         self.q_limits = self.tree.position_limits
-        self.torque_limit = self.tree.torque_limits
         # the tree's masses, gravity and friction, from which resets rebuild rows
         self.nominal_params = dyn.BatchParams.from_tree(self.tree, self.n)
         self.seed = int(seed)
@@ -263,9 +321,24 @@ class VecLocomotionEnv:
         self.push_end[:, 0] = starts + durations
         self.push_force[:, 0] = forces
 
-    def _active_push(self, t):
-        active = (self.push_start <= t[:, None]) & (t[:, None] < self.push_end)
-        return np.einsum("nk,nki->ni", active.astype(float), self.push_force)
+    def _physics_arrays(self, prev_gains, new_gains):
+        """The rows and outputs of ``_physics`` for a step from the previous
+        to the new gains, and the env-last kinematics whose transposes are
+        the outputs' kin_<key> arrays."""
+        s = self.state
+        rows = {key: getattr(s, key) for key in _STATE_IN}
+        for gains, prefix in ((prev_gains, "prev_"), (new_gains, "")):
+            rows.update({prefix + f.name: getattr(gains, f.name) for f in fields(gains)})
+        rows.update({key: getattr(self, key) for key in _ENV_IN})
+        rows.update(masses=self.params.masses, gravity=self.params.gravity,
+                    friction=self.params.friction)
+        out = {key: np.empty_like(getattr(s, key)) for key in _STATE_OUT}
+        out.update({key: np.empty_like(getattr(self, key))
+                    for key in ("air_time", "prev_contact", "last_tau")})
+        out["touchdown_air"] = np.empty_like(self.air_time)
+        kinematics = dyn._empty_state(self.tree, self.n)
+        out.update({"kin_" + key: a.T for key, a in kinematics.items()})
+        return rows, out, kinematics
 
     def step(self, actions):
         cfg = self.cfg
@@ -286,29 +359,14 @@ class VecLocomotionEnv:
         new_gains = act.decode_action(self.grouping, actions, self.q_default, self.q_limits)
         self.gains = new_gains
 
-        touchdown_air = np.zeros((self.n, 4))
-        state = self.state
-        rand = act.GainRandomization(self.kp_scale, self.kd_scale, self.motor_strength)
-        for sub in range(cfg.physics_substeps):
-            use_new = (sub >= self.delay_substeps)[:, None]
-            kp = np.where(use_new, new_gains.kp, prev_gains.kp)
-            kd = np.where(use_new, new_gains.kd, prev_gains.kd)
-            q_tgt = np.where(use_new, new_gains.q_target, prev_gains.q_target)
-            eff = act.GainState(kp=kp, kd=kd, q_target=q_tgt)
-            tau = act.compute_torque_randomized(
-                eff, state.q, state.qdot, rand, torque_limit=self.torque_limit
-            )
-            state = dyn.step_batch(self.tree, state, tau, cfg.dt_physics,
-                                   push=self._active_push(state.time), params=self.params)
-            contact = state.contact_flags
-            self.air_time[~contact] += cfg.dt_physics
-            landing = contact & ~self.prev_contact
-            touchdown_air[landing] += self.air_time[landing]
-            self.air_time[contact] = 0.0
-            self.prev_contact = contact.copy()
-        self.last_tau = tau
-        self.active_push = self._active_push(state.time)
-        self.state = state
+        rows, out, kinematics = self._physics_arrays(prev_gains, new_gains)
+        shards.run(_physics, rows, out, self.tree, cfg)
+        state = self.state = dyn.BatchState(**{key: out[key] for key in _STATE_OUT},
+                                            cache=kinematics)
+        self.air_time, self.prev_contact, self.last_tau = (
+            out[key] for key in ("air_time", "prev_contact", "last_tau"))
+        self.active_push = _active_push(self.push_start, self.push_end, self.push_force,
+                                        state.time)
         self.step_count += 1
 
         # joint limits: violation terminates, state is stored clamped
@@ -321,7 +379,8 @@ class VecLocomotionEnv:
         terminated = reasons != REASON_CODE["running"]
         truncated = (self.step_count >= cfg.max_steps) & ~terminated
 
-        breakdown = self._rewards(actions, new_gains, touchdown_air, n_collisions, terminated)
+        breakdown = self._rewards(actions, new_gains, out["touchdown_air"], n_collisions,
+                                  terminated)
         # a diverged state may be non-finite: its env earns nothing and resets
         for terms in (breakdown.terms, breakdown.weighted):
             for values in terms.values():

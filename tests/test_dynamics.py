@@ -2,13 +2,6 @@
 
 import copy
 import dataclasses
-import multiprocessing
-import os
-import select
-import subprocess
-import sys
-import textwrap
-import time
 import tracemalloc
 
 import dense_dynamics as dense
@@ -166,26 +159,32 @@ def _copy(state, rows=slice(None)):
     })
 
 
-def test_entry_points_act_row_by_row(quad, split_rows):
-    # three poses and velocities in one N = 3 state, some feet in the floor,
-    # stepped in 2 row shards: each row is the same bit for bit alone
-    split_rows(2)
+def test_entry_points_act_row_by_row(quad):
+    # three poses and velocities in one N = 3 state, some feet in the floor:
+    # each row is the same bit for bit alone; so is each row of both
+    # pendulums and the pushed box. Row shards (vsloco.shards) rely on it.
     rng = np.random.default_rng(11)
     s = dyn.standing_state(quad, quad.default_pose + rng.normal(0, 0.2, (3, 12)))
     s.base_pos[:, 2] -= (0.0, 0.002, 0.004)
     s.base_linvel[:] = rng.normal(0, 0.5, (3, 3))
     s.base_angvel[:] = rng.normal(0, 0.5, (3, 3))
     s.qdot[:] = rng.normal(0, 1, (3, 12))
-    tau = rng.normal(0, 3, (3, 12))
-    push = rng.normal(0, 20, (3, 3))
-    batched = dyn.step_batch(quad, s, tau, 0.002, push=push)
-    assert np.any(batched.contact_forces[..., 2] > 0.0)
-    for i in range(3):
-        rows = slice(i, i + 1)
-        single = dyn.step_batch(quad, _copy(s, rows), tau[rows], 0.002, push=push[rows])
-        for f in ("base_pos", "base_quat", "base_linvel", "base_angvel", "q", "qdot", "time",
-                  "contact_flags", "contact_forces", "diverged"):
-            assert np.array_equal(getattr(batched, f)[i], getattr(single, f)[0]), f
+    cases = [(quad, s, rng.normal(0, 3, (3, 12)), rng.normal(0, 20, (3, 3)))]
+    for tree, st in _other_trees(rng, 3):
+        cases.append((tree, st, rng.normal(0, 1, (3, tree.n_joints)),
+                      rng.normal(0, 3, (3, 3)) if tree.floating else None))
+    for tree, s, tau, push in cases:
+        batched = dyn.step_batch(tree, s, tau, 0.002, push=push)
+        if tree is quad:
+            assert np.any(batched.contact_forces[..., 2] > 0.0)
+        for i in range(3):
+            rows = slice(i, i + 1)
+            single = dyn.step_batch(tree, _copy(s, rows), tau[rows], 0.002,
+                                    push=None if push is None else push[rows])
+            for f in dataclasses.fields(dyn.BatchState):
+                if f.name != "cache":
+                    assert np.array_equal(getattr(batched, f.name)[i],
+                                          getattr(single, f.name)[0]), f.name
 
 
 # ---------------------------------------------------------------------------
@@ -412,128 +411,6 @@ def _assert_same_state(a, b):
         assert np.array_equal(a.cache[key], b.cache[key]), key
 
 
-@pytest.fixture
-def split_rows(monkeypatch):
-    """split_rows(shards) makes step_batch split a batch of at least
-    `shards` rows into shards, run by worker processes of the test's own.
-    After the test they are stopped, and none may be left."""
-    monkeypatch.setattr(dyn, "_WORKERS", {})
-
-    def split(shards):
-        monkeypatch.setattr(dyn, "MIN_SHARD_ROWS", 1)
-        monkeypatch.setattr(dyn, "_CORES", shards)
-
-    yield split
-    dyn._close_workers()
-    assert multiprocessing.active_children() == []
-
-
-def test_sharded_step_is_bit_identical(quad, split_rows):
-    # 7 rows in 1, 2 and 3 row shards (sizes 7; 3 + 4; 2 + 2 + 3) over 5
-    # substeps, with feet sliding on low-friction floors and a base push;
-    # then, through the same workers, the pendulums and the pushed box (each
-    # a tree to send) and the quadruped again at 40 rows (a larger block)
-    rng = np.random.default_rng(17)
-    s, params, _ = _random_quad_batch(quad, rng, 7)
-    runs = [(quad, s, rng.normal(0, 5, (7, 12)), rng.normal(0, 80, (7, 3)), params)]
-    for tree, st in _other_trees(rng, 7):
-        runs.append((tree, st, rng.normal(0, 1, (7, tree.n_joints)),
-                     rng.normal(0, 3, (7, 3)) if tree.floating else None, None))
-    s, params, push = _random_quad_batch(quad, rng, 40)
-    runs.append((quad, s, rng.normal(0, 5, (40, 12)), push, params))
-    states = {}
-    for shards in (1, 2, 3):
-        split_rows(shards)
-        states[shards] = []
-        for tree, st, tau, push, params in runs:
-            for _ in range(5):
-                st = dyn.step_batch(tree, st, tau, 0.002, push=push, params=params)
-                states[shards].append(st)
-    assert any(st.cone_saturated.any() for st in states[1][:5])
-    for shards in (2, 3):
-        for a, b in zip(states[shards], states[1], strict=True):
-            _assert_same_state(a, b)
-
-
-def _running(pid):
-    """Whether process pid exists and is not a zombie (Linux /proc)."""
-    try:
-        with open(f"/proc/{pid}/stat") as f:
-            return f.read().rpartition(")")[2].split()[0] != "Z"
-    except FileNotFoundError:
-        return False
-
-
-def test_shard_workers_do_not_outlive_their_caller(quad, split_rows):
-    # cores - 1 workers at most, none left once stopped (split_rows checks
-    # that), and none alive 5 s after a caller that stepped a sharded batch
-    # was killed: each worker exits on EOF of its pipe
-    split_rows(2)
-    s, params, push = _random_quad_batch(quad, np.random.default_rng(6), 8)
-    for _ in range(3):
-        s = dyn.step_batch(quad, s, np.zeros((8, 12)), 0.002, push=push, params=params)
-    assert 1 <= len(multiprocessing.active_children()) <= dyn._CORES - 1
-    script = textwrap.dedent("""
-        import time
-        import numpy as np
-        from vsloco import dynamics as dyn
-        from vsloco.model import build_quadruped
-        dyn.MIN_SHARD_ROWS, dyn._CORES = 1, 2
-        quad = build_quadruped()
-        s = dyn.standing_state(quad, np.tile(quad.default_pose, (8, 1)))
-        dyn.step_batch(quad, s, np.zeros(12), 0.002)
-        print(*(worker.process.pid for worker in dyn._WORKERS.values()), flush=True)
-        time.sleep(60)
-    """)
-    src = os.path.dirname(os.path.dirname(dyn.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    caller = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
-                              env={**os.environ, "PYTHONPATH": path}, text=True)
-    try:
-        assert select.select([caller.stdout], [], [], 60.0)[0], "the caller printed no worker"
-        workers = [int(pid) for pid in caller.stdout.readline().split()]
-        assert len(workers) == 1 and _running(workers[0])
-    finally:
-        caller.kill()
-        caller.wait(timeout=10)
-        caller.stdout.close()
-    deadline = time.monotonic() + 5.0
-    while _running(workers[0]) and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert not _running(workers[0])
-
-
-def test_shard_error_in_a_worker_raises_in_the_caller(quad, split_rows, monkeypatch):
-    # the patch is in place before the workers fork, so they inherit it; the
-    # marked row is in the worker's shard (rows 3 to 5 of 6). After either
-    # error, the next call forks a new worker.
-    step_rows = dyn._step_rows
-
-    def failing(ct, dt, st, inp, new, out):
-        if np.any(inp["tau"] == 99.0):
-            raise ValueError("a marked row")
-        step_rows(ct, dt, st, inp, new, out)
-
-    monkeypatch.setattr(dyn, "_step_rows", failing)
-    split_rows(2)
-    s, params, push = _random_quad_batch(quad, np.random.default_rng(12), 6)
-    tau = np.zeros((6, 12))
-    tau[4, 0] = 99.0
-    with pytest.raises(ValueError, match="a marked row") as raised:
-        dyn.step_batch(quad, s, tau, 0.002, push=push, params=params)
-    assert "in failing" in raised.value.__notes__[-1]  # the worker's traceback
-    tau[4, 0] = 0.0
-    stepped = dyn.step_batch(quad, s, tau, 0.002, push=push, params=params)
-    # a worker that died raises, and does not hang the caller
-    dyn._WORKERS[0].process.kill()
-    dyn._WORKERS[0].process.join(timeout=10)
-    with pytest.raises(RuntimeError, match="exited"):
-        dyn.step_batch(quad, s, tau, 0.002, push=push, params=params)
-    _assert_same_state(stepped, dyn.step_batch(quad, s, tau, 0.002, push=push, params=params))
-    split_rows(1)
-    _assert_same_state(stepped, dyn.step_batch(quad, s, tau, 0.002, push=push, params=params))
-
-
 def test_warm_substep_allocates_little(quad):
     # once warm, a 512-row substep of a stance allocates its new state (1.8
     # MB with its kinematics) and small temporaries; its blocks, body table
@@ -554,11 +431,15 @@ def test_warm_substep_allocates_little(quad):
     assert peak <= 3.5e6
 
 
-@pytest.mark.parametrize("shards", [1, 2])
-def test_step_caches_the_kinematics_of_the_new_state(quad, shards, split_rows):
-    split_rows(shards)
-    s, params, push = _random_quad_batch(quad, np.random.default_rng(3), 4)
-    new = dyn.step_batch(quad, s, np.zeros((4, 12)), 0.002, push=push, params=params)
+@pytest.mark.parametrize("substeps", [1, 2])
+def test_step_caches_the_kinematics_of_the_new_state(quad, substeps):
+    # the first substep computes its state's kinematics, the second reads
+    # them from the first's cache
+    new, params, push = _random_quad_batch(quad, np.random.default_rng(3), 4)
+    for _ in range(substeps):
+        s, new = new, dyn.step_batch(quad, new, np.zeros((4, 12)), 0.002, push=push,
+                                     params=params)
+    assert substeps == 1 or s.cache is not None
     fresh = dyn._kinematics(quad, _copy(new))
     assert new.cache.keys() == fresh.keys()
     for key in fresh:
@@ -581,10 +462,10 @@ def test_step_batch_recomputes_the_kinematics_of_an_edited_state(quad):
                        dyn.step_batch(quad, _copy(s), tau, 0.002, push=push, params=params))
 
 
-def test_kinematics_cache_keeps_non_finite_rows(quad, split_rows):
+def test_kinematics_cache_keeps_non_finite_rows(quad):
     # a NaN left alone compares equal, so a diverged row does not force a
-    # recompute; an edit of another field does. Stepped in two shards, the
-    # NaN row, in the worker's shard, is flagged and warns of nothing.
+    # recompute; an edit of another field does. Stepped, the NaN row is
+    # flagged and warns of nothing.
     s = dyn.standing_state(quad, np.tile(quad.default_pose, (2, 1)))
     s.qdot[1, 0] = np.nan
     kin = dyn._kinematics(quad, s)
@@ -592,22 +473,22 @@ def test_kinematics_cache_keeps_non_finite_rows(quad, split_rows):
     s.base_angvel[0, 2] = 0.5
     fresh = dyn._kinematics(quad, s)
     assert fresh is not kin and np.array_equal(fresh["R"], kin["R"])
-    split_rows(2)
     assert dyn.step_batch(quad, s, np.zeros(12), 0.002).diverged.tolist() == [False, True]
-    assert len(dyn._WORKERS) == 1
 
 
-@pytest.mark.parametrize("shards", [1, 2])
-def test_reported_contact_forces_are_the_applied_ones(quad, shards, split_rows):
-    # the substep's generalized force balance on the dense oracle,
+@pytest.mark.parametrize("substeps", [1, 2])
+def test_reported_contact_forces_are_the_applied_ones(quad, substeps):
+    # the last substep's generalized force balance on the dense oracle,
     # M (v_new - v) / dt - rhs = sum_f J_f' contact_forces[f], in the rows
-    # whose sliding feet were re-solved and in the rows that were not
+    # whose sliding feet were re-solved and in the rows that were not; a
+    # second substep starts from the kinematics cached by the first
     rng = np.random.default_rng(8)
-    s, params, push = _random_quad_batch(quad, rng, 16, speed=0.1)
+    new, params, push = _random_quad_batch(quad, rng, 16, speed=0.1)
     tau = rng.normal(0, 5, (16, 12))
-    M, rhs, contact = dense.assemble(quad, s, tau, push, params)
-    split_rows(shards)
-    new = dyn.step_batch(quad, s, tau, 0.002, push=push, params=params)
+    for _ in range(substeps):
+        s = new
+        M, rhs, contact = dense.assemble(quad, s, tau, push, params)
+        new = dyn.step_batch(quad, s, tau, 0.002, push=push, params=params)
     sliding = new.cone_saturated.any(axis=1)
     assert sliding.any() and not sliding.all()
     dv = dense.generalized_velocity(quad, new) - dense.generalized_velocity(quad, s)
@@ -730,9 +611,8 @@ def test_quaternion_norm_preserved(quad):
         assert abs(np.linalg.norm(s.base_quat[0]) - 1.0) < 1e-9
 
 
-def test_divergence_flagged(split_rows):
-    # the fast row alone, then in the worker's shard of two
-    split_rows(2)
+def test_divergence_flagged():
+    # the fast row alone, then beside a slow one
     tree = pendulum_tree()
     s = pendulum_state(tree, 0.0, qdot=2e4)
     s2 = dyn.step_batch(tree, s, np.zeros(1), 0.002)
@@ -740,7 +620,6 @@ def test_divergence_flagged(split_rows):
     s = dyn.default_state(tree, q=np.zeros((2, 1)))
     s.qdot[1] = 2e4
     assert dyn.step_batch(tree, s, np.zeros(1), 0.002).diverged.tolist() == [False, True]
-    assert len(dyn._WORKERS) == 1
 
 
 def test_quasi_static_stand_drift(quad):

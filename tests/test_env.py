@@ -270,6 +270,17 @@ def test_joint_limit_clamp_refreshes_kinematics_cache():
         assert np.array_equal(cached[key], fresh[key]), key
 
 
+def test_air_time_accumulates_across_control_steps():
+    # dropped from 2 m, no foot lands in the first control steps, so each
+    # foot's air time grows by control_dt per step
+    env = VecLocomotionEnv("PLS", n_envs=1, seed=1, config=quiet_config())
+    env.reset_all(randomization_on=False)
+    env.state.base_pos[0, 2] = 2.0
+    for k in range(1, 4):
+        env.step(np.zeros((1, env.action_dim)))
+        assert np.allclose(env.air_time[0], k * env.cfg.control_dt, rtol=0, atol=1e-12)
+
+
 def test_truncation_at_episode_end():
     env = VecLocomotionEnv(
         "PLS", n_envs=1, seed=4,
