@@ -111,11 +111,10 @@ class GainRandomization:
     motor_strength: np.ndarray
 
 
-def compute_torque_randomized(
-    gains: GainState, q, qdot, rand: GainRandomization, torque_limit=24.0
-):
+def compute_torque_randomized(gains: GainState, q, qdot, rand: GainRandomization, torque_limit):
     """The one torque law: tau = kp (q_target - q) - kd qdot with kp and kd
-    scaled by the randomization (ones for nominal gains). Motor strength
+    scaled by the randomization (ones for nominal gains), clamped to
+    +-torque_limit (the tree's ``torque_limits``). Motor strength
     multiplies the raw torque before the clamp, so the clamp still bounds
     the delivered torque."""
     q = np.asarray(q, dtype=float)

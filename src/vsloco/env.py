@@ -138,19 +138,41 @@ def _active_push(start, end, force, t):
     return np.einsum("nk,nki->ni", active.astype(float), force)
 
 
+def _collision_counts(tree, kin):
+    """Illegal contacts per env (n,) from env-last kinematics ``kin``: 1 when
+    a trunk corner is at or below the floor, plus 1 per hip sphere that
+    touches it."""
+    R, hips = kin["R"], list(HIP_BODY_INDICES)
+    trunk_points = np.stack([off for off, _ in tree.bodies[TRUNK_BODY].collision_spheres])
+    hip_points, hip_radius = map(np.array, zip(*(tree.bodies[b].collision_spheres[0]
+                                                  for b in hips)))
+
+    def world_z(body, points):  # (P, n) world heights of body-frame points (P, 3)
+        return sum(R[2, j, body] * points[:, j, None] for j in range(3))
+
+    trunk_z = kin["base_pos"][2] + world_z(TRUNK_BODY, trunk_points)
+    trunk_hit = np.any(trunk_z <= 0.0, axis=0)
+    hip_z = kin["p"][2, hips] + world_z(hips, hip_points)
+    hip_hits = (hip_z - hip_radius[:, None]) <= 0.0
+    return trunk_hit.astype(int) + hip_hits.sum(axis=0)
+
+
 def _physics(rows, out, tree, cfg):
-    """``VecLocomotionEnv.step``'s physics loop over the rows of a batch:
+    """``VecLocomotionEnv.step``'s per-row work over the rows of a batch:
     cfg.physics_substeps substeps of the torque law at the gains of each row
     (the previous ones for its first delay_substeps substeps), its push and
-    ``step_batch``, with the feet's air time and touchdowns.
+    ``step_batch``, with the feet's air time and touchdowns; then the joint
+    clamp and the termination and collision tests at the clamped pose.
 
     rows holds the env-first arrays of the state (``_STATE_IN``), the
     previous and the new gains (prev_kp, ..., kp, kd, q_target), the env's
     own arrays (``_ENV_IN``) and the masses, gravity and friction. out
-    receives the new state's fields (``_STATE_OUT``), its kinematics as
-    kin_<key> (the transposes of ``BatchState.cache``'s env-last arrays),
-    air_time, prev_contact, the air time of the feet that touched down
-    (touchdown_air) and the last substep's torques (last_tau). A row's
+    receives the new state's fields (``_STATE_OUT``, q clamped to the joint
+    limits), air_time, prev_contact, the air time of the feet that touched
+    down (touchdown_air), the last substep's torques (last_tau), the
+    termination reason codes (reasons), the illegal contacts
+    (n_collisions), the centre of mass com (n, 3), and the feet's world
+    positions and velocities foot_pos and foot_vel (n, n_feet, 3). A row's
     results depend on that row alone, so ``shards.run`` may split the rows.
     """
     dt = cfg.dt_physics
@@ -165,8 +187,7 @@ def _physics(rows, out, tree, cfg):
         use_new = (sub >= rows["delay_substeps"])[:, None]
         eff = act.GainState(**{key: np.where(use_new, rows[key], rows["prev_" + key])
                                for key in ("kp", "kd", "q_target")})
-        tau = act.compute_torque_randomized(eff, state.q, state.qdot, rand,
-                                            torque_limit=torque_limit)
+        tau = act.compute_torque_randomized(eff, state.q, state.qdot, rand, torque_limit)
         push = _active_push(rows["push_start"], rows["push_end"], rows["push_force"], state.time)
         state = dyn.step_batch(tree, state, tau, dt, push=push, params=params)
         landing = state.contact_flags & ~contact
@@ -176,10 +197,31 @@ def _physics(rows, out, tree, cfg):
         air_time[contact] = 0.0
     out["prev_contact"][...] = contact
     out["last_tau"][...] = tau
+
+    # joint limits: violation terminates, state is stored clamped, and the
+    # kinematics are those of the clamped pose (recomputed if a row moved)
+    lo, hi = tree.position_limits
+    limit_hit = np.any((state.q < lo - 1e-9) | (state.q > hi + 1e-9), axis=1)
+    np.clip(state.q, lo, hi, out=state.q)
+    kin = dyn._kinematics(tree, state)  # env-last: (3, B, n), (3, 3, B, n)
+    out["n_collisions"][...] = n_collisions = _collision_counts(tree, kin)
+
+    # each later test overrides the earlier ones, so the precedence is
+    # diverged > orientation > joint_limit > illegal_contact
+    reasons = out["reasons"]
+    reasons[...] = REASON_CODE["running"]
+    reasons[n_collisions > 0] = REASON_CODE["illegal_contact"]
+    reasons[limit_hit] = REASON_CODE["joint_limit"]
+    reasons[-kin["R"][2, 2, TRUNK_BODY] >= 0.0] = REASON_CODE["orientation"]  # base z of world -z
+    reasons[state.diverged] = REASON_CODE["diverged"]
+
+    masses = rows["masses"]  # the einsum reads a C copy: on the transpose it rounds differently
+    np.divide(np.einsum("nb,nbi->ni", masses, kin["c"].T.copy()),
+              masses.sum(axis=1, keepdims=True), out=out["com"])
+    for key in ("foot_pos", "foot_vel"):
+        out[key][...] = kin[key].T
     for key in _STATE_OUT:
         out[key][...] = getattr(state, key)
-    for key, a in state.cache.items():
-        out["kin_" + key].T[...] = a
 
 
 class VecLocomotionEnv:
@@ -208,12 +250,6 @@ class VecLocomotionEnv:
         self.key = dr.seed_key(self.seed)
         self.env_ids = np.arange(self.n)
         self.draws = np.zeros(self.n, dtype=np.uint64)  # draws each env has made
-        # trunk collision corners for the illegal-contact test
-        trunk = self.tree.bodies[TRUNK_BODY]
-        self._trunk_points = np.stack([off for off, _ in trunk.collision_spheres])
-        hips = [self.tree.bodies[b].collision_spheres[0] for b in HIP_BODY_INDICES]
-        self._hip_points = np.stack([center for center, _ in hips])
-        self._hip_radius = np.array([radius for _, radius in hips])
         self.randomization_on = True
         self.auto_reset = True
         self.reset_all(randomization_on=True)
@@ -323,9 +359,8 @@ class VecLocomotionEnv:
 
     def _physics_arrays(self, prev_gains, new_gains):
         """The rows and outputs of ``_physics`` for a step from the previous
-        to the new gains, and the env-last kinematics whose transposes are
-        the outputs' kin_<key> arrays."""
-        s = self.state
+        to the new gains."""
+        s, n = self.state, self.n
         rows = {key: getattr(s, key) for key in _STATE_IN}
         for gains, prefix in ((prev_gains, "prev_"), (new_gains, "")):
             rows.update({prefix + f.name: getattr(gains, f.name) for f in fields(gains)})
@@ -335,10 +370,11 @@ class VecLocomotionEnv:
         out = {key: np.empty_like(getattr(s, key)) for key in _STATE_OUT}
         out.update({key: np.empty_like(getattr(self, key))
                     for key in ("air_time", "prev_contact", "last_tau")})
-        out["touchdown_air"] = np.empty_like(self.air_time)
-        kinematics = dyn._empty_state(self.tree, self.n)
-        out.update({"kin_" + key: a.T for key, a in kinematics.items()})
-        return rows, out, kinematics
+        feet = (n, len(self.tree.foot_body_indices), 3)
+        out.update(touchdown_air=np.empty_like(self.air_time), reasons=np.empty(n, dtype=int),
+                   n_collisions=np.empty(n, dtype=int), com=np.empty((n, 3)),
+                   foot_pos=np.empty(feet), foot_vel=np.empty(feet))
+        return rows, out
 
     def step(self, actions):
         cfg = self.cfg
@@ -359,28 +395,20 @@ class VecLocomotionEnv:
         new_gains = act.decode_action(self.grouping, actions, self.q_default, self.q_limits)
         self.gains = new_gains
 
-        rows, out, kinematics = self._physics_arrays(prev_gains, new_gains)
+        rows, out = self._physics_arrays(prev_gains, new_gains)
         shards.run(_physics, rows, out, self.tree, cfg)
-        state = self.state = dyn.BatchState(**{key: out[key] for key in _STATE_OUT},
-                                            cache=kinematics)
+        state = self.state = dyn.BatchState(**{key: out[key] for key in _STATE_OUT})
         self.air_time, self.prev_contact, self.last_tau = (
             out[key] for key in ("air_time", "prev_contact", "last_tau"))
         self.active_push = _active_push(self.push_start, self.push_end, self.push_force,
                                         state.time)
         self.step_count += 1
 
-        # joint limits: violation terminates, state is stored clamped
-        lo, hi = self.q_limits
-        limit_hit = np.any((state.q < lo - 1e-9) | (state.q > hi + 1e-9), axis=1)
-        np.clip(state.q, lo, hi, out=state.q)
-
-        n_collisions = self._collision_counts()
-        reasons = self._termination_reasons(limit_hit, n_collisions)
+        reasons = out["reasons"]
         terminated = reasons != REASON_CODE["running"]
         truncated = (self.step_count >= cfg.max_steps) & ~terminated
 
-        breakdown = self._rewards(actions, new_gains, out["touchdown_air"], n_collisions,
-                                  terminated)
+        breakdown = self._rewards(actions, new_gains, out, terminated)
         # a diverged state may be non-finite: its env earns nothing and resets
         for terms in (breakdown.terms, breakdown.weighted):
             for values in terms.values():
@@ -411,32 +439,6 @@ class VecLocomotionEnv:
         return obs, priv, reward, done, info
 
     # ------------------------------------------------------------------
-    # termination / collisions
-
-    def _termination_reasons(self, limit_hit, n_collisions):
-        R = dyn._kinematics(self.tree, self.state)["R"]  # env-last (3, 3, B, N)
-        reasons = np.zeros(self.n, dtype=int)
-        g_proj_z = -R[2, 2, TRUNK_BODY]  # base-frame z of world -z
-        reasons[n_collisions > 0] = REASON_CODE["illegal_contact"]
-        reasons[limit_hit] = REASON_CODE["joint_limit"]
-        reasons[g_proj_z >= 0.0] = REASON_CODE["orientation"]
-        reasons[self.state.diverged] = REASON_CODE["diverged"]
-        return reasons
-
-    def _collision_counts(self):
-        kin = dyn._kinematics(self.tree, self.state)  # env-last: (3, B, N), (3, 3, B, N)
-        R, hips = kin["R"], list(HIP_BODY_INDICES)
-
-        def world_z(body, points):  # (P, N) world heights of body-frame points (P, 3)
-            return sum(R[2, j, body] * points[:, j, None] for j in range(3))
-
-        trunk_z = self.state.base_pos[:, 2] + world_z(TRUNK_BODY, self._trunk_points)
-        trunk_hit = np.any(trunk_z <= 0.0, axis=0)
-        hip_z = kin["p"][2, hips] + world_z(hips, self._hip_points)
-        hip_hits = (hip_z - self._hip_radius[:, None]) <= 0.0
-        return trunk_hit.astype(int) + hip_hits.sum(axis=0)
-
-    # ------------------------------------------------------------------
     # rewards and observations
 
     def _base_frame(self):
@@ -446,13 +448,10 @@ class VecLocomotionEnv:
         g_proj = -R0[:, 2, :]  # world (0,0,-1) expressed in the base frame
         return v_base, w_base, g_proj
 
-    def _rewards(self, actions, gains, touchdown_air, n_collisions, terminated):
-        # env-first copies (N, k, 3) of the engine's env-last kinematics
-        kin = dyn._kinematics(self.tree, self.state)
-        coms, foot_pos, foot_vel = (kin[key].T.copy() for key in ("c", "foot_pos", "foot_vel"))
+    def _rewards(self, actions, gains, out, terminated):
+        """The reward terms of a step from ``_physics``' outputs out."""
+        foot_pos, foot_vel = out["foot_pos"], out["foot_vel"]
         v_base, w_base, g_proj = self._base_frame()
-        com = np.einsum("nb,nbi->ni", self.params.masses, coms)
-        com /= self.params.masses.sum(axis=1, keepdims=True)
         qdot = self.state.qdot
         inputs = RewardInputs(
             v_cmd_xy=self.command[:, :2],
@@ -460,7 +459,7 @@ class VecLocomotionEnv:
             v_base=v_base,
             omega_base=w_base,
             proj_gravity=g_proj,
-            touchdown_air_times=touchdown_air,
+            touchdown_air_times=out["touchdown_air"],
             qddot=(qdot - self.prev_qdot) / self.cfg.control_dt,
             tau=self.last_tau,
             qdot=qdot,
@@ -469,13 +468,13 @@ class VecLocomotionEnv:
             foot_heights=foot_pos[..., 2],
             foot_vel_xy=foot_vel[..., :2],
             foot_xy=foot_pos[..., :2],
-            com_xy=com[:, :2],
+            com_xy=out["com"][:, :2],
             q_target=gains.q_target,
             q_next=self.state.q,
             base_height=self.state.base_pos[:, 2],
             q_hip=self.state.q[:, HIP_JOINT_INDICES],
             q_hip_default=self.q_default[HIP_JOINT_INDICES],
-            n_collisions=n_collisions,
+            n_collisions=out["n_collisions"],
             terminated=terminated,
         )
         return compute_reward_terms(

@@ -54,14 +54,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
 
 
-def train_config_from_dict(cfg: dict) -> TrainConfig:
-    known = set(TrainConfig.__dataclass_fields__)
-    unknown = set(cfg) - known
-    if unknown:
-        raise ValueError(f"unknown training config keys: {sorted(unknown)}")
-    return TrainConfig(**cfg)
-
-
 @dataclass
 class RolloutBuffer:
     """Rectangular (steps x envs) on-policy storage."""

@@ -67,9 +67,6 @@ class RewardWeights:
         merged.update(self.values)
         self.values = merged
 
-    def as_array(self):
-        return np.array([self.values[t] for t in REWARD_TERMS])
-
 
 @dataclass
 class RewardParams:
@@ -115,9 +112,6 @@ class RewardBreakdown:
     terms: dict  # name -> (N,) unweighted r_i
     weighted: dict  # name -> (N,) w_i * r_i * dt
     total: np.ndarray  # (N,)
-
-    def term_matrix(self):
-        return np.stack([self.terms[t] for t in REWARD_TERMS], axis=-1)
 
 
 def compute_reward_terms(

@@ -21,15 +21,13 @@ A worker owns an anonymous shared mmap sized to its shard. The caller copies
 the shard's rows of inputs into it, sends the row count, the layout and
 (fn, args) over a pipe, (fn, args) only when one of them is not the object
 it last sent (so a caller does not edit them in place), runs its own shard
-and copies the worker's rows of outputs back. A block array keeps the
-memory order of the array it mirrors: a shard of an env-first array is one
-contiguous run, and a shard of the transpose of an env-last array (F order,
-such as the kinematics that ``VecLocomotionEnv.step`` hands back) is one run
-per component. A worker's error is raised in the caller once its own shard
-is done, with the worker's traceback as a note; a worker that died raises
-a RuntimeError; any error stops every worker, and the next batch that
-shards forks new ones. Workers are daemonic, ignore SIGINT and exit on EOF
-of their pipe, so none outlives its caller.
+and copies the worker's rows of outputs back. The arrays in a block are in
+C order; the copies in and out take arrays of any memory layout. A
+worker's error is raised in the caller once its own shard is done, with
+the worker's traceback as a note; a worker that died raises a
+RuntimeError; any error stops every worker, and the next batch that shards
+forks new ones. Workers are daemonic, ignore SIGINT and exit on EOF of
+their pipe, so none outlives its caller.
 
 Workers are forked, so they start from the caller's imports and state, and
 fn is sent by reference. From Python 3.12 on, ``fork`` warns when the
@@ -82,10 +80,8 @@ _WORKERS = {}  # shard i + 1 -> its _Worker i, started on first use
 
 def _spec(arrays):
     """The layout of arrays in a block, without the row count: each key,
-    the shape after the row axis, the dtype and the memory order."""
-    return [(key, a.shape[1:], a.dtype.str,
-             "F" if a.flags.f_contiguous and not a.flags.c_contiguous else "C")
-            for key, a in arrays.items()]
+    the shape after the row axis and the dtype."""
+    return [(key, a.shape[1:], a.dtype.str) for key, a in arrays.items()]
 
 
 def _views(spec, rows, block=None, offset=0):
@@ -93,10 +89,10 @@ def _views(spec, rows, block=None, offset=0):
     block from offset, each at a multiple of 8 bytes (nothing is laid out
     when block is None), and the offset after the last."""
     views = {}
-    for key, tail, dtype, order in spec:
+    for key, tail, dtype in spec:
         shape, dtype = (rows,) + tail, np.dtype(dtype)
         if block is not None:
-            views[key] = np.ndarray(shape, dtype, block, offset, order=order)
+            views[key] = np.ndarray(shape, dtype, block, offset)
         offset += -(-math.prod(shape) * dtype.itemsize // 8) * 8
     return views, offset
 

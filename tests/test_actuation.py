@@ -81,6 +81,7 @@ def test_gain_law_over_random_actions():
 
 
 TREE = build_quadruped()
+TAU_LIMIT = TREE.torque_limits  # the model's, 24 N m at every joint
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -156,13 +157,13 @@ def test_position_targets_scale_and_clamp():
 
 def test_torque_simple_case():
     g = act.GainState(kp=np.full(12, 20.0), kd=np.zeros(12), q_target=np.full(12, 0.1))
-    tau = act.compute_torque_randomized(g, np.zeros(12), np.zeros(12), NOMINAL)
+    tau = act.compute_torque_randomized(g, np.zeros(12), np.zeros(12), NOMINAL, TAU_LIMIT)
     assert np.allclose(tau, 2.0, atol=1e-9)
 
 
 def test_torque_equilibrium():
     g = act.GainState(kp=np.full(12, 35.0), kd=np.full(12, 1.0), q_target=Q_DEFAULT)
-    tau = act.compute_torque_randomized(g, Q_DEFAULT, np.zeros(12), NOMINAL)
+    tau = act.compute_torque_randomized(g, Q_DEFAULT, np.zeros(12), NOMINAL, TAU_LIMIT)
     assert np.allclose(tau, 0.0)
 
 
@@ -195,17 +196,19 @@ def test_gain_randomization_identity_and_scaling():
     q = rng.uniform(-0.4, 0.4, 12)
     qdot = rng.uniform(-2, 2, 12)
     # ones change nothing: the impedance law, clamped
-    expected = np.clip(g.kp * (g.q_target - q) - g.kd * qdot, -24.0, 24.0)
-    assert np.array_equal(act.compute_torque_randomized(g, q, qdot, NOMINAL), expected)
+    expected = np.clip(g.kp * (g.q_target - q) - g.kd * qdot, -TAU_LIMIT, TAU_LIMIT)
+    assert np.array_equal(act.compute_torque_randomized(g, q, qdot, NOMINAL, TAU_LIMIT),
+                          expected)
     # motor strength scales the delivered torque before the clamp
     strength = act.GainRandomization(np.ones(12), np.ones(12), np.full(12, 0.9))
     g_simple = act.GainState(kp=np.full(12, 20.0), kd=np.zeros(12), q_target=np.full(12, 0.5))
-    tau = act.compute_torque_randomized(g_simple, np.zeros(12), np.zeros(12), strength)
+    tau = act.compute_torque_randomized(g_simple, np.zeros(12), np.zeros(12), strength,
+                                         TAU_LIMIT)
     assert np.allclose(tau, 9.0, atol=1e-12)
     # kp_scale raises the effective stiffness; the clamp sees only torque
     scaled = act.GainRandomization(np.full(12, 1.3), np.ones(12), np.ones(12))
     g40 = act.GainState(kp=np.full(12, 40.0), kd=np.zeros(12), q_target=np.full(12, 0.1))
-    tau = act.compute_torque_randomized(g40, np.zeros(12), np.zeros(12), scaled)
+    tau = act.compute_torque_randomized(g40, np.zeros(12), np.zeros(12), scaled, TAU_LIMIT)
     assert np.allclose(tau, 5.2, atol=1e-12)
 
 

@@ -1,8 +1,6 @@
 """Environment behaviour: observation layout, termination, schedules,
 determinism, and vectorization."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,9 @@ from vsloco import dynamics as dyn
 from vsloco import randomization as dr
 from vsloco.actuation import action_dim
 from vsloco.env import (
+    HIP_BODY_INDICES,
     REASON_CODE,
+    TRUNK_BODY,
     EnvConfig,
     VecLocomotionEnv,
     sample_command,
@@ -251,10 +251,10 @@ def test_termination_illegal_contact():
     assert info["reasons"][0] in (REASON_CODE["illegal_contact"], REASON_CODE["joint_limit"])
 
 
-def test_joint_limit_clamp_refreshes_kinematics_cache():
-    # a knee driven past its limit is stored clamped; the kinematics cache
-    # the step leaves behind, which the collision count, the reward and the
-    # next substep read, is that of the clamped pose
+def test_joint_limit_clamp_precedes_the_step_kinematics():
+    # a knee driven past its limit is stored clamped, and the collision
+    # count and the kinematic reward terms of the step are those of the
+    # clamped pose, not of the pose the last substep reached
     env = VecLocomotionEnv("PLS", n_envs=1, seed=1, config=quiet_config())
     env.reset_all(randomization_on=False)
     env.auto_reset = False
@@ -263,11 +263,30 @@ def test_joint_limit_clamp_refreshes_kinematics_cache():
     _, _, _, done, info = env.step(np.zeros((1, env.action_dim)))
     assert done[0] and info["reasons"][0] == REASON_CODE["joint_limit"]
     assert env.state.q[0, 2] == env.q_limits[1][2]
-    cached = env.state.cache
-    fresh = dyn._kinematics(env.tree, dataclasses.replace(env.state, cache=None))
-    assert fresh is not cached and fresh.keys() == cached.keys()
-    for key in fresh:
-        assert np.array_equal(cached[key], fresh[key]), key
+    kin = dyn._kinematics(env.tree, env.state)
+    feet, coms, R = kin["foot_pos"][..., 0].T, kin["c"][..., 0].T, kin["R"][..., 0]
+    foot_vel_xy = kin["foot_vel"][:2, :, 0].T
+    masses, params = env.params.masses[0], env.cfg.reward_params
+    com_xy = (masses @ coms / masses.sum())[:2]
+
+    def z(body, point):  # world height of a body-frame point
+        return kin["p"][2, body, 0] + R[2, :, body] @ point
+
+    trunk = [z(TRUNK_BODY, off) for off, _ in env.tree.bodies[TRUNK_BODY].collision_spheres]
+    hips = [z(b, c) - r for b in HIP_BODY_INDICES for c, r in env.tree.bodies[b].collision_spheres]
+    slipping = feet[:, 2] < params.foot_contact_height
+    expected = {
+        "collisions": (min(trunk) <= 0.0) + sum(h <= 0.0 for h in hips),
+        "center_of_mass": np.sum((com_xy - feet[:, :2].mean(axis=0)) ** 2),
+        "foot_clearance": np.sum((params.foot_clearance_target - feet[:, 2]) ** 2
+                                 * np.linalg.norm(foot_vel_xy, axis=1)),
+        "foot_slip": np.sum(np.sum(foot_vel_xy ** 2, axis=1) * slipping),
+    }
+    terms = info["breakdown"].terms
+    for key, value in expected.items():
+        assert terms[key][0] == pytest.approx(value, rel=1e-12, abs=1e-15), key
+    # nonzero, so the checks above can tell the clamped pose from the unclamped one
+    assert expected["center_of_mass"] > 1e-6 and expected["foot_clearance"] > 1e-3
 
 
 def test_air_time_accumulates_across_control_steps():

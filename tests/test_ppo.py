@@ -14,7 +14,6 @@ from vsloco.ppo import (
     allocate_buffer,
     compute_gae,
     normalize_advantages,
-    train_config_from_dict,
 )
 
 F32 = np.float32
@@ -135,9 +134,9 @@ def test_config_validation():
         TrainConfig(gamma=1.5)
     with pytest.raises(ValueError):
         TrainConfig(clip_ratio=0.0)
-    with pytest.raises(ValueError):
-        train_config_from_dict({"gamma": 0.99, "warp": 1})
-    cfg = train_config_from_dict({"n_envs": 8, "n_iterations": 2})
+    with pytest.raises(TypeError, match="warp"):
+        TrainConfig(**{"gamma": 0.99, "warp": 1})
+    cfg = TrainConfig(**{"n_envs": 8, "n_iterations": 2})
     assert cfg.n_envs == 8 and cfg.gamma == 0.99
 
 

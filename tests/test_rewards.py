@@ -51,8 +51,8 @@ def compute(**overrides):
 def test_weights_bitmatch_table():
     expected = (1.5, 0.8, -2.0, -0.05, -5.0, 0.2, -2.5e-7, -2e-5, -1e-5,
                 -0.1, -0.01, -0.1, -1.0, -0.1, -0.6, 0.05, -10.0, -10.0)
-    w = RewardWeights().as_array()
-    assert tuple(w) == expected
+    w = RewardWeights().values
+    assert tuple(w[t] for t in REWARD_TERMS) == expected
 
 
 def test_unknown_weight_rejected():
@@ -208,8 +208,8 @@ def test_total_is_exact_weighted_sum():
             action=rng.uniform(-1, 1, (1, 16)),
             base_height=rng.uniform(0.1, 0.4, 1),
         )
-        w = RewardWeights().as_array()
-        r = b.term_matrix()[0]
+        w = np.array([RewardWeights().values[t] for t in REWARD_TERMS])
+        r = np.array([b.terms[t][0] for t in REWARD_TERMS])
         expected = np.sum(r * w * DT)
         assert b.total[0] == expected  # bit-exact Eq. (5) additivity
 

@@ -41,7 +41,7 @@ def split_rows(monkeypatch):
 def _step(env, actions):
     """Copies of everything one env.step gives and leaves: obs, priv,
     reward, done, the info arrays and reward terms, every state field and
-    its kinematics cache, and the env's per-row bookkeeping."""
+    the env's per-row bookkeeping."""
     obs, priv, reward, done, info = env.step(actions)
     out = {"obs": obs, "priv": priv, "reward": reward, "done": done}
     out.update({key: a for key, a in info.items() if isinstance(a, np.ndarray)})
@@ -52,7 +52,6 @@ def _step(env, actions):
     for f in dataclasses.fields(dyn.BatchState):
         if f.name != "cache":
             out[f.name] = getattr(env.state, f.name)
-    out.update({f"cache {key}": a for key, a in env.state.cache.items()})
     for key in ("air_time", "prev_contact", "last_tau", "active_push", "command"):
         out[key] = getattr(env, key)
     return {key: np.copy(a) for key, a in out.items()}
@@ -92,10 +91,10 @@ def test_sharded_env_is_bit_identical(split_rows):
             _assert_same(a, b)
 
 
-def test_sharded_step_hands_back_the_kinematics(split_rows, monkeypatch):
-    # the new state's cache comes from the shards, valid, so the collision
-    # count and the termination reasons read it: the caller computes
-    # kinematics only for its own 3 rows, never over the batch of 6
+def test_sharded_step_computes_kinematics_per_shard(split_rows, monkeypatch):
+    # the clamp, the termination and collision tests and the reward's
+    # kinematic inputs run in the shards: the caller computes kinematics
+    # only for its own 3 rows, never over the batch of 6
     split_rows(2)
     env = _env(6, seed=10)
     fill, sizes = dyn._fill_kinematics, []
@@ -107,10 +106,30 @@ def test_sharded_step_hands_back_the_kinematics(split_rows, monkeypatch):
     monkeypatch.setattr(dyn, "_fill_kinematics", counted)
     done = env.step(np.zeros((6, env.action_dim)))[3]
     assert not done.any() and set(sizes) == {3}
-    fresh = dyn._kinematics(env.tree, dataclasses.replace(env.state, cache=None))
-    assert fresh is not env.state.cache and fresh.keys() == env.state.cache.keys()
-    for key in fresh:
-        assert np.array_equal(fresh[key], env.state.cache[key]), key
+
+
+def _row_map(inputs, outputs, scale):
+    """A row-wise function for shards.run: each output row from its input row."""
+    outputs["y"][...] = inputs["x"] ** 2 + inputs["b"].sum(axis=(1, 2))[:, None]
+    outputs["z"][...] = inputs["b"] * scale
+
+
+def test_shard_copies_take_any_memory_layout(split_rows):
+    # a transposed input and an F-order output, beside C-order ones, give
+    # in two shards what one direct call gives
+    split_rows(2)
+    rng = np.random.default_rng(11)
+    inputs = {"x": rng.normal(size=(5, 7)).T, "b": rng.normal(size=(7, 3, 2))}
+    assert inputs["x"].flags.f_contiguous and not inputs["x"].flags.c_contiguous
+
+    def outputs():
+        return {"y": np.empty((7, 5), order="F"), "z": np.empty((7, 3, 2))}
+
+    direct, sharded = outputs(), outputs()
+    _row_map(inputs, direct, 1.5)
+    shards.run(_row_map, inputs, sharded, 1.5)
+    assert len(shards._WORKERS) == 1 and sharded["y"].flags.f_contiguous
+    _assert_same(sharded, direct)
 
 
 def _running(pid):
