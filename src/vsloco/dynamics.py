@@ -172,13 +172,13 @@ _KINEMATIC_FIELDS = ("base_pos", "base_quat", "base_linvel", "base_angvel", "q",
 def _empty_state(ct: KinematicTree, n):
     """Env-last arrays for the kinematic fields of n envs and their
     kinematics: the keys of ``_KINEMATIC_FIELDS`` (k, n); ``_fk``'s R
-    (3, 3, B, n), p and c (3, B, n), a_w and o_w (3, nj, n); ``_velocities``'
-    w, v_o and v_c (3, B, n); and foot_pos, foot_vel (3, n_feet, n) for a
-    tree with feet."""
+    (3, 3, B, n), p and c (3, B, n), a_w (3, nj, n); ``_velocities``' w,
+    v_o and v_c (3, B, n); and foot_pos, foot_vel (3, n_feet, n) for a tree
+    with feet."""
     B, nj = ct.n_bodies, ct.n_joints
     shapes = {"base_pos": (3,), "base_quat": (4,), "base_linvel": (3,), "base_angvel": (3,),
               "q": (nj,), "qdot": (nj,), "R": (3, 3, B), "p": (3, B), "c": (3, B),
-              "a_w": (3, nj), "o_w": (3, nj), "w": (3, B), "v_o": (3, B), "v_c": (3, B)}
+              "a_w": (3, nj), "w": (3, B), "v_o": (3, B), "v_c": (3, B)}
     if ct.foot_body_indices:
         shapes["foot_pos"] = shapes["foot_vel"] = (3, len(ct.foot_body_indices))
     return {key: np.empty(shape + (n,)) for key, shape in shapes.items()}
@@ -214,10 +214,11 @@ def _cumulate(x):
 
 
 def _fk(ct: KinematicTree, st):
-    """World rotations/origins/coms of every body, world joint axes/origins,
-    written into st from its fields. The chains are walked slot by slot, all
-    chains at once; a joint about axis k keeps its parent's column k and
-    turns the other two, i and j (cyclic after k), by cos q and +-sin q."""
+    """World rotations/origins/coms of every body and world joint axes,
+    written into st from its fields (a joint's origin is its body's). The
+    chains are walked slot by slot, all chains at once; a joint about axis
+    k keeps its parent's column k and turns the other two, i and j (cyclic
+    after k), by cos q and +-sin q."""
     R, p = st["R"], st["p"]
     if ct.floating:
         R[:, :, 0] = quat_to_matrix(st["base_quat"].T).transpose(1, 2, 0)
@@ -225,7 +226,7 @@ def _fk(ct: KinematicTree, st):
     q = _per_branch(ct, st["q"])
     cos, sin = np.cos(q), ct.axis_sign * np.sin(q)
     Rc, pc = _per_branch(ct, R), _per_branch(ct, p)
-    a_w, o_w = _per_branch(ct, st["a_w"]), _per_branch(ct, st["o_w"])
+    a_w = _per_branch(ct, st["a_w"])
     # a chain's first body hangs off the base, or off the fixed world
     Rp, pp = (R[:, :, :1], p[:, :1]) if ct.floating else (np.eye(3)[..., None, None], 0.0)
     for s, k in enumerate(ct.axis_index):
@@ -234,8 +235,7 @@ def _fk(ct: KinematicTree, st):
         Rc[:, i, s] = cos[s] * Rp[:, i] + sin[s] * Rp[:, j]
         Rc[:, j, s] = cos[s] * Rp[:, j] - sin[s] * Rp[:, i]
         np.multiply(ct.axis_sign[s], Rp[:, k], out=a_w[:, s])
-        np.add(pp, _mv(Rp, ct.joint_origin[:, s]), out=o_w[:, s])
-        pc[:, s] = o_w[:, s]
+        np.add(pp, _mv(Rp, ct.joint_origin[:, s]), out=pc[:, s])
         Rp, pp = Rc[:, :, s], pc[:, s]
     np.add(p, _mv(R, ct.com), out=st["c"])
 
@@ -315,12 +315,12 @@ def _world_inertia(ct: KinematicTree, R, out=None, work=None):
 def _foot_jacobians(ct: KinematicTree, st):
     """Linear Jacobians (3, nb + d, n_br, n) of the foot points, foot i on
     branch i, over each branch's local coordinates: the nb base velocities,
-    [I, -skew(pos - p0)], then the branch's d joints, a_s x (pos - o_s): the
+    [I, -skew(pos - p0)], then the branch's d joints, a_s x (pos - p_s): the
     foot is on the chain's last body, so each of them moves it."""
     nb, n_br, d = ct.n_base, ct.n_branches, ct.branch_size
     pos = st["foot_pos"]
     a = _per_branch(ct, st["a_w"])
-    lever = pos[:, None] - _per_branch(ct, st["o_w"])
+    lever = pos[:, None] - _per_branch(ct, st["p"])
     J = _scratch(1, (3, nb + d, n_br, pos.shape[-1]))
     if ct.floating:
         J[:, :3] = np.eye(3)[..., None, None]
@@ -353,7 +353,7 @@ def _mass_blocks(ct: KinematicTree, st, masses, gravity, alpha, a_c):
     spatial inertia is [[m 1, -[h]], [[h], J]]. Summed over the bodies each
     joint moves (on a chain: its own body and those after it), they give the
     composite of each joint s, which maps the joint's twist
-    s_s = [v; a] = [(o_s - p0) x a_s; a_s] to the wrench
+    s_s = [v; a] = [(p_s - p0) x a_s; a_s] to the wrench
     F_s = [m v - h x a; h x v + J a]. Then M_bl[:, s] = F_s,
     M_ll[s, t] = M_ll[t, s] = s_s . F_t for s an ancestor of t (or t
     itself), and h_s = s_s . W_s for the composite wrench W_s. M_bb is the
@@ -389,7 +389,7 @@ def _mass_blocks(ct: KinematicTree, st, masses, gravity, alpha, a_c):
         Xc[:, k] += Xc[:, k + 1]
     twist = _scratch(1, (6, d, n_br, n))  # [v; a] of each joint
     a = _per_branch(ct, st["a_w"])
-    v = _cross(_per_branch(ct, st["o_w"]) - p0[:, None], a, out=twist[:3])
+    v = _cross(_per_branch(ct, st["p"]) - p0[:, None], a, out=twist[:3])
     twist[3:] = a
     hc = Xc[1:4]
     K = _scratch(2, (nb + d, d, n_br, n))

@@ -126,10 +126,11 @@ def schedule_pushes(key, env, counter, cfg: EnvConfig):
 
 # the state fields that env.step's physics loop reads and writes, and the
 # env's own per-row arrays it reads (see _physics)
-_STATE_IN = ("base_pos", "base_quat", "base_linvel", "base_angvel", "q", "qdot", "time", "diverged")
+_STATE_IN = ("base_pos", "base_quat", "base_linvel", "base_angvel", "q", "qdot", "time",
+             "contact_flags", "diverged")
 _STATE_OUT = tuple(f.name for f in fields(dyn.BatchState) if f.name != "cache")
 _ENV_IN = ("delay_substeps", "kp_scale", "kd_scale", "motor_strength", "push_start", "push_end",
-           "push_force", "air_time", "prev_contact")
+           "push_force", "air_time")
 
 
 def _active_push(start, end, force, t):
@@ -164,12 +165,13 @@ def _physics(rows, out, tree, cfg):
     ``step_batch``, with the feet's air time and touchdowns; then the joint
     clamp and the termination and collision tests at the clamped pose.
 
-    rows holds the env-first arrays of the state (``_STATE_IN``), the
-    previous and the new gains (prev_kp, ..., kp, kd, q_target), the env's
-    own arrays (``_ENV_IN``) and the masses, gravity and friction. out
-    receives the new state's fields (``_STATE_OUT``, q clamped to the joint
-    limits), air_time, prev_contact, the air time of the feet that touched
-    down (touchdown_air), the last substep's torques (last_tau), the
+    rows holds the env-first arrays of the state (``_STATE_IN``; a foot
+    lands when it touches the floor without contact_flags at the substep
+    before), the previous and the new gains (prev_kp, ..., kp, kd,
+    q_target), the env's own arrays (``_ENV_IN``) and the masses, gravity
+    and friction. out receives the new state's fields (``_STATE_OUT``, q
+    clamped to the joint limits), air_time, the air time of the feet that
+    touched down (touchdown_air), the last substep's torques (last_tau), the
     termination reason codes (reasons), the illegal contacts
     (n_collisions), the centre of mass com (n, 3), and the feet's world
     positions and velocities foot_pos and foot_vel (n, n_feet, 3). A row's
@@ -180,7 +182,7 @@ def _physics(rows, out, tree, cfg):
     params = dyn.BatchParams(rows["masses"], rows["gravity"], rows["friction"])
     rand = act.GainRandomization(rows["kp_scale"], rows["kd_scale"], rows["motor_strength"])
     torque_limit = tree.torque_limits
-    air_time, touchdown_air, contact = out["air_time"], out["touchdown_air"], rows["prev_contact"]
+    air_time, touchdown_air, contact = out["air_time"], out["touchdown_air"], rows["contact_flags"]
     air_time[...] = rows["air_time"]
     touchdown_air[...] = 0.0
     for sub in range(cfg.physics_substeps):
@@ -195,7 +197,6 @@ def _physics(rows, out, tree, cfg):
         air_time[~contact] += dt
         touchdown_air[landing] += air_time[landing]
         air_time[contact] = 0.0
-    out["prev_contact"][...] = contact
     out["last_tau"][...] = tau
 
     # joint limits: violation terminates, state is stored clamped, and the
@@ -276,9 +277,7 @@ class VecLocomotionEnv:
         self.motor_strength = np.ones((n, 12))
         self.mass_deltas = np.zeros((n, 5))
         self.prev_action = np.zeros((n, adim))
-        self.prev_qdot = np.zeros((n, 12))
         self.air_time = np.zeros((n, 4))
-        self.prev_contact = np.ones((n, 4), dtype=bool)
         self.step_count = np.zeros(n, dtype=int)
         self.episode_return = np.zeros(n)
         self.gains = act.decode_action(
@@ -329,9 +328,7 @@ class VecLocomotionEnv:
             if f.name != "cache":
                 getattr(self.state, f.name)[idx] = getattr(placed, f.name)
         self.prev_action[idx] = 0.0
-        self.prev_qdot[idx] = 0.0
         self.air_time[idx] = 0.0
-        self.prev_contact[idx] = True
         self.step_count[idx] = 0
         self.episode_return[idx] = 0.0
         self.active_push[idx] = 0.0
@@ -369,7 +366,7 @@ class VecLocomotionEnv:
                     friction=self.params.friction)
         out = {key: np.empty_like(getattr(s, key)) for key in _STATE_OUT}
         out.update({key: np.empty_like(getattr(self, key))
-                    for key in ("air_time", "prev_contact", "last_tau")})
+                    for key in ("air_time", "last_tau")})
         feet = (n, len(self.tree.foot_body_indices), 3)
         out.update(touchdown_air=np.empty_like(self.air_time), reasons=np.empty(n, dtype=int),
                    n_collisions=np.empty(n, dtype=int), com=np.empty((n, 3)),
@@ -397,9 +394,9 @@ class VecLocomotionEnv:
 
         rows, out = self._physics_arrays(prev_gains, new_gains)
         shards.run(_physics, rows, out, self.tree, cfg)
+        start_qdot = self.state.qdot
         state = self.state = dyn.BatchState(**{key: out[key] for key in _STATE_OUT})
-        self.air_time, self.prev_contact, self.last_tau = (
-            out[key] for key in ("air_time", "prev_contact", "last_tau"))
+        self.air_time, self.last_tau = out["air_time"], out["last_tau"]
         self.active_push = _active_push(self.push_start, self.push_end, self.push_force,
                                         state.time)
         self.step_count += 1
@@ -408,7 +405,7 @@ class VecLocomotionEnv:
         terminated = reasons != REASON_CODE["running"]
         truncated = (self.step_count >= cfg.max_steps) & ~terminated
 
-        breakdown = self._rewards(actions, new_gains, out, terminated)
+        breakdown = self._rewards(actions, new_gains, start_qdot, out, terminated)
         # a diverged state may be non-finite: its env earns nothing and resets
         for terms in (breakdown.terms, breakdown.weighted):
             for values in terms.values():
@@ -417,7 +414,6 @@ class VecLocomotionEnv:
         reward = breakdown.total
         self.episode_return += reward
         self.prev_action = actions.copy()
-        self.prev_qdot = state.qdot.copy()
 
         done = terminated | truncated
         info = {
@@ -448,8 +444,9 @@ class VecLocomotionEnv:
         g_proj = -R0[:, 2, :]  # world (0,0,-1) expressed in the base frame
         return v_base, w_base, g_proj
 
-    def _rewards(self, actions, gains, out, terminated):
-        """The reward terms of a step from ``_physics``' outputs out."""
+    def _rewards(self, actions, gains, start_qdot, out, terminated):
+        """The reward terms of a step from ``_physics``' outputs out, whose
+        state started at joint rates start_qdot."""
         foot_pos, foot_vel = out["foot_pos"], out["foot_vel"]
         v_base, w_base, g_proj = self._base_frame()
         qdot = self.state.qdot
@@ -460,7 +457,7 @@ class VecLocomotionEnv:
             omega_base=w_base,
             proj_gravity=g_proj,
             touchdown_air_times=out["touchdown_air"],
-            qddot=(qdot - self.prev_qdot) / self.cfg.control_dt,
+            qddot=(qdot - start_qdot) / self.cfg.control_dt,
             tau=self.last_tau,
             qdot=qdot,
             action=actions,

@@ -75,9 +75,6 @@ class DomainRandomizationConfig:
             merged[name] = (float(bounds[0]), float(bounds[1]))
         self.rows = merged
 
-    def support(self, name):
-        return self.rows[name]
-
 
 def seed_key(seed) -> np.uint64:
     """The 64-bit key of every stream of one seed (any int SeedSequence takes)."""
@@ -109,8 +106,8 @@ def between(lo, hi, u):
 
 
 def _draw(cfg, widths, key, env, counter, enabled):
-    """One draw per env split into rows: {row: (m, width)} inside the row's
-    support, or the row's identity when disabled."""
+    """One draw per env split into rows: {row: (m, width)} between the row's
+    bounds, or the row's identity when disabled."""
     m = np.size(env)
     if not enabled:
         return {row: np.full((m, w), 1.0 if row in _MULTIPLICATIVE else 0.0)

@@ -1,5 +1,6 @@
-"""Soft-margin RBF-kernel SVM trained by sequential minimal optimization,
-with Platt sigmoid calibration of decision scores.
+"""Soft-margin RBF-kernel SVM trained by sequential minimal optimization
+with the maximal-violating-pair working set, with Platt sigmoid calibration
+of decision scores.
 
 Used to fit the push-recovery boundary: features are the Cartesian push
 force components, labels are recovery success. Small, dense, and fully
@@ -60,86 +61,40 @@ class SVMModel:
 
 
 def _smo(K, y, C, tol, max_iter=500_000):
-    """Platt's SMO on the dual of the soft-margin SVM.
+    """SMO on the dual of the soft-margin SVM, min 0.5 a'Qa - sum(a) with
+    Q = (y y') * K, by the maximal-violating-pair rule (Keerthi et al. 2001;
+    Fan, Chen & Lin 2005).
 
-    Deterministic: the second-choice heuristic (max |E_i - E_j|) falls back
-    to scanning the free points, then all points, in index order.
+    Each step takes the pair that most violates the KKT conditions: i, the
+    argmax of -y G over the points whose alpha can move up along y, and j,
+    the argmin over those that can move down, G = Qa - 1 being the gradient
+    (ties go to the lowest index). It stops when their gap is below tol, or
+    after max_iter steps. Otherwise it moves alpha_i by y_i t and alpha_j by
+    -y_j t, t the gap over the pair's curvature, cut to the box. b is the
+    mean of -y G over the free alphas, or the middle of the last gap when
+    none is free: every b in that interval satisfies the KKT conditions.
     """
-    n = len(y)
-    alpha = np.zeros(n)
-    state = {"b": 0.0, "E": K @ (alpha * y) - y, "steps": 0}
-
-    def take_step(i, j):
-        if i == j:
-            return False
-        E, b = state["E"], state["b"]
-        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
-        if eta <= 1e-14:
-            return False
-        a_i_old, a_j_old = alpha[i], alpha[j]
-        if y[i] != y[j]:
-            lo = max(0.0, a_j_old - a_i_old)
-            hi = min(C, C + a_j_old - a_i_old)
-        else:
-            lo = max(0.0, a_i_old + a_j_old - C)
-            hi = min(C, a_i_old + a_j_old)
-        if lo >= hi:
-            return False
-        a_j = min(max(a_j_old + y[j] * (E[i] - E[j]) / eta, lo), hi)
-        if abs(a_j - a_j_old) < 1e-13 * (a_j + a_j_old + 1e-13):
-            return False
-        a_i = a_i_old + y[i] * y[j] * (a_j_old - a_j)
-        alpha[i], alpha[j] = a_i, a_j
-        b1 = b - E[i] - y[i] * (a_i - a_i_old) * K[i, i] - y[j] * (a_j - a_j_old) * K[i, j]
-        b2 = b - E[j] - y[i] * (a_i - a_i_old) * K[i, j] - y[j] * (a_j - a_j_old) * K[j, j]
-        if 0.0 < a_i < C:
-            b_new = b1
-        elif 0.0 < a_j < C:
-            b_new = b2
-        else:
-            b_new = 0.5 * (b1 + b2)
-        state["E"] = E + (
-            y[i] * (a_i - a_i_old) * K[:, i]
-            + y[j] * (a_j - a_j_old) * K[:, j]
-            + (b_new - b)
-        )
-        state["b"] = b_new
-        state["steps"] += 1
-        return True
-
-    def examine(i):
-        E = state["E"]
-        r = E[i] * y[i]
-        if not ((r < -tol and alpha[i] < C) or (r > tol and alpha[i] > 0)):
-            return False
-        j = int(np.argmax(np.abs(E - E[i])))
-        if take_step(i, j):
-            return True
-        free = np.flatnonzero((alpha > 0) & (alpha < C))
-        for j in free:
-            if take_step(i, int(j)):
-                return True
-        for j in range(n):
-            if take_step(i, j):
-                return True
-        return False
-
-    examine_all = True
-    while state["steps"] < max_iter:
-        changed = 0
-        if examine_all:
-            for i in range(n):
-                changed += examine(i)
-        else:
-            for i in np.flatnonzero((alpha > 0) & (alpha < C)):
-                changed += examine(int(i))
-        if examine_all:
-            if changed == 0:
-                break
-            examine_all = False
-        elif changed == 0:
-            examine_all = True
-    return alpha, state["b"]
+    alpha = np.zeros(len(y))
+    G = -np.ones(len(y))
+    pos = y > 0
+    for step in range(max_iter + 1):
+        score = -y * G
+        up = np.where(np.where(pos, alpha < C, alpha > 0), score, -np.inf)
+        low = np.where(np.where(pos, alpha > 0, alpha < C), score, np.inf)
+        i, j = int(np.argmax(up)), int(np.argmin(low))
+        gap = up[i] - low[j]
+        if gap < tol or step == max_iter:
+            break
+        # room before alpha_i reaches C (y_i = 1) or 0, and alpha_j 0 (y_j = 1) or C
+        room_i = C - alpha[i] if pos[i] else alpha[i]
+        room_j = alpha[j] if pos[j] else C - alpha[j]
+        t = min(gap / max(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12), room_i, room_j)
+        alpha[i] = (C if pos[i] else 0.0) if t == room_i else alpha[i] + y[i] * t
+        alpha[j] = (0.0 if pos[j] else C) if t == room_j else alpha[j] - y[j] * t
+        G += t * y * (K[:, i] - K[:, j])
+    free = (alpha > 0.0) & (alpha < C)
+    b = score[free].mean() if free.any() else 0.5 * (up[i] + low[j])
+    return alpha, float(b)
 
 
 def platt_calibration(scores, labels, max_iter=200):

@@ -57,7 +57,7 @@ def env_first(a, comps=1):
 
 def engine_kinematics(ct, bs):
     """The engine's kinematics of bs env-first: ``_kinematics``' R
-    (N, B, 3, 3), p, c, a_w, o_w, w, v_o, v_c and the foot states (N, k, 3),
+    (N, B, 3, 3), p, c, a_w, w, v_o, v_c and the foot states (N, k, 3),
     the bias accelerations alpha and a_c, and the world inertias I_w."""
     st = dyn._kinematics(ct, bs)
     kin = {key: env_first(a, 2 if key == "R" else 1)
@@ -69,14 +69,13 @@ def engine_kinematics(ct, bs):
 
 def reference_fk(ct, bs):
     """World body rotations R (N, B, 3, 3) and origins p (N, B, 3), and
-    world joint axes a_w and origins o_w (N, nj, 3), from the bodies'
-    parents and the ``JointSpec``s alone: a body is its parent's frame (the
-    world's for a fixed root), moved to the joint origin and turned by
-    exp(axis q)."""
+    world joint axes a_w (N, nj, 3), from the bodies' parents and the
+    ``JointSpec``s alone: a body is its parent's frame (the world's for a
+    fixed root), moved to the joint origin and turned by exp(axis q)."""
     N, B, nj = bs.n, ct.n_bodies, ct.n_joints
     start = 1 if ct.floating else 0
     R, p = np.zeros((N, B, 3, 3)), np.zeros((N, B, 3))
-    a_w, o_w = np.zeros((N, nj, 3)), np.zeros((N, nj, 3))
+    a_w = np.zeros((N, nj, 3))
     if ct.floating:
         R[:, 0], p[:, 0] = quat_to_matrix(bs.base_quat), bs.base_pos
     for j, joint in enumerate(ct.joints):
@@ -84,10 +83,9 @@ def reference_fk(ct, bs):
         parent = ct.bodies[b].parent
         R_p, p_p = (R[:, parent], p[:, parent]) if parent >= 0 else (np.eye(3), np.zeros(3))
         a_w[:, j] = R_p @ joint.axis
-        o_w[:, j] = p_p + R_p @ joint.origin_in_parent
         R[:, b] = R_p @ quat_to_matrix(quat_exp(joint.axis * bs.q[:, j, None]))
-        p[:, b] = o_w[:, j]
-    return {"R": R, "p": p, "a_w": a_w, "o_w": o_w}
+        p[:, b] = p_p + R_p @ joint.origin_in_parent
+    return {"R": R, "p": p, "a_w": a_w}
 
 
 def blocks_to_dense(ct, T, K):
@@ -146,7 +144,8 @@ def jacobians(ct, bs, fk):
         J_v[:, :, :, 3:6] = -skew(r)
         J_w[:, :, :, 3:6] = np.eye(3)
     if nj:
-        diff = fk["c"][:, :, None, :] - fk["o_w"][:, None, :, :]  # (N,B,nj,3)
+        o_w = fk["p"][:, B - nj:]  # each joint's origin is its (jointed) body's
+        diff = fk["c"][:, :, None, :] - o_w[:, None, :, :]  # (N,B,nj,3)
         mask = ancestors(ct)[None, :, :, None]
         jv = np.cross(fk["a_w"][:, None, :, :], diff) * mask
         jw = np.broadcast_to(fk["a_w"][:, None, :, :], (N, B, nj, 3)) * mask

@@ -18,11 +18,11 @@ def test_samples_inside_supports():
     samples.update(dr.sample_observation_noise(cfg, key, envs, counter + 1))
     assert set(samples) == set(cfg.rows)
     for name, values in samples.items():
-        lo, hi = cfg.support(name)
+        lo, hi = cfg.rows[name]
         assert np.all(values >= lo) and np.all(values <= hi), name
     # the draws actually cover their supports (not degenerate)
     for name in ("payload_mass", "kp_scale", "noise_joint_vel"):
-        lo, hi = cfg.support(name)
+        lo, hi = cfg.rows[name]
         width = hi - lo
         assert samples[name].min() < lo + 0.1 * width
         assert samples[name].max() > hi - 0.1 * width
@@ -76,8 +76,8 @@ def test_unknown_row_rejected():
 
 def test_row_override():
     cfg = dr.DomainRandomizationConfig({"payload_mass": (0.0, 1.0)})
-    assert cfg.support("payload_mass") == (0.0, 1.0)
-    assert cfg.support("hip_mass") == (-0.5, 0.5)
+    assert cfg.rows["payload_mass"] == (0.0, 1.0)
+    assert cfg.rows["hip_mass"] == (-0.5, 0.5)
 
 
 def _corr(a, b):

@@ -52,7 +52,7 @@ def _step(env, actions):
     for f in dataclasses.fields(dyn.BatchState):
         if f.name != "cache":
             out[f.name] = getattr(env.state, f.name)
-    for key in ("air_time", "prev_contact", "last_tau", "active_push", "command"):
+    for key in ("air_time", "last_tau", "active_push", "command"):
         out[key] = getattr(env, key)
     return {key: np.copy(a) for key, a in out.items()}
 

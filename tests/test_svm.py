@@ -85,6 +85,19 @@ def test_separable_set_perfect_accuracy_and_kkt():
         assert res["stationarity"] < 1e-6
 
 
+def test_overlapping_labels_at_large_c_reach_the_kkt_point():
+    # labels that no boundary separates, at C = 100: some alphas end at C,
+    # and a working set chosen by heuristics can stall short of the optimum
+    rng = np.random.default_rng(198)
+    n = int(rng.integers(12, 30))
+    x = rng.normal(0, 1, (n, 2))
+    y = np.where(x[:, 0] + rng.normal(0, 1, n) > 0, 1, -1)
+    res = kkt_residuals(fit_svm(x, y, C=100.0))
+    assert res["stationarity"] < 1e-6
+    assert res["equality"] < 1e-6
+    assert res["box"] < 1e-9
+
+
 def test_smo_beats_exhaustive_grid():
     # <= 6-point sets: the grid optimum lower-bounds the true dual optimum
     rng = np.random.default_rng(3)
