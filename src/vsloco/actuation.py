@@ -69,7 +69,9 @@ def decode_action(grouping, action, q_default, position_limits=None) -> GainStat
     [20, 60]; PJS broadcasts its 3 values across legs, PLS its 4 values
     across each leg's joints, and HJLS forms the rank-1 outer product of 4
     leg factors and 3 group factors, each factor living in
-    [sqrt(20), sqrt(60)] so products land exactly in [20, 60].
+    [sqrt(20), sqrt(60)]. The HJLS products land in [20, 60] up to the
+    rounding of the square roots: a full action gives 60.00000000000001 and
+    -1 gives 20.000000000000004.
     """
     validate_grouping(grouping)
     action = np.asarray(action, dtype=float)

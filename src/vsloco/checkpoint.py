@@ -156,18 +156,14 @@ def load_checkpoint(path) -> PolicyBundle:
         count = int(np.prod(entry["shape"])) if entry["shape"] else 1
         arr = np.frombuffer(data, dtype=entry["dtype"], count=count, offset=entry["offset"])
         arrays[entry["name"]] = arr.reshape(entry["shape"]).astype(np.float32)
-    rng = np.random.default_rng(0)
-    actor = nets.GaussianActor(
-        header["actor_sizes"][0], header["actor_sizes"][-1], header["actor_sizes"][1:-1], rng
-    )
-    critic = nets.Critic(header["critic_sizes"][0], header["critic_sizes"][1:-1], rng)
-    for k in range(len(actor.mlp.W)):
-        actor.mlp.W[k] = arrays[f"actor.W{k}"]
-        actor.mlp.b[k] = arrays[f"actor.b{k}"]
-    actor.log_std = arrays["actor.log_std"]
-    for k in range(len(critic.mlp.W)):
-        critic.mlp.W[k] = arrays[f"critic.W{k}"]
-        critic.mlp.b[k] = arrays[f"critic.b{k}"]
+
+    def layers(net, sizes):  # the stored weights and biases of a net, layer by layer
+        return ([arrays[f"{net}.W{k}"] for k in range(len(sizes) - 1)],
+                [arrays[f"{net}.b{k}"] for k in range(len(sizes) - 1)])
+
+    actor = nets.GaussianActor.from_arrays(*layers("actor", header["actor_sizes"]),
+                                           arrays["actor.log_std"])
+    critic = nets.Critic.from_arrays(*layers("critic", header["critic_sizes"]))
     return PolicyBundle(
         header["grouping"], actor, critic, arrays["obs_scale"], arrays["priv_scale"],
         config=header.get("config", {}),

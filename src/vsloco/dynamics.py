@@ -35,7 +35,8 @@ rows of the generalized force as it is.
 A state keeps its kinematics (``_kinematics``: FK, velocities and foot
 points) in ``BatchState.cache`` with a copy of the fields they derive from,
 and recomputes them when a field's bits differ from its copy, so a state
-may be edited in place between calls.
+may be edited in place between calls. ``standing_state`` places a robot
+from FK alone and leaves no cache.
 
 Ground contact is one penalty law (``_penalty``, ``_cone``): a spring on
 penetration depth, viscous dampers and the Coulomb cone. A substep
@@ -167,6 +168,8 @@ class BatchParams:
 # kinematic passes
 
 _KINEMATIC_FIELDS = ("base_pos", "base_quat", "base_linvel", "base_angvel", "q", "qdot")
+# the arrays _fk reads (the base pose and q) and writes
+_FK_FIELDS = ("base_pos", "base_quat", "q", "R", "p", "c", "a_w")
 
 
 def _empty_state(ct: KinematicTree, n):
@@ -175,13 +178,18 @@ def _empty_state(ct: KinematicTree, n):
     (3, 3, B, n), p and c (3, B, n), a_w (3, nj, n); ``_velocities``' w,
     v_o and v_c (3, B, n); and foot_pos, foot_vel (3, n_feet, n) for a tree
     with feet."""
+    return {key: np.empty(shape + (n,)) for key, shape in _state_shapes(ct).items()}
+
+
+def _state_shapes(ct: KinematicTree):
+    """The shapes of ``_empty_state``'s arrays without their env axis."""
     B, nj = ct.n_bodies, ct.n_joints
     shapes = {"base_pos": (3,), "base_quat": (4,), "base_linvel": (3,), "base_angvel": (3,),
               "q": (nj,), "qdot": (nj,), "R": (3, 3, B), "p": (3, B), "c": (3, B),
               "a_w": (3, nj), "w": (3, B), "v_o": (3, B), "v_c": (3, B)}
     if ct.foot_body_indices:
         shapes["foot_pos"] = shapes["foot_vel"] = (3, len(ct.foot_body_indices))
-    return {key: np.empty(shape + (n,)) for key, shape in shapes.items()}
+    return shapes
 
 
 def _per_branch(ct: KinematicTree, x):
@@ -261,14 +269,20 @@ def _velocities(ct: KinematicTree, st):
     np.add(v_o, _cross(w, st["c"] - p), out=st["v_c"])
 
 
+def _foot_positions(ct: KinematicTree, st, out=None):
+    """World positions (3, n_feet, n) of the foot contact points from st's
+    FK: each foot is on the last body of its chain."""
+    return np.add(_per_branch(ct, st["p"])[:, -1],
+                  _mv(_per_branch(ct, st["R"])[:, :, -1], ct.foot_offsets.T[..., None]), out=out)
+
+
 def foot_points(ct: KinematicTree, st):
     """World positions and velocities of the foot contact points, written
-    into st: each foot is on the last body of its chain."""
-    p = _per_branch(ct, st["p"])[:, -1]
-    pos = st["foot_pos"]
-    np.add(p, _mv(_per_branch(ct, st["R"])[:, :, -1], ct.foot_offsets.T[..., None]), out=pos)
+    into st."""
+    pos = _foot_positions(ct, st, out=st["foot_pos"])
     np.add(_per_branch(ct, st["v_o"])[:, -1],
-           _cross(_per_branch(ct, st["w"])[:, -1], pos - p), out=st["foot_vel"])
+           _cross(_per_branch(ct, st["w"])[:, -1], pos - _per_branch(ct, st["p"])[:, -1]),
+           out=st["foot_vel"])
 
 
 def _fill_kinematics(ct: KinematicTree, st):
@@ -724,8 +738,18 @@ def default_state(tree: KinematicTree, q=None, base_pos=(0.0, 0.0, 0.0)) -> Batc
 
 def standing_state(tree: KinematicTree, q=None) -> BatchState:
     """``default_state`` in pose q (the default pose if None) with each base
-    placed so that its lowest foot touches the floor exactly (z = 0)."""
+    placed so that its lowest foot touches the floor exactly (z = 0).
+
+    The feet's heights come from FK alone: ``_fk`` of the state with its
+    base at the origin, on env-last arrays of only the fields FK reads and
+    writes, plus each foot's offset on its chain's last body. The state
+    carries no kinematics; the first substep computes them.
+    """
     state = default_state(tree, q=tree.default_pose if q is None else q)
-    pos = _kinematics(tree, state)["foot_pos"]
-    state.base_pos[:, 2] = -pos[2].min(axis=0)
+    shapes = _state_shapes(tree)
+    st = {key: np.empty(shapes[key] + (state.n,)) for key in _FK_FIELDS}
+    for key in ("base_pos", "base_quat", "q"):
+        st[key][...] = getattr(state, key).T
+    _fk(tree, st)
+    state.base_pos[:, 2] = -_foot_positions(tree, st)[2].min(axis=0)
     return state

@@ -7,6 +7,8 @@ robot constants come from a YAML model file (see ``configs/model.yaml``),
 never from code.
 """
 
+import copy
+import functools
 import importlib.resources
 from dataclasses import dataclass, field
 
@@ -162,10 +164,21 @@ def _diag(values):
     return np.diag(np.asarray(values, dtype=float))
 
 
-def load_model_config():
-    """Load the packaged robot model YAML."""
+@functools.cache
+def _read_model_config():
     ref = importlib.resources.files("vsloco.configs") / "model.yaml"
     return yaml.safe_load(ref.read_text())
+
+
+def load_model_config():
+    """The packaged robot model YAML as a dict of its own.
+
+    The file is parsed once per process, on the first call, and every call
+    returns a deep copy of that parse, so a caller may edit its dict without
+    changing the next one. An edit to ``model.yaml`` therefore shows only in
+    a new process (forked workers inherit the parse of their parent).
+    """
+    return copy.deepcopy(_read_model_config())
 
 
 def build_quadruped(cfg=None) -> KinematicTree:

@@ -32,6 +32,14 @@ class MLP:
             self.W.append(orthogonal(rng, (sizes[k + 1], sizes[k]), gain))
             self.b.append(np.zeros(sizes[k + 1], dtype=F32))
 
+    @classmethod
+    def from_arrays(cls, W, b):
+        """The net with weights W and biases b as given, layer by layer (no init)."""
+        net = cls.__new__(cls)
+        net.W, net.b = list(W), list(b)
+        net.sizes = [net.W[0].shape[1]] + [w.shape[0] for w in net.W]
+        return net
+
     @property
     def params(self):
         return self.W + self.b
@@ -102,6 +110,13 @@ class GaussianActor:
         self.mlp = MLP([obs_dim] + list(hidden) + [action_dim], rng, out_gain=out_gain)
         self.log_std = np.full(action_dim, np.log(init_std), dtype=F32)
 
+    @classmethod
+    def from_arrays(cls, W, b, log_std):
+        """The actor with the given mean net layers and log-stddev (no init)."""
+        actor = cls.__new__(cls)
+        actor.mlp, actor.log_std = MLP.from_arrays(W, b), log_std
+        return actor
+
     @property
     def params(self):
         return self.mlp.params + [self.log_std]
@@ -143,6 +158,13 @@ class GaussianActor:
 class Critic:
     def __init__(self, in_dim, hidden, rng):
         self.mlp = MLP([in_dim] + list(hidden) + [1], rng, out_gain=1.0)
+
+    @classmethod
+    def from_arrays(cls, W, b):
+        """The critic with the given value net layers (no init)."""
+        critic = cls.__new__(cls)
+        critic.mlp = MLP.from_arrays(W, b)
+        return critic
 
     @property
     def params(self):

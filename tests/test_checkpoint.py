@@ -8,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+from vsloco import networks
 from vsloco.checkpoint import (
     MAGIC,
     PolicyBundle,
@@ -49,6 +50,22 @@ def test_checkpoint_round_trip(tmp_path):
     priv = np.random.default_rng(2).normal(0, 1, (5, 97)).astype(np.float32)
     assert np.array_equal(bundle.value(priv), loaded.value(priv))
 
+
+def test_checkpoint_loads_without_initializing_nets(tmp_path, monkeypatch):
+    # the nets are built from the stored arrays: no orthogonal init runs
+    bundle = make_bundle()
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(str(path), bundle)
+
+    def no_init(*args, **kwargs):
+        raise AssertionError("load_checkpoint ran an orthogonal init")
+
+    monkeypatch.setattr(networks, "orthogonal", no_init)
+    loaded = load_checkpoint(str(path))
+    assert loaded.actor.mlp.sizes == bundle.actor.mlp.sizes
+    assert loaded.critic.mlp.sizes == bundle.critic.mlp.sizes
+    for (name, a), (_, b) in zip(_collect_arrays(bundle), _collect_arrays(loaded)):
+        assert np.array_equal(a, b), name
 
 
 def test_checkpoint_blob_offset_from_stored_header_length(tmp_path):

@@ -720,6 +720,35 @@ def test_default_stance_com_over_foot_centroid(quad):
     assert np.allclose(com[:2], centroid, atol=1e-6)
 
 
+@pytest.mark.parametrize("n", [1, 3, 64])
+def test_standing_state_places_the_lowest_foot_from_fk(quad, n):
+    # the FK-only placement gives, bit for bit, the height that the whole
+    # kinematics pass of the state at z = 0 gives
+    q = quad.default_pose + np.random.default_rng(n).normal(0, 0.3, (n, 12))
+    at_origin = dyn._kinematics(quad, dyn.default_state(quad, q))["foot_pos"]
+    s = dyn.standing_state(quad, q)
+    assert np.array_equal(s.base_pos[:, 2], -at_origin[2].min(axis=0))
+    assert not s.base_pos[:, :2].any()
+    assert s.cache is None
+
+
+def test_standing_state_allocates_little(quad):
+    # placing 1024 robots allocates their state and the FK arrays (R, p, c,
+    # a_w: about 1.9 MB); the traced peak is 3.0 MB. Through the whole
+    # kinematics pass, with its velocities and foot velocities, it was 4.7 MB.
+    q = np.tile(quad.default_pose, (1024, 1))
+    dyn.standing_state(quad, q)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        dyn.standing_state(quad, q)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5e6
+
+
 def test_feet_on_floor_in_standing_state(quad):
     s = dyn.standing_state(quad)
     foot_pos = dyn._kinematics(quad, s)["foot_pos"]
