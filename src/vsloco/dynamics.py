@@ -3,7 +3,7 @@
 The engine is batched over N environments, and ``BatchState`` is the only
 state type; a single simulation is a state with N = 1. ``step_batch`` is the
 one entry point and does not check its inputs (``EnvConfig`` checks the
-timestep; a diverged row is flagged in ``BatchState.diverged``);
+timestep; a diverged row is flagged in the state's ``diverged``);
 ``contact_force_law`` is the contact law at a given state. Generalized
 velocity layout is [base linear (world), base angular (world), joint rates]
 for floating trees and [joint rates] for fixed-base trees.
@@ -32,11 +32,12 @@ exponential map. Besides the joint torques, the one applied load is a push:
 a world force at the base origin of a floating tree, which enters the base
 rows of the generalized force as it is.
 
-A state keeps its kinematics (``_kinematics``: FK, velocities and foot
-points) in ``BatchState.cache`` with a copy of the fields they derive from,
-and recomputes them when a field's bits differ from its copy, so a state
-may be edited in place between calls. ``standing_state`` places a robot
-from FK alone and leaves no cache.
+``step_batch`` steps the engine state, a dict of a ``BatchState``'s fields
+stored env-last (field k is ``st[k].T``) and their kinematics (FK,
+velocities and foot points; see ``_empty_state``), to the next one; a
+caller that edits a field in place reruns ``_fill_kinematics``.
+``_kinematics`` converts a ``BatchState``; ``standing_state`` places a
+robot from FK alone.
 
 Ground contact is one penalty law (``_penalty``, ``_cone``): a spring on
 penetration depth, viscous dampers and the Coulomb cone. A substep
@@ -54,8 +55,9 @@ leading-axis einsum or three row-wise multiply-adds, never one tiny matrix
 product per env, and the small eliminations of ``_spd_solve`` run row by
 row. No call sums over an axis in an order that depends on the batch, so a
 row comes out the same bit for bit in any batch. ``BatchState`` keeps the
-env axis first: ``step_batch`` transposes the six kinematic fields in (or
-reads their env-last copy from the cache) and its results out.
+env axis first and the engine state keeps it last across a control step:
+``env._physics`` converts its rows once in before the substeps and once
+out after them.
 
 A process steps one batch at a time (``step_batch`` is not safe to call
 from two threads at once), so its scratch (``_scratch``) is one set of
@@ -67,7 +69,7 @@ caller may step a batch in row shards (``vsloco.shards``).
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,10 +138,6 @@ class BatchState:
     # feet whose friction cone the last substep saturated: the active-set
     # pass re-solved them with a sliding force
     cone_saturated: np.ndarray = None  # (N, n_feet)
-    # the env-last view of the state (see _kinematics): a copy of the fields
-    # its kinematics derive from, against which it checks itself, and those
-    # kinematics
-    cache: dict = field(default=None, repr=False, compare=False)
 
     @property
     def n(self):
@@ -167,14 +165,13 @@ class BatchParams:
 # ---------------------------------------------------------------------------
 # kinematic passes
 
-_KINEMATIC_FIELDS = ("base_pos", "base_quat", "base_linvel", "base_angvel", "q", "qdot")
 # the arrays _fk reads (the base pose and q) and writes
 _FK_FIELDS = ("base_pos", "base_quat", "q", "R", "p", "c", "a_w")
 
 
 def _empty_state(ct: KinematicTree, n):
     """Env-last arrays for the kinematic fields of n envs and their
-    kinematics: the keys of ``_KINEMATIC_FIELDS`` (k, n); ``_fk``'s R
+    kinematics: the base pose and velocities, q and qdot (k, n); ``_fk``'s R
     (3, 3, B, n), p and c (3, B, n), a_w (3, nj, n); ``_velocities``' w,
     v_o and v_c (3, B, n); and foot_pos, foot_vel (3, n_feet, n) for a tree
     with feet."""
@@ -525,25 +522,16 @@ def contact_force_law(contact_cfg, friction, pos, vel):
 # forward dynamics and stepping
 
 
-def _same_bits(a, b):
-    """Whether the field a (N, k) holds the bits of its env-last copy b."""
-    return a.shape == b.T.shape and a.tobytes() == b.T.tobytes()
-
-
 def _kinematics(ct: KinematicTree, bs: BatchState):
-    """The env-last view of the state (see ``_empty_state``): a copy of its
-    kinematic fields, its FK, velocities and foot points. It is kept in
-    ``bs.cache`` and recomputed when the bits of any field differ from its
-    copy: equal bits give the same kinematics bit for bit, and a NaN left
-    alone compares equal, so a diverged row does not force a recompute
-    every substep."""
-    st = bs.cache
-    if st is None or not all(_same_bits(getattr(bs, key), st[key]) for key in _KINEMATIC_FIELDS):
-        st = _empty_state(ct, bs.n)
-        for key in _KINEMATIC_FIELDS:
-            st[key][...] = getattr(bs, key).T
-        _fill_kinematics(ct, st)
-        bs.cache = st
+    """The engine state of bs (see ``step_batch``): its fields env-last
+    (those that are None left out) and their kinematics."""
+    st = _empty_state(ct, bs.n)
+    for key, a in vars(bs).items():
+        if key in st:
+            st[key][...] = a.T
+        elif a is not None:
+            st[key] = a.T.copy()
+    _fill_kinematics(ct, st)
     return st
 
 
@@ -661,18 +649,18 @@ def _generalized_velocity(ct, st):
     return np.concatenate(parts + [st["qdot"]])
 
 
-def step_batch(ct: KinematicTree, bs: BatchState, tau, dt, push=None, params=None) -> BatchState:
+def step_batch(ct: KinematicTree, st, tau, dt, push=None, params=None):
     """One semi-implicit Euler substep for the whole batch.
 
-    ``push`` (N, 3), if given, is a world force at the base origin of a
-    floating tree. The new state carries the kinematics of its fields in
-    its cache, which the next substep reads unless a field was edited in
-    the meantime (see ``_kinematics``).
+    st is the engine state: the fields of a ``BatchState`` env-last (field
+    k is ``st[k].T``, so time is (n,) and contact_forces (3, n_feet, n))
+    and the kinematics of its fields. ``push`` (N, 3), if given, is a world
+    force at the base origin of a floating tree. Returns the new engine
+    state.
     """
-    n = bs.n
+    n = st["q"].shape[-1]
     if params is None:
         params = BatchParams.from_tree(ct, n)
-    st = _kinematics(ct, bs)
     T, K, rhs, contact = _assemble(ct, st, _inputs(ct, n, tau, push, params))
     v_cur = _generalized_velocity(ct, st)
     if contact is not None:
@@ -694,21 +682,16 @@ def step_batch(ct: KinematicTree, bs: BatchState, tau, dt, push=None, params=Non
     new["qdot"][...] = v_new[nb:]
     np.add(st["q"], dt * v_new[nb:], out=new["q"])
     _fill_kinematics(ct, new)
-    # negated so that a non-finite velocity counts as diverged
-    diverged = ~(np.abs(v_new).max(axis=0) <= DIVERGENCE_SPEED)
-    if bs.diverged is not None:
-        diverged |= bs.diverged
-    state = BatchState(
-        **{key: new[key].T.copy() for key in _KINEMATIC_FIELDS},
-        time=bs.time + dt,
-        contact_flags=(new["foot_pos"][2] < 0.0).T.copy() if ct.foot_body_indices
-        else np.zeros((n, 1), dtype=bool),
-        contact_forces=forces.T.copy(),
-        diverged=diverged,
-        cone_saturated=saturated.T.copy(),
+    new.update(
+        time=st["time"] + dt,
+        contact_flags=new["foot_pos"][2] < 0.0 if ct.foot_body_indices
+        else np.zeros((1, n), dtype=bool),
+        contact_forces=forces,
+        # negated so that a non-finite velocity counts as diverged
+        diverged=~(np.abs(v_new).max(axis=0) <= DIVERGENCE_SPEED) | st["diverged"],
+        cone_saturated=saturated,
     )
-    state.cache = new
-    return state
+    return new
 
 
 # ---------------------------------------------------------------------------

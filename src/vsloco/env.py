@@ -124,11 +124,11 @@ def schedule_pushes(key, env, counter, cfg: EnvConfig):
     return start, start + impulse / magnitude, force
 
 
-# the state fields that env.step's physics loop reads and writes, and the
-# env's own per-row arrays it reads (see _physics)
+# the state fields that env.step's physics loop reads and writes (all of a
+# BatchState's), and the env's own per-row arrays it reads (see _physics)
 _STATE_IN = ("base_pos", "base_quat", "base_linvel", "base_angvel", "q", "qdot", "time",
              "contact_flags", "diverged")
-_STATE_OUT = tuple(f.name for f in fields(dyn.BatchState) if f.name != "cache")
+_STATE_OUT = tuple(f.name for f in fields(dyn.BatchState))
 _ENV_IN = ("delay_substeps", "kp_scale", "kd_scale", "motor_strength", "push_start", "push_end",
            "push_force", "air_time")
 
@@ -169,16 +169,18 @@ def _physics(rows, out, tree, cfg):
     lands when it touches the floor without contact_flags at the substep
     before), the previous and the new gains (prev_kp, ..., kp, kd,
     q_target), the env's own arrays (``_ENV_IN``) and the masses, gravity
-    and friction. out receives the new state's fields (``_STATE_OUT``, q
-    clamped to the joint limits), air_time, the air time of the feet that
-    touched down (touchdown_air), the last substep's torques (last_tau), the
-    termination reason codes (reasons), the illegal contacts
-    (n_collisions), the centre of mass com (n, 3), and the feet's world
-    positions and velocities foot_pos and foot_vel (n, n_feet, 3). A row's
-    results depend on that row alone, so ``shards.run`` may split the rows.
+    and friction; the substeps step them as one env-last engine state
+    (``dynamics.step_batch``), converted once each way. out receives the
+    new state's fields (``_STATE_OUT``, q clamped to the joint limits),
+    air_time, the air time of the feet that touched down (touchdown_air),
+    the last substep's torques (last_tau), the termination reason codes
+    (reasons), the illegal contacts (n_collisions), the centre of mass com
+    (n, 3), and the feet's world positions and velocities foot_pos and
+    foot_vel (n, n_feet, 3). A row's results depend on that row alone, so
+    ``shards.run`` may split the rows.
     """
     dt = cfg.dt_physics
-    state = dyn.BatchState(**{key: rows[key] for key in _STATE_IN})
+    st = dyn._kinematics(tree, dyn.BatchState(**{key: rows[key] for key in _STATE_IN}))
     params = dyn.BatchParams(rows["masses"], rows["gravity"], rows["friction"])
     rand = act.GainRandomization(rows["kp_scale"], rows["kd_scale"], rows["motor_strength"])
     torque_limit = tree.torque_limits
@@ -189,23 +191,26 @@ def _physics(rows, out, tree, cfg):
         use_new = (sub >= rows["delay_substeps"])[:, None]
         eff = act.GainState(**{key: np.where(use_new, rows[key], rows["prev_" + key])
                                for key in ("kp", "kd", "q_target")})
-        tau = act.compute_torque_randomized(eff, state.q, state.qdot, rand, torque_limit)
-        push = _active_push(rows["push_start"], rows["push_end"], rows["push_force"], state.time)
-        state = dyn.step_batch(tree, state, tau, dt, push=push, params=params)
-        landing = state.contact_flags & ~contact
-        contact = state.contact_flags
+        tau = act.compute_torque_randomized(eff, st["q"].T, st["qdot"].T, rand, torque_limit)
+        push = _active_push(rows["push_start"], rows["push_end"], rows["push_force"], st["time"])
+        st = dyn.step_batch(tree, st, tau, dt, push=push, params=params)
+        landing = st["contact_flags"].T & ~contact
+        contact = st["contact_flags"].T
         air_time[~contact] += dt
         touchdown_air[landing] += air_time[landing]
         air_time[contact] = 0.0
     out["last_tau"][...] = tau
 
     # joint limits: violation terminates, state is stored clamped, and the
-    # kinematics are those of the clamped pose (recomputed if a row moved)
-    lo, hi = tree.position_limits
-    limit_hit = np.any((state.q < lo - 1e-9) | (state.q > hi + 1e-9), axis=1)
-    np.clip(state.q, lo, hi, out=state.q)
-    kin = dyn._kinematics(tree, state)  # env-last: (3, B, n), (3, 3, B, n)
-    out["n_collisions"][...] = n_collisions = _collision_counts(tree, kin)
+    # kinematics are those of the clamped pose (recomputed if the clip moved q)
+    q = st["q"]
+    lo, hi = (b[:, None] for b in tree.position_limits)
+    limit_hit = np.any((q < lo - 1e-9) | (q > hi + 1e-9), axis=0)
+    clipped = np.any((q < lo) | (q > hi))
+    np.clip(q, lo, hi, out=q)
+    if clipped:
+        dyn._fill_kinematics(tree, st)
+    out["n_collisions"][...] = n_collisions = _collision_counts(tree, st)
 
     # each later test overrides the earlier ones, so the precedence is
     # diverged > orientation > joint_limit > illegal_contact
@@ -213,16 +218,14 @@ def _physics(rows, out, tree, cfg):
     reasons[...] = REASON_CODE["running"]
     reasons[n_collisions > 0] = REASON_CODE["illegal_contact"]
     reasons[limit_hit] = REASON_CODE["joint_limit"]
-    reasons[-kin["R"][2, 2, TRUNK_BODY] >= 0.0] = REASON_CODE["orientation"]  # base z of world -z
-    reasons[state.diverged] = REASON_CODE["diverged"]
+    reasons[-st["R"][2, 2, TRUNK_BODY] >= 0.0] = REASON_CODE["orientation"]  # base z of world -z
+    reasons[st["diverged"]] = REASON_CODE["diverged"]
 
     masses = rows["masses"]  # the einsum reads a C copy: on the transpose it rounds differently
-    np.divide(np.einsum("nb,nbi->ni", masses, kin["c"].T.copy()),
+    np.divide(np.einsum("nb,nbi->ni", masses, st["c"].T.copy()),
               masses.sum(axis=1, keepdims=True), out=out["com"])
-    for key in ("foot_pos", "foot_vel"):
-        out[key][...] = kin[key].T
-    for key in _STATE_OUT:
-        out[key][...] = getattr(state, key)
+    for key in _STATE_OUT + ("foot_pos", "foot_vel"):
+        out[key][...] = st[key].T
 
 
 class VecLocomotionEnv:
@@ -325,8 +328,7 @@ class VecLocomotionEnv:
         # place each reset robot with its lowest foot exactly on the floor
         placed = dyn.standing_state(self.tree, q)
         for f in fields(dyn.BatchState):
-            if f.name != "cache":
-                getattr(self.state, f.name)[idx] = getattr(placed, f.name)
+            getattr(self.state, f.name)[idx] = getattr(placed, f.name)
         self.prev_action[idx] = 0.0
         self.air_time[idx] = 0.0
         self.step_count[idx] = 0

@@ -61,10 +61,17 @@ def engine_kinematics(ct, bs):
     the bias accelerations alpha and a_c, and the world inertias I_w."""
     st = dyn._kinematics(ct, bs)
     kin = {key: env_first(a, 2 if key == "R" else 1)
-           for key, a in st.items() if key not in dyn._KINEMATIC_FIELDS}
+           for key, a in st.items() if key not in vars(bs)}
     kin["alpha"], kin["a_c"] = map(env_first, dyn._bias_accelerations(ct, st))
     kin["I_w"] = env_first(dyn._world_inertia(ct, st["R"]), 2)
     return kin
+
+
+def engine_step(ct, bs, tau, dt, push=None, params=None):
+    """``dyn.step_batch`` of a ``BatchState``: bs as the engine state
+    (``_kinematics``), one substep, and the new state's fields env-first."""
+    st = dyn.step_batch(ct, dyn._kinematics(ct, bs), tau, dt, push=push, params=params)
+    return dyn.BatchState(**{key: st[key].T.copy() for key in vars(bs)})
 
 
 def reference_fk(ct, bs):

@@ -151,12 +151,8 @@ def test_spinning_body_angular_momentum_rate_zero():
 
 
 def _copy(state, rows=slice(None)):
-    """The rows of a state as a new state without a kinematics cache."""
-    return dyn.BatchState(**{
-        f.name: getattr(state, f.name)[rows].copy()
-        for f in dataclasses.fields(state)
-        if f.name != "cache"
-    })
+    """The rows of a state as a new state."""
+    return dyn.BatchState(**{key: a[rows].copy() for key, a in vars(state).items()})
 
 
 def test_entry_points_act_row_by_row(quad):
@@ -174,17 +170,15 @@ def test_entry_points_act_row_by_row(quad):
         cases.append((tree, st, rng.normal(0, 1, (3, tree.n_joints)),
                       rng.normal(0, 3, (3, 3)) if tree.floating else None))
     for tree, s, tau, push in cases:
-        batched = dyn.step_batch(tree, s, tau, 0.002, push=push)
+        batched = dense.engine_step(tree, s, tau, 0.002, push=push)
         if tree is quad:
             assert np.any(batched.contact_forces[..., 2] > 0.0)
         for i in range(3):
             rows = slice(i, i + 1)
-            single = dyn.step_batch(tree, _copy(s, rows), tau[rows], 0.002,
-                                    push=None if push is None else push[rows])
-            for f in dataclasses.fields(dyn.BatchState):
-                if f.name != "cache":
-                    assert np.array_equal(getattr(batched, f.name)[i],
-                                          getattr(single, f.name)[0]), f.name
+            single = dense.engine_step(tree, _copy(s, rows), tau[rows], 0.002,
+                                       push=None if push is None else push[rows])
+            for key, a in vars(batched).items():
+                assert np.array_equal(a[i], getattr(single, key)[0]), key
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +241,7 @@ def test_damper_update_matches_dense_oracle(quad):
     s, params, push = _random_quad_batch(quad, rng, 64)
     tau = rng.normal(0, 5, (64, 12))
     dt = 0.002
-    saturated = dyn.step_batch(quad, s, tau, dt, push=push, params=params).cone_saturated.T
+    saturated = dense.engine_step(quad, s, tau, dt, push=push, params=params).cone_saturated.T
     rows = np.flatnonzero(saturated.any(axis=0))
     assert 0 < rows.size < 64
     M, _, contact = dense.assemble(quad, s, tau, push, params)
@@ -351,20 +345,21 @@ def test_negated_joint_axes_turn_the_bodies_the_same(quad):
     m = _copy(s)
     m.q *= -1.0
     m.qdot *= -1.0
+    s, m = dyn._kinematics(quad, s), dyn._kinematics(mirror, m)
     for _ in range(20):
         tau = rng.normal(0, 5, (16, 12))
         s = dyn.step_batch(quad, s, tau, 0.002, push=push, params=params)
         m = dyn.step_batch(mirror, m, -tau, 0.002, push=push, params=params)
-        assert np.array_equal(s.cache["R"], m.cache["R"])
-        assert np.array_equal(s.q, -m.q) and np.array_equal(s.qdot, -m.qdot)
+        assert np.array_equal(s["R"], m["R"])
+        assert np.array_equal(s["q"], -m["q"]) and np.array_equal(s["qdot"], -m["qdot"])
         for f in ("base_pos", "base_quat", "base_linvel", "base_angvel", "contact_forces"):
-            assert np.array_equal(getattr(s, f), getattr(m, f)), f
-    assert s.contact_flags.any()
+            assert np.array_equal(s[f], m[f]), f
+    assert s["contact_flags"].any()
 
 
-def _pd_torque(tree, state, q_ref):
+def _pd_torque(tree, q, qdot, q_ref):
     kp, kd = 150.0, 0.2 * np.sqrt(150.0)
-    tau = kp * (q_ref - state.q) - kd * state.qdot
+    tau = kp * (q_ref - q) - kd * qdot
     return np.clip(tau, -tree.torque_limits, tree.torque_limits)
 
 
@@ -374,7 +369,7 @@ def test_step_batch_matches_dense_oracle_over_one_second(quad):
     # low-friction floors and a base push for 0.5 s (the box is pushed too)
     rng = np.random.default_rng(5)
     s, params, push = _random_quad_batch(quad, rng, 16, speed=0.3)
-    runs = [(quad, s, params, push, lambda st: _pd_torque(quad, st, quad.default_pose))]
+    runs = [(quad, s, params, push, lambda st: _pd_torque(quad, st.q, st.qdot, quad.default_pose))]
     for tree, st in _other_trees(rng, 4):
         runs.append((tree, st, dyn.BatchParams.from_tree(tree, 4),
                      rng.normal(0, 3, (4, 3)) if tree.floating else None,
@@ -384,7 +379,7 @@ def test_step_batch_matches_dense_oracle_over_one_second(quad):
         n_saturated = 0
         for _ in range(500):
             tau = torque(st)
-            st = dyn.step_batch(tree, st, tau, 0.002, push=push, params=prm)
+            st = dense.engine_step(tree, st, tau, 0.002, push=push, params=prm)
             (base_pos, base_quat, v, q), saturated = dense.step_batch(
                 tree, ref, torque(ref), 0.002, push=push, params=prm)
             ref = dyn.BatchState(base_pos=base_pos, base_quat=base_quat, base_linvel=v[:, 0:3],
@@ -401,30 +396,24 @@ def test_step_batch_matches_dense_oracle_over_one_second(quad):
             assert 0 < n_saturated < 500 * 16 * 4
 
 
-def _assert_same_state(a, b):
-    """Every field of two states and of their kinematics caches, bit for bit."""
-    for f in dataclasses.fields(dyn.BatchState):
-        if f.name != "cache":
-            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
-    assert a.cache.keys() == b.cache.keys()
-    for key in a.cache:
-        assert np.array_equal(a.cache[key], b.cache[key]), key
-
-
 def test_warm_substep_allocates_little(quad):
-    # once warm, a 512-row substep of a stance allocates its new state (1.8
+    # once warm, a 512-row substep of a stance allocates its new state (1.7
     # MB with its kinematics) and small temporaries; its blocks, body table
     # and foot Jacobians are the module's scratch. With them allocated afresh
     # in every substep, the peak on this stance was 6.1 MB.
-    s = dyn.standing_state(quad, np.tile(quad.default_pose, (512, 1)))
+    st = dyn._kinematics(quad, dyn.standing_state(quad, np.tile(quad.default_pose, (512, 1))))
+
+    def tau():
+        return _pd_torque(quad, st["q"].T, st["qdot"].T, quad.default_pose)
+
     for _ in range(5):
-        s = dyn.step_batch(quad, s, _pd_torque(quad, s, quad.default_pose), 0.002)
-    tau = _pd_torque(quad, s, quad.default_pose)
+        st = dyn.step_batch(quad, st, tau(), 0.002)
+    torque = tau()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        dyn.step_batch(quad, s, tau, 0.002)
+        dyn.step_batch(quad, st, torque, 0.002)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -432,63 +421,48 @@ def test_warm_substep_allocates_little(quad):
 
 
 @pytest.mark.parametrize("substeps", [1, 2])
-def test_step_caches_the_kinematics_of_the_new_state(quad, substeps):
-    # the first substep computes its state's kinematics, the second reads
-    # them from the first's cache
-    new, params, push = _random_quad_batch(quad, np.random.default_rng(3), 4)
+def test_step_returns_the_kinematics_of_its_fields(quad, substeps):
+    # the state step_batch returns, the input of the next substep, holds
+    # every field of a BatchState env-last and, bit for bit, the kinematics
+    # a fresh pass computes from a copy of its fields
+    s, params, push = _random_quad_batch(quad, np.random.default_rng(3), 4)
+    st = dyn._kinematics(quad, s)
     for _ in range(substeps):
-        s, new = new, dyn.step_batch(quad, new, np.zeros((4, 12)), 0.002, push=push,
-                                     params=params)
-    assert substeps == 1 or s.cache is not None
-    fresh = dyn._kinematics(quad, _copy(new))
-    assert new.cache.keys() == fresh.keys()
+        st = dyn.step_batch(quad, st, np.zeros((4, 12)), 0.002, push=push, params=params)
+    fresh = dyn._empty_state(quad, 4)
+    for key in vars(s):
+        assert st[key].shape == getattr(s, key).T.shape, key
+        if key in fresh:
+            fresh[key][...] = st[key]
+    dyn._fill_kinematics(quad, fresh)
+    assert st.keys() == fresh.keys() | vars(s).keys()
     for key in fresh:
-        assert np.array_equal(new.cache[key], fresh[key]), key
-    for name in dyn._KINEMATIC_FIELDS:  # env-last copies of the fields
-        assert np.array_equal(new.cache[name].T, getattr(new, name))
-        assert not np.shares_memory(new.cache[name], getattr(new, name))
-    assert np.array_equal(new.contact_flags, fresh["foot_pos"][2].T < 0.0)
+        assert np.array_equal(st[key], fresh[key]), key
+    assert np.array_equal(st["contact_flags"], fresh["foot_pos"][2] < 0.0)
 
 
-def test_step_batch_recomputes_the_kinematics_of_an_edited_state(quad):
-    # a state from step_batch, edited in place, steps as its copy without a
-    # kinematics cache does
-    s, params, push = _random_quad_batch(quad, np.random.default_rng(4), 4)
-    tau = np.zeros((4, 12))
-    s = dyn.step_batch(quad, s, tau, 0.002, push=push, params=params)
-    s.base_pos[:, 2] += 0.003
-    s.q[:, 1] -= 0.1
-    _assert_same_state(dyn.step_batch(quad, s, tau, 0.002, push=push, params=params),
-                       dyn.step_batch(quad, _copy(s), tau, 0.002, push=push, params=params))
-
-
-def test_kinematics_cache_keeps_non_finite_rows(quad):
-    # a NaN left alone compares equal, so a diverged row does not force a
-    # recompute; an edit of another field does. Stepped, the NaN row is
-    # flagged and warns of nothing.
+def test_non_finite_row_steps_to_diverged_quietly(quad):
+    # a NaN velocity in one row is flagged diverged after a substep and
+    # warns of nothing (RuntimeWarnings are errors in this suite); the
+    # other row steps on
     s = dyn.standing_state(quad, np.tile(quad.default_pose, (2, 1)))
     s.qdot[1, 0] = np.nan
-    kin = dyn._kinematics(quad, s)
-    assert dyn._kinematics(quad, s) is kin
-    s.base_angvel[0, 2] = 0.5
-    fresh = dyn._kinematics(quad, s)
-    assert fresh is not kin and np.array_equal(fresh["R"], kin["R"])
-    assert dyn.step_batch(quad, s, np.zeros(12), 0.002).diverged.tolist() == [False, True]
+    assert dense.engine_step(quad, s, np.zeros(12), 0.002).diverged.tolist() == [False, True]
 
 
 @pytest.mark.parametrize("substeps", [1, 2])
 def test_reported_contact_forces_are_the_applied_ones(quad, substeps):
     # the last substep's generalized force balance on the dense oracle,
     # M (v_new - v) / dt - rhs = sum_f J_f' contact_forces[f], in the rows
-    # whose sliding feet were re-solved and in the rows that were not; a
-    # second substep starts from the kinematics cached by the first
+    # whose sliding feet were re-solved and in the rows that were not, at
+    # the first substep and at a second one
     rng = np.random.default_rng(8)
     new, params, push = _random_quad_batch(quad, rng, 16, speed=0.1)
     tau = rng.normal(0, 5, (16, 12))
     for _ in range(substeps):
         s = new
         M, rhs, contact = dense.assemble(quad, s, tau, push, params)
-        new = dyn.step_batch(quad, s, tau, 0.002, push=push, params=params)
+        new = dense.engine_step(quad, s, tau, 0.002, push=push, params=params)
     sliding = new.cone_saturated.any(axis=1)
     assert sliding.any() and not sliding.all()
     dv = dense.generalized_velocity(quad, new) - dense.generalized_velocity(quad, s)
@@ -531,7 +505,7 @@ def test_cone_saturation_flags(quad):
     for _ in range(500):
         tau = np.clip(kp * (quad.default_pose - s.q) - kd * s.qdot, -quad.torque_limits,
                       quad.torque_limits)
-        s = dyn.step_batch(quad, s, tau, 0.002)
+        s = dense.engine_step(quad, s, tau, 0.002)
     assert s.contact_flags.all()
     assert s.cone_saturated.shape == (1, 4) and not s.cone_saturated.any()
     # base sliding at 1 m/s on mu = 0.05: every foot in contact slides
@@ -540,7 +514,7 @@ def test_cone_saturation_flags(quad):
     s.base_linvel[0] = (1.0, 0.0, 0.0)
     params = dyn.BatchParams.from_tree(quad, 1)
     params.friction[:] = 0.05
-    s2 = dyn.step_batch(quad, s, np.zeros((1, 12)), 0.002, params=params)
+    s2 = dense.engine_step(quad, s, np.zeros((1, 12)), 0.002, params=params)
     assert s2.cone_saturated.all()
 
 
@@ -557,7 +531,7 @@ def test_pendulum_energy_drift_below_one_percent():
     scale = e0 - e_min
     worst = 0.0
     for _ in range(5000):
-        s = dyn.step_batch(tree, s, np.zeros(1), 0.002)
+        s = dense.engine_step(tree, s, np.zeros(1), 0.002)
         worst = max(worst, abs(dense.total_energy(tree, s)[0] - e0))
     assert worst < 0.01 * scale
 
@@ -571,7 +545,7 @@ def test_double_pendulum_energy_drift_below_one_percent():
     scale = e0 - e_min
     worst = 0.0
     for _ in range(5000):
-        s = dyn.step_batch(tree, s, np.zeros(2), 0.002)
+        s = dense.engine_step(tree, s, np.zeros(2), 0.002)
         worst = max(worst, abs(dense.total_energy(tree, s)[0] - e0))
     assert worst < 0.01 * scale
 
@@ -585,7 +559,7 @@ def test_momentum_gains_exactly_gravity_impulse(quad):
     s.base_linvel[:] = (0.4, -0.2, 0.1)
     for _ in range(5):
         p_before = dense.total_linear_momentum(quad, s)[0]
-        s2 = dyn.step_batch(quad, s, np.zeros(12), dt)
+        s2 = dense.engine_step(quad, s, np.zeros(12), dt)
         p_mid = m_tot * s2.base_linvel[0] + (
             dense.total_linear_momentum(quad, s2)[0] - m_tot * s2.base_linvel[0]
         )
@@ -597,8 +571,8 @@ def test_momentum_gains_exactly_gravity_impulse(quad):
 def test_determinism_bit_identical(quad):
     s0 = dyn.standing_state(quad)
     tau = np.linspace(-3, 3, 12)
-    a = dyn.step_batch(quad, s0, tau, 0.002)
-    b = dyn.step_batch(quad, copy.deepcopy(s0), tau, 0.002)
+    a = dense.engine_step(quad, s0, tau, 0.002)
+    b = dense.engine_step(quad, copy.deepcopy(s0), tau, 0.002)
     for f in ("base_pos", "base_quat", "base_linvel", "base_angvel", "q", "qdot"):
         assert np.array_equal(getattr(a, f), getattr(b, f))
 
@@ -607,7 +581,7 @@ def test_quaternion_norm_preserved(quad):
     s = dyn.standing_state(quad)
     s.base_angvel[:] = (1.0, 2.0, -0.5)
     for _ in range(100):
-        s = dyn.step_batch(quad, s, np.zeros(12), 0.002)
+        s = dense.engine_step(quad, s, np.zeros(12), 0.002)
         assert abs(np.linalg.norm(s.base_quat[0]) - 1.0) < 1e-9
 
 
@@ -615,11 +589,11 @@ def test_divergence_flagged():
     # the fast row alone, then beside a slow one
     tree = pendulum_tree()
     s = pendulum_state(tree, 0.0, qdot=2e4)
-    s2 = dyn.step_batch(tree, s, np.zeros(1), 0.002)
+    s2 = dense.engine_step(tree, s, np.zeros(1), 0.002)
     assert s2.diverged[0]
     s = dyn.default_state(tree, q=np.zeros((2, 1)))
     s.qdot[1] = 2e4
-    assert dyn.step_batch(tree, s, np.zeros(1), 0.002).diverged.tolist() == [False, True]
+    assert dense.engine_step(tree, s, np.zeros(1), 0.002).diverged.tolist() == [False, True]
 
 
 def test_quasi_static_stand_drift(quad):
@@ -631,7 +605,7 @@ def test_quasi_static_stand_drift(quad):
 
     def pd_step(state):
         tau = np.clip(kp * (q_ref - state.q) - kd * state.qdot, -tau_lim, tau_lim)
-        return dyn.step_batch(quad, state, tau, 0.002)
+        return dense.engine_step(quad, state, tau, 0.002)
 
     for _ in range(500):
         s = pd_step(s)
@@ -659,7 +633,7 @@ def test_contact_zero_above_floor(quad):
     s.base_pos[0, 2] += 0.002
     forces = _law_forces(quad, s, 1.0)
     assert np.allclose(forces, 0.0)
-    flags = dyn.step_batch(quad, s, np.zeros(12), 0.001).contact_flags
+    flags = dense.engine_step(quad, s, np.zeros(12), 0.001).contact_flags
     # one substep of free fall from 2 mm cannot reach the floor
     assert not flags.any()
 
@@ -729,7 +703,6 @@ def test_standing_state_places_the_lowest_foot_from_fk(quad, n):
     s = dyn.standing_state(quad, q)
     assert np.array_equal(s.base_pos[:, 2], -at_origin[2].min(axis=0))
     assert not s.base_pos[:, :2].any()
-    assert s.cache is None
 
 
 def test_standing_state_allocates_little(quad):

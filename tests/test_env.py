@@ -1,6 +1,8 @@
 """Environment behaviour: observation layout, termination, schedules,
 determinism, and vectorization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,11 @@ from vsloco.env import (
     TRUNK_BODY,
     EnvConfig,
     VecLocomotionEnv,
+    _collision_counts,
     sample_command,
     schedule_pushes,
 )
+from vsloco.model import build_quadruped
 from vsloco.rotations import quat_to_matrix
 
 
@@ -287,6 +291,79 @@ def test_joint_limit_clamp_precedes_the_step_kinematics():
         assert terms[key][0] == pytest.approx(value, rel=1e-12, abs=1e-15), key
     # nonzero, so the checks above can tell the clamped pose from the unclamped one
     assert expected["center_of_mass"] > 1e-6 and expected["foot_clearance"] > 1e-3
+
+
+def _airborne_knee_step(tree):
+    """One zero-action step of an env in the air with its FR knee moving
+    up at 5 rad/s, so that no foot touches the floor and the knee ends
+    above its target: the env and the outputs of ``_physics`` it rewards."""
+    env = VecLocomotionEnv("PLS", n_envs=1, seed=1, tree=tree, config=quiet_config())
+    env.reset_all(randomization_on=False)
+    env.auto_reset = False
+    env.state.base_pos[0, 2] = 1.0
+    env.state.qdot[0, 2] = 5.0
+    outs, rewards = [], env._rewards
+
+    def spy(actions, gains, start_qdot, out, terminated):
+        outs.append(out)
+        return rewards(actions, gains, start_qdot, out, terminated)
+
+    env._rewards = spy
+    done = env.step(np.zeros((1, env.action_dim)))[3]
+    assert not done[0]
+    return env, outs[0]
+
+
+def _knee_limited_below(tree, angle):
+    """tree with the FR knee's upper limit 5e-10 below angle: inside the
+    1e-9 tolerance of the termination test, so the clip moves the knee but
+    does not end the episode."""
+    joints = list(tree.joints)
+    lo = joints[2].position_limit[0]
+    joints[2] = dataclasses.replace(joints[2], position_limit=(lo, angle - 5e-10))
+    return dataclasses.replace(tree, joints=joints)
+
+
+def test_clip_inside_the_termination_tolerance_moves_the_step_kinematics():
+    # the twin of a free step whose knee limit is just below the angle the
+    # knee reaches: the knee is stored clipped, every other joint as in the
+    # free step, and the collisions, com and feet the step hands to the
+    # rewards are, bit for bit, those of the stored (clipped) state, which
+    # differ from those of the free step's
+    free, free_out = _airborne_knee_step(build_quadruped())
+    knee = free.state.q[0, 2]
+    env, out = _airborne_knee_step(_knee_limited_below(free.tree, knee))
+    hi = env.q_limits[1][2]
+    assert env.state.q[0, 2] == hi and 0.0 < knee - hi < 1e-9
+    assert np.array_equal(np.delete(env.state.q, 2), np.delete(free.state.q, 2))
+    kin = dyn._kinematics(env.tree, env.state)
+    masses = env.params.masses
+    com = np.einsum("nb,nbi->ni", masses, kin["c"].T.copy()) / masses.sum(axis=1, keepdims=True)
+    assert np.array_equal(out["n_collisions"], _collision_counts(env.tree, kin))
+    assert np.array_equal(out["com"], com)
+    for key in ("foot_pos", "foot_vel"):
+        assert np.array_equal(out[key], kin[key].T), key
+    assert not np.array_equal(out["foot_pos"], free_out["foot_pos"])
+    assert not np.array_equal(out["com"], free_out["com"])
+
+
+def test_step_runs_one_kinematics_pass_per_substep_and_one_per_clip(monkeypatch):
+    # one pass on the rows before the substeps and one per substep; a clip
+    # that moves a joint adds one for the clipped pose
+    fill, calls = dyn._fill_kinematics, []
+
+    def counted(tree, st):
+        calls.append(st["q"].shape[-1])
+        fill(tree, st)
+
+    substeps = quiet_config().physics_substeps
+    monkeypatch.setattr(dyn, "_fill_kinematics", counted)
+    free = _airborne_knee_step(build_quadruped())[0]
+    assert len(calls) == substeps + 1
+    tree = _knee_limited_below(free.tree, free.state.q[0, 2])
+    calls.clear()
+    _airborne_knee_step(tree)
+    assert len(calls) == substeps + 2
 
 
 def test_air_time_accumulates_across_control_steps():

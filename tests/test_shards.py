@@ -1,6 +1,5 @@
 """Row shards of VecLocomotionEnv.step in worker processes (vsloco.shards)."""
 
-import dataclasses
 import multiprocessing
 import os
 import select
@@ -49,9 +48,7 @@ def _step(env, actions):
     out["total"] = breakdown.total
     for kind in ("terms", "weighted"):
         out.update({f"{kind} {key}": a for key, a in getattr(breakdown, kind).items()})
-    for f in dataclasses.fields(dyn.BatchState):
-        if f.name != "cache":
-            out[f.name] = getattr(env.state, f.name)
+    out.update(vars(env.state))
     for key in ("air_time", "last_tau", "active_push", "command"):
         out[key] = getattr(env, key)
     return {key: np.copy(a) for key, a in out.items()}
@@ -190,10 +187,10 @@ def test_shard_error_in_a_worker_raises_in_the_caller(split_rows, monkeypatch):
     # After each error the next step forks a new worker and matches b's.
     step_batch = dyn.step_batch
 
-    def failing(tree, bs, *args, **kwargs):
-        if np.any(bs.time == -1.0):
+    def failing(tree, st, *args, **kwargs):
+        if np.any(st["time"] == -1.0):
             raise ValueError("a marked row")
-        return step_batch(tree, bs, *args, **kwargs)
+        return step_batch(tree, st, *args, **kwargs)
 
     monkeypatch.setattr(dyn, "step_batch", failing)
     a, b = _env(6, seed=7), _env(6, seed=7)
