@@ -229,7 +229,12 @@ def _physics(rows, out, tree, cfg):
 
 
 class VecLocomotionEnv:
-    """N parallel locomotion tasks over one robot model and one grouping."""
+    """N parallel locomotion tasks over one robot model and one grouping.
+
+    Construction resets every env, with domain randomization on or off as
+    `randomization_on` says, but does not observe: the first observations come
+    from `observe()` and `observe_privileged()`, or from `reset_all()`.
+    """
 
     def __init__(
         self,
@@ -238,6 +243,7 @@ class VecLocomotionEnv:
         seed: int = 0,
         tree: KinematicTree = None,
         config: EnvConfig = None,
+        randomization_on: bool = True,
     ):
         self.grouping = act.validate_grouping(grouping)
         self.n = int(n_envs)
@@ -254,9 +260,10 @@ class VecLocomotionEnv:
         self.key = dr.seed_key(self.seed)
         self.env_ids = np.arange(self.n)
         self.draws = np.zeros(self.n, dtype=np.uint64)  # draws each env has made
-        self.randomization_on = True
+        self.randomization_on = bool(randomization_on)
         self.auto_reset = True
-        self.reset_all(randomization_on=True)
+        self._alloc()
+        self._reset_envs(self.env_ids)
 
     def _next_draw(self, idx):
         """The counter of the next draw of each env in idx; advances them."""
@@ -288,12 +295,14 @@ class VecLocomotionEnv:
         )
         self.last_tau = np.zeros((n, 12))
         self.active_push = np.zeros((n, 3))
+        self.state = dyn.default_state(self.tree, np.zeros((n, 12)))
 
     def reset_all(self, randomization_on=None):
+        """Reset every env and return its (obs, priv). The constructor runs the
+        same reset but does not observe, so it draws no observation noise."""
         if randomization_on is not None:
             self.randomization_on = bool(randomization_on)
         self._alloc()
-        self.state = None
         self._reset_envs(self.env_ids)
         return self.observe(), self.observe_privileged()
 
@@ -323,8 +332,6 @@ class VecLocomotionEnv:
         self.push_start[idx], self.push_end[idx], self.push_force[idx] = schedule_pushes(
             key, idx, self._next_draw(idx), cfg
         )
-        if self.state is None:
-            self.state = dyn.default_state(self.tree, np.zeros((self.n, 12)))
         # place each reset robot with its lowest foot exactly on the floor
         placed = dyn.standing_state(self.tree, q)
         for f in fields(dyn.BatchState):

@@ -7,6 +7,7 @@ config produce bit-identical metrics but for the wall-time columns.
 """
 
 import csv
+import numbers
 import os
 import time
 from collections import deque
@@ -49,9 +50,14 @@ class TrainConfig:
         if not 0.0 < self.clip_ratio < 1.0:
             raise ValueError("clip_ratio must lie in (0, 1)")
         for name in ("n_envs", "n_iterations", "steps_per_rollout", "learning_rate",
-                     "epochs", "minibatches", "entropy_coef", "value_coef", "max_grad_norm"):
-            if getattr(self, name) <= 0:
+                     "epochs", "minibatches", "entropy_coef", "value_coef", "max_grad_norm",
+                     "init_std"):
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        if not self.min_std >= 0.0:
+            raise ValueError("min_std must not be negative")
+        if not all(isinstance(h, numbers.Integral) and h > 0 for h in self.hidden):
+            raise ValueError(f"hidden sizes must be positive integers, got {self.hidden!r}")
 
 
 @dataclass
@@ -234,8 +240,10 @@ def train(grouping, config: TrainConfig, out_dir):
     """
     cfg = config
     os.makedirs(out_dir, exist_ok=True)
-    env = VecLocomotionEnv(grouping, n_envs=cfg.n_envs, seed=cfg.seed)
-    obs, priv = env.reset_all(randomization_on=cfg.randomization_on)
+    env = VecLocomotionEnv(
+        grouping, n_envs=cfg.n_envs, seed=cfg.seed, randomization_on=cfg.randomization_on
+    )
+    obs, priv = env.observe(), env.observe_privileged()
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xA11CE)))
     agent = PPOAgent(grouping, env.obs_dim, env.priv_dim, env.action_dim, cfg, rng)
     bundle = agent.bundle

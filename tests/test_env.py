@@ -150,6 +150,18 @@ def test_reset_identity_when_disabled():
     assert np.all(env.delay_substeps == 0)
 
 
+def test_construction_resets_without_observing():
+    # the reset draws four streams per env (joint noise, episode, command,
+    # pushes); the observation noise is drawn at the first observe
+    env = VecLocomotionEnv("PJS", n_envs=5, seed=3, randomization_on=False)
+    assert np.all(env.draws == 4)
+    assert not env.randomization_on
+    assert np.all(env.kp_scale == 1.0) and not env.mass_deltas.any()
+    env.reset_all()
+    assert np.all(env.draws == 9) and not env.randomization_on
+    assert np.all(VecLocomotionEnv("PJS", n_envs=5, seed=3).draws == 4)
+
+
 def test_command_schedule_four_intervals():
     # hold the default pose stiffly (raw stiffness +1 -> kp 60) so the
     # episode runs the full 20 s; commands must refresh at 5/10/15 s. The

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from vsloco import networks as nets
+from vsloco.env import VecLocomotionEnv
 from vsloco.ppo import (
     PPOAgent,
     RolloutBuffer,
@@ -14,6 +15,7 @@ from vsloco.ppo import (
     allocate_buffer,
     compute_gae,
     normalize_advantages,
+    train,
 )
 
 F32 = np.float32
@@ -136,8 +138,49 @@ def test_config_validation():
         TrainConfig(clip_ratio=0.0)
     with pytest.raises(TypeError, match="warp"):
         TrainConfig(**{"gamma": 0.99, "warp": 1})
+    # each would break training only later: a NaN log-stddev floor, an
+    # infinite or NaN initial log-stddev, a layer of no or fractional width
+    for bad in ({"init_std": 0.0}, {"init_std": -1.0}, {"init_std": float("nan")},
+                {"min_std": -0.1}, {"min_std": float("nan")},
+                {"hidden": [0, 16]}, {"hidden": [16.5]}, {"hidden": [16, -4]}):
+        (name,) = bad
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**bad)
+    assert TrainConfig(min_std=0.0, hidden=[np.int64(8)]).hidden == [8]
     cfg = TrainConfig(**{"n_envs": 8, "n_iterations": 2})
     assert cfg.n_envs == 8 and cfg.gamma == 0.99
+
+
+class _FirstStep(Exception):
+    pass
+
+
+@pytest.mark.parametrize("randomization_on", [True, False])
+def test_train_resets_each_env_once_before_the_first_step(
+    monkeypatch, tmp_path, randomization_on
+):
+    reset_rows = []
+    reset_envs = VecLocomotionEnv._reset_envs
+
+    def counted_reset(env, idx):
+        reset_rows.append(len(idx))
+        reset_envs(env, idx)
+
+    def first_step(env, actions):
+        # one reset (joint noise, episode, command, pushes) and one noisy
+        # observation: five draws per env
+        assert np.all(env.draws == 5)
+        assert env.randomization_on is randomization_on
+        assert np.all(env.kp_scale == 1.0) != randomization_on
+        raise _FirstStep
+
+    monkeypatch.setattr(VecLocomotionEnv, "_reset_envs", counted_reset)
+    monkeypatch.setattr(VecLocomotionEnv, "step", first_step)
+    cfg = TrainConfig(n_envs=8, n_iterations=1, steps_per_rollout=2, hidden=[8],
+                      checkpoint_every=0, randomization_on=randomization_on)
+    with pytest.raises(_FirstStep):
+        train("HJLS", cfg, str(tmp_path))
+    assert reset_rows == [8]
 
 
 def _mlp_forward64(mlp, x):
