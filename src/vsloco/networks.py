@@ -65,29 +65,42 @@ class MLP:
         return self.W + self.b
 
     def forward(self, x):
+        """Output and the activation cache [input, hidden..., output]."""
         x = np.asarray(x, dtype=F32)
         acts = [x]
         h = x
         last = len(self.W) - 1
         for k, (W, b) in enumerate(zip(self.W, self.b)):
-            h = h @ W.T + b
+            h = h @ W.T
+            h += b
             if k < last:
-                h = np.tanh(h)
+                np.tanh(h, out=h)
             acts.append(h)
         return h, acts
 
     def backward(self, acts, grad_out):
-        """Gradients of sum(grad_out * output) w.r.t. params and input."""
+        """Gradients of sum(grad_out * output) w.r.t. params, and the gradient
+        w.r.t. the first layer's pre-activation.
+
+        Consumes `acts`, the cache of one `forward`: each hidden activation is
+        overwritten by its tanh' = 1 - a² and every entry is popped once used,
+        so the list comes back empty and a second call on it raises.
+        """
+        if len(acts) != len(self.W) + 1:
+            raise ValueError("activation cache is consumed or not from this net")
         gW = [None] * len(self.W)
         gb = [None] * len(self.b)
         g = np.asarray(grad_out, dtype=F32)
-        last = len(self.W) - 1
-        for k in range(last, -1, -1):
-            gW[k] = g.T @ acts[k]
+        acts.pop()  # the output
+        for k in range(len(self.W) - 1, -1, -1):
+            a = acts.pop()
+            gW[k] = g.T @ a
             gb[k] = g.sum(axis=0)
             if k > 0:
                 g = g @ self.W[k]
-                g = g * (1.0 - acts[k] ** 2)  # tanh'
+                a *= a
+                np.subtract(1.0, a, out=a)
+                g *= a  # tanh'
         return gW + gb, g
 
 
@@ -113,10 +126,13 @@ class Adam:
 
 
 def clip_grad_norm(grads, max_norm):
+    """Scale the arrays in `grads` in place to a global norm of at most
+    max_norm; returns them and their norm before clipping."""
     total = np.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2)) for g in grads))
     if total > max_norm and total > 0:
         scale = F32(max_norm / total)
-        grads = [g * scale for g in grads]
+        for g in grads:
+            g *= scale
     return grads, total
 
 
@@ -167,7 +183,8 @@ class GaussianActor:
         return logp, entropy, {"acts": acts, "z": z, "std": std}
 
     def backward(self, cache, dlogp, dlogstd_extra=0.0):
-        """Gradients of sum(dlogp * logp) (+ entropy terms via dlogstd_extra)."""
+        """Gradients of sum(dlogp * logp) (+ entropy terms via dlogstd_extra).
+        Consumes cache["acts"] (see `MLP.backward`)."""
         z, std = cache["z"], cache["std"]
         dmean = dlogp[:, None] * (z / std)  # d logp / d mean
         dlogstd = (dlogp[:, None] * (z**2 - 1.0)).sum(axis=0) + dlogstd_extra
@@ -198,5 +215,6 @@ class Critic:
         return v[:, 0], acts
 
     def backward(self, acts, dv):
+        """Gradients of sum(dv * value); consumes acts (see `MLP.backward`)."""
         grads, _ = self.mlp.backward(acts, dv[:, None])
         return grads

@@ -1,4 +1,7 @@
-"""Orthogonal init against a Householder QR oracle, and the MLP's init gains."""
+"""Orthogonal init against a Householder QR oracle, the MLP's init gains, and
+who owns the arrays of the backward pass and the gradient clip."""
+
+import weakref
 
 import numpy as np
 import pytest
@@ -78,3 +81,47 @@ def test_mlp_init_gains_and_zero_biases():
         assert np.abs(short - gain**2 * np.eye(min(W.shape))).max() <= 1e-5 * gain**2, k
         assert b.dtype == F32 and b.shape == (sizes[k + 1],)
         assert not b.any(), k
+
+
+def test_backward_consumes_and_releases_its_cache():
+    rng = np.random.default_rng(4)
+    net = nets.MLP([5, 8, 6, 2], rng)
+    x = rng.normal(0, 1, (4, 5)).astype(F32)
+    x_before = x.copy()
+    out, acts = net.forward(x)
+    assert acts[0] is x and acts[-1] is out
+    hidden = [weakref.ref(a) for a in acts[1:-1]]
+    grads, _ = net.backward(acts, np.ones_like(out))
+    assert acts == []
+    assert all(ref() is None for ref in hidden)  # freed, not kept alive
+    assert np.array_equal(x, x_before)  # the input is read, not overwritten
+    with pytest.raises(ValueError, match="consumed"):
+        net.backward(acts, np.ones_like(out))
+    # a fresh forward gives the same gradients: the consumed cache held no state
+    again, _ = net.backward(net.forward(x)[1], np.ones_like(out))
+    assert all(np.array_equal(g, h) for g, h in zip(grads, again, strict=True))
+
+
+def test_actor_and_critic_backward_consume_their_caches():
+    rng = np.random.default_rng(5)
+    actor = nets.GaussianActor(4, 2, [8], rng)
+    critic = nets.Critic(3, [8], rng)
+    obs = rng.normal(0, 1, (6, 4)).astype(F32)
+    _, _, cache = actor.evaluate(obs, rng.normal(0, 1, (6, 2)).astype(F32))
+    actor.backward(cache, np.ones(6, dtype=F32))
+    with pytest.raises(ValueError, match="consumed"):
+        actor.backward(cache, np.ones(6, dtype=F32))
+    _, acts = critic.evaluate(rng.normal(0, 1, (6, 3)).astype(F32))
+    critic.backward(acts, np.ones(6, dtype=F32))
+    with pytest.raises(ValueError, match="consumed"):
+        critic.backward(acts, np.ones(6, dtype=F32))
+
+
+def test_clip_grad_norm_scales_the_given_arrays():
+    grads = [np.full((3, 2), 4.0, dtype=F32), np.full(2, -3.0, dtype=F32)]
+    given = list(grads)
+    expected = [g * F32(1.0 / np.sqrt(3 * 2 * 16 + 2 * 9)) for g in grads]
+    clipped, norm = nets.clip_grad_norm(grads, 1.0)
+    assert norm == np.sqrt(3 * 2 * 16 + 2 * 9)
+    assert all(c is g for c, g in zip(clipped, given, strict=True))
+    assert all(np.array_equal(c, e) for c, e in zip(clipped, expected, strict=True))

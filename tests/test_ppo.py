@@ -1,5 +1,9 @@
 """GAE against a brute-force oracle, exact gradients, PPO behaviour."""
 
+import copy
+import tracemalloc
+import warnings
+
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
@@ -7,11 +11,14 @@ import pytest
 from hypothesis import given, settings
 
 from vsloco import networks as nets
+from vsloco.actuation import action_dim
+from vsloco.checkpoint import obs_scale_vector, priv_scale_vector
 from vsloco.env import VecLocomotionEnv
 from vsloco.ppo import (
     PPOAgent,
     RolloutBuffer,
     TrainConfig,
+    UpdateStats,
     allocate_buffer,
     compute_gae,
     normalize_advantages,
@@ -328,3 +335,197 @@ def test_update_aborts_on_non_finite_loss():
     buf.rewards[0, 0] = np.nan
     with pytest.raises((RuntimeError, ValueError)):
         agent.update(buf, rng)
+
+
+def _reference_forward(mlp, x):
+    """The MLP forward pass as first written: a fresh array per operation."""
+    acts = [x]
+    h = x
+    last = len(mlp.W) - 1
+    for k, (W, b) in enumerate(zip(mlp.W, mlp.b)):
+        h = h @ W.T + b
+        if k < last:
+            h = np.tanh(h)
+        acts.append(h)
+    return h, acts
+
+
+def _reference_backward(mlp, acts, g):
+    gW = [None] * len(mlp.W)
+    gb = [None] * len(mlp.b)
+    for k in range(len(mlp.W) - 1, -1, -1):
+        gW[k] = g.T @ acts[k]
+        gb[k] = g.sum(axis=0)
+        if k > 0:
+            g = g @ mlp.W[k]
+            g = g * (1.0 - acts[k] ** 2)
+    return gW + gb
+
+
+def reference_update(agent, buffer, rng):
+    """Oracle: the PPO update as first written, out of place. Scaled float32
+    copies of the whole rollout, both nets' caches alive at once, tanh' as
+    g * (1 - a**2) and the clip as new arrays."""
+    cfg = agent.cfg
+    actor, critic = agent.bundle.actor, agent.bundle.critic
+    advantages, returns = compute_gae(buffer, cfg.gamma, cfg.lam)
+    advantages = normalize_advantages(advantages)
+    B = buffer.horizon * buffer.n_envs
+    obs = (buffer.obs.reshape(B, -1) * agent.bundle.obs_scale).astype(F32)
+    priv = (buffer.priv.reshape(B, -1) * agent.bundle.priv_scale).astype(F32)
+    actions = buffer.actions.reshape(B, -1)
+    logp_old = buffer.log_probs.reshape(B)
+    adv = advantages.reshape(B).astype(F32)
+    ret = returns.reshape(B).astype(F32)
+    totals = np.zeros(6)
+    count = 0
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(B)
+        for mb in np.array_split(perm, cfg.minibatches):
+            m = mb.size
+            mean, acts_a = _reference_forward(actor.mlp, obs[mb])
+            logp, z = actor.log_prob_of(mean, actions[mb])
+            std = np.exp(actor.log_std)
+            entropy = float(actor.log_std.sum() + 0.5 * actor.log_std.size * (nets.LOG_2PI + 1.0))
+            ratio = np.exp(logp - logp_old[mb])
+            surr1 = ratio * adv[mb]
+            surr2 = np.clip(ratio, 1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio) * adv[mb]
+            policy_loss = -np.minimum(surr1, surr2).mean()
+            v_out, acts_c = _reference_forward(critic.mlp, priv[mb])
+            v_err = v_out[:, 0] - ret[mb]
+            value_loss = float(np.mean(v_err.astype(np.float64) ** 2))
+            picked = surr1 <= surr2
+            dlogp = (-(adv[mb] * ratio * picked) / m).astype(F32)
+            dmean = dlogp[:, None] * (z / std)
+            dlogstd = (dlogp[:, None] * (z**2 - 1.0)).sum(axis=0) - cfg.entropy_coef
+            actor_grads = _reference_backward(actor.mlp, acts_a, dmean) + [dlogstd.astype(F32)]
+            dv = (2.0 * cfg.value_coef * v_err / m).astype(F32)
+            critic_grads = _reference_backward(critic.mlp, acts_c, dv[:, None])
+            grads = actor_grads + critic_grads
+            norm = np.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2)) for g in grads))
+            if norm > cfg.max_grad_norm and norm > 0:
+                scale = F32(cfg.max_grad_norm / norm)
+                grads = [g * scale for g in grads]
+            agent.optimizer.step(agent.params, grads)
+            np.maximum(actor.log_std, np.log(cfg.min_std), out=actor.log_std, dtype=F32,
+                       casting="unsafe")
+            totals += (policy_loss, value_loss, entropy, float(np.mean(logp_old[mb] - logp)),
+                       float(np.mean(np.abs(ratio - 1.0) > cfg.clip_ratio)), norm)
+            count += 1
+    return UpdateStats(*(totals / count))
+
+
+def grouping_rollout(cfg, grouping="HJLS", seed=0):
+    """An agent of the grouping's real input and action widths and an
+    on-policy buffer of random inputs, with terminations and truncations."""
+    rng = np.random.default_rng(seed)
+    obs_dim, priv_dim = len(obs_scale_vector(grouping)), len(priv_scale_vector(grouping))
+    agent = PPOAgent(grouping, obs_dim, priv_dim, action_dim(grouping), cfg, rng)
+    T, n = cfg.steps_per_rollout, cfg.n_envs
+    buf = allocate_buffer(T, n, obs_dim, priv_dim, action_dim(grouping))
+    buf.obs[:] = rng.normal(0, 1, buf.obs.shape)
+    buf.priv[:] = rng.normal(0, 1, buf.priv.shape)
+    for t in range(T):
+        buf.actions[t], buf.log_probs[t] = agent.bundle.act_sampled(buf.obs[t], rng)
+        buf.values[t] = agent.bundle.value(buf.priv[t])
+    buf.values[T] = agent.bundle.value(buf.priv[-1])
+    buf.rewards[:] = rng.normal(0, 1, buf.rewards.shape)
+    buf.terminations[:] = rng.random((T, n)) < 0.05
+    buf.truncations[:] = (rng.random((T, n)) < 0.05) & ~buf.terminations
+    buf.truncation_values[:] = rng.normal(0, 1, (T, n)) * buf.truncations
+    return agent, buf, rng
+
+
+def agent_state(agent):
+    opt = agent.optimizer
+    return [p.copy() for p in agent.params + opt.m + opt.v], opt.t
+
+
+def assert_same_state(a, b):
+    (arrays_a, t_a), (arrays_b, t_b) = a, b
+    assert t_a == t_b
+    assert all(np.array_equal(x, y) for x, y in zip(arrays_a, arrays_b, strict=True))
+
+
+@pytest.mark.parametrize("below_floor", [False, True])
+def test_update_is_bit_identical_to_the_out_of_place_oracle(below_floor):
+    cfg = TrainConfig(n_envs=32, steps_per_rollout=8, hidden=[64, 32], learning_rate=3e-3)
+    agent, buf, rng = grouping_rollout(cfg)
+    floor = F32(np.log(cfg.min_std))
+    if below_floor:  # the log-stddev floor clamps every other entry
+        agent.bundle.actor.log_std[::2] = floor - 1.0
+    ref_agent, ref_rng = copy.deepcopy(agent), copy.deepcopy(rng)
+    for _ in range(2):
+        stats = agent.update(buf, rng)
+        ref_stats = reference_update(ref_agent, buf, ref_rng)
+        assert stats == ref_stats
+        assert_same_state(agent_state(agent), agent_state(ref_agent))
+    assert stats.grad_norm > cfg.max_grad_norm  # the clip ran
+    # Adam moves a log-stddev by about the learning rate per step, so entries
+    # started 1 below the floor reach it only through the clamp
+    assert np.all(agent.bundle.actor.log_std >= floor)
+    assert stats.clip_fraction > 0.0
+    assert np.array_equal(rng.random(4), ref_rng.random(4))
+
+
+def test_update_without_std_floor_neither_warns_nor_clamps():
+    cfg = TrainConfig(n_envs=32, steps_per_rollout=4, hidden=[16], min_std=0.0)
+    agent, buf, rng = grouping_rollout(cfg)
+    agent.bundle.actor.log_std[:] = np.log(0.01)  # below the default floor
+    # a floor that never binds: the same update, unclamped
+    twin = copy.deepcopy(agent)
+    twin.cfg = TrainConfig(n_envs=32, steps_per_rollout=4, hidden=[16], min_std=1e-30)
+    twin_rng = copy.deepcopy(rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        agent.update(buf, rng)
+    twin.update(buf, twin_rng)
+    assert np.all(agent.bundle.actor.log_std < np.log(TrainConfig().min_std))
+    assert_same_state(agent_state(agent), agent_state(twin))
+
+
+def test_update_peak_memory_is_one_nets_minibatch():
+    cfg = TrainConfig(n_envs=64, steps_per_rollout=8, hidden=[64, 32])
+    agent, buf, rng = grouping_rollout(cfg)
+    agent.update(buf, rng)  # first-call allocations out of the way
+    B = cfg.n_envs * cfg.steps_per_rollout
+    m = -(-B // cfg.minibatches)
+    f32 = np.dtype(F32).itemsize
+    nets_sizes = [agent.bundle.actor.mlp.sizes, agent.bundle.critic.mlp.sizes]
+    activations = max(m * sum(sizes) * f32 for sizes in nets_sizes)
+    backward_grads = 2 * m * max(cfg.hidden) * f32  # g before and after one layer
+    params = sum(p.nbytes for p in agent.params)  # gradients, Adam's temporaries
+    per_row = 8 * B * np.dtype(np.float64).itemsize  # advantages, returns, permutation
+    bound = activations + backward_grads + 3 * params + per_row
+    tracemalloc.start()
+    try:
+        agent.update(buf, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak, bound)
+
+
+@pytest.mark.parametrize("field, term", [("obs", "policy"), ("priv", "value")])
+@pytest.mark.parametrize("minibatch", [0, 2])
+def test_update_raises_on_non_finite_loss_before_any_step(field, term, minibatch):
+    cfg = TrainConfig(n_envs=16, steps_per_rollout=4, hidden=[16])
+    agent, buf, rng = grouping_rollout(cfg)
+    B = cfg.n_envs * cfg.steps_per_rollout
+    perm = copy.deepcopy(rng).permutation(B)  # the update's first-epoch order
+    row = np.array_split(perm, cfg.minibatches)[minibatch][0]
+    getattr(buf, field).reshape(B, -1)[row, 3] = np.nan
+    stepped = [agent_state(agent)]
+    step = agent.optimizer.step
+
+    def recorded_step(params, grads):
+        step(params, grads)
+        stepped.append(agent_state(agent))
+
+    agent.optimizer.step = recorded_step
+    with pytest.raises(RuntimeError, match=f"non-finite {term} loss in epoch 0 minibatch {minibatch}"):
+        agent.update(buf, rng)
+    assert len(stepped) == minibatch + 1
+    assert agent.optimizer.t == minibatch
+    # the failing minibatch moved no parameter and no moment
+    assert_same_state(agent_state(agent), stepped[-1])
