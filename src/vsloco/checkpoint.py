@@ -15,14 +15,16 @@ import tempfile
 import numpy as np
 
 from . import networks as nets
-from .actuation import action_dim, validate_grouping
+from .actuation import validate_grouping
 
 MAGIC = b"VSLC"
 FORMAT_VERSION = 1
 
 
 class PolicyBundle:
-    """Actor/critic pair plus the fixed input scaling used in training."""
+    """Actor/critic pair plus the fixed input scaling used in training. Inputs
+    are rounded to float32 before they are scaled, as the rollout buffer stores
+    them, so the rollout's log-probs are the PPO update's bit for bit."""
 
     def __init__(self, grouping, actor, critic, obs_scale, priv_scale, config=None):
         self.grouping = validate_grouping(grouping)
@@ -33,43 +35,14 @@ class PolicyBundle:
         self.config = config or {}
 
     def act_deterministic(self, obs):
-        return np.clip(self.actor.mean_action(np.asarray(obs) * self.obs_scale), -1.0, 1.0)
+        obs = np.asarray(obs, dtype=np.float32) * self.obs_scale
+        return np.clip(self.actor.mean_action(obs), -1.0, 1.0)
 
     def act_sampled(self, obs, rng):
-        action, logp = self.actor.sample(np.asarray(obs) * self.obs_scale, rng)
-        return action, logp
+        return self.actor.sample(np.asarray(obs, dtype=np.float32) * self.obs_scale, rng)
 
     def value(self, priv):
-        return self.critic.value(np.asarray(priv) * self.priv_scale)
-
-
-def obs_scale_vector(grouping):
-    """Per-channel actor input scaling (conditioning only, not part of the
-    observation contract)."""
-    adim = action_dim(grouping)
-    return np.concatenate(
-        [
-            [2.0, 2.0, 0.25],  # command
-            np.full(3, 2.0),  # linear velocity
-            np.full(3, 0.25),  # angular velocity
-            np.ones(3),  # projected gravity
-            np.full(12, 0.05),  # joint velocities
-            np.ones(12),  # joint positions
-            np.ones(adim),  # previous action
-        ]
-    ).astype(np.float32)
-
-
-def priv_scale_vector(grouping):
-    return np.concatenate(
-        [
-            np.ones(36),  # kp/kd/motor scales
-            [1.0],  # friction
-            np.full(5, 0.25),  # mass deltas
-            np.full(3, 0.01),  # push force
-            obs_scale_vector(grouping),
-        ]
-    ).astype(np.float32)
+        return self.critic.value(np.asarray(priv, dtype=np.float32) * self.priv_scale)
 
 
 def _collect_arrays(bundle: PolicyBundle):

@@ -2,13 +2,14 @@
 
 A vectorized environment steps N independent robots: PD/impedance torques at
 500 Hz (10 substeps), policy actions at 50 Hz, per-episode domain
-randomization, scheduled pushes, the 18-term reward stack, and the
-asymmetric actor/critic observation pair. Every random number is a pure
-function of (seed, env index, the env's draw counter, slot) from the
-counter-based generator ``randomization.uniform``: each draw site (reset,
-command refresh, observation noise) is one vectorised call over the envs it
-serves and advances only their counters, so env i's episode, commands,
-pushes and noise are the same in any batch that starts from the same seed.
+randomization, scheduled pushes, the 18-term reward stack, and the asymmetric
+actor/critic observation pair, laid out once in ``OBS_BLOCKS`` and
+``PRIV_BLOCKS``. Every random number is a pure function of (seed, env index,
+the env's draw counter, slot) from the counter-based generator
+``randomization.uniform``: each draw site (reset, command refresh, observation
+noise) is one vectorised call over the envs it serves and advances only their
+counters, so env i's episode, commands, pushes and noise are the same in any
+batch that starts from the same seed.
 """
 
 import math
@@ -41,6 +42,40 @@ MASS_DELTA_BODIES = (TRUNK_BODY,) + HIP_BODY_INDICES
 # the longest physics substep (s) a config may ask for: at 0.1 s substeps
 # every env ended on joint_limit or orientation within 3 control steps
 MAX_DT_PHYSICS = 0.01
+
+# The actor observation, block by block: (name, width, input scale). A block
+# whose name with a "noise_" prefix is a randomization.NOISE_ROWS row gets that
+# row's noise. The previous action, as wide as the grouping's action, closes it.
+OBS_BLOCKS = (
+    ("command", 3, (2.0, 2.0, 0.25)),  # vx, vy, yaw rate
+    ("lin_vel", 3, 2.0),  # base frame
+    ("ang_vel", 3, 0.25),  # base frame
+    ("gravity", 3, 1.0),  # world -z in the base frame
+    ("joint_vel", 12, 0.05),
+    ("joint_pos", 12, 1.0),  # from the default pose
+)
+# The critic's context, block by block; the noiseless actor observation follows.
+PRIV_BLOCKS = (
+    ("kp_scale", 12, 1.0),
+    ("kd_scale", 12, 1.0),
+    ("motor_strength", 12, 1.0),
+    ("friction", 1, 1.0),
+    ("mass_deltas", len(MASS_DELTA_BODIES), 0.25),
+    ("push_force", 3, 0.01),
+)
+
+
+def observation_layouts(grouping):
+    """The actor and critic layouts of a grouping, (name, width, scale) blocks."""
+    obs = OBS_BLOCKS + (("prev_action", act.action_dim(grouping), 1.0),)
+    return obs, PRIV_BLOCKS + obs
+
+
+def input_scales(grouping):
+    """The float32 per-channel input scales (net conditioning) of the actor and the critic."""
+    return tuple(np.concatenate([np.full(width, scale, dtype=np.float32)
+                                 for _, width, scale in layout])
+                 for layout in observation_layouts(grouping))
 
 
 @dataclass
@@ -234,6 +269,8 @@ class VecLocomotionEnv:
     Construction resets every env, with domain randomization on or off as
     `randomization_on` says, but does not observe: the first observations come
     from `observe()` and `observe_privileged()`, or from `reset_all()`.
+    A finished env always resets inside the `step` that ends it, which returns
+    its first observations; `info["final_privileged"]` holds its last.
     """
 
     def __init__(
@@ -250,8 +287,8 @@ class VecLocomotionEnv:
         self.cfg = config or EnvConfig()
         self.tree = tree or build_quadruped()
         self.action_dim = act.action_dim(grouping)
-        self.obs_dim = 36 + self.action_dim
-        self.priv_dim = 45 + self.obs_dim
+        self.obs_layout = observation_layouts(grouping)[0]
+        self.obs_dim, self.priv_dim = map(len, input_scales(grouping))
         self.q_default = self.tree.default_pose
         self.q_limits = self.tree.position_limits
         # the tree's masses, gravity and friction, from which resets rebuild rows
@@ -261,7 +298,6 @@ class VecLocomotionEnv:
         self.env_ids = np.arange(self.n)
         self.draws = np.zeros(self.n, dtype=np.uint64)  # draws each env has made
         self.randomization_on = bool(randomization_on)
-        self.auto_reset = True
         self._alloc()
         self._reset_envs(self.env_ids)
 
@@ -437,8 +473,7 @@ class VecLocomotionEnv:
         }
         if np.any(done):
             info["final_privileged"] = self.observe_privileged()
-            if self.auto_reset:
-                self._reset_envs(np.flatnonzero(done))
+            self._reset_envs(np.flatnonzero(done))
         obs = self.observe()
         priv = self.observe_privileged()
         return obs, priv, reward, done, info
@@ -488,32 +523,25 @@ class VecLocomotionEnv:
         )
 
     def observe(self, noisy=True) -> np.ndarray:
-        """Actor observation: [cmd, v, w, g, qdot, q - q_default, a_prev]."""
+        """Actor observation, in the blocks of ``observation_layouts``."""
         v_base, w_base, g_proj = self._base_frame()
-        blocks = [v_base, w_base, g_proj, self.state.qdot, self.state.q - self.q_default]
+        blocks = {"command": self.command, "lin_vel": v_base, "ang_vel": w_base,
+                  "gravity": g_proj, "joint_vel": self.state.qdot,
+                  "joint_pos": self.state.q - self.q_default, "prev_action": self.prev_action}
         if noisy:
             noise = dr.sample_observation_noise(
                 self.cfg.randomization, self.key, self.env_ids, self._next_draw(self.env_ids),
                 enabled=self.randomization_on,
             )
-            rows = ("noise_lin_vel", "noise_ang_vel", "noise_gravity", "noise_joint_vel",
-                    "noise_joint_pos")
-            blocks = [block + noise[row] for block, row in zip(blocks, rows)]
-        return np.concatenate([self.command, *blocks, self.prev_action], axis=1)
+            for name in blocks:
+                if "noise_" + name in noise:
+                    blocks[name] = blocks[name] + noise["noise_" + name]
+        return np.concatenate([blocks[name] for name, _, _ in self.obs_layout], axis=1)
 
     def observe_privileged(self) -> np.ndarray:
-        """Critic input: randomization scales, friction, mass deltas, the
-        active push force, then the noiseless actor observation."""
-        return np.concatenate(
-            [
-                self.kp_scale,
-                self.kd_scale,
-                self.motor_strength,
-                self.params.friction[:, None],
-                self.mass_deltas,
-                self.active_push,
-                self.observe(noisy=False),
-            ],
-            axis=1,
-        )
-
+        """Critic input: the blocks of ``PRIV_BLOCKS``, then the noiseless observation."""
+        blocks = {"kp_scale": self.kp_scale, "kd_scale": self.kd_scale,
+                  "motor_strength": self.motor_strength, "friction": self.params.friction[:, None],
+                  "mass_deltas": self.mass_deltas, "push_force": self.active_push}
+        return np.concatenate([blocks[name] for name, _, _ in PRIV_BLOCKS]
+                              + [self.observe(noisy=False)], axis=1)

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import networks as nets
-from .checkpoint import PolicyBundle, obs_scale_vector, priv_scale_vector, save_checkpoint
-from .env import TERMINATION_REASONS, VecLocomotionEnv
+from .checkpoint import PolicyBundle, save_checkpoint
+from .env import TERMINATION_REASONS, VecLocomotionEnv, input_scales
 from .rewards import REWARD_TERMS
 
 F32 = np.float32
@@ -151,9 +151,7 @@ class PPOAgent:
             obs_dim, action_dim, config.hidden, rng, init_std=config.init_std
         )
         critic = nets.Critic(priv_dim, config.hidden, rng)
-        self.bundle = PolicyBundle(
-            grouping, actor, critic, obs_scale_vector(grouping), priv_scale_vector(grouping)
-        )
+        self.bundle = PolicyBundle(grouping, actor, critic, *input_scales(grouping))
         self.cfg = config
         self.params = actor.params + critic.params
         self.optimizer = nets.Adam(self.params, lr=config.learning_rate)

@@ -14,12 +14,11 @@ from vsloco.checkpoint import (
     PolicyBundle,
     _collect_arrays,
     load_checkpoint,
-    obs_scale_vector,
-    priv_scale_vector,
     read_header,
     save_checkpoint,
 )
-from vsloco.env import TERMINATION_REASONS, VecLocomotionEnv
+from vsloco.actuation import GROUPINGS, action_dim
+from vsloco.env import TERMINATION_REASONS, VecLocomotionEnv, input_scales
 from vsloco.networks import Critic, GaussianActor
 from vsloco.ppo import WALL_TIME_COLUMNS, TrainConfig, train
 from vsloco.rewards import DEFAULT_WEIGHTS
@@ -32,10 +31,7 @@ def make_bundle(grouping="PLS", seed=0):
     adim = obs_dim - 36
     actor = GaussianActor(obs_dim, adim, [32, 16], rng)
     critic = Critic(priv_dim, [32, 16], rng)
-    return PolicyBundle(
-        grouping, actor, critic, obs_scale_vector(grouping), priv_scale_vector(grouping),
-        config={"note": "test"},
-    )
+    return PolicyBundle(grouping, actor, critic, *input_scales(grouping), config={"note": "test"})
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -120,10 +116,48 @@ def test_checkpoint_rejects_truncated_header(tmp_path, rest):
             read(str(path))
 
 
+def obs_scale_vector(grouping):
+    """The actor's input scales, written out by hand: the oracle of the
+    scales that env.input_scales derives from the layout tables."""
+    adim = action_dim(grouping)
+    return np.concatenate(
+        [
+            [2.0, 2.0, 0.25],  # command
+            np.full(3, 2.0),  # linear velocity
+            np.full(3, 0.25),  # angular velocity
+            np.ones(3),  # projected gravity
+            np.full(12, 0.05),  # joint velocities
+            np.ones(12),  # joint positions
+            np.ones(adim),  # previous action
+        ]
+    ).astype(np.float32)
+
+
+def priv_scale_vector(grouping):
+    return np.concatenate(
+        [
+            np.ones(36),  # kp/kd/motor scales
+            [1.0],  # friction
+            np.full(5, 0.25),  # mass deltas
+            np.full(3, 0.01),  # push force
+            obs_scale_vector(grouping),
+        ]
+    ).astype(np.float32)
+
+
 def test_scale_vectors_match_dims():
-    assert obs_scale_vector("PLS").shape == (52,)
-    assert priv_scale_vector("PLS").shape == (97,)
-    assert obs_scale_vector("IJS").shape == (60,)
+    assert [scale.shape for scale in input_scales("PLS")] == [(52,), (97,)]
+    assert input_scales("IJS")[0].shape == (60,)
+
+
+@pytest.mark.parametrize("grouping", GROUPINGS)
+def test_input_scales_match_the_hand_written_vectors(grouping):
+    env = VecLocomotionEnv(grouping, n_envs=1, randomization_on=False)
+    obs_scale, priv_scale = input_scales(grouping)
+    for derived, oracle, dim in ((obs_scale, obs_scale_vector(grouping), env.obs_dim),
+                                 (priv_scale, priv_scale_vector(grouping), env.priv_dim)):
+        assert derived.dtype == np.float32 and derived.shape == (dim,)
+        assert derived.tobytes() == oracle.tobytes()
 
 
 def test_train_micro_run(tmp_path):

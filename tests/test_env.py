@@ -11,6 +11,7 @@ from vsloco import randomization as dr
 from vsloco.actuation import action_dim
 from vsloco.env import (
     HIP_BODY_INDICES,
+    OBS_BLOCKS,
     REASON_CODE,
     TRUNK_BODY,
     EnvConfig,
@@ -69,6 +70,26 @@ def test_privileged_layout_identity_context(quiet_env):
     assert np.allclose(priv[45:], quiet_env.observe(noisy=False)[0])
 
 
+def test_layout_offsets_of_a_randomized_pushed_env():
+    # every block at its offset, with randomization on, a push active and a
+    # nonzero previous action, so that no two blocks hold the same values
+    env = VecLocomotionEnv("PLS", n_envs=2, seed=9)
+    env.set_push_schedule([0.0, 0.0], [1.0, 1.0], [[30.0, -20.0, 0.0], [0.0, 45.0, 0.0]])
+    env.step(np.random.default_rng(2).uniform(-1, 1, (2, env.action_dim)))
+    obs, priv = env.observe(noisy=False), env.observe_privileged()
+    s = env.state
+    expected_obs = {(0, 3): env.command, (12, 24): s.qdot, (24, 36): s.q - env.q_default,
+                    (36, 52): env.prev_action}
+    for (a, b), block in expected_obs.items():
+        assert np.array_equal(obs[:, a:b], block), (a, b)
+    expected_priv = {(0, 12): env.kp_scale, (12, 24): env.kd_scale,
+                     (24, 36): env.motor_strength, (36, 37): env.params.friction[:, None],
+                     (37, 42): env.mass_deltas, (42, 45): env.active_push, (45, 97): obs}
+    for (a, b), block in expected_priv.items():
+        assert np.array_equal(priv[:, a:b], block), (a, b)
+    assert np.all(np.any(env.active_push != 0.0, axis=1))  # both pushes active
+
+
 def test_observation_noise_support():
     env = VecLocomotionEnv("PLS", n_envs=1, seed=3, config=quiet_config())
     env.reset_all(randomization_on=True)
@@ -87,6 +108,12 @@ def test_observation_noise_support():
         assert np.max(np.abs(block)) > 0.8 * bound, name
     assert np.allclose(deltas[:, :3], 0.0)  # command channel noiseless
     assert np.allclose(deltas[:, 36:], 0.0)  # previous action noiseless
+
+
+def test_every_noise_row_pairs_with_an_observation_block_of_its_width():
+    widths = {name: width for name, width, _ in OBS_BLOCKS}
+    for row, width in dr.NOISE_ROWS.items():
+        assert widths[row[len("noise_"):]] == width, row
 
 
 def test_same_seed_same_context():
@@ -273,7 +300,7 @@ def test_joint_limit_clamp_precedes_the_step_kinematics():
     # clamped pose, not of the pose the last substep reached
     env = VecLocomotionEnv("PLS", n_envs=1, seed=1, config=quiet_config())
     env.reset_all(randomization_on=False)
-    env.auto_reset = False
+    env._reset_envs = lambda idx: None  # keep the terminal state for the checks below
     env.state.base_pos[0, 2] = 1.0  # in the air, so no foot contact damps the knee
     env.state.qdot[0, 2] = 300.0  # FR knee, towards its upper limit
     _, _, _, done, info = env.step(np.zeros((1, env.action_dim)))
@@ -311,7 +338,6 @@ def _airborne_knee_step(tree):
     above its target: the env and the outputs of ``_physics`` it rewards."""
     env = VecLocomotionEnv("PLS", n_envs=1, seed=1, tree=tree, config=quiet_config())
     env.reset_all(randomization_on=False)
-    env.auto_reset = False
     env.state.base_pos[0, 2] = 1.0
     env.state.qdot[0, 2] = 5.0
     outs, rewards = [], env._rewards
@@ -395,7 +421,6 @@ def test_truncation_at_episode_end():
         config=quiet_config(episode_length_s=0.1),  # 5 control steps
     )
     env.reset_all(randomization_on=False)
-    env.auto_reset = False
     done = False
     steps = 0
     while not done and steps < 10:

@@ -12,8 +12,7 @@ from hypothesis import given, settings
 
 from vsloco import networks as nets
 from vsloco.actuation import action_dim
-from vsloco.checkpoint import obs_scale_vector, priv_scale_vector
-from vsloco.env import VecLocomotionEnv
+from vsloco.env import VecLocomotionEnv, input_scales
 from vsloco.ppo import (
     PPOAgent,
     RolloutBuffer,
@@ -302,6 +301,27 @@ def test_ratio_identity_at_unchanged_params():
     assert np.all(np.abs(ratio - 1.0) < 1e-12)
 
 
+def test_rollout_log_probs_are_the_updates(monkeypatch, tmp_path):
+    # the rollout's log-probs of real (float64) env observations equal, bit
+    # for bit, those the update computes from the buffer's float32 rows, so
+    # the PPO ratio at unchanged parameters is exactly 1
+    checked = []
+    update = PPOAgent.update
+
+    def checking_update(agent, buffer, rng):
+        B = buffer.horizon * buffer.n_envs
+        obs = buffer.obs.reshape(B, -1) * agent.bundle.obs_scale
+        logp, _, _ = agent.bundle.actor.evaluate(obs, buffer.actions.reshape(B, -1))
+        checked.append(logp.tobytes() == buffer.log_probs.reshape(B).tobytes())
+        return update(agent, buffer, rng)
+
+    monkeypatch.setattr(PPOAgent, "update", checking_update)
+    cfg = TrainConfig(n_envs=64, n_iterations=1, steps_per_rollout=4, hidden=[64, 32],
+                      checkpoint_every=0)
+    train("HJLS", cfg, str(tmp_path))
+    assert checked == [True]
+
+
 def test_zero_advantage_keeps_policy_mean():
     cfg = TrainConfig(n_envs=64, n_iterations=1, hidden=[16, 16], entropy_coef=1e-8,
                       learning_rate=1e-3)
@@ -419,7 +439,7 @@ def grouping_rollout(cfg, grouping="HJLS", seed=0):
     """An agent of the grouping's real input and action widths and an
     on-policy buffer of random inputs, with terminations and truncations."""
     rng = np.random.default_rng(seed)
-    obs_dim, priv_dim = len(obs_scale_vector(grouping)), len(priv_scale_vector(grouping))
+    obs_dim, priv_dim = (len(scale) for scale in input_scales(grouping))
     agent = PPOAgent(grouping, obs_dim, priv_dim, action_dim(grouping), cfg, rng)
     T, n = cfg.steps_per_rollout, cfg.n_envs
     buf = allocate_buffer(T, n, obs_dim, priv_dim, action_dim(grouping))
