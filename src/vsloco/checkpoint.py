@@ -126,8 +126,12 @@ def load_checkpoint(path) -> PolicyBundle:
         data = fh.read()
     arrays = {}
     for entry in header["arrays"]:
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        arr = np.frombuffer(data, dtype=entry["dtype"], count=count, offset=entry["offset"])
+        count, offset = int(np.prod(entry["shape"])), entry["offset"]
+        end = offset + count * np.dtype(entry["dtype"]).itemsize
+        if not 0 <= offset <= end <= len(data):
+            raise ValueError(f"{path}: array {entry['name']} spans bytes {offset} to {end} after "
+                             f"the header, but {len(data)} follow it")
+        arr = np.frombuffer(data, dtype=entry["dtype"], count=count, offset=offset)
         arrays[entry["name"]] = arr.reshape(entry["shape"]).astype(np.float32)
 
     def layers(net, sizes):  # the stored weights and biases of a net, layer by layer

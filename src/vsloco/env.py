@@ -25,6 +25,7 @@ from . import shards
 from .model import KinematicTree, build_quadruped
 from .rewards import (
     HIP_JOINT_INDICES,
+    REWARD_TERMS,
     RewardInputs,
     RewardParams,
     RewardWeights,
@@ -477,6 +478,24 @@ class VecLocomotionEnv:
         obs = self.observe()
         priv = self.observe_privileged()
         return obs, priv, reward, done, info
+
+    def step_metrics(self, info):
+        """The training log's columns of the step that returned info, as
+        {column: (numerator, denominator)} to sum over a rollout: mean kp by joint
+        group, mean weighted reward terms, terminations per env-step in all and by
+        reason, and the shares of feet in contact and with a saturated friction
+        cone in the states the step returned (a reset env's first)."""
+        kp, weighted, n = info["kp"], info["breakdown"].weighted, self.n
+        ends = np.bincount(info["reasons"], minlength=len(TERMINATION_REASONS))[1:]
+        contact, saturated = self.state.contact_flags, self.state.cone_saturated
+        return {**{f"mean_kp_{joint}": (kp[:, k::3].mean(), 1)
+                   for k, joint in enumerate(("hip", "thigh", "knee"))},
+                **{f"rew_{term}": (weighted[term].mean(), 1) for term in REWARD_TERMS},
+                "terminations_per_env_step": (ends.sum(), n),
+                **{f"term_{reason}_per_env_step": (count, n)
+                   for reason, count in zip(TERMINATION_REASONS[1:], ends)},
+                "contact_frac": (contact.sum(), contact.size),
+                "cone_saturated_frac": (saturated.sum(), contact.size)}
 
     # ------------------------------------------------------------------
     # rewards and observations

@@ -1,9 +1,17 @@
-"""PPO with GAE over the vectorized locomotion task.
+"""PPO with GAE over a vectorized task behind a small env interface.
 
 Asymmetric actor-critic: the actor consumes the noisy deployable
 observation, the critic the privileged simulator state; the critic is
 dropped at inference. All math is seeded numpy, so two runs with the same
 config produce bit-identical metrics but for the wall-time columns.
+
+``rollout`` sees an env of n tasks through ``observe()``,
+``observe_privileged()`` and ``step(actions) -> (obs, priv, reward, done,
+info)``; a done env resets inside that step. info holds the (n,) bool arrays
+``terminated`` and ``truncated``, the done envs' ``episode_return`` and
+``episode_length`` and, if some env truncated, the critic inputs of the states
+they ended in, ``final_privileged``. ``train_loop`` also logs the columns of
+one env hook, ``step_metrics(info)``; ``train`` runs it on ``VecLocomotionEnv``.
 
 The update holds one net's activations for one minibatch at a time, so its
 memory peak grows with the minibatch rows (n_envs * steps_per_rollout /
@@ -17,14 +25,13 @@ import numbers
 import os
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from . import networks as nets
 from .checkpoint import PolicyBundle, save_checkpoint
-from .env import TERMINATION_REASONS, VecLocomotionEnv, input_scales
-from .rewards import REWARD_TERMS
+from .env import VecLocomotionEnv, input_scales
 
 F32 = np.float32
 
@@ -51,19 +58,27 @@ class TrainConfig:
     randomization_on: bool = True
 
     def __post_init__(self):
+        for name in ("n_envs", "n_iterations", "steps_per_rollout", "epochs", "minibatches",
+                     "checkpoint_every", "seed"):  # a float fails in train, a numpy int in JSON
+            value, least = getattr(self, name), 0 if name in ("checkpoint_every", "seed") else 1
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            setattr(self, name, int(value))
         if not (0.0 < self.gamma <= 1.0 and 0.0 < self.lam <= 1.0):
             raise ValueError("gamma and lam must lie in (0, 1]")
         if not 0.0 < self.clip_ratio < 1.0:
             raise ValueError("clip_ratio must lie in (0, 1)")
-        for name in ("n_envs", "n_iterations", "steps_per_rollout", "learning_rate",
-                     "epochs", "minibatches", "entropy_coef", "value_coef", "max_grad_norm",
-                     "init_std"):
+        for name in ("learning_rate", "entropy_coef", "value_coef", "max_grad_norm", "init_std"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if not self.min_std >= 0.0:
             raise ValueError("min_std must not be negative")
         if not all(isinstance(h, numbers.Integral) and h > 0 for h in self.hidden):
             raise ValueError(f"hidden sizes must be positive integers, got {self.hidden!r}")
+        self.hidden = [int(h) for h in self.hidden]
+        if self.minibatches > self.n_envs * self.steps_per_rollout:  # else one is empty
+            raise ValueError(f"minibatches must be at most n_envs * steps_per_rollout = "
+                             f"{self.n_envs * self.steps_per_rollout}, got {self.minibatches}")
 
 
 @dataclass
@@ -113,14 +128,9 @@ def compute_gae(buffer: RolloutBuffer, gamma: float, lam: float):
     gae = np.zeros(n)
     for t in range(T - 1, -1, -1):
         done = buffer.terminations[t] | buffer.truncations[t]
-        next_value = np.where(
-            buffer.truncations[t], buffer.truncation_values[t], buffer.values[t + 1]
-        )
-        delta = (
-            buffer.rewards[t]
-            + gamma * next_value * ~buffer.terminations[t]
-            - buffer.values[t]
-        )
+        next_value = np.where(buffer.truncations[t], buffer.truncation_values[t],
+                              buffer.values[t + 1])
+        delta = buffer.rewards[t] + gamma * next_value * ~buffer.terminations[t] - buffer.values[t]
         gae = delta + gamma * lam * ~done * gae
         advantages[t] = gae
     returns = advantages + buffer.values[:T]
@@ -144,14 +154,15 @@ class UpdateStats:
 
 
 class PPOAgent:
-    """Policy bundle plus one Adam over every parameter."""
+    """Policy bundle plus one Adam over every parameter. The nets' input widths
+    are those of their per-channel input scales, obs_scale and priv_scale."""
 
-    def __init__(self, grouping, obs_dim, priv_dim, action_dim, config: TrainConfig, rng):
+    def __init__(self, grouping, obs_scale, priv_scale, action_dim, config: TrainConfig, rng):
         actor = nets.GaussianActor(
-            obs_dim, action_dim, config.hidden, rng, init_std=config.init_std
+            len(obs_scale), action_dim, config.hidden, rng, init_std=config.init_std
         )
-        critic = nets.Critic(priv_dim, config.hidden, rng)
-        self.bundle = PolicyBundle(grouping, actor, critic, *input_scales(grouping))
+        critic = nets.Critic(len(priv_scale), config.hidden, rng)
+        self.bundle = PolicyBundle(grouping, actor, critic, obs_scale, priv_scale)
         self.cfg = config
         self.params = actor.params + critic.params
         self.optimizer = nets.Adam(self.params, lr=config.learning_rate)
@@ -161,25 +172,17 @@ class PPOAgent:
         advantages, returns = compute_gae(buffer, cfg.gamma, cfg.lam)
         advantages = normalize_advantages(advantages)
         B = buffer.horizon * buffer.n_envs
-        rows = (
-            buffer.obs.reshape(B, -1),
-            buffer.priv.reshape(B, -1),
-            buffer.actions.reshape(B, -1),
-            buffer.log_probs.reshape(B),
-            advantages.reshape(B).astype(F32),
-            returns.reshape(B).astype(F32),
-        )
+        rows = (buffer.obs.reshape(B, -1), buffer.priv.reshape(B, -1),
+                buffer.actions.reshape(B, -1), buffer.log_probs.reshape(B),
+                advantages.reshape(B).astype(F32), returns.reshape(B).astype(F32))
         # min_std = 0 turns the floor off; log(0) would warn
         log_std_floor = np.log(cfg.min_std) if cfg.min_std > 0 else -np.inf
         totals = np.zeros(6)
-        count = 0
         for epoch in range(cfg.epochs):
             perm = rng.permutation(B)
             for k, mb in enumerate(np.array_split(perm, cfg.minibatches)):
                 totals += self._minibatch_step(rows, mb, log_std_floor, epoch, k)
-                count += 1
-        stats = totals / count
-        return UpdateStats(*stats)
+        return UpdateStats(*(totals / (cfg.epochs * cfg.minibatches)))
 
     def _minibatch_step(self, rows, mb, log_std_floor, epoch, k):
         """One Adam step on the buffer rows mb; returns the UpdateStats terms.
@@ -210,17 +213,9 @@ class PPOAgent:
         grads += critic.backward(acts, (2.0 * cfg.value_coef * v_err / m).astype(F32))
         grads, norm = nets.clip_grad_norm(grads, cfg.max_grad_norm)
         self.optimizer.step(self.params, grads)
-        np.maximum(
-            actor.log_std, log_std_floor, out=actor.log_std, dtype=F32, casting="unsafe"
-        )
-        return (
-            policy_loss,
-            value_loss,
-            entropy,
-            float(np.mean(logp_old - logp)),
-            float(np.mean(np.abs(ratio - 1.0) > cfg.clip_ratio)),
-            norm,
-        )
+        np.maximum(actor.log_std, log_std_floor, out=actor.log_std, dtype=F32, casting="unsafe")
+        return (policy_loss, value_loss, entropy, float(np.mean(logp_old - logp)),
+                float(np.mean(np.abs(ratio - 1.0) > cfg.clip_ratio)), norm)
 
 
 def _require_finite(epoch, k, **terms):
@@ -233,113 +228,93 @@ def _require_finite(epoch, k, **terms):
         )
 
 
-def _float_cell(x):
-    return repr(float(x))
-
-
 WALL_TIME_COLUMNS = ("rollout_s", "update_s", "env_steps_per_s")
-METRIC_COLUMNS = (
-    ["iteration", "env_steps", "mean_episode_return", "mean_episode_length",
-     "policy_loss", "value_loss", "entropy", "approx_kl", "clip_fraction",
-     "grad_norm", "action_std", "mean_kp_hip", "mean_kp_thigh", "mean_kp_knee"]
-    + [f"rew_{t}" for t in REWARD_TERMS]
-    # terminated envs per env-step, in all and by reason; the reasons sum to the total
-    + ["terminations_per_env_step"]
-    + [f"term_{reason}_per_env_step" for reason in TERMINATION_REASONS[1:]]
-    # shares of the rollout's foot-steps in contact and with a saturated friction cone
-    + ["contact_frac", "cone_saturated_frac"]
-    # wall time of the rollout and of the update, the rollout's env-steps per second
-    + list(WALL_TIME_COLUMNS)
-)
+LEARNER_COLUMNS = ("iteration", "env_steps", "mean_episode_return", "mean_episode_length",
+                   *(f.name for f in fields(UpdateStats)), "action_std")
 
 
-def train(grouping, config: TrainConfig, out_dir):
-    """Full training loop; writes checkpoints and a metrics CSV to out_dir.
+def rollout(env, bundle, buffer, obs, priv, rng, on_step=None):
+    """Fill buffer with one rollout of bundle's sampled policy on env, from the
+    env's observations (obs, priv), and return the next ones. Calls
+    on_step(info) after each env step."""
+    for t in range(buffer.horizon):
+        action, logp = bundle.act_sampled(obs, rng)
+        buffer.values[t] = bundle.value(priv)
+        buffer.obs[t] = obs
+        buffer.priv[t] = priv
+        buffer.actions[t] = action
+        buffer.log_probs[t] = logp
+        obs, priv, reward, done, info = env.step(action)
+        buffer.rewards[t] = reward
+        buffer.terminations[t] = info["terminated"]
+        truncated = buffer.truncations[t] = info["truncated"]
+        buffer.truncation_values[t] = 0.0
+        if np.any(truncated):  # the critic's value of the states they ended in
+            final_v = bundle.value(info["final_privileged"])
+            buffer.truncation_values[t] = np.where(truncated, final_v, 0.0)
+        if on_step is not None:
+            on_step(info)
+    buffer.values[-1] = bundle.value(priv)
+    return obs, priv
 
-    Returns (bundle, metrics_path, checkpoint_path).
-    """
-    cfg = config
-    os.makedirs(out_dir, exist_ok=True)
-    env = VecLocomotionEnv(
-        grouping, n_envs=cfg.n_envs, seed=cfg.seed, randomization_on=cfg.randomization_on
-    )
-    obs, priv = env.observe(), env.observe_privileged()
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xA11CE)))
-    agent = PPOAgent(grouping, env.obs_dim, env.priv_dim, env.action_dim, cfg, rng)
-    bundle = agent.bundle
-    buffer = allocate_buffer(
-        cfg.steps_per_rollout, cfg.n_envs, env.obs_dim, env.priv_dim, env.action_dim
-    )
-    recent_returns = deque(maxlen=100)
-    recent_lengths = deque(maxlen=100)
+
+def train_loop(env, agent, buffer, obs, priv, rng, config: TrainConfig, out_dir):
+    """config.n_iterations PPO iterations of agent on env from its observations
+    (obs, priv), each a rollout into buffer and an update, with a metrics CSV
+    row each, a checkpoint every config.checkpoint_every (never at 0) and one
+    at the end. Returns (bundle, metrics_path, checkpoint_path)."""
+    cfg, bundle = config, agent.bundle
+    recent, sums = deque(maxlen=100), {}  # the last 100 episodes' (return, length)
+
+    def on_step(info):
+        done = info["terminated"] | info["truncated"]
+        recent.extend(zip(info["episode_return"][done], info["episode_length"][done]))
+        for column, pair in env.step_metrics(info).items():
+            sums[column] = sums.get(column, 0.0) + np.asarray(pair, dtype=float)
+
     metrics_path = os.path.join(out_dir, "metrics.csv")
-    ckpt_path = os.path.join(out_dir, f"policy_{grouping}.ckpt")
-    rollout_env_steps = cfg.n_envs * cfg.steps_per_rollout
+    ckpt_prefix = os.path.join(out_dir, f"policy_{bundle.grouping}")
+    rollout_env_steps = buffer.horizon * buffer.n_envs
     with open(metrics_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(METRIC_COLUMNS)
         for it in range(cfg.n_iterations):
-            kp_sum = np.zeros(3)
-            rew_sums = np.zeros(len(REWARD_TERMS))
-            reason_counts = np.zeros(len(TERMINATION_REASONS), dtype=int)
-            foot_counts = np.zeros(2, dtype=int)  # feet in contact, feet saturated
+            sums.clear()
             started = time.perf_counter()
-            for t in range(cfg.steps_per_rollout):
-                action, logp = bundle.act_sampled(obs, rng)
-                value = bundle.value(priv)
-                buffer.obs[t] = obs
-                buffer.priv[t] = priv
-                buffer.actions[t] = action
-                buffer.log_probs[t] = logp
-                buffer.values[t] = value
-                obs, priv, reward, done, info = env.step(action)
-                buffer.rewards[t] = reward
-                buffer.terminations[t] = info["terminated"]
-                buffer.truncations[t] = info["truncated"]
-                if np.any(info["truncated"]):
-                    final_v = bundle.value(info["final_privileged"])
-                    buffer.truncation_values[t] = np.where(info["truncated"], final_v, 0.0)
-                else:
-                    buffer.truncation_values[t] = 0.0
-                finished = np.isfinite(info["episode_return"])
-                for i in np.flatnonzero(finished):
-                    recent_returns.append(info["episode_return"][i])
-                    recent_lengths.append(info["episode_length"][i])
-                kp = info["kp"]
-                kp_sum += (kp[:, 0::3].mean(), kp[:, 1::3].mean(), kp[:, 2::3].mean())
-                weighted = info["breakdown"].weighted
-                rew_sums += [weighted[term].mean() for term in REWARD_TERMS]
-                reason_counts += np.bincount(info["reasons"], minlength=len(TERMINATION_REASONS))
-                foot_counts += (env.state.contact_flags.sum(), env.state.cone_saturated.sum())
-            buffer.values[-1] = bundle.value(priv)
+            obs, priv = rollout(env, bundle, buffer, obs, priv, rng, on_step)
             rollout_s = time.perf_counter() - started
             stats = agent.update(buffer, rng)
             update_s = time.perf_counter() - started - rollout_s
-            mean_ret = float(np.mean(recent_returns)) if recent_returns else 0.0
-            mean_len = float(np.mean(recent_lengths)) if recent_lengths else 0.0
-            row = (
-                [it, (it + 1) * rollout_env_steps,
-                 _float_cell(mean_ret), _float_cell(mean_len),
-                 _float_cell(stats.policy_loss), _float_cell(stats.value_loss),
-                 _float_cell(stats.entropy), _float_cell(stats.approx_kl),
-                 _float_cell(stats.clip_fraction), _float_cell(stats.grad_norm),
-                 _float_cell(np.exp(bundle.actor.log_std).mean())]
-                + [_float_cell(v / cfg.steps_per_rollout) for v in kp_sum]
-                + [_float_cell(v / cfg.steps_per_rollout) for v in rew_sums]
-                + [_float_cell(c / rollout_env_steps)
-                   for c in (reason_counts[1:].sum(), *reason_counts[1:])]
-                + [_float_cell(c / (rollout_env_steps * env.state.contact_flags.shape[1]))
-                   for c in foot_counts]
-                + [_float_cell(x) for x in (rollout_s, update_s, rollout_env_steps / rollout_s)]
-            )
-            writer.writerow(row)
-            if not all(np.isfinite(float(x)) for x in row[2:]):
+            returns, lengths = zip(*recent) if recent else ((0.0,), (0.0,))
+            if it == 0:
+                writer.writerow((*LEARNER_COLUMNS, *sums, *WALL_TIME_COLUMNS))
+            cells = ([np.mean(returns), np.mean(lengths), *astuple(stats),
+                      np.exp(bundle.actor.log_std).mean()]
+                     + [num / den for num, den in sums.values()]
+                     + [rollout_s, update_s, rollout_env_steps / rollout_s])
+            writer.writerow([it, (it + 1) * rollout_env_steps] + [repr(float(x)) for x in cells])
+            if not all(np.isfinite(cells)):
                 raise RuntimeError(f"non-finite metric at iteration {it}")
             if cfg.checkpoint_every and (it + 1) % cfg.checkpoint_every == 0:
-                save_checkpoint(
-                    os.path.join(out_dir, f"policy_{grouping}_it{it + 1:06d}.ckpt"),
-                    bundle,
-                    extra_config={"iteration": it + 1, "train": cfg.__dict__.copy()},
-                )
-    save_checkpoint(ckpt_path, bundle, extra_config={"train": cfg.__dict__.copy()})
-    return bundle, metrics_path, ckpt_path
+                save_checkpoint(f"{ckpt_prefix}_it{it + 1:06d}.ckpt", bundle,
+                                extra_config={"iteration": it + 1, "train": cfg.__dict__.copy()})
+    save_checkpoint(f"{ckpt_prefix}.ckpt", bundle, extra_config={"train": cfg.__dict__.copy()})
+    return bundle, metrics_path, f"{ckpt_prefix}.ckpt"
+
+
+def train(grouping, config: TrainConfig, out_dir):
+    """Train a grouping's policy on ``VecLocomotionEnv`` by ``train_loop`` and
+    return its result. Keeps the hook points of ``bench/run.py``: one call of
+    the module's ``allocate_buffer``, after the env, its first observations and
+    the agent exist and before the first ``env.step``; ``agent.update(buffer,
+    rng)`` once per iteration, right after its rollout; ``env.step`` called
+    through the class."""
+    cfg = config
+    os.makedirs(out_dir, exist_ok=True)
+    env = VecLocomotionEnv(grouping, n_envs=cfg.n_envs, seed=cfg.seed,
+                           randomization_on=cfg.randomization_on)
+    obs, priv = env.observe(), env.observe_privileged()
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xA11CE)))
+    agent = PPOAgent(grouping, *input_scales(grouping), env.action_dim, cfg, rng)
+    buffer = allocate_buffer(cfg.steps_per_rollout, cfg.n_envs, env.obs_dim, env.priv_dim,
+                             env.action_dim)
+    return train_loop(env, agent, buffer, obs, priv, rng, cfg, out_dir)

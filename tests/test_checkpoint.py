@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -114,6 +115,17 @@ def test_checkpoint_rejects_truncated_header(tmp_path, rest):
     for read in (read_header, load_checkpoint):
         with pytest.raises(ValueError, match="header"):
             read(str(path))
+
+
+def test_checkpoint_rejects_arrays_that_end_early(tmp_path):
+    # a file cut 10 bytes short has a whole header, but its last array,
+    # priv_scale, ends past the file
+    path = tmp_path / "cut.ckpt"
+    save_checkpoint(str(path), make_bundle())
+    path.write_bytes(path.read_bytes()[:-10])
+    assert read_header(str(path))["arrays"][-1]["name"] == "priv_scale"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: array priv_scale spans bytes")):
+        load_checkpoint(str(path))
 
 
 def obs_scale_vector(grouping):

@@ -1,4 +1,5 @@
-"""GAE against a brute-force oracle, exact gradients, PPO behaviour."""
+"""GAE against a brute-force oracle, exact gradients, PPO behaviour, and the
+learner on toy tasks through the library rollout."""
 
 import copy
 import tracemalloc
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from vsloco import networks as nets
+from vsloco import ppo
 from vsloco.actuation import action_dim
 from vsloco.env import VecLocomotionEnv, input_scales
 from vsloco.ppo import (
@@ -21,6 +23,7 @@ from vsloco.ppo import (
     allocate_buffer,
     compute_gae,
     normalize_advantages,
+    rollout,
     train,
 )
 
@@ -152,7 +155,21 @@ def test_config_validation():
         (name,) = bad
         with pytest.raises(ValueError, match=name):
             TrainConfig(**bad)
-    assert TrainConfig(min_std=0.0, hidden=[np.int64(8)]).hidden == [8]
+    # each would fail only inside train: a fractional count (a TypeError), an
+    # empty minibatch ("Mean of empty slice"), a negative seed, or a negative
+    # period that would checkpoint every iteration
+    for bad in ({"epochs": 1.5}, {"n_envs": 2.0}, {"n_iterations": 0}, {"steps_per_rollout": 0},
+                {"minibatches": 0}, {"minibatches": 2.0}, {"checkpoint_every": -1},
+                {"checkpoint_every": 1.0}, {"seed": -1}, {"seed": 0.5},
+                {"n_envs": 2, "steps_per_rollout": 4, "minibatches": 9}):
+        name = "minibatches" if "minibatches" in bad else next(iter(bad))
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**bad)
+    assert TrainConfig(n_envs=2, steps_per_rollout=4, minibatches=8).minibatches == 8
+    # numpy integers are stored as ints, which the checkpoint's JSON header takes
+    cfg = TrainConfig(min_std=0.0, hidden=[np.int64(8)], n_envs=np.int64(8), seed=np.uint8(3))
+    assert cfg.hidden == [8] and cfg.n_envs == 8 and cfg.seed == 3
+    assert all(type(v) is int for v in (cfg.hidden[0], cfg.n_envs, cfg.seed))
     cfg = TrainConfig(**{"n_envs": 8, "n_iterations": 2})
     assert cfg.n_envs == 8 and cfg.gamma == 0.99
 
@@ -187,6 +204,113 @@ def test_train_resets_each_env_once_before_the_first_step(
     with pytest.raises(_FirstStep):
         train("HJLS", cfg, str(tmp_path))
     assert reset_rows == [8]
+
+
+def test_train_keeps_the_benchmarks_hook_points(monkeypatch, tmp_path):
+    # bench/run.py times and stops ppo.train through these calls: the module's
+    # allocate_buffer once, after the env and the agent and before the first
+    # step; VecLocomotionEnv.step through the class; one update per iteration,
+    # right after its rollout
+    calls = []
+
+    def recorded(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    for owner, attr, name in ((VecLocomotionEnv, "__init__", "env"),
+                              (PPOAgent, "__init__", "agent"),
+                              (ppo, "allocate_buffer", "allocate"),
+                              (VecLocomotionEnv, "step", "step"),
+                              (PPOAgent, "update", "update")):
+        monkeypatch.setattr(owner, attr, recorded(name, getattr(owner, attr)))
+    cfg = TrainConfig(n_envs=4, n_iterations=2, steps_per_rollout=3, hidden=[8],
+                      checkpoint_every=0)
+    train("HJLS", cfg, str(tmp_path))
+    assert calls == ["env", "agent", "allocate"] + (["step"] * 3 + ["update"]) * 2
+
+
+class Integrator:
+    """n points p in the plane under the clipped action a: dp/dt = 2a at order
+    1, d2p/dt2 = 2a at order 2, with the reward -|p|^2 dt per step of dt =
+    0.05 s. Every env starts its episode at once, from p uniform in [-1, 1]^2
+    at rest, and is truncated after 100 steps. Both inputs are p, and at
+    order 2 dp/dt."""
+
+    DT, GAIN, STEPS = 0.05, 2.0, 100
+
+    def __init__(self, n, seed, order=1):
+        self.n, self.order = n, order
+        self.rng = np.random.default_rng(seed)
+        self._reset()
+
+    def _reset(self):
+        self.x = np.zeros((self.n, 2 * self.order))
+        self.x[:, :2] = self.rng.uniform(-1.0, 1.0, (self.n, 2))
+        self.t, self.episode_return = 0, np.zeros(self.n)
+
+    def observe(self):
+        return self.x.copy()
+
+    observe_privileged = observe
+
+    def step(self, actions):
+        rate = self.GAIN * np.clip(actions, -1.0, 1.0)
+        if self.order == 2:
+            self.x[:, 2:] += rate * self.DT
+            rate = self.x[:, 2:]
+        self.x[:, :2] += rate * self.DT
+        reward = -self.DT * np.sum(self.x[:, :2] ** 2, axis=1)
+        self.episode_return += reward
+        self.t += 1
+        done = np.full(self.n, self.t == self.STEPS)
+        info = {"terminated": np.zeros(self.n, dtype=bool), "truncated": done,
+                "episode_return": self.episode_return.copy(),
+                "episode_length": np.full(self.n, self.t)}
+        if self.t == self.STEPS:
+            info["final_privileged"] = self.observe_privileged()
+            self._reset()
+        return self.observe(), self.observe_privileged(), reward, done, info
+
+
+def integrator_cost(policy, order=1, n=256, seed=12345):
+    """Minus the mean reward per step of one Integrator episode of n envs under
+    policy, a map from inputs to actions."""
+    env = Integrator(n, seed, order)
+    obs, cost = env.observe(), 0.0
+    for _ in range(env.STEPS):
+        obs, _, reward, _, _ = env.step(policy(obs))
+        cost -= reward.mean() / env.STEPS
+    return cost
+
+
+def train_on_integrator(cfg, order=1):
+    """An agent trained on an Integrator of cfg.n_envs envs by the library
+    rollout and PPOAgent.update, at unit input scales."""
+    rng, dim = np.random.default_rng(cfg.seed), 2 * order
+    agent = PPOAgent("PLS", np.ones(dim), np.ones(dim), 2, cfg, rng)
+    env = Integrator(cfg.n_envs, cfg.seed + 1000, order)
+    buf = allocate_buffer(cfg.steps_per_rollout, cfg.n_envs, dim, dim, 2)
+    obs, priv = env.observe(), env.observe_privileged()
+    for _ in range(cfg.n_iterations):
+        obs, priv = rollout(env, agent.bundle, buf, obs, priv, rng)
+        agent.update(buf, rng)
+    return agent
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ppo_learns_the_first_order_regulator(seed):
+    # The deadbeat controller a = clip(-p / (2 dt)) is optimal here: the cost
+    # of each axis grows with |p|, and it closes |p| as fast as the clip
+    # allows. It costs 0.00067 per step, the zero action 0.033. The learned
+    # policies cost 1.07-1.34 times the optimum after 30 iterations, about
+    # 0.8 s per seed on 2 vCPUs; the bound is twice the optimum.
+    cfg = TrainConfig(n_envs=64, n_iterations=30, hidden=[64, 64], seed=seed)
+    agent = train_on_integrator(cfg)
+    optimum = integrator_cost(lambda p: np.clip(-p / (Integrator.GAIN * Integrator.DT), -1, 1))
+    assert 40 * optimum < integrator_cost(np.zeros_like)  # the bound discriminates
+    assert integrator_cost(agent.bundle.act_deterministic) < 2.0 * optimum
 
 
 def _mlp_forward64(mlp, x):
@@ -268,25 +392,33 @@ def test_grad_norm_clip():
 
 def make_bandit_agent(cfg, seed=0):
     rng = np.random.default_rng(seed)
-    agent = PPOAgent("PLS", 1, 1, 1, cfg, rng)
-    # the bandit has no meaningful scales
-    agent.bundle.obs_scale = np.ones(1, dtype=F32)
-    agent.bundle.priv_scale = np.ones(1, dtype=F32)
+    # PolicyBundle tags every agent with a grouping; the bandit borrows one
+    agent = PPOAgent("PLS", np.ones(1), np.ones(1), 1, cfg, rng)
     return agent, rng
 
 
+class BanditEnv:
+    """n one-step episodes: a zero input, reward -(a - 0.3)^2 for the action a."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def observe(self):
+        return np.zeros((self.n, 1))
+
+    observe_privileged = observe
+
+    def step(self, actions):
+        reward = -((actions[:, 0] - 0.3) ** 2)
+        done = np.ones(self.n, dtype=bool)
+        info = {"terminated": done, "truncated": ~done, "episode_return": reward,
+                "episode_length": np.ones(self.n, dtype=int)}
+        return self.observe(), self.observe(), reward, done, info
+
+
 def bandit_rollout(agent, rng, n=256):
-    obs = np.zeros((n, 1), dtype=F32)
-    buf = allocate_buffer(1, n, 1, 1, 1)
-    action, logp = agent.bundle.act_sampled(obs, rng)
-    reward = -((action[:, 0] - 0.3) ** 2)
-    buf.obs[0] = obs
-    buf.priv[0] = obs
-    buf.actions[0] = action
-    buf.log_probs[0] = logp
-    buf.rewards[0] = reward
-    buf.values[0] = agent.bundle.value(obs)
-    buf.terminations[0] = True
+    env, buf = BanditEnv(n), allocate_buffer(1, n, 1, 1, 1)
+    rollout(env, agent.bundle, buf, env.observe(), env.observe_privileged(), rng)
     return buf
 
 
@@ -439,8 +571,9 @@ def grouping_rollout(cfg, grouping="HJLS", seed=0):
     """An agent of the grouping's real input and action widths and an
     on-policy buffer of random inputs, with terminations and truncations."""
     rng = np.random.default_rng(seed)
-    obs_dim, priv_dim = (len(scale) for scale in input_scales(grouping))
-    agent = PPOAgent(grouping, obs_dim, priv_dim, action_dim(grouping), cfg, rng)
+    obs_scale, priv_scale = input_scales(grouping)
+    obs_dim, priv_dim = len(obs_scale), len(priv_scale)
+    agent = PPOAgent(grouping, obs_scale, priv_scale, action_dim(grouping), cfg, rng)
     T, n = cfg.steps_per_rollout, cfg.n_envs
     buf = allocate_buffer(T, n, obs_dim, priv_dim, action_dim(grouping))
     buf.obs[:] = rng.normal(0, 1, buf.obs.shape)
