@@ -15,7 +15,6 @@ import tempfile
 import numpy as np
 
 from . import networks as nets
-from .actuation import validate_grouping
 
 MAGIC = b"VSLC"
 FORMAT_VERSION = 1
@@ -24,10 +23,11 @@ FORMAT_VERSION = 1
 class PolicyBundle:
     """Actor/critic pair plus the fixed input scaling used in training. Inputs
     are rounded to float32 before they are scaled, as the rollout buffer stores
-    them, so the rollout's log-probs are the PPO update's bit for bit."""
+    them, so the rollout's log-probs are the PPO update's bit for bit. grouping
+    tags the policy's task as given: a stiffness grouping, or any other name."""
 
     def __init__(self, grouping, actor, critic, obs_scale, priv_scale, config=None):
-        self.grouping = validate_grouping(grouping)
+        self.grouping = grouping
         self.actor = actor
         self.critic = critic
         self.obs_scale = np.asarray(obs_scale, dtype=np.float32)

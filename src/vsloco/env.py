@@ -267,11 +267,13 @@ def _physics(rows, out, tree, cfg):
 class VecLocomotionEnv:
     """N parallel locomotion tasks over one robot model and one grouping.
 
-    Construction resets every env, with domain randomization on or off as
-    `randomization_on` says, but does not observe: the first observations come
-    from `observe()` and `observe_privileged()`, or from `reset_all()`.
-    A finished env always resets inside the `step` that ends it, which returns
-    its first observations; `info["final_privileged"]` holds its last.
+    The env is configured once, at construction, randomization included.
+    Construction resets every env but does not observe: the first observations
+    come from `observe()` and `observe_privileged()`, or from `reset_all()`,
+    which resets every env in place. A finished env resets inside the `step`
+    that ends it, which returns its first observations; `info["final_privileged"]`
+    holds its last. Resets never rewind the draw counters, so a reset env's
+    episode depends only on (seed, env index, draws).
     """
 
     def __init__(
@@ -299,20 +301,8 @@ class VecLocomotionEnv:
         self.env_ids = np.arange(self.n)
         self.draws = np.zeros(self.n, dtype=np.uint64)  # draws each env has made
         self.randomization_on = bool(randomization_on)
-        self._alloc()
-        self._reset_envs(self.env_ids)
-
-    def _next_draw(self, idx):
-        """The counter of the next draw of each env in idx; advances them."""
-        counter = self.draws[idx]
-        self.draws[idx] += 1
-        return counter
-
-    # ------------------------------------------------------------------
-    # resets
-
-    def _alloc(self):
         n, adim, slots = self.n, self.action_dim, self.cfg.max_pushes
+        # every per-row array, filled by the reset below
         self.params = dyn.BatchParams.from_tree(self.tree, n)
         self.command = np.zeros((n, 3))
         self.push_start = np.full((n, slots), np.inf)
@@ -333,13 +323,22 @@ class VecLocomotionEnv:
         self.last_tau = np.zeros((n, 12))
         self.active_push = np.zeros((n, 3))
         self.state = dyn.default_state(self.tree, np.zeros((n, 12)))
+        self._reset_envs(self.env_ids)
 
-    def reset_all(self, randomization_on=None):
-        """Reset every env and return its (obs, priv). The constructor runs the
-        same reset but does not observe, so it draws no observation noise."""
-        if randomization_on is not None:
-            self.randomization_on = bool(randomization_on)
-        self._alloc()
+    def _next_draw(self, idx):
+        """The counter of the next draw of each env in idx; advances them."""
+        counter = self.draws[idx]
+        self.draws[idx] += 1
+        return counter
+
+    # ------------------------------------------------------------------
+    # resets
+
+    def reset_all(self):
+        """Reset every env in place, as configured at construction, and return
+        its (obs, priv). The draw counters continue, so each new episode depends
+        only on (seed, env index, draws). Construction resets alike but does not
+        observe, so it draws no observation noise."""
         self._reset_envs(self.env_ids)
         return self.observe(), self.observe_privileged()
 

@@ -79,8 +79,8 @@ class MLP:
         return h, acts
 
     def backward(self, acts, grad_out):
-        """Gradients of sum(grad_out * output) w.r.t. params, and the gradient
-        w.r.t. the first layer's pre-activation.
+        """Gradients of sum(grad_out * output) w.r.t. params, in the order of
+        `params`: the weights, then the biases.
 
         Consumes `acts`, the cache of one `forward`: each hidden activation is
         overwritten by its tanh' = 1 - a² and every entry is popped once used,
@@ -101,7 +101,7 @@ class MLP:
                 a *= a
                 np.subtract(1.0, a, out=a)
                 g *= a  # tanh'
-        return gW + gb, g
+        return gW + gb
 
 
 class Adam:
@@ -188,8 +188,7 @@ class GaussianActor:
         z, std = cache["z"], cache["std"]
         dmean = dlogp[:, None] * (z / std)  # d logp / d mean
         dlogstd = (dlogp[:, None] * (z**2 - 1.0)).sum(axis=0) + dlogstd_extra
-        mlp_grads, _ = self.mlp.backward(cache["acts"], dmean)
-        return mlp_grads + [dlogstd.astype(F32)]
+        return self.mlp.backward(cache["acts"], dmean) + [dlogstd.astype(F32)]
 
 
 class Critic:
@@ -216,5 +215,4 @@ class Critic:
 
     def backward(self, acts, dv):
         """Gradients of sum(dv * value); consumes acts (see `MLP.backward`)."""
-        grads, _ = self.mlp.backward(acts, dv[:, None])
-        return grads
+        return self.mlp.backward(acts, dv[:, None])

@@ -82,6 +82,21 @@ def test_checkpoint_blob_offset_from_stored_header_length(tmp_path):
     for (name, a), (_, b) in zip(original, loaded):
         assert np.array_equal(a, b), name
 
+
+def test_a_task_tag_that_is_no_grouping_round_trips(tmp_path):
+    # a bundle keeps its task's tag as given; only the locomotion env
+    # requires a stiffness grouping
+    rng = np.random.default_rng(0)
+    bundle = PolicyBundle("bandit", GaussianActor(1, 1, [4], rng), Critic(1, [4], rng),
+                          np.ones(1), np.ones(1))
+    path = str(tmp_path / "bandit.ckpt")
+    save_checkpoint(path, bundle)
+    assert read_header(path)["grouping"] == "bandit"
+    assert load_checkpoint(path).grouping == "bandit"
+    with pytest.raises(ValueError, match="unknown grouping 'bandit'"):
+        VecLocomotionEnv("bandit")
+
+
 def test_checkpoint_header_self_describing(tmp_path):
     bundle = make_bundle()
     path = str(tmp_path / "p.ckpt")

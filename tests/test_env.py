@@ -36,13 +36,13 @@ def quiet_config(**overrides):
 
 @pytest.fixture(scope="module")
 def quiet_env():
-    env = VecLocomotionEnv("PLS", n_envs=1, seed=0, config=quiet_config())
-    env.reset_all(randomization_on=False)
+    env = VecLocomotionEnv("PLS", n_envs=1, seed=0, config=quiet_config(), randomization_on=False)
+    env.reset_all()
     return env
 
 
 def test_observation_layout_at_rest(quiet_env):
-    quiet_env.reset_all(randomization_on=False)
+    quiet_env.reset_all()
     obs = quiet_env.observe()[0]
     assert obs.shape == (52,)  # 36 + action_dim(PLS)
     assert np.allclose(obs[9:12], [0, 0, -1], atol=1e-12)
@@ -59,7 +59,7 @@ def test_observation_dims_per_grouping():
 
 
 def test_privileged_layout_identity_context(quiet_env):
-    quiet_env.reset_all(randomization_on=False)
+    quiet_env.reset_all()
     priv = quiet_env.observe_privileged()[0]
     assert priv.shape == (97,)  # 45 + 52 for PLS
     assert np.allclose(priv[0:24], 1.0)  # kp/kd scales
@@ -91,8 +91,8 @@ def test_layout_offsets_of_a_randomized_pushed_env():
 
 
 def test_observation_noise_support():
-    env = VecLocomotionEnv("PLS", n_envs=1, seed=3, config=quiet_config())
-    env.reset_all(randomization_on=True)
+    env = VecLocomotionEnv("PLS", n_envs=1, seed=3, config=quiet_config(), randomization_on=True)
+    env.reset_all()
     clean = env.observe(noisy=False)[0]
     deltas = np.stack([env.observe()[0] - clean for _ in range(3000)])
     blocks = {
@@ -144,10 +144,10 @@ def test_step_determinism():
 
 
 def test_randomized_context_inside_supports():
-    env = VecLocomotionEnv("PLS", n_envs=64, seed=17, config=EnvConfig())
+    env = VecLocomotionEnv("PLS", n_envs=64, seed=17, config=EnvConfig(), randomization_on=True)
     rows = env.cfg.randomization.rows
     for _ in range(20):
-        env.reset_all(randomization_on=True)
+        env.reset_all()
         payload, hips = env.mass_deltas[:, 0], env.mass_deltas[:, 1:]
         friction_scale = env.params.friction / env.nominal_params.friction
         assert np.all((rows["payload_mass"][0] <= payload) & (payload <= rows["payload_mass"][1]))
@@ -167,8 +167,8 @@ def test_randomized_context_inside_supports():
 
 
 def test_reset_identity_when_disabled():
-    env = VecLocomotionEnv("PLS", n_envs=4, seed=2, config=EnvConfig())
-    env.reset_all(randomization_on=False)
+    env = VecLocomotionEnv("PLS", n_envs=4, seed=2, config=EnvConfig(), randomization_on=False)
+    env.reset_all()
     assert np.all(env.mass_deltas[:, 0] == 0.0)
     assert np.all(env.kp_scale == 1.0)
     assert np.array_equal(env.params.friction, env.nominal_params.friction)
@@ -189,6 +189,44 @@ def test_construction_resets_without_observing():
     assert np.all(VecLocomotionEnv("PJS", n_envs=5, seed=3).draws == 4)
 
 
+def _held_arrays(env):
+    """Every array the env holds, by name, those in its dataclasses as name.field."""
+    held = {}
+    for name, value in vars(env).items():
+        if dataclasses.is_dataclass(value):
+            held.update({f"{name}.{f.name}": getattr(value, f.name)
+                         for f in dataclasses.fields(value)})
+        else:
+            held[name] = value
+    return {name: value for name, value in held.items() if isinstance(value, np.ndarray)}
+
+
+@pytest.mark.parametrize("randomization_on", [True, False])
+def test_reset_all_in_place_equals_a_fresh_reset_at_the_same_draws(randomization_on):
+    # reset_all rewrites every per-row array in place: after 30 steps (in
+    # which one env falls and resets) and a push schedule it leaves what a
+    # fresh env of the same seed leaves when it resets from the same draws
+    n = 8
+    stepped = VecLocomotionEnv("HJLS", n_envs=n, seed=4, randomization_on=randomization_on)
+    rng = np.random.default_rng(3)
+    for _ in range(30):
+        stepped.step(rng.uniform(-1, 1, (n, stepped.action_dim)))
+    stepped.set_push_schedule(np.full(n, 0.02), np.full(n, 0.1), np.tile([60.0, 0.0, 0.0], (n, 1)))
+    fresh = VecLocomotionEnv("HJLS", n_envs=n, seed=4, randomization_on=randomization_on)
+    fresh.draws[:] = stepped.draws
+    for a, b in zip(stepped.reset_all(), fresh.reset_all(), strict=True):  # obs, priv
+        assert np.array_equal(a, b)
+    held, fresh_held = _held_arrays(stepped), _held_arrays(fresh)
+    assert held.keys() == fresh_held.keys()
+    assert {"state.q", "params.masses", "gains.kp", "push_start", "draws"} <= held.keys()
+    for name, value in held.items():
+        assert np.array_equal(value, fresh_held[name]), name
+    for k in range(5):
+        action = rng.uniform(-1, 1, (n, stepped.action_dim))
+        for a, b in zip(stepped.step(action)[:4], fresh.step(action)[:4]):  # obs, priv, rew, done
+            assert np.array_equal(a, b), k
+
+
 def test_command_schedule_four_intervals():
     # hold the default pose stiffly (raw stiffness +1 -> kp 60) so the
     # episode runs the full 20 s; commands must refresh at 5/10/15 s. The
@@ -197,8 +235,9 @@ def test_command_schedule_four_intervals():
     env = VecLocomotionEnv(
         "PLS", n_envs=1, seed=9,
         config=EnvConfig(push_enabled=False, reset_joint_noise=0.0),
+        randomization_on=False,
     )
-    env.reset_all(randomization_on=False)
+    env.reset_all()
     action = np.zeros((1, env.action_dim))
     action[0, 12:] = 1.0
     seen = [env.command[0].copy()]
@@ -243,7 +282,7 @@ def test_push_slots_cover_long_episodes():
 
 
 def test_zero_command_range_config(quiet_env):
-    quiet_env.reset_all(randomization_on=False)
+    quiet_env.reset_all()
     assert np.allclose(quiet_env.command, 0.0)
 
 
@@ -274,8 +313,8 @@ def test_sample_command_ranges():
 
 
 def test_termination_orientation():
-    env = VecLocomotionEnv("PLS", n_envs=1, seed=1, config=quiet_config())
-    env.reset_all(randomization_on=False)
+    env = VecLocomotionEnv("PLS", n_envs=1, seed=1, config=quiet_config(), randomization_on=False)
+    env.reset_all()
     # flip the robot upside-down in mid-air
     env.state.base_pos[0] = (0.0, 0.0, 1.0)
     env.state.base_quat[0] = (0.0, 1.0, 0.0, 0.0)
@@ -286,8 +325,8 @@ def test_termination_orientation():
 
 
 def test_termination_illegal_contact():
-    env = VecLocomotionEnv("PLS", n_envs=1, seed=1, config=quiet_config())
-    env.reset_all(randomization_on=False)
+    env = VecLocomotionEnv("PLS", n_envs=1, seed=1, config=quiet_config(), randomization_on=False)
+    env.reset_all()
     env.state.base_pos[0, 2] = 0.04  # trunk at the floor
     obs, priv, rew, done, info = env.step(np.zeros((1, env.action_dim)))
     assert bool(done[0])
@@ -298,8 +337,8 @@ def test_joint_limit_clamp_precedes_the_step_kinematics():
     # a knee driven past its limit is stored clamped, and the collision
     # count and the kinematic reward terms of the step are those of the
     # clamped pose, not of the pose the last substep reached
-    env = VecLocomotionEnv("PLS", n_envs=1, seed=1, config=quiet_config())
-    env.reset_all(randomization_on=False)
+    env = VecLocomotionEnv("PLS", n_envs=1, seed=1, config=quiet_config(), randomization_on=False)
+    env.reset_all()
     env._reset_envs = lambda idx: None  # keep the terminal state for the checks below
     env.state.base_pos[0, 2] = 1.0  # in the air, so no foot contact damps the knee
     env.state.qdot[0, 2] = 300.0  # FR knee, towards its upper limit
@@ -336,8 +375,9 @@ def _airborne_knee_step(tree):
     """One zero-action step of an env in the air with its FR knee moving
     up at 5 rad/s, so that no foot touches the floor and the knee ends
     above its target: the env and the outputs of ``_physics`` it rewards."""
-    env = VecLocomotionEnv("PLS", n_envs=1, seed=1, tree=tree, config=quiet_config())
-    env.reset_all(randomization_on=False)
+    env = VecLocomotionEnv("PLS", n_envs=1, seed=1, tree=tree, config=quiet_config(),
+                           randomization_on=False)
+    env.reset_all()
     env.state.base_pos[0, 2] = 1.0
     env.state.qdot[0, 2] = 5.0
     outs, rewards = [], env._rewards
@@ -407,8 +447,8 @@ def test_step_runs_one_kinematics_pass_per_substep_and_one_per_clip(monkeypatch)
 def test_air_time_accumulates_across_control_steps():
     # dropped from 2 m, no foot lands in the first control steps, so each
     # foot's air time grows by control_dt per step
-    env = VecLocomotionEnv("PLS", n_envs=1, seed=1, config=quiet_config())
-    env.reset_all(randomization_on=False)
+    env = VecLocomotionEnv("PLS", n_envs=1, seed=1, config=quiet_config(), randomization_on=False)
+    env.reset_all()
     env.state.base_pos[0, 2] = 2.0
     for k in range(1, 4):
         env.step(np.zeros((1, env.action_dim)))
@@ -419,8 +459,9 @@ def test_truncation_at_episode_end():
     env = VecLocomotionEnv(
         "PLS", n_envs=1, seed=4,
         config=quiet_config(episode_length_s=0.1),  # 5 control steps
+        randomization_on=False,
     )
-    env.reset_all(randomization_on=False)
+    env.reset_all()
     done = False
     steps = 0
     while not done and steps < 10:
@@ -434,8 +475,9 @@ def test_truncation_at_episode_end():
 
 def test_standing_stability_under_zero_action():
     # zero action = PD hold at the default pose; the robot must just stand
-    env = VecLocomotionEnv("FixedP50", n_envs=1, seed=5, config=quiet_config())
-    env.reset_all(randomization_on=False)
+    env = VecLocomotionEnv("FixedP50", n_envs=1, seed=5, config=quiet_config(),
+                           randomization_on=False)
+    env.reset_all()
     for _ in range(100):  # 2 s
         obs, priv, rew, done, info = env.step(np.zeros((1, env.action_dim)))
         assert not bool(done[0])
@@ -445,8 +487,8 @@ def test_standing_stability_under_zero_action():
 
 def test_active_push_reported_in_privileged():
     cfg = quiet_config()
-    env = VecLocomotionEnv("PLS", n_envs=1, seed=6, config=cfg)
-    env.reset_all(randomization_on=False)
+    env = VecLocomotionEnv("PLS", n_envs=1, seed=6, config=cfg, randomization_on=False)
+    env.reset_all()
     env.set_push_schedule([0.05], [0.1], [[40.0, 0.0, 0.0]])
     env.step(np.zeros((1, env.action_dim)))  # t=0.02 -> not yet active
     assert np.allclose(env.observe_privileged()[0][42:45], 0.0)
@@ -462,8 +504,8 @@ def test_active_push_reported_in_privileged():
 
 def test_push_impulse_changes_velocity():
     cfg = quiet_config()
-    env = VecLocomotionEnv("FixedP50", n_envs=1, seed=8, config=cfg)
-    env.reset_all(randomization_on=False)
+    env = VecLocomotionEnv("FixedP50", n_envs=1, seed=8, config=cfg, randomization_on=False)
+    env.reset_all()
     env.set_push_schedule([0.1], [0.1], [[120.0, 0.0, 0.0]])
     for _ in range(15):
         env.step(np.zeros((1, env.action_dim)))
@@ -497,10 +539,10 @@ def test_base_frame_is_the_rotation_of_base_quat():
 
 def test_vector_env_matches_single_env():
     cfg = quiet_config()
-    vec = VecLocomotionEnv("PLS", n_envs=3, seed=30, config=cfg)
-    vec.reset_all(randomization_on=False)
-    single = VecLocomotionEnv("PLS", n_envs=1, seed=30, config=cfg)
-    single.reset_all(randomization_on=False)
+    vec = VecLocomotionEnv("PLS", n_envs=3, seed=30, config=cfg, randomization_on=False)
+    vec.reset_all()
+    single = VecLocomotionEnv("PLS", n_envs=1, seed=30, config=cfg, randomization_on=False)
+    single.reset_all()
     rng = np.random.default_rng(1)
     for _ in range(5):
         act = rng.uniform(-1, 1, (1, vec.action_dim))

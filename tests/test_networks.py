@@ -91,14 +91,14 @@ def test_backward_consumes_and_releases_its_cache():
     out, acts = net.forward(x)
     assert acts[0] is x and acts[-1] is out
     hidden = [weakref.ref(a) for a in acts[1:-1]]
-    grads, _ = net.backward(acts, np.ones_like(out))
+    grads = net.backward(acts, np.ones_like(out))
     assert acts == []
     assert all(ref() is None for ref in hidden)  # freed, not kept alive
     assert np.array_equal(x, x_before)  # the input is read, not overwritten
     with pytest.raises(ValueError, match="consumed"):
         net.backward(acts, np.ones_like(out))
     # a fresh forward gives the same gradients: the consumed cache held no state
-    again, _ = net.backward(net.forward(x)[1], np.ones_like(out))
+    again = net.backward(net.forward(x)[1], np.ones_like(out))
     assert all(np.array_equal(g, h) for g, h in zip(grads, again, strict=True))
 
 

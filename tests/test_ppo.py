@@ -289,7 +289,7 @@ def train_on_integrator(cfg, order=1):
     """An agent trained on an Integrator of cfg.n_envs envs by the library
     rollout and PPOAgent.update, at unit input scales."""
     rng, dim = np.random.default_rng(cfg.seed), 2 * order
-    agent = PPOAgent("PLS", np.ones(dim), np.ones(dim), 2, cfg, rng)
+    agent = PPOAgent("integrator", np.ones(dim), np.ones(dim), 2, cfg, rng)
     env = Integrator(cfg.n_envs, cfg.seed + 1000, order)
     buf = allocate_buffer(cfg.steps_per_rollout, cfg.n_envs, dim, dim, 2)
     obs, priv = env.observe(), env.observe_privileged()
@@ -392,8 +392,7 @@ def test_grad_norm_clip():
 
 def make_bandit_agent(cfg, seed=0):
     rng = np.random.default_rng(seed)
-    # PolicyBundle tags every agent with a grouping; the bandit borrows one
-    agent = PPOAgent("PLS", np.ones(1), np.ones(1), 1, cfg, rng)
+    agent = PPOAgent("bandit", np.ones(1), np.ones(1), 1, cfg, rng)
     return agent, rng
 
 
@@ -420,6 +419,46 @@ def bandit_rollout(agent, rng, n=256):
     env, buf = BanditEnv(n), allocate_buffer(1, n, 1, 1, 1)
     rollout(env, agent.bundle, buf, env.observe(), env.observe_privileged(), rng)
     return buf
+
+
+class ScriptedTruncations:
+    """n envs whose episodes end on a fixed clock: env k's after k + 2 steps,
+    a truncation for all but the last env, which terminates. The input is
+    (steps into the episode, env index), so the state an episode ends in
+    differs from the one it resets to."""
+
+    def __init__(self, n):
+        self.n, self.lengths, self.clock = n, np.arange(2, n + 2), np.zeros(n)
+
+    def observe(self):
+        return np.stack([self.clock, np.arange(self.n)], axis=1)
+
+    observe_privileged = observe
+
+    def step(self, actions):
+        self.clock += 1
+        done = self.clock == self.lengths
+        terminated = done & (np.arange(self.n) == self.n - 1)
+        info = {"terminated": terminated, "truncated": done & ~terminated}
+        if done.any():
+            info["final_privileged"] = self.observe_privileged()
+            self.clock[done] = 0
+        return self.observe(), self.observe_privileged(), np.zeros(self.n), done, info
+
+
+def test_rollout_bootstraps_truncations_from_the_states_they_ended_in():
+    n, T = 5, 12
+    env, rng = ScriptedTruncations(n), np.random.default_rng(0)
+    agent = PPOAgent("scripted", np.ones(2), np.full(2, 0.5), 1, TrainConfig(hidden=[8]), rng)
+    buf, infos = allocate_buffer(T, n, 2, 2, 1), []
+    rollout(env, agent.bundle, buf, env.observe(), env.observe_privileged(), rng, infos.append)
+    assert buf.truncations.sum() == 15 and buf.terminations.sum() == 2
+    reset_v = agent.bundle.value(np.stack([np.zeros(n), np.arange(n)], axis=1))
+    for t, info in enumerate(infos):
+        truncated = info["truncated"]
+        final_v = agent.bundle.value(info["final_privileged"]) if truncated.any() else 0.0
+        assert np.array_equal(buf.truncation_values[t], np.where(truncated, final_v, 0.0)), t
+        assert not np.any((final_v == reset_v)[truncated]), t  # a post-reset read would show
 
 
 def test_ratio_identity_at_unchanged_params():
