@@ -267,7 +267,8 @@ def _physics(rows, out, tree, cfg):
 class VecLocomotionEnv:
     """N parallel locomotion tasks over one robot model and one grouping.
 
-    The env is configured once, at construction, randomization included.
+    The env is configured once, at construction: its randomization comes from
+    ``config.randomization`` (``randomization.IDENTITY_ROWS`` turns it off).
     Construction resets every env but does not observe: the first observations
     come from `observe()` and `observe_privileged()`, or from `reset_all()`,
     which resets every env in place. A finished env resets inside the `step`
@@ -283,7 +284,6 @@ class VecLocomotionEnv:
         seed: int = 0,
         tree: KinematicTree = None,
         config: EnvConfig = None,
-        randomization_on: bool = True,
     ):
         self.grouping = act.validate_grouping(grouping)
         self.n = int(n_envs)
@@ -300,7 +300,6 @@ class VecLocomotionEnv:
         self.key = dr.seed_key(self.seed)
         self.env_ids = np.arange(self.n)
         self.draws = np.zeros(self.n, dtype=np.uint64)  # draws each env has made
-        self.randomization_on = bool(randomization_on)
         n, adim, slots = self.n, self.action_dim, self.cfg.max_pushes
         # every per-row array, filled by the reset below
         self.params = dyn.BatchParams.from_tree(self.tree, n)
@@ -349,9 +348,7 @@ class VecLocomotionEnv:
         cfg, key = self.cfg, self.key
         noise = dr.uniform(key, idx, self._next_draw(idx), 12)
         q = self.q_default + dr.between(-cfg.reset_joint_noise, cfg.reset_joint_noise, noise)
-        ep = dr.sample_episode(
-            cfg.randomization, key, idx, self._next_draw(idx), enabled=self.randomization_on
-        )
+        ep = dr.sample_episode(cfg.randomization, key, idx, self._next_draw(idx))
         self.mass_deltas[idx] = np.concatenate([ep["payload_mass"], ep["hip_mass"]], axis=1)
         nominal = self.nominal_params
         masses = nominal.masses[idx]
@@ -388,7 +385,9 @@ class VecLocomotionEnv:
     # stepping
 
     def set_push_schedule(self, starts, durations, forces):
-        """Replace every env's push schedule (evaluation protocols)."""
+        """Replace every env's push schedule (evaluation protocols). Each env
+        keeps it until its next reset, which draws a training schedule from
+        ``schedule_pushes``."""
         self.push_start[:] = np.inf
         self.push_end[:] = np.inf
         self.push_force[:] = 0.0
@@ -423,6 +422,8 @@ class VecLocomotionEnv:
         actions = np.clip(np.asarray(actions, dtype=float), -1.0, 1.0)
         if actions.shape != (self.n, self.action_dim):
             raise ValueError(f"actions must have shape {(self.n, self.action_dim)}")
+        # decoded first: a rejected action leaves the env as it was
+        new_gains = act.decode_action(self.grouping, actions, self.q_default, self.q_limits)
         if cfg.command_resample_s > 0:
             t_now = self.step_count * cfg.control_dt
             due = np.flatnonzero((self.step_count > 0) & (
@@ -434,7 +435,6 @@ class VecLocomotionEnv:
             )
 
         prev_gains = self.gains  # held for the first delay_substeps substeps
-        new_gains = act.decode_action(self.grouping, actions, self.q_default, self.q_limits)
         self.gains = new_gains
 
         rows, out = self._physics_arrays(prev_gains, new_gains)
@@ -466,7 +466,7 @@ class VecLocomotionEnv:
             "truncated": truncated,
             "reasons": reasons,
             "breakdown": breakdown,
-            "kp": new_gains.kp,
+            "kp": new_gains.kp.copy(),  # the reset below writes the hold gains
             "push_force": self.active_push.copy(),
             "episode_return": np.where(done, self.episode_return, np.nan),
             "episode_length": np.where(done, self.step_count, 0),
@@ -548,8 +548,7 @@ class VecLocomotionEnv:
                   "joint_pos": self.state.q - self.q_default, "prev_action": self.prev_action}
         if noisy:
             noise = dr.sample_observation_noise(
-                self.cfg.randomization, self.key, self.env_ids, self._next_draw(self.env_ids),
-                enabled=self.randomization_on,
+                self.cfg.randomization, self.key, self.env_ids, self._next_draw(self.env_ids)
             )
             for name in blocks:
                 if "noise_" + name in noise:

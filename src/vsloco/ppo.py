@@ -55,7 +55,6 @@ class TrainConfig:
     min_std: float = 0.05  # exploration floor; premature collapse strands the mean
     checkpoint_every: int = 100
     seed: int = 0
-    randomization_on: bool = True
 
     def __post_init__(self):
         for name in ("n_envs", "n_iterations", "steps_per_rollout", "epochs", "minibatches",
@@ -310,8 +309,7 @@ def train(grouping, config: TrainConfig, out_dir):
     through the class."""
     cfg = config
     os.makedirs(out_dir, exist_ok=True)
-    env = VecLocomotionEnv(grouping, n_envs=cfg.n_envs, seed=cfg.seed,
-                           randomization_on=cfg.randomization_on)
+    env = VecLocomotionEnv(grouping, n_envs=cfg.n_envs, seed=cfg.seed)
     obs, priv = env.observe(), env.observe_privileged()
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xA11CE)))
     agent = PPOAgent(grouping, *input_scales(grouping), env.action_dim, cfg, rng)

@@ -1,6 +1,7 @@
 """Domain randomization: per-episode physical perturbations and per-step
-observation noise, one row per entry of the randomization table. Disabling
-the whole block turns every operator into the identity.
+observation noise, one row per entry of the randomization table.
+``IDENTITY_ROWS`` puts every row at its operator's identity, which turns
+randomization off: ``DomainRandomizationConfig(IDENTITY_ROWS)``.
 
 Every random number comes from ``uniform``, a pure function of
 (seed key, env index, draw counter, slot): a counter-based generator after
@@ -41,6 +42,9 @@ def _default_rows():
 
 
 _MULTIPLICATIVE = ("ground_friction", "kp_scale", "kd_scale", "motor_strength")
+# every row at its identity, 1 for a multiplicative row and 0 for an additive one
+IDENTITY_ROWS = {row: (1.0, 1.0) if row in _MULTIPLICATIVE else (0.0, 0.0)
+                 for row in _default_rows()}
 
 # row -> width of one episode draw, in slot order
 EPISODE_ROWS = {
@@ -105,13 +109,8 @@ def between(lo, hi, u):
     return lo + (hi - lo) * u
 
 
-def _draw(cfg, widths, key, env, counter, enabled):
-    """One draw per env split into rows: {row: (m, width)} between the row's
-    bounds, or the row's identity when disabled."""
-    m = np.size(env)
-    if not enabled:
-        return {row: np.full((m, w), 1.0 if row in _MULTIPLICATIVE else 0.0)
-                for row, w in widths.items()}
+def _draw(cfg, widths, key, env, counter):
+    """One draw per env split into rows: {row: (m, width)} between the row's bounds."""
     u = uniform(key, env, counter, sum(widths.values()))
     out, col = {}, 0
     for row, w in widths.items():
@@ -120,13 +119,13 @@ def _draw(cfg, widths, key, env, counter, enabled):
     return out
 
 
-def sample_episode(cfg: DomainRandomizationConfig, key, env, counter, enabled=True):
+def sample_episode(cfg: DomainRandomizationConfig, key, env, counter):
     """One episode's physical parameters for each env: {row: (m, width)} with
-    the widths of EPISODE_ROWS (identity when disabled)."""
-    return _draw(cfg, EPISODE_ROWS, key, env, counter, enabled)
+    the widths of EPISODE_ROWS."""
+    return _draw(cfg, EPISODE_ROWS, key, env, counter)
 
 
-def sample_observation_noise(cfg: DomainRandomizationConfig, key, env, counter, enabled=True):
+def sample_observation_noise(cfg: DomainRandomizationConfig, key, env, counter):
     """Per-step additive noise for the five noisy observation blocks of each
-    env: {row: (m, width)} with the widths of NOISE_ROWS (zero when disabled)."""
-    return _draw(cfg, NOISE_ROWS, key, env, counter, enabled)
+    env: {row: (m, width)} with the widths of NOISE_ROWS."""
+    return _draw(cfg, NOISE_ROWS, key, env, counter)

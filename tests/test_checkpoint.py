@@ -19,9 +19,10 @@ from vsloco.checkpoint import (
     save_checkpoint,
 )
 from vsloco.actuation import GROUPINGS, action_dim
-from vsloco.env import TERMINATION_REASONS, VecLocomotionEnv, input_scales
+from vsloco.env import TERMINATION_REASONS, EnvConfig, VecLocomotionEnv, input_scales
 from vsloco.networks import Critic, GaussianActor
 from vsloco.ppo import WALL_TIME_COLUMNS, TrainConfig, train
+from vsloco.randomization import IDENTITY_ROWS, DomainRandomizationConfig
 from vsloco.rewards import DEFAULT_WEIGHTS
 
 
@@ -179,7 +180,8 @@ def test_scale_vectors_match_dims():
 
 @pytest.mark.parametrize("grouping", GROUPINGS)
 def test_input_scales_match_the_hand_written_vectors(grouping):
-    env = VecLocomotionEnv(grouping, n_envs=1, randomization_on=False)
+    config = EnvConfig(randomization=DomainRandomizationConfig(IDENTITY_ROWS))
+    env = VecLocomotionEnv(grouping, n_envs=1, config=config)
     obs_scale, priv_scale = input_scales(grouping)
     for derived, oracle, dim in ((obs_scale, obs_scale_vector(grouping), env.obs_dim),
                                  (priv_scale, priv_scale_vector(grouping), env.priv_dim)):

@@ -24,6 +24,11 @@ from vsloco.model import build_quadruped
 from vsloco.rotations import quat_to_matrix
 
 
+def no_randomization():
+    """Every randomization row at its identity: randomization off."""
+    return dr.DomainRandomizationConfig(dr.IDENTITY_ROWS)
+
+
 def quiet_config(**overrides):
     kwargs = dict(
         reset_joint_noise=0.0,
@@ -34,9 +39,14 @@ def quiet_config(**overrides):
     return EnvConfig(**kwargs)
 
 
+def bare_config(**overrides):
+    """quiet_config with randomization off."""
+    return quiet_config(randomization=no_randomization(), **overrides)
+
+
 @pytest.fixture(scope="module")
 def quiet_env():
-    env = VecLocomotionEnv("PLS", n_envs=1, seed=0, config=quiet_config(), randomization_on=False)
+    env = VecLocomotionEnv("PLS", n_envs=1, seed=0, config=bare_config())
     env.reset_all()
     return env
 
@@ -91,7 +101,7 @@ def test_layout_offsets_of_a_randomized_pushed_env():
 
 
 def test_observation_noise_support():
-    env = VecLocomotionEnv("PLS", n_envs=1, seed=3, config=quiet_config(), randomization_on=True)
+    env = VecLocomotionEnv("PLS", n_envs=1, seed=3, config=quiet_config())
     env.reset_all()
     clean = env.observe(noisy=False)[0]
     deltas = np.stack([env.observe()[0] - clean for _ in range(3000)])
@@ -144,7 +154,7 @@ def test_step_determinism():
 
 
 def test_randomized_context_inside_supports():
-    env = VecLocomotionEnv("PLS", n_envs=64, seed=17, config=EnvConfig(), randomization_on=True)
+    env = VecLocomotionEnv("PLS", n_envs=64, seed=17, config=EnvConfig())
     rows = env.cfg.randomization.rows
     for _ in range(20):
         env.reset_all()
@@ -167,7 +177,8 @@ def test_randomized_context_inside_supports():
 
 
 def test_reset_identity_when_disabled():
-    env = VecLocomotionEnv("PLS", n_envs=4, seed=2, config=EnvConfig(), randomization_on=False)
+    env = VecLocomotionEnv("PLS", n_envs=4, seed=2,
+                           config=EnvConfig(randomization=no_randomization()))
     env.reset_all()
     assert np.all(env.mass_deltas[:, 0] == 0.0)
     assert np.all(env.kp_scale == 1.0)
@@ -180,12 +191,13 @@ def test_reset_identity_when_disabled():
 def test_construction_resets_without_observing():
     # the reset draws four streams per env (joint noise, episode, command,
     # pushes); the observation noise is drawn at the first observe
-    env = VecLocomotionEnv("PJS", n_envs=5, seed=3, randomization_on=False)
+    env = VecLocomotionEnv("PJS", n_envs=5, seed=3,
+                           config=EnvConfig(randomization=no_randomization()))
     assert np.all(env.draws == 4)
-    assert not env.randomization_on
+    assert env.cfg.randomization.rows == dr.IDENTITY_ROWS
     assert np.all(env.kp_scale == 1.0) and not env.mass_deltas.any()
     env.reset_all()
-    assert np.all(env.draws == 9) and not env.randomization_on
+    assert np.all(env.draws == 9) and env.cfg.randomization.rows == dr.IDENTITY_ROWS
     assert np.all(VecLocomotionEnv("PJS", n_envs=5, seed=3).draws == 4)
 
 
@@ -201,18 +213,19 @@ def _held_arrays(env):
     return {name: value for name, value in held.items() if isinstance(value, np.ndarray)}
 
 
-@pytest.mark.parametrize("randomization_on", [True, False])
-def test_reset_all_in_place_equals_a_fresh_reset_at_the_same_draws(randomization_on):
+@pytest.mark.parametrize("randomized", [True, False])
+def test_reset_all_in_place_equals_a_fresh_reset_at_the_same_draws(randomized):
     # reset_all rewrites every per-row array in place: after 30 steps (in
     # which one env falls and resets) and a push schedule it leaves what a
     # fresh env of the same seed leaves when it resets from the same draws
     n = 8
-    stepped = VecLocomotionEnv("HJLS", n_envs=n, seed=4, randomization_on=randomization_on)
+    config = EnvConfig() if randomized else EnvConfig(randomization=no_randomization())
+    stepped = VecLocomotionEnv("HJLS", n_envs=n, seed=4, config=config)
     rng = np.random.default_rng(3)
     for _ in range(30):
         stepped.step(rng.uniform(-1, 1, (n, stepped.action_dim)))
     stepped.set_push_schedule(np.full(n, 0.02), np.full(n, 0.1), np.tile([60.0, 0.0, 0.0], (n, 1)))
-    fresh = VecLocomotionEnv("HJLS", n_envs=n, seed=4, randomization_on=randomization_on)
+    fresh = VecLocomotionEnv("HJLS", n_envs=n, seed=4, config=config)
     fresh.draws[:] = stepped.draws
     for a, b in zip(stepped.reset_all(), fresh.reset_all(), strict=True):  # obs, priv
         assert np.array_equal(a, b)
@@ -234,8 +247,8 @@ def test_command_schedule_four_intervals():
     # around each refresh and the episode end are skipped by advancing it.
     env = VecLocomotionEnv(
         "PLS", n_envs=1, seed=9,
-        config=EnvConfig(push_enabled=False, reset_joint_noise=0.0),
-        randomization_on=False,
+        config=EnvConfig(push_enabled=False, reset_joint_noise=0.0,
+                         randomization=no_randomization()),
     )
     env.reset_all()
     action = np.zeros((1, env.action_dim))
@@ -313,7 +326,7 @@ def test_sample_command_ranges():
 
 
 def test_termination_orientation():
-    env = VecLocomotionEnv("PLS", n_envs=1, seed=1, config=quiet_config(), randomization_on=False)
+    env = VecLocomotionEnv("PLS", n_envs=1, seed=1, config=bare_config())
     env.reset_all()
     # flip the robot upside-down in mid-air
     env.state.base_pos[0] = (0.0, 0.0, 1.0)
@@ -324,8 +337,20 @@ def test_termination_orientation():
     assert info["breakdown"].terms["termination"][0] == 1.0
 
 
+def test_info_kp_is_the_kp_the_step_applied():
+    # env 0 ends and resets to the hold gains (kp 40) inside the step; the
+    # step applied kp 58 (stiffness action 0.9) to both envs
+    env = VecLocomotionEnv("PLS", n_envs=2, seed=1, config=bare_config())
+    env.state.base_pos[0] = (0.0, 0.0, 1.0)
+    env.state.base_quat[0] = (0.0, 1.0, 0.0, 0.0)
+    _, _, _, done, info = env.step(np.full((2, env.action_dim), 0.9))
+    assert done.tolist() == [True, False]
+    assert np.allclose(info["kp"], 58.0, rtol=0, atol=1e-12)
+    assert np.all(env.gains.kp[0] == 40.0)
+
+
 def test_termination_illegal_contact():
-    env = VecLocomotionEnv("PLS", n_envs=1, seed=1, config=quiet_config(), randomization_on=False)
+    env = VecLocomotionEnv("PLS", n_envs=1, seed=1, config=bare_config())
     env.reset_all()
     env.state.base_pos[0, 2] = 0.04  # trunk at the floor
     obs, priv, rew, done, info = env.step(np.zeros((1, env.action_dim)))
@@ -337,7 +362,7 @@ def test_joint_limit_clamp_precedes_the_step_kinematics():
     # a knee driven past its limit is stored clamped, and the collision
     # count and the kinematic reward terms of the step are those of the
     # clamped pose, not of the pose the last substep reached
-    env = VecLocomotionEnv("PLS", n_envs=1, seed=1, config=quiet_config(), randomization_on=False)
+    env = VecLocomotionEnv("PLS", n_envs=1, seed=1, config=bare_config())
     env.reset_all()
     env._reset_envs = lambda idx: None  # keep the terminal state for the checks below
     env.state.base_pos[0, 2] = 1.0  # in the air, so no foot contact damps the knee
@@ -375,8 +400,7 @@ def _airborne_knee_step(tree):
     """One zero-action step of an env in the air with its FR knee moving
     up at 5 rad/s, so that no foot touches the floor and the knee ends
     above its target: the env and the outputs of ``_physics`` it rewards."""
-    env = VecLocomotionEnv("PLS", n_envs=1, seed=1, tree=tree, config=quiet_config(),
-                           randomization_on=False)
+    env = VecLocomotionEnv("PLS", n_envs=1, seed=1, tree=tree, config=bare_config())
     env.reset_all()
     env.state.base_pos[0, 2] = 1.0
     env.state.qdot[0, 2] = 5.0
@@ -447,7 +471,7 @@ def test_step_runs_one_kinematics_pass_per_substep_and_one_per_clip(monkeypatch)
 def test_air_time_accumulates_across_control_steps():
     # dropped from 2 m, no foot lands in the first control steps, so each
     # foot's air time grows by control_dt per step
-    env = VecLocomotionEnv("PLS", n_envs=1, seed=1, config=quiet_config(), randomization_on=False)
+    env = VecLocomotionEnv("PLS", n_envs=1, seed=1, config=bare_config())
     env.reset_all()
     env.state.base_pos[0, 2] = 2.0
     for k in range(1, 4):
@@ -458,8 +482,7 @@ def test_air_time_accumulates_across_control_steps():
 def test_truncation_at_episode_end():
     env = VecLocomotionEnv(
         "PLS", n_envs=1, seed=4,
-        config=quiet_config(episode_length_s=0.1),  # 5 control steps
-        randomization_on=False,
+        config=bare_config(episode_length_s=0.1),  # 5 control steps
     )
     env.reset_all()
     done = False
@@ -475,8 +498,7 @@ def test_truncation_at_episode_end():
 
 def test_standing_stability_under_zero_action():
     # zero action = PD hold at the default pose; the robot must just stand
-    env = VecLocomotionEnv("FixedP50", n_envs=1, seed=5, config=quiet_config(),
-                           randomization_on=False)
+    env = VecLocomotionEnv("FixedP50", n_envs=1, seed=5, config=bare_config())
     env.reset_all()
     for _ in range(100):  # 2 s
         obs, priv, rew, done, info = env.step(np.zeros((1, env.action_dim)))
@@ -486,8 +508,8 @@ def test_standing_stability_under_zero_action():
 
 
 def test_active_push_reported_in_privileged():
-    cfg = quiet_config()
-    env = VecLocomotionEnv("PLS", n_envs=1, seed=6, config=cfg, randomization_on=False)
+    cfg = bare_config()
+    env = VecLocomotionEnv("PLS", n_envs=1, seed=6, config=cfg)
     env.reset_all()
     env.set_push_schedule([0.05], [0.1], [[40.0, 0.0, 0.0]])
     env.step(np.zeros((1, env.action_dim)))  # t=0.02 -> not yet active
@@ -502,9 +524,29 @@ def test_active_push_reported_in_privileged():
     assert np.allclose(priv[0][42:45], 0.0)
 
 
+def test_a_set_push_schedule_lasts_until_the_env_resets():
+    # env 0 ends in the first step and its reset draws a training schedule;
+    # env 1 runs on and keeps the set one
+    env = VecLocomotionEnv("PLS", n_envs=2, seed=6)
+    env.set_push_schedule([0.5, 0.5], [0.1, 0.1], [[40.0, 0.0, 0.0], [0.0, 40.0, 0.0]])
+    set_schedule = env.push_start.copy(), env.push_end.copy(), env.push_force.copy()
+    draws = env.draws.copy()
+    env.state.base_pos[0] = (0.0, 0.0, 1.0)
+    env.state.base_quat[0] = (0.0, 1.0, 0.0, 0.0)
+    _, _, _, done, _ = env.step(np.zeros((2, env.action_dim)))
+    assert done.tolist() == [True, False]
+    # the reset's fourth draw (after joint noise, episode and command) is the pushes
+    sampled = schedule_pushes(env.key, [0], draws[:1] + 3, env.cfg)
+    held = env.push_start, env.push_end, env.push_force
+    for now, before, drawn in zip(held, set_schedule, sampled, strict=True):
+        assert np.array_equal(now[0], drawn[0])
+        assert not np.array_equal(now[0], before[0])
+        assert np.array_equal(now[1], before[1])
+
+
 def test_push_impulse_changes_velocity():
-    cfg = quiet_config()
-    env = VecLocomotionEnv("FixedP50", n_envs=1, seed=8, config=cfg, randomization_on=False)
+    cfg = bare_config()
+    env = VecLocomotionEnv("FixedP50", n_envs=1, seed=8, config=cfg)
     env.reset_all()
     env.set_push_schedule([0.1], [0.1], [[120.0, 0.0, 0.0]])
     for _ in range(15):
@@ -538,10 +580,10 @@ def test_base_frame_is_the_rotation_of_base_quat():
 
 
 def test_vector_env_matches_single_env():
-    cfg = quiet_config()
-    vec = VecLocomotionEnv("PLS", n_envs=3, seed=30, config=cfg, randomization_on=False)
+    cfg = bare_config()
+    vec = VecLocomotionEnv("PLS", n_envs=3, seed=30, config=cfg)
     vec.reset_all()
-    single = VecLocomotionEnv("PLS", n_envs=1, seed=30, config=cfg, randomization_on=False)
+    single = VecLocomotionEnv("PLS", n_envs=1, seed=30, config=cfg)
     single.reset_all()
     rng = np.random.default_rng(1)
     for _ in range(5):
@@ -603,3 +645,22 @@ def test_non_finite_state_terminates_as_diverged():
     for a, b in ((obs0, obs), (priv0, priv), (rew0, rew), (done0, done)):
         assert np.array_equal(a[rows], b[rows])
     assert np.isfinite(obs).all() and np.isfinite(priv).all()
+
+
+def test_a_rejected_action_leaves_the_env_unchanged():
+    # at step_count 250 a command refresh is due; a non-finite action is
+    # rejected before it redraws a command or advances a draw counter
+    env = VecLocomotionEnv("PLS", n_envs=2, seed=2)
+    env.step_count[:] = 250
+    before = {name: value.copy() for name, value in _held_arrays(env).items()}
+    action = np.zeros((2, env.action_dim))
+    action[1, 3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        env.step(action)
+    held = _held_arrays(env)
+    assert {"draws", "command", "state.q", "gains.kp"} <= held.keys()
+    for name, value in held.items():
+        assert np.array_equal(value, before[name]), name
+    env.step(np.zeros((2, env.action_dim)))  # a valid step refreshes the commands
+    assert np.all(env.draws == before["draws"] + 2)  # commands, observation noise
+    assert not np.array_equal(env.command, before["command"])

@@ -26,6 +26,7 @@ from vsloco.ppo import (
     rollout,
     train,
 )
+from vsloco.randomization import DomainRandomizationConfig
 
 F32 = np.float32
 
@@ -178,10 +179,7 @@ class _FirstStep(Exception):
     pass
 
 
-@pytest.mark.parametrize("randomization_on", [True, False])
-def test_train_resets_each_env_once_before_the_first_step(
-    monkeypatch, tmp_path, randomization_on
-):
+def test_train_resets_each_env_once_before_the_first_step(monkeypatch, tmp_path):
     reset_rows = []
     reset_envs = VecLocomotionEnv._reset_envs
 
@@ -193,14 +191,14 @@ def test_train_resets_each_env_once_before_the_first_step(
         # one reset (joint noise, episode, command, pushes) and one noisy
         # observation: five draws per env
         assert np.all(env.draws == 5)
-        assert env.randomization_on is randomization_on
-        assert np.all(env.kp_scale == 1.0) != randomization_on
+        assert env.cfg.randomization == DomainRandomizationConfig()
+        assert not np.all(env.kp_scale == 1.0)
         raise _FirstStep
 
     monkeypatch.setattr(VecLocomotionEnv, "_reset_envs", counted_reset)
     monkeypatch.setattr(VecLocomotionEnv, "step", first_step)
     cfg = TrainConfig(n_envs=8, n_iterations=1, steps_per_rollout=2, hidden=[8],
-                      checkpoint_every=0, randomization_on=randomization_on)
+                      checkpoint_every=0)
     with pytest.raises(_FirstStep):
         train("HJLS", cfg, str(tmp_path))
     assert reset_rows == [8]

@@ -1,4 +1,4 @@
-"""Support checks for every randomization row; identity when disabled; the
+"""Support checks for every randomization row; the identity of IDENTITY_ROWS; the
 counter-based generator's distribution and stream independence."""
 
 import numpy as np
@@ -28,21 +28,23 @@ def test_samples_inside_supports():
         assert samples[name].max() > hi - 0.1 * width
 
 
-def test_disabled_is_identity():
-    cfg = dr.DomainRandomizationConfig()
-    key = dr.seed_key(0)
-    ep = dr.sample_episode(cfg, key, [0], [0], enabled=False)
-    assert np.all(ep["payload_mass"] == 0.0)
-    assert np.all(ep["hip_mass"] == 0.0)
-    assert np.all(ep["ground_friction"] == 1.0)
-    assert np.all(ep["gravity_offset"] == 0.0)
-    assert np.all(ep["system_delay"] == 0.0)
-    assert np.all(ep["kp_scale"] == 1.0)
-    assert np.all(ep["kd_scale"] == 1.0)
-    assert np.all(ep["motor_strength"] == 1.0)
-    noise = dr.sample_observation_noise(cfg, key, [0], [1], enabled=False)
-    for block in noise.values():
-        assert np.all(block == 0.0)
+def test_identity_rows_draw_exactly_the_identity():
+    cfg = dr.DomainRandomizationConfig(dr.IDENTITY_ROWS)
+    key, envs = dr.seed_key(0), np.arange(64)
+    ep = dr.sample_episode(cfg, key, envs, np.zeros(64))
+    for row in ("ground_friction", "kp_scale", "kd_scale", "motor_strength"):
+        assert np.all(ep[row] == 1.0), row
+    for row in ("payload_mass", "hip_mass", "gravity_offset", "system_delay"):
+        assert np.all(ep[row] == 0.0) and not np.signbit(ep[row]).any(), row
+    noise = dr.sample_observation_noise(cfg, key, envs, np.ones(64))
+    for row, block in noise.items():
+        assert np.all(block == 0.0) and not np.signbit(block).any(), row
+    # an env off by IDENTITY_ROWS still advances its counters at every draw
+    env = VecLocomotionEnv("PLS", n_envs=2, seed=0, config=EnvConfig(randomization=cfg))
+    assert np.all(env.draws == 4)  # joint noise, episode, command, pushes
+    env.observe()
+    assert np.all(env.draws == 5)
+    assert np.all(env.kp_scale == 1.0) and not env.mass_deltas.any()
 
 
 def _env_with_rows(rows, tree=None):
