@@ -1,9 +1,13 @@
 """Self-describing policy checkpoint container.
 
 Layout: magic ``VSLC`` + u32 format version + u64 header length + UTF-8 JSON
-header + concatenated little-endian float32 arrays. The header carries the
-grouping tag, layer shapes, observation scales, a config snapshot, and one
-entry per array (name, shape, byte offset), so a file is loadable without
+header (``sort_keys``) + concatenated little-endian float32 arrays, in the
+order ``actor.W0``, ``actor.b0``, ``actor.W1``, ... (layer by layer),
+``actor.log_std``, ``critic.W0``, ``critic.b0``, ..., ``obs_scale``,
+``priv_scale``. The header carries the grouping tag, the layer sizes of the
+actor's ``MLP`` and of the critic, itself an ``MLP``, the caller's config
+snapshot (which lives only there: ``read_header`` returns it), and one entry
+per array (name, shape, dtype, byte offset), so a file is loadable without
 any out-of-band knowledge. Writes are atomic (temp file + rename).
 """
 
@@ -21,18 +25,19 @@ FORMAT_VERSION = 1
 
 
 class PolicyBundle:
-    """Actor/critic pair plus the fixed input scaling used in training. Inputs
-    are rounded to float32 before they are scaled, as the rollout buffer stores
-    them, so the rollout's log-probs are the PPO update's bit for bit. grouping
-    tags the policy's task as given: a stiffness grouping, or any other name."""
+    """A ``GaussianActor``, a critic ``MLP`` with one output, and the fixed input
+    scaling used in training. Inputs are rounded to float32 before they are
+    scaled, as the rollout buffer stores them, so the rollout's log-probs are
+    the PPO update's bit for bit. grouping tags the policy's task as given: a
+    stiffness grouping, or any other name. The training config is not held
+    here; it is written to a checkpoint's header only."""
 
-    def __init__(self, grouping, actor, critic, obs_scale, priv_scale, config=None):
+    def __init__(self, grouping, actor, critic, obs_scale, priv_scale):
         self.grouping = grouping
         self.actor = actor
         self.critic = critic
         self.obs_scale = np.asarray(obs_scale, dtype=np.float32)
         self.priv_scale = np.asarray(priv_scale, dtype=np.float32)
-        self.config = config or {}
 
     def act_deterministic(self, obs):
         obs = np.asarray(obs, dtype=np.float32) * self.obs_scale
@@ -42,40 +47,32 @@ class PolicyBundle:
         return self.actor.sample(np.asarray(obs, dtype=np.float32) * self.obs_scale, rng)
 
     def value(self, priv):
-        return self.critic.value(np.asarray(priv, dtype=np.float32) * self.priv_scale)
+        return self.critic.forward(np.asarray(priv, dtype=np.float32) * self.priv_scale)[0][:, 0]
 
 
 def _collect_arrays(bundle: PolicyBundle):
     arrays = []
-    for k, (W, b) in enumerate(zip(bundle.actor.mlp.W, bundle.actor.mlp.b)):
-        arrays.append((f"actor.W{k}", W))
-        arrays.append((f"actor.b{k}", b))
-    arrays.append(("actor.log_std", bundle.actor.log_std))
-    for k, (W, b) in enumerate(zip(bundle.critic.mlp.W, bundle.critic.mlp.b)):
-        arrays.append((f"critic.W{k}", W))
-        arrays.append((f"critic.b{k}", b))
-    arrays.append(("obs_scale", bundle.obs_scale))
-    arrays.append(("priv_scale", bundle.priv_scale))
-    return arrays
+    for net_name, net in (("actor", bundle.actor.mlp), ("critic", bundle.critic)):
+        for k, (W, b) in enumerate(zip(net.W, net.b)):
+            arrays += [(f"{net_name}.W{k}", W), (f"{net_name}.b{k}", b)]
+        if net_name == "actor":
+            arrays.append(("actor.log_std", bundle.actor.log_std))
+    return arrays + [("obs_scale", bundle.obs_scale), ("priv_scale", bundle.priv_scale)]
 
 
-def save_checkpoint(path, bundle: PolicyBundle, extra_config=None):
-    arrays = _collect_arrays(bundle)
-    entries = []
-    offset = 0
-    blobs = []
-    for name, arr in arrays:
-        blob = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        entries.append({"name": name, "shape": list(arr.shape), "dtype": "<f4",
-                        "offset": offset})
-        blobs.append(blob)
-        offset += len(blob)
+def save_checkpoint(path, bundle: PolicyBundle, config=None):
+    """Write bundle to path, with config (a JSON-able dict) in the header."""
+    blobs, entries, offset = [], [], 0
+    for name, arr in _collect_arrays(bundle):
+        blobs.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        entries.append({"name": name, "shape": list(arr.shape), "dtype": "<f4", "offset": offset})
+        offset += len(blobs[-1])
     header = {
         "format_version": FORMAT_VERSION,
         "grouping": bundle.grouping,
         "actor_sizes": bundle.actor.mlp.sizes,
-        "critic_sizes": bundle.critic.mlp.sizes,
-        "config": dict(bundle.config, **(extra_config or {})),
+        "critic_sizes": bundle.critic.sizes,
+        "config": config or {},
         "arrays": entries,
     }
     payload = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -83,12 +80,8 @@ def save_checkpoint(path, bundle: PolicyBundle, extra_config=None):
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", FORMAT_VERSION))
-            fh.write(struct.pack("<Q", len(payload)))
-            fh.write(payload)
-            for blob in blobs:
-                fh.write(blob)
+            fh.write(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(payload)) + payload)
+            fh.writelines(blobs)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -112,7 +105,13 @@ def _read_header(fh, path):
     if len(raw) != hlen:
         raise ValueError(f"{path}: the checkpoint header declares {hlen} bytes, "
                          f"but only {len(raw)} follow")
-    return json.loads(raw.decode("utf-8"))
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except ValueError as err:  # UnicodeDecodeError and JSONDecodeError alike
+        raise ValueError(f"{path}: the checkpoint header is not UTF-8 JSON: {err}") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: the checkpoint header is not a JSON object")
+    return header
 
 
 def read_header(path) -> dict:
@@ -125,23 +124,24 @@ def load_checkpoint(path) -> PolicyBundle:
         header = _read_header(fh, path)
         data = fh.read()
     arrays = {}
-    for entry in header["arrays"]:
-        count, offset = int(np.prod(entry["shape"])), entry["offset"]
-        end = offset + count * np.dtype(entry["dtype"]).itemsize
-        if not 0 <= offset <= end <= len(data):
-            raise ValueError(f"{path}: array {entry['name']} spans bytes {offset} to {end} after "
-                             f"the header, but {len(data)} follow it")
-        arr = np.frombuffer(data, dtype=entry["dtype"], count=count, offset=offset)
-        arrays[entry["name"]] = arr.reshape(entry["shape"]).astype(np.float32)
 
-    def layers(net, sizes):  # the stored weights and biases of a net, layer by layer
-        return ([arrays[f"{net}.W{k}"] for k in range(len(sizes) - 1)],
-                [arrays[f"{net}.b{k}"] for k in range(len(sizes) - 1)])
+    def mlp(net):  # the net from its stored weights and biases, layer by layer
+        layers = range(len(header[f"{net}_sizes"]) - 1)
+        return nets.MLP.from_arrays(*([arrays[f"{net}.{kind}{k}"] for k in layers]
+                                      for kind in "Wb"))
 
-    actor = nets.GaussianActor.from_arrays(*layers("actor", header["actor_sizes"]),
-                                           arrays["actor.log_std"])
-    critic = nets.Critic.from_arrays(*layers("critic", header["critic_sizes"]))
-    return PolicyBundle(
-        header["grouping"], actor, critic, arrays["obs_scale"], arrays["priv_scale"],
-        config=header.get("config", {}),
-    )
+    try:
+        for entry in header["arrays"]:
+            name, shape, dtype, offset = (entry[k] for k in ("name", "shape", "dtype", "offset"))
+            count = int(np.prod(shape))
+            end = offset + count * np.dtype(dtype).itemsize
+            if not 0 <= offset <= end <= len(data):
+                raise ValueError(f"{path}: array {name} spans bytes {offset} to {end} after "
+                                 f"the header, but {len(data)} follow it")
+            arr = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
+            arrays[name] = arr.reshape(shape).astype(np.float32)
+        actor = nets.GaussianActor(mlp("actor"), arrays["actor.log_std"])
+        return PolicyBundle(header["grouping"], actor, mlp("critic"), arrays["obs_scale"],
+                            arrays["priv_scale"])
+    except KeyError as err:  # a key the header lacks, or an array the file lacks
+        raise ValueError(f"{path}: the checkpoint lacks {err.args[0]!r}") from None

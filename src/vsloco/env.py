@@ -84,7 +84,7 @@ class EnvConfig:
     control_dt: float = 0.02
     physics_substeps: int = 10
     episode_length_s: float = 20.0
-    command_resample_s: float = 5.0
+    command_resample_s: float = 5.0  # a whole number of control steps; 0 is off
     command_ranges: dict = field(
         default_factory=lambda: {"vx": (-1.0, 1.0), "vy": (-1.0, 1.0), "yaw_rate": (-1.0, 1.0)}
     )
@@ -112,6 +112,11 @@ class EnvConfig:
         if not self.episode_length_s >= self.control_dt:
             raise ValueError(f"episode_length_s must be >= control_dt, got "
                              f"{self.episode_length_s}")
+        resample = self.command_resample_s
+        if not (math.isfinite(resample) and resample >= 0
+                and abs(round(resample / self.control_dt) * self.control_dt - resample) <= 1e-9):
+            raise ValueError(f"command_resample_s must be 0 or a whole number of control steps "
+                             f"of {self.control_dt} s, got {resample}")
         if not self.push_interval_s > 0:
             raise ValueError(f"push_interval_s must be > 0, got {self.push_interval_s}")
 
@@ -294,8 +299,6 @@ class VecLocomotionEnv:
         self.obs_dim, self.priv_dim = map(len, input_scales(grouping))
         self.q_default = self.tree.default_pose
         self.q_limits = self.tree.position_limits
-        # the tree's masses, gravity and friction, from which resets rebuild rows
-        self.nominal_params = dyn.BatchParams.from_tree(self.tree, self.n)
         self.seed = int(seed)
         self.key = dr.seed_key(self.seed)
         self.env_ids = np.arange(self.n)
@@ -350,12 +353,11 @@ class VecLocomotionEnv:
         q = self.q_default + dr.between(-cfg.reset_joint_noise, cfg.reset_joint_noise, noise)
         ep = dr.sample_episode(cfg.randomization, key, idx, self._next_draw(idx))
         self.mass_deltas[idx] = np.concatenate([ep["payload_mass"], ep["hip_mass"]], axis=1)
-        nominal = self.nominal_params
-        masses = nominal.masses[idx]
-        masses[:, MASS_DELTA_BODIES] += self.mass_deltas[idx]
-        self.params.masses[idx] = masses
-        self.params.gravity[idx, 2] = nominal.gravity[idx, 2] + ep["gravity_offset"][:, 0]
-        self.params.friction[idx] = nominal.friction[idx] * ep["ground_friction"][:, 0]
+        nominal = dyn.BatchParams.from_tree(self.tree, idx.size)  # the tree's own rows
+        nominal.masses[:, MASS_DELTA_BODIES] += self.mass_deltas[idx]
+        self.params.masses[idx] = nominal.masses
+        self.params.gravity[idx, 2] = nominal.gravity[:, 2] + ep["gravity_offset"][:, 0]
+        self.params.friction[idx] = nominal.friction * ep["ground_friction"][:, 0]
         delay = (ep["system_delay"][:, 0] / 1000.0 / cfg.dt_physics).astype(int)
         self.delay_substeps[idx] = np.minimum(delay, cfg.physics_substeps - 1)
         self.kp_scale[idx] = ep["kp_scale"]
@@ -424,12 +426,9 @@ class VecLocomotionEnv:
             raise ValueError(f"actions must have shape {(self.n, self.action_dim)}")
         # decoded first: a rejected action leaves the env as it was
         new_gains = act.decode_action(self.grouping, actions, self.q_default, self.q_limits)
-        if cfg.command_resample_s > 0:
-            t_now = self.step_count * cfg.control_dt
-            due = np.flatnonzero((self.step_count > 0) & (
-                np.abs(t_now / cfg.command_resample_s - np.round(t_now / cfg.command_resample_s))
-                < 1e-9
-            ))
+        every = round(cfg.command_resample_s / cfg.control_dt)  # whole steps (EnvConfig)
+        if every:
+            due = np.flatnonzero((self.step_count > 0) & (self.step_count % every == 0))
             self.command[due] = sample_command(
                 self.key, due, self._next_draw(due), cfg.command_ranges
             )

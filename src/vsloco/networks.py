@@ -1,8 +1,10 @@
 """Small float32 MLP stack with hand-written backprop and Adam.
 
-Keeping the networks in numpy makes training bit-deterministic for a fixed
-seed and lets checkpoints be plain little-endian float32 blobs. Gradients
-are exact; a finite-difference oracle in the tests pins them down.
+A policy is a ``GaussianActor`` (an ``MLP`` mean and a log-stddev vector) and
+a critic that is a plain ``MLP`` with one output, the value. Keeping the
+networks in numpy makes training bit-deterministic for a fixed seed and lets
+checkpoints be plain little-endian float32 blobs. Gradients are exact; a
+finite-difference oracle in the tests pins them down.
 """
 
 import numpy as np
@@ -140,18 +142,12 @@ LOG_2PI = np.log(2.0 * np.pi)
 
 
 class GaussianActor:
-    """Diagonal Gaussian policy: MLP mean, state-independent log-stddev."""
+    """Diagonal Gaussian policy: an MLP's output is the mean, a state-independent
+    float32 vector the log-stddev."""
 
-    def __init__(self, obs_dim, action_dim, hidden, rng, init_std=1.0, out_gain=0.01):
-        self.mlp = MLP([obs_dim] + list(hidden) + [action_dim], rng, out_gain=out_gain)
-        self.log_std = np.full(action_dim, np.log(init_std), dtype=F32)
-
-    @classmethod
-    def from_arrays(cls, W, b, log_std):
-        """The actor with the given mean net layers and log-stddev (no init)."""
-        actor = cls.__new__(cls)
-        actor.mlp, actor.log_std = MLP.from_arrays(W, b), log_std
-        return actor
+    def __init__(self, mlp, log_std):
+        self.mlp = mlp
+        self.log_std = log_std
 
     @property
     def params(self):
@@ -190,29 +186,3 @@ class GaussianActor:
         dlogstd = (dlogp[:, None] * (z**2 - 1.0)).sum(axis=0) + dlogstd_extra
         return self.mlp.backward(cache["acts"], dmean) + [dlogstd.astype(F32)]
 
-
-class Critic:
-    def __init__(self, in_dim, hidden, rng):
-        self.mlp = MLP([in_dim] + list(hidden) + [1], rng, out_gain=1.0)
-
-    @classmethod
-    def from_arrays(cls, W, b):
-        """The critic with the given value net layers (no init)."""
-        critic = cls.__new__(cls)
-        critic.mlp = MLP.from_arrays(W, b)
-        return critic
-
-    @property
-    def params(self):
-        return self.mlp.params
-
-    def value(self, x):
-        return self.mlp.forward(x)[0][:, 0]
-
-    def evaluate(self, x):
-        v, acts = self.mlp.forward(x)
-        return v[:, 0], acts
-
-    def backward(self, acts, dv):
-        """Gradients of sum(dv * value); consumes acts (see `MLP.backward`)."""
-        return self.mlp.backward(acts, dv[:, None])

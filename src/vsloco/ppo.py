@@ -158,9 +158,10 @@ class PPOAgent:
 
     def __init__(self, grouping, obs_scale, priv_scale, action_dim, config: TrainConfig, rng):
         actor = nets.GaussianActor(
-            len(obs_scale), action_dim, config.hidden, rng, init_std=config.init_std
+            nets.MLP([len(obs_scale), *config.hidden, action_dim], rng, out_gain=0.01),
+            np.full(action_dim, np.log(config.init_std), dtype=F32),
         )
-        critic = nets.Critic(len(priv_scale), config.hidden, rng)
+        critic = nets.MLP([len(priv_scale), *config.hidden, 1], rng)
         self.bundle = PolicyBundle(grouping, actor, critic, obs_scale, priv_scale)
         self.cfg = config
         self.params = actor.params + critic.params
@@ -205,11 +206,11 @@ class PPOAgent:
         # d(-min(surr1, surr2))/d ratio is -A on the unclipped branch
         dlogp = (-(adv * ratio * (surr1 <= surr2)) / m).astype(F32)
         grads = actor.backward(cache, dlogp, dlogstd_extra=-cfg.entropy_coef)
-        v, acts = critic.evaluate(priv[mb] * bundle.priv_scale)
-        v_err = v - ret[mb]
+        v, acts = critic.forward(priv[mb] * bundle.priv_scale)
+        v_err = v[:, 0] - ret[mb]
         value_loss = float(np.mean(v_err.astype(np.float64) ** 2))
         _require_finite(epoch, k, value=value_loss)
-        grads += critic.backward(acts, (2.0 * cfg.value_coef * v_err / m).astype(F32))
+        grads += critic.backward(acts, (2.0 * cfg.value_coef * v_err / m).astype(F32)[:, None])
         grads, norm = nets.clip_grad_norm(grads, cfg.max_grad_norm)
         self.optimizer.step(self.params, grads)
         np.maximum(actor.log_std, log_std_floor, out=actor.log_std, dtype=F32, casting="unsafe")
@@ -295,8 +296,8 @@ def train_loop(env, agent, buffer, obs, priv, rng, config: TrainConfig, out_dir)
                 raise RuntimeError(f"non-finite metric at iteration {it}")
             if cfg.checkpoint_every and (it + 1) % cfg.checkpoint_every == 0:
                 save_checkpoint(f"{ckpt_prefix}_it{it + 1:06d}.ckpt", bundle,
-                                extra_config={"iteration": it + 1, "train": cfg.__dict__.copy()})
-    save_checkpoint(f"{ckpt_prefix}.ckpt", bundle, extra_config={"train": cfg.__dict__.copy()})
+                                config={"iteration": it + 1, "train": cfg.__dict__.copy()})
+    save_checkpoint(f"{ckpt_prefix}.ckpt", bundle, config={"train": cfg.__dict__.copy()})
     return bundle, metrics_path, f"{ckpt_prefix}.ckpt"
 
 

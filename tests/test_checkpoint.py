@@ -20,7 +20,7 @@ from vsloco.checkpoint import (
 )
 from vsloco.actuation import GROUPINGS, action_dim
 from vsloco.env import TERMINATION_REASONS, EnvConfig, VecLocomotionEnv, input_scales
-from vsloco.networks import Critic, GaussianActor
+from vsloco.networks import MLP, GaussianActor
 from vsloco.ppo import WALL_TIME_COLUMNS, TrainConfig, train
 from vsloco.randomization import IDENTITY_ROWS, DomainRandomizationConfig
 from vsloco.rewards import DEFAULT_WEIGHTS
@@ -31,18 +31,19 @@ def make_bundle(grouping="PLS", seed=0):
     obs_dim = 36 + {"PLS": 16, "FixedP20": 12}[grouping]
     priv_dim = 45 + obs_dim
     adim = obs_dim - 36
-    actor = GaussianActor(obs_dim, adim, [32, 16], rng)
-    critic = Critic(priv_dim, [32, 16], rng)
-    return PolicyBundle(grouping, actor, critic, *input_scales(grouping), config={"note": "test"})
+    actor = GaussianActor(MLP([obs_dim, 32, 16, adim], rng, out_gain=0.01),
+                          np.zeros(adim, dtype=np.float32))
+    critic = MLP([priv_dim, 32, 16, 1], rng)
+    return PolicyBundle(grouping, actor, critic, *input_scales(grouping))
 
 
 def test_checkpoint_round_trip(tmp_path):
     bundle = make_bundle()
     path = tmp_path / "p.ckpt"
-    save_checkpoint(str(path), bundle, extra_config={"iteration": 3})
+    save_checkpoint(str(path), bundle, config={"note": "test", "iteration": 3})
     loaded = load_checkpoint(str(path))
     assert loaded.grouping == "PLS"
-    assert loaded.config["iteration"] == 3
+    assert read_header(str(path))["config"] == {"note": "test", "iteration": 3}
     obs = np.random.default_rng(1).normal(0, 1, (5, 52)).astype(np.float32)
     assert np.array_equal(bundle.act_deterministic(obs), loaded.act_deterministic(obs))
     priv = np.random.default_rng(2).normal(0, 1, (5, 97)).astype(np.float32)
@@ -61,7 +62,7 @@ def test_checkpoint_loads_without_initializing_nets(tmp_path, monkeypatch):
     monkeypatch.setattr(networks, "orthogonal", no_init)
     loaded = load_checkpoint(str(path))
     assert loaded.actor.mlp.sizes == bundle.actor.mlp.sizes
-    assert loaded.critic.mlp.sizes == bundle.critic.mlp.sizes
+    assert loaded.critic.sizes == bundle.critic.sizes
     for (name, a), (_, b) in zip(_collect_arrays(bundle), _collect_arrays(loaded)):
         assert np.array_equal(a, b), name
 
@@ -88,8 +89,8 @@ def test_a_task_tag_that_is_no_grouping_round_trips(tmp_path):
     # a bundle keeps its task's tag as given; only the locomotion env
     # requires a stiffness grouping
     rng = np.random.default_rng(0)
-    bundle = PolicyBundle("bandit", GaussianActor(1, 1, [4], rng), Critic(1, [4], rng),
-                          np.ones(1), np.ones(1))
+    actor = GaussianActor(MLP([1, 4, 1], rng, out_gain=0.01), np.zeros(1, dtype=np.float32))
+    bundle = PolicyBundle("bandit", actor, MLP([1, 4, 1], rng), np.ones(1), np.ones(1))
     path = str(tmp_path / "bandit.ckpt")
     save_checkpoint(path, bundle)
     assert read_header(path)["grouping"] == "bandit"
@@ -142,6 +143,81 @@ def test_checkpoint_rejects_arrays_that_end_early(tmp_path):
     assert read_header(str(path))["arrays"][-1]["name"] == "priv_scale"
     with pytest.raises(ValueError, match=re.escape(f"{path}: array priv_scale spans bytes")):
         load_checkpoint(str(path))
+
+
+def write_checkpoint(path, payload, blob=b""):
+    """A checkpoint file with the given header bytes and array bytes."""
+    path.write_bytes(MAGIC + struct.pack("<IQ", 1, len(payload)) + payload + blob)
+
+
+def without_log_std(path):
+    """Rewrite the checkpoint at path with actor.log_std's entry cut from its header."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16:16 + hlen])
+    header["arrays"] = [e for e in header["arrays"] if e["name"] != "actor.log_std"]
+    write_checkpoint(path, json.dumps(header).encode("utf-8"), raw[16 + hlen:])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda path: write_checkpoint(path, b'{"a":1}'), "lacks 'arrays'"),
+    (lambda path: write_checkpoint(path, b"[]"), "header is not a JSON object"),
+    (lambda path: write_checkpoint(path, b'{"a":"\xff"}'), "header is not UTF-8 JSON"),
+    (without_log_std, "lacks 'actor.log_std'"),
+], ids=["no-arrays-key", "json-list", "not-utf-8", "no-log-std"])
+def test_checkpoint_refuses_a_malformed_header_by_name(tmp_path, make, message):
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(str(path), make_bundle())
+    make(path)
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*{re.escape(message)}"):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_bytes_follow_the_documented_layout(tmp_path):
+    # a file assembled by hand from the layout in the module docstring: it
+    # loads, and save_checkpoint writes exactly its bytes for the same arrays
+    rng = np.random.default_rng(4)
+
+    def f32(*shape):
+        return rng.normal(0, 1, shape).astype(np.float32)
+
+    sizes = {"actor": [3, 4, 2], "critic": [5, 4, 1]}
+    layers = {net: [(f32(n_out, n_in), f32(n_out)) for n_in, n_out in zip(s, s[1:])]
+              for net, s in sizes.items()}
+
+    def named_layers(net):
+        return [(f"{net}.{kind}{k}", a) for k, pair in enumerate(layers[net])
+                for kind, a in zip("Wb", pair)]
+
+    log_std, obs_scale, priv_scale = f32(2), f32(3), f32(5)
+    named = (named_layers("actor") + [("actor.log_std", log_std)] + named_layers("critic")
+             + [("obs_scale", obs_scale), ("priv_scale", priv_scale)])
+    offsets = np.cumsum([0] + [a.nbytes for _, a in named])
+    config = {"iteration": 7, "train": {"seed": 0}}
+    header = {"format_version": 1, "grouping": "PLS", "actor_sizes": sizes["actor"],
+              "critic_sizes": sizes["critic"], "config": config,
+              "arrays": [{"name": name, "shape": list(a.shape), "dtype": "<f4",
+                          "offset": int(offset)} for (name, a), offset in zip(named, offsets)]}
+    payload = json.dumps(header, sort_keys=True).encode("utf-8")
+    expected = (b"VSLC" + struct.pack("<I", 1) + struct.pack("<Q", len(payload)) + payload
+                + b"".join(a.astype("<f4").tobytes() for _, a in named))
+    hand = tmp_path / "hand.ckpt"
+    hand.write_bytes(expected)
+    loaded = load_checkpoint(str(hand))
+    assert loaded.grouping == "PLS" and read_header(str(hand))["config"] == config
+    assert [name for name, _ in _collect_arrays(loaded)] == [name for name, _ in named]
+    for (name, a), (_, b) in zip(_collect_arrays(loaded), named, strict=True):
+        assert a.dtype == np.float32 and np.array_equal(a, b), name
+
+    def mlp(net):
+        return MLP.from_arrays(*zip(*layers[net]))
+
+    bundle = PolicyBundle("PLS", GaussianActor(mlp("actor"), log_std), mlp("critic"),
+                          obs_scale, priv_scale)
+    for source in (bundle, loaded):
+        written = tmp_path / "written.ckpt"
+        save_checkpoint(str(written), source, config=config)
+        assert written.read_bytes() == expected
 
 
 def obs_scale_vector(grouping):
@@ -201,9 +277,8 @@ def test_train_micro_run(tmp_path):
     with open(metrics_path) as fh:
         lines = fh.read().strip().splitlines()
     assert len(lines) == 4  # header + 3 iterations
-    loaded = load_checkpoint(ckpt_path)
-    assert loaded.grouping == "PLS"
-    assert loaded.config["train"]["n_envs"] == 4
+    assert load_checkpoint(ckpt_path).grouping == "PLS"
+    assert read_header(ckpt_path)["config"]["train"]["n_envs"] == 4
 
 
 def test_train_determinism_micro(tmp_path):

@@ -155,11 +155,12 @@ def test_step_determinism():
 
 def test_randomized_context_inside_supports():
     env = VecLocomotionEnv("PLS", n_envs=64, seed=17, config=EnvConfig())
+    nominal = dyn.BatchParams.from_tree(env.tree, env.n)
     rows = env.cfg.randomization.rows
     for _ in range(20):
         env.reset_all()
         payload, hips = env.mass_deltas[:, 0], env.mass_deltas[:, 1:]
-        friction_scale = env.params.friction / env.nominal_params.friction
+        friction_scale = env.params.friction / nominal.friction
         assert np.all((rows["payload_mass"][0] <= payload) & (payload <= rows["payload_mass"][1]))
         assert np.all(hips >= rows["hip_mass"][0])
         assert np.all(hips <= rows["hip_mass"][1])
@@ -182,9 +183,10 @@ def test_reset_identity_when_disabled():
     env.reset_all()
     assert np.all(env.mass_deltas[:, 0] == 0.0)
     assert np.all(env.kp_scale == 1.0)
-    assert np.array_equal(env.params.friction, env.nominal_params.friction)
-    assert np.array_equal(env.params.gravity, env.nominal_params.gravity)
-    assert np.array_equal(env.params.masses, env.nominal_params.masses)
+    nominal = dyn.BatchParams.from_tree(env.tree, env.n)
+    assert np.array_equal(env.params.friction, nominal.friction)
+    assert np.array_equal(env.params.gravity, nominal.gravity)
+    assert np.array_equal(env.params.masses, nominal.masses)
     assert np.all(env.delay_substeps == 0)
 
 
@@ -273,6 +275,29 @@ def test_command_schedule_four_intervals():
     assert resample_steps == [251, 501, 751]
     assert len(seen) == 4
     assert ended == env.cfg.max_steps == 1000  # truncated at 20 s
+
+
+@pytest.mark.parametrize("resample_s, refreshed_after", [(0.06, [3, 6, 9]), (0.0, [])])
+def test_commands_refresh_every_whole_number_of_control_steps(resample_s, refreshed_after):
+    # at control_dt 0.02 s, 0.06 s is every 3 control steps; 0 is off
+    env = VecLocomotionEnv("PLS", n_envs=1, seed=9, config=EnvConfig(
+        command_resample_s=resample_s, push_enabled=False, reset_joint_noise=0.0,
+        randomization=no_randomization()))
+    action = np.zeros((1, env.action_dim))
+    action[0, 12:] = 1.0  # hold the default pose stiffly
+    refreshed = []
+    for k in range(11):
+        before = env.command[0].copy()
+        assert not env.step(action)[3][0]
+        if not np.array_equal(env.command[0], before):
+            refreshed.append(k)  # steps completed before the refresh
+    assert refreshed == refreshed_after
+
+
+@pytest.mark.parametrize("resample_s", [0.03, 0.05, 0.001, -5.0, np.nan, np.inf])
+def test_command_resample_must_be_whole_control_steps(resample_s):
+    with pytest.raises(ValueError, match="command_resample_s"):
+        EnvConfig(command_resample_s=resample_s)
 
 
 def test_push_schedule_timing():

@@ -104,17 +104,17 @@ def test_backward_consumes_and_releases_its_cache():
 
 def test_actor_and_critic_backward_consume_their_caches():
     rng = np.random.default_rng(5)
-    actor = nets.GaussianActor(4, 2, [8], rng)
-    critic = nets.Critic(3, [8], rng)
+    actor = nets.GaussianActor(nets.MLP([4, 8, 2], rng, out_gain=0.01), np.zeros(2, dtype=F32))
+    critic = nets.MLP([3, 8, 1], rng)
     obs = rng.normal(0, 1, (6, 4)).astype(F32)
     _, _, cache = actor.evaluate(obs, rng.normal(0, 1, (6, 2)).astype(F32))
     actor.backward(cache, np.ones(6, dtype=F32))
     with pytest.raises(ValueError, match="consumed"):
         actor.backward(cache, np.ones(6, dtype=F32))
-    _, acts = critic.evaluate(rng.normal(0, 1, (6, 3)).astype(F32))
-    critic.backward(acts, np.ones(6, dtype=F32))
+    _, acts = critic.forward(rng.normal(0, 1, (6, 3)).astype(F32))
+    critic.backward(acts, np.ones((6, 1), dtype=F32))
     with pytest.raises(ValueError, match="consumed"):
-        critic.backward(acts, np.ones(6, dtype=F32))
+        critic.backward(acts, np.ones((6, 1), dtype=F32))
 
 
 def test_clip_grad_norm_scales_the_given_arrays():

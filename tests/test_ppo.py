@@ -339,7 +339,8 @@ def _numeric_grad(f, param, eps=1e-5):
 
 def test_actor_gradients_match_finite_differences():
     rng = np.random.default_rng(7)
-    actor = nets.GaussianActor(4, 2, [8], rng, init_std=0.7)
+    actor = nets.GaussianActor(nets.MLP([4, 8, 2], rng, out_gain=0.01),
+                               np.full(2, np.log(0.7), dtype=F32))
     obs = rng.normal(0, 1, (6, 4)).astype(F32)
     actions = rng.normal(0, 1, (6, 2)).astype(F32)
     weights = rng.normal(0, 1, 6).astype(F32)
@@ -362,16 +363,16 @@ def test_actor_gradients_match_finite_differences():
 
 def test_critic_gradients_match_finite_differences():
     rng = np.random.default_rng(8)
-    critic = nets.Critic(3, [8], rng)
+    critic = nets.MLP([3, 8, 1], rng)
     x = rng.normal(0, 1, (5, 3)).astype(F32)
     target = rng.normal(0, 1, 5).astype(F32)
 
     def loss64():
-        v = _mlp_forward64(critic.mlp, x)[:, 0]
+        v = _mlp_forward64(critic, x)[:, 0]
         return float(np.mean((v - target.astype(np.float64)) ** 2))
 
-    v, cache = critic.evaluate(x)
-    grads = critic.backward(cache, (2.0 * (v - target) / 5).astype(F32))
+    v, cache = critic.forward(x)
+    grads = critic.backward(cache, (2.0 * (v[:, 0] - target) / 5).astype(F32)[:, None])
     for p, g in zip(critic.params, grads):
         numeric = _numeric_grad(loss64, p)
         assert np.allclose(g, numeric, atol=5e-4, rtol=1e-3)
@@ -580,7 +581,7 @@ def reference_update(agent, buffer, rng):
             surr1 = ratio * adv[mb]
             surr2 = np.clip(ratio, 1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio) * adv[mb]
             policy_loss = -np.minimum(surr1, surr2).mean()
-            v_out, acts_c = _reference_forward(critic.mlp, priv[mb])
+            v_out, acts_c = _reference_forward(critic, priv[mb])
             v_err = v_out[:, 0] - ret[mb]
             value_loss = float(np.mean(v_err.astype(np.float64) ** 2))
             picked = surr1 <= surr2
@@ -589,7 +590,7 @@ def reference_update(agent, buffer, rng):
             dlogstd = (dlogp[:, None] * (z**2 - 1.0)).sum(axis=0) - cfg.entropy_coef
             actor_grads = _reference_backward(actor.mlp, acts_a, dmean) + [dlogstd.astype(F32)]
             dv = (2.0 * cfg.value_coef * v_err / m).astype(F32)
-            critic_grads = _reference_backward(critic.mlp, acts_c, dv[:, None])
+            critic_grads = _reference_backward(critic, acts_c, dv[:, None])
             grads = actor_grads + critic_grads
             norm = np.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2)) for g in grads))
             if norm > cfg.max_grad_norm and norm > 0:
@@ -681,7 +682,7 @@ def test_update_peak_memory_is_one_nets_minibatch():
     B = cfg.n_envs * cfg.steps_per_rollout
     m = -(-B // cfg.minibatches)
     f32 = np.dtype(F32).itemsize
-    nets_sizes = [agent.bundle.actor.mlp.sizes, agent.bundle.critic.mlp.sizes]
+    nets_sizes = [agent.bundle.actor.mlp.sizes, agent.bundle.critic.sizes]
     activations = max(m * sum(sizes) * f32 for sizes in nets_sizes)
     backward_grads = 2 * m * max(cfg.hidden) * f32  # g before and after one layer
     params = sum(p.nbytes for p in agent.params)  # gradients, Adam's temporaries
