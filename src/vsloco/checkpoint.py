@@ -99,7 +99,7 @@ def _read_header(fh, path):
         raise ValueError(f"{path}: the checkpoint ends before its header length")
     version, hlen = struct.unpack("<IQ", prefix[4:])
     if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format version {version}")
+        raise ValueError(f"{path}: unsupported checkpoint format version {version}")
     # read no more than the file holds: the length is not trusted
     raw = fh.read(min(hlen, os.fstat(fh.fileno()).st_size - fh.tell()))
     if len(raw) != hlen:
@@ -119,7 +119,28 @@ def read_header(path) -> dict:
         return _read_header(fh, path)
 
 
+def _expected_shapes(header, path):
+    """{name: shape} of every array the header's layer sizes call for."""
+    shapes = {}
+    for net in ("actor", "critic"):
+        sizes = header[f"{net}_sizes"]
+        if not (isinstance(sizes, list) and len(sizes) >= 2
+                and all(type(n) is int and n > 0 for n in sizes)):
+            raise ValueError(f"{path}: {net}_sizes must list two or more positive integers, "
+                             f"got {sizes!r}")
+        for k in range(len(sizes) - 1):
+            shapes[f"{net}.W{k}"], shapes[f"{net}.b{k}"] = (sizes[k + 1], sizes[k]), (sizes[k + 1],)
+    actor, critic = header["actor_sizes"], header["critic_sizes"]
+    if critic[-1] != 1:
+        raise ValueError(f"{path}: critic_sizes must end in 1, the value, got {critic!r}")
+    return {**shapes, "actor.log_std": (actor[-1],), "obs_scale": (actor[0],),
+            "priv_scale": (critic[0],)}
+
+
 def load_checkpoint(path) -> PolicyBundle:
+    """The policy stored at path. Refuses, naming the file, a header that lacks
+    a key, an array that is not '<f4' or whose shape the header's layer sizes
+    do not call for, and an array that runs past the end of the file."""
     with open(path, "rb") as fh:
         header = _read_header(fh, path)
         data = fh.read()
@@ -131,10 +152,21 @@ def load_checkpoint(path) -> PolicyBundle:
                                       for kind in "Wb"))
 
     try:
-        for entry in header["arrays"]:
-            name, shape, dtype, offset = (entry[k] for k in ("name", "shape", "dtype", "offset"))
+        entries = header["arrays"]
+        expected = _expected_shapes(header, path)
+        for entry in entries:
+            name, stored, dtype, offset = (entry[k] for k in ("name", "shape", "dtype", "offset"))
+            if name not in expected:
+                raise ValueError(f"{path}: array {name} is not one the header's sizes call for")
+            shape = expected[name]
+            if stored != list(shape):
+                raise ValueError(f"{path}: array {name} has shape {stored}, but the header's "
+                                 f"sizes call for {list(shape)}")
+            if dtype != "<f4" or type(offset) is not int:
+                raise ValueError(f"{path}: array {name} must be '<f4' at an integer offset, "
+                                 f"got {dtype!r} at {offset!r}")
             count = int(np.prod(shape))
-            end = offset + count * np.dtype(dtype).itemsize
+            end = offset + 4 * count
             if not 0 <= offset <= end <= len(data):
                 raise ValueError(f"{path}: array {name} spans bytes {offset} to {end} after "
                                  f"the header, but {len(data)} follow it")

@@ -23,14 +23,7 @@ from . import dynamics as dyn
 from . import randomization as dr
 from . import shards
 from .model import KinematicTree, build_quadruped
-from .rewards import (
-    HIP_JOINT_INDICES,
-    REWARD_TERMS,
-    RewardInputs,
-    RewardParams,
-    RewardWeights,
-    compute_reward_terms,
-)
+from .rewards import HIP_JOINT_INDICES, REWARD_TERMS, RewardInputs, compute_reward_terms
 from .rotations import quat_to_matrix
 
 TERMINATION_REASONS = ("running", "orientation", "joint_limit", "illegal_contact", "diverged")
@@ -43,6 +36,9 @@ MASS_DELTA_BODIES = (TRUNK_BODY,) + HIP_BODY_INDICES
 # the longest physics substep (s) a config may ask for: at 0.1 s substeps
 # every env ended on joint_limit or orientation within 3 control steps
 MAX_DT_PHYSICS = 0.01
+# the supports of a training push's force magnitude (N) and impulse (N s)
+PUSH_MAGNITUDE = (50.0, 150.0)
+PUSH_IMPULSE = (8.0, 15.0)
 
 # The actor observation, block by block: (name, width, input scale). A block
 # whose name with a "noise_" prefix is a randomization.NOISE_ROWS row gets that
@@ -81,24 +77,32 @@ def input_scales(grouping):
 
 @dataclass
 class EnvConfig:
+    """The task's timing (s), commands, training pushes and randomization.
+
+    Each control_dt is physics_substeps substeps; an episode truncates after
+    episode_length_s. Commands are drawn at reset and every command_resample_s
+    (whole control steps; 0 is off), uniform over command_ranges: vx and vy in
+    m/s, yaw_rate in rad/s. With push_enabled, push k starts at
+    k * push_interval_s plus a jitter of at most push_jitter_s, with force and
+    impulse from ``PUSH_MAGNITUDE`` and ``PUSH_IMPULSE``. A reset adds up to
+    reset_joint_noise (rad) to each joint of the default pose and draws its
+    episode from randomization.
+    """
+
     control_dt: float = 0.02
     physics_substeps: int = 10
     episode_length_s: float = 20.0
-    command_resample_s: float = 5.0  # a whole number of control steps; 0 is off
+    command_resample_s: float = 5.0
     command_ranges: dict = field(
         default_factory=lambda: {"vx": (-1.0, 1.0), "vy": (-1.0, 1.0), "yaw_rate": (-1.0, 1.0)}
     )
     push_enabled: bool = True
     push_interval_s: float = 6.0
     push_jitter_s: float = 0.5
-    push_magnitude: tuple = (50.0, 150.0)
-    push_impulse: tuple = (8.0, 15.0)
     reset_joint_noise: float = 0.05
     randomization: dr.DomainRandomizationConfig = field(
         default_factory=dr.DomainRandomizationConfig
     )
-    reward_weights: RewardWeights = field(default_factory=RewardWeights)
-    reward_params: RewardParams = field(default_factory=RewardParams)
 
     def __post_init__(self):
         substeps = self.physics_substeps
@@ -149,14 +153,15 @@ def schedule_pushes(key, env, counter, cfg: EnvConfig):
     """Training push schedules for the envs ``env``, one draw each: push k
     starts at k * interval plus uniform jitter and is kept when it starts
     inside the episode; planar direction uniform, magnitude and impulse
-    inside their supports. Returns start and end times (m, max_pushes), inf
-    in unused slots, and forces (m, max_pushes, 3), zero in unused slots."""
+    uniform over ``PUSH_MAGNITUDE`` and ``PUSH_IMPULSE``. Returns start and
+    end times (m, max_pushes), inf in unused slots, and forces
+    (m, max_pushes, 3), zero in unused slots."""
     slots = cfg.max_pushes
     u = dr.uniform(key, env, counter, 4 * slots).reshape(-1, slots, 4)
     jitter = dr.between(-cfg.push_jitter_s, cfg.push_jitter_s, u[..., 0])
     start = np.arange(1, slots + 1) * cfg.push_interval_s + jitter
-    magnitude = dr.between(*cfg.push_magnitude, u[..., 1])
-    impulse = dr.between(*cfg.push_impulse, u[..., 2])
+    magnitude = dr.between(*PUSH_MAGNITUDE, u[..., 1])
+    impulse = dr.between(*PUSH_IMPULSE, u[..., 2])
     azimuth = dr.between(0.0, 2.0 * np.pi, u[..., 3])
     placed = cfg.push_enabled & (start < cfg.episode_length_s)
     start = np.where(placed, start, np.inf)
@@ -291,6 +296,9 @@ class VecLocomotionEnv:
         config: EnvConfig = None,
     ):
         self.grouping = act.validate_grouping(grouping)
+        for name, value, least in (("n_envs", n_envs, 1), ("seed", seed, 0)):
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         self.n = int(n_envs)
         self.cfg = config or EnvConfig()
         self.tree = tree or build_quadruped()
@@ -535,9 +543,7 @@ class VecLocomotionEnv:
             n_collisions=out["n_collisions"],
             terminated=terminated,
         )
-        return compute_reward_terms(
-            inputs, self.cfg.reward_weights, self.cfg.control_dt, self.cfg.reward_params
-        )
+        return compute_reward_terms(inputs, self.cfg.control_dt)
 
     def observe(self, noisy=True) -> np.ndarray:
         """Actor observation, in the blocks of ``observation_layouts``."""

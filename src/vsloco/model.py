@@ -7,7 +7,6 @@ robot constants come from a YAML model file (see ``configs/model.yaml``),
 never from code.
 """
 
-import copy
 import functools
 import importlib.resources
 from dataclasses import dataclass, field
@@ -170,25 +169,19 @@ def _read_model_config():
     return yaml.safe_load(ref.read_text())
 
 
-def load_model_config():
-    """The packaged robot model YAML as a dict of its own.
+def build_quadruped() -> KinematicTree:
+    """Construct the 12-DoF floating-base quadruped of the packaged model YAML.
 
-    The file is parsed once per process, on the first call, and every call
-    returns a deep copy of that parse, so a caller may edit its dict without
-    changing the next one. An edit to ``model.yaml`` therefore shows only in
-    a new process (forked workers inherit the parse of their parent).
-    """
-    return copy.deepcopy(_read_model_config())
-
-
-def build_quadruped(cfg=None) -> KinematicTree:
-    """Construct the 12-DoF floating-base quadruped from a model config dict.
+    The YAML is parsed once per process, on the first call, so an edit to
+    ``model.yaml`` shows only in a new process (forked workers inherit the
+    parse of their parent). Each call builds a tree of its own: it copies
+    every value it keeps from the parse, so editing one tree changes neither
+    the parse nor the next tree.
 
     Body order: trunk, then (FR, FL, RR, RL) x (hip, thigh, calf). Joint j
     drives body j+1, so joints follow the same leg-major order.
     """
-    if cfg is None:
-        cfg = load_model_config()
+    cfg = _read_model_config()
     trunk = cfg["trunk"]
     legs = cfg["legs"]
     joints_cfg = cfg["joints"]
@@ -212,7 +205,7 @@ def build_quadruped(cfg=None) -> KinematicTree:
         )
     ]
     joints = []
-    hip_r = cfg["contact"].get("hip_collision_radius", 0.04)
+    hip_r = cfg["contact"]["hip_collision_radius"]
     foot_bodies = []
     for leg in LEG_NAMES:
         sx, sy = sx_sy[leg]
@@ -243,7 +236,7 @@ def build_quadruped(cfg=None) -> KinematicTree:
         floating=True,
         foot_body_indices=tuple(foot_bodies),
         foot_offsets=np.tile([0.0, 0.0, -legs["calf_length"]], (4, 1)),
-        gravity=float(cfg.get("gravity", 9.81)),
+        gravity=float(cfg["gravity"]),
         contact=dict(cfg["contact"]),
         default_pose=default_pose,
     )

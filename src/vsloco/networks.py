@@ -106,25 +106,29 @@ class MLP:
         return gW + gb
 
 
+# Adam's moment decay rates and denominator guard: Kingma & Ba's (ICLR 2015) defaults
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
-    def __init__(self, params, lr=3e-4, betas=(0.9, 0.999), eps=1e-8):
+    """Adam at learning rate lr over the arrays params, which ``step`` updates in place."""
+
+    def __init__(self, params, lr):
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
 
     def step(self, params, grads):
         self.t += 1
-        b1t = 1.0 - self.b1**self.t
-        b2t = 1.0 - self.b2**self.t
+        b1t = 1.0 - ADAM_BETA1**self.t
+        b2t = 1.0 - ADAM_BETA2**self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            p -= (self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)).astype(p.dtype)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p -= (self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)).astype(p.dtype)
 
 
 def clip_grad_norm(grads, max_norm):

@@ -1,12 +1,15 @@
 """Reward stack: 18 per-step terms aggregated as sum(r_i * w_i * dt).
 
-The kernel is a pure function of a RewardInputs record so every term can be
-hand-checked on constructed transitions; the environment assembles the
-record from simulator state. All vector "squares" are squared Euclidean
-norms, matching the printed reward table.
+The weights ``WEIGHTS`` are the paper's reward table, and the targets and
+thresholds it leaves symbolic are the module constants below; both are
+constants, the same for every grouping. The kernel is a pure function of a
+RewardInputs record so every term can be hand-checked on constructed
+transitions; the environment assembles the record from simulator state. All
+vector "squares" are squared Euclidean norms, matching the printed reward
+table.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +34,7 @@ REWARD_TERMS = (
     "termination",
 )
 
-DEFAULT_WEIGHTS = {
+WEIGHTS = {
     "lin_vel_tracking": 1.5,
     "ang_vel_tracking": 0.8,
     "lin_vel_z": -2.0,
@@ -54,29 +57,12 @@ DEFAULT_WEIGHTS = {
 
 HIP_JOINT_INDICES = np.array([0, 3, 6, 9])
 
-
-@dataclass
-class RewardWeights:
-    values: dict = field(default_factory=lambda: dict(DEFAULT_WEIGHTS))
-
-    def __post_init__(self):
-        unknown = set(self.values) - set(REWARD_TERMS)
-        if unknown:
-            raise ValueError(f"unknown reward terms: {sorted(unknown)}")
-        merged = dict(DEFAULT_WEIGHTS)
-        merged.update(self.values)
-        self.values = merged
-
-
-@dataclass
-class RewardParams:
-    """Targets and thresholds the reward table leaves symbolic."""
-
-    base_height_target: float = 0.30
-    foot_clearance_target: float = 0.08
-    air_time_offset: float = 0.1
-    command_deadband: float = 0.1
-    foot_contact_height: float = 0.01
+# the targets and thresholds the reward table leaves symbolic
+BASE_HEIGHT_TARGET = 0.30  # m, trunk height
+FOOT_CLEARANCE_TARGET = 0.08  # m, swing-foot height
+AIR_TIME_OFFSET = 0.1  # s, subtracted from each touchdown's air time
+COMMAND_DEADBAND = 0.1  # m/s, planar commands at or below it earn no air time
+FOOT_CONTACT_HEIGHT = 0.01  # m, a foot below it slips when it moves
 
 
 @dataclass
@@ -114,10 +100,7 @@ class RewardBreakdown:
     total: np.ndarray  # (N,)
 
 
-def compute_reward_terms(
-    x: RewardInputs, weights: RewardWeights, dt: float, params: RewardParams = None
-) -> RewardBreakdown:
-    params = params or RewardParams()
+def compute_reward_terms(x: RewardInputs, dt: float) -> RewardBreakdown:
     r = {}
     lin_err = np.sum((x.v_cmd_xy - x.v_base[:, :2]) ** 2, axis=-1)
     r["lin_vel_tracking"] = np.exp(-4.0 * lin_err)
@@ -125,32 +108,29 @@ def compute_reward_terms(
     r["lin_vel_z"] = x.v_base[:, 2] ** 2
     r["ang_vel_xy"] = np.sum(x.omega_base[:, :2] ** 2, axis=-1)
     r["orientation"] = np.sum(x.proj_gravity[:, :2] ** 2, axis=-1)
-    moving = np.linalg.norm(x.v_cmd_xy, axis=-1) > params.command_deadband
+    moving = np.linalg.norm(x.v_cmd_xy, axis=-1) > COMMAND_DEADBAND
     landed = x.touchdown_air_times > 0.0
-    r["feet_air_time"] = moving * np.sum(
-        np.where(landed, x.touchdown_air_times - params.air_time_offset, 0.0), axis=-1
-    )
+    air = np.where(landed, x.touchdown_air_times - AIR_TIME_OFFSET, 0.0)
+    r["feet_air_time"] = moving * np.sum(air, axis=-1)
     r["joint_acc"] = np.sum(x.qddot**2, axis=-1)
     power = np.abs(x.tau) * np.abs(x.qdot)
     r["joint_power"] = np.sum(power, axis=-1)
     r["power_distribution"] = np.var(power, axis=-1)
-    slipping = x.foot_heights < params.foot_contact_height
+    slipping = x.foot_heights < FOOT_CONTACT_HEIGHT
     r["foot_slip"] = np.sum(np.sum(x.foot_vel_xy**2, axis=-1) * slipping, axis=-1)
     r["action_rate"] = np.sum((x.action - x.prev_action) ** 2, axis=-1)
     foot_speed = np.linalg.norm(x.foot_vel_xy, axis=-1)
-    r["foot_clearance"] = np.sum(
-        (params.foot_clearance_target - x.foot_heights) ** 2 * foot_speed, axis=-1
-    )
+    clearance = (FOOT_CLEARANCE_TARGET - x.foot_heights) ** 2
+    r["foot_clearance"] = np.sum(clearance * foot_speed, axis=-1)
     centroid = np.mean(x.foot_xy, axis=1)
     r["center_of_mass"] = np.sum((x.com_xy - centroid) ** 2, axis=-1)
     r["joint_tracking"] = np.sum((x.q_target - x.q_next) ** 2, axis=-1)
-    r["base_height"] = (params.base_height_target - x.base_height) ** 2
+    r["base_height"] = (BASE_HEIGHT_TARGET - x.base_height) ** 2
     hip_err = np.sum((x.q_hip - x.q_hip_default) ** 2, axis=-1)
     r["hip"] = np.exp(-4.0 * hip_err)
     r["collisions"] = np.asarray(x.n_collisions, dtype=float)
     r["termination"] = np.asarray(x.terminated, dtype=float)
 
-    w = weights.values
-    weighted = {t: r[t] * w[t] * dt for t in REWARD_TERMS}
+    weighted = {t: r[t] * WEIGHTS[t] * dt for t in REWARD_TERMS}
     total = np.sum(np.stack([weighted[t] for t in REWARD_TERMS], axis=-1), axis=-1)
     return RewardBreakdown(terms=r, weighted=weighted, total=total)

@@ -23,7 +23,7 @@ from vsloco.env import TERMINATION_REASONS, EnvConfig, VecLocomotionEnv, input_s
 from vsloco.networks import MLP, GaussianActor
 from vsloco.ppo import WALL_TIME_COLUMNS, TrainConfig, train
 from vsloco.randomization import IDENTITY_ROWS, DomainRandomizationConfig
-from vsloco.rewards import DEFAULT_WEIGHTS
+from vsloco.rewards import WEIGHTS
 
 
 def make_bundle(grouping="PLS", seed=0):
@@ -150,26 +150,83 @@ def write_checkpoint(path, payload, blob=b""):
     path.write_bytes(MAGIC + struct.pack("<IQ", 1, len(payload)) + payload + blob)
 
 
-def without_log_std(path):
-    """Rewrite the checkpoint at path with actor.log_std's entry cut from its header."""
-    raw = path.read_bytes()
-    (hlen,) = struct.unpack("<Q", raw[8:16])
-    header = json.loads(raw[16:16 + hlen])
-    header["arrays"] = [e for e in header["arrays"] if e["name"] != "actor.log_std"]
-    write_checkpoint(path, json.dumps(header).encode("utf-8"), raw[16 + hlen:])
+def with_header(edit):
+    """A maker that rewrites a checkpoint's header by edit(header), keeping its array bytes."""
+    def make(path):
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[8:16])
+        header = json.loads(raw[16:16 + hlen])
+        edit(header)
+        write_checkpoint(path, json.dumps(header).encode("utf-8"), raw[16 + hlen:])
+    return make
+
+
+def with_entry(name, **changes):
+    """A maker that changes the header entry of the array name."""
+    return with_header(lambda header: next(e for e in header["arrays"]
+                                           if e["name"] == name).update(changes))
 
 
 @pytest.mark.parametrize("make, message", [
     (lambda path: write_checkpoint(path, b'{"a":1}'), "lacks 'arrays'"),
     (lambda path: write_checkpoint(path, b"[]"), "header is not a JSON object"),
     (lambda path: write_checkpoint(path, b'{"a":"\xff"}'), "header is not UTF-8 JSON"),
-    (without_log_std, "lacks 'actor.log_std'"),
-], ids=["no-arrays-key", "json-list", "not-utf-8", "no-log-std"])
+    (with_header(lambda h: h.update(arrays=[e for e in h["arrays"]
+                                            if e["name"] != "actor.log_std"])),
+     "lacks 'actor.log_std'"),
+    (lambda path: path.write_bytes(MAGIC + struct.pack("<IQ", 2, 2) + b"{}"),
+     "unsupported checkpoint format version 2"),
+], ids=["no-arrays-key", "json-list", "not-utf-8", "no-log-std", "version-2"])
 def test_checkpoint_refuses_a_malformed_header_by_name(tmp_path, make, message):
     path = tmp_path / "bad.ckpt"
     save_checkpoint(str(path), make_bundle())
     make(path)
     with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*{re.escape(message)}"):
+        load_checkpoint(str(path))
+
+
+def small_bundle(actor_sizes, critic_sizes=(5, 4, 1)):
+    rng = np.random.default_rng(0)
+    actor = GaussianActor(MLP(actor_sizes, rng), np.zeros(actor_sizes[-1], dtype=np.float32))
+    return PolicyBundle("bandit", actor, MLP(critic_sizes, rng),
+                        np.ones(actor_sizes[0]), np.ones(critic_sizes[0]))
+
+
+@pytest.mark.parametrize("sizes, make, message", [
+    # unchecked, a [3, 4, 4, 2] actor under a [3, 4, 2] header would load as a [3, 4, 4] net
+    ((3, 4, 4, 2), with_header(lambda h: h.update(actor_sizes=[3, 4, 2])),
+     "array actor.W1 has shape [4, 4], but the header's sizes call for [2, 4]"),
+    # unchecked, a 4 x 4 actor.W1 declared 2 x 8 would fail inside matmul, unnamed
+    ((3, 4, 4, 2), with_entry("actor.W1", shape=[2, 8]),
+     "array actor.W1 has shape [2, 8], but the header's sizes call for [4, 4]"),
+    ((3, 4, 2), with_header(lambda h: h["arrays"].append(
+        {"name": "actor.W2", "shape": [2, 2], "dtype": "<f4", "offset": 0})),
+     "array actor.W2 is not one the header's sizes call for"),
+    ((3, 4, 2), with_entry("actor.log_std", shape=[1]),
+     "array actor.log_std has shape [1], but the header's sizes call for [2]"),
+    ((3, 4, 2), with_entry("obs_scale", shape=[2]),
+     "array obs_scale has shape [2], but the header's sizes call for [3]"),
+    ((3, 4, 2), with_entry("priv_scale", shape=[4]),
+     "array priv_scale has shape [4], but the header's sizes call for [5]"),
+    ((3, 4, 2), with_header(lambda h: h.update(critic_sizes=[5, 4, 3])),
+     "critic_sizes must end in 1"),
+    ((3, 4, 2), with_header(lambda h: h.update(actor_sizes=[3])),
+     "actor_sizes must list two or more positive integers"),
+    ((3, 4, 2), with_header(lambda h: h.update(critic_sizes=[5, 4.0, 1])),
+     "critic_sizes must list two or more positive integers"),
+    # unchecked, the float32 bytes of actor.W0 would load as other float64 numbers
+    ((3, 4, 2), with_entry("actor.W0", dtype="<f8"),
+     "array actor.W0 must be '<f4' at an integer offset, got '<f8' at 0"),
+    ((3, 4, 2), with_entry("actor.W0", offset="0"),
+     "array actor.W0 must be '<f4' at an integer offset, got '<f4' at '0'"),
+], ids=["extra-layer", "reshaped-W1", "unexpected-array", "log-std-width", "obs-scale-width",
+        "priv-scale-width", "critic-output", "one-size", "float-size", "f8-dtype", "str-offset"])
+def test_checkpoint_refuses_layers_the_header_does_not_call_for(tmp_path, sizes, make, message):
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(str(path), small_bundle(sizes))
+    load_checkpoint(str(path))  # loads as saved
+    make(path)
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {re.escape(message)}"):
         load_checkpoint(str(path))
 
 
@@ -348,7 +405,7 @@ def test_metrics_log_terminations_by_reason(tmp_path, monkeypatch):
     with open(metrics_path) as fh:
         rows = list(csv.DictReader(fh))
     reasons = [f"term_{reason}_per_env_step" for reason in TERMINATION_REASONS[1:]]
-    per_termination = DEFAULT_WEIGHTS["termination"] * 0.02  # weight x control dt
+    per_termination = WEIGHTS["termination"] * 0.02  # weight x control dt
     for row in rows:
         total = float(row["terminations_per_env_step"])
         values = [total] + [float(row[name]) for name in reasons]

@@ -8,7 +8,7 @@ import pathlib
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "vsloco"
-CONFIG_CLASSES = ("EnvConfig", "TrainConfig", "RewardParams", "DomainRandomizationConfig")
+CONFIG_CLASSES = ("EnvConfig", "TrainConfig", "DomainRandomizationConfig")
 
 
 def parsed_modules():

@@ -12,6 +12,8 @@ from vsloco.actuation import action_dim
 from vsloco.env import (
     HIP_BODY_INDICES,
     OBS_BLOCKS,
+    PUSH_IMPULSE,
+    PUSH_MAGNITUDE,
     REASON_CODE,
     TRUNK_BODY,
     EnvConfig,
@@ -21,6 +23,7 @@ from vsloco.env import (
     schedule_pushes,
 )
 from vsloco.model import build_quadruped
+from vsloco.rewards import FOOT_CLEARANCE_TARGET, FOOT_CONTACT_HEIGHT
 from vsloco.rotations import quat_to_matrix
 
 
@@ -308,6 +311,13 @@ def test_push_schedule_timing():
     duration = end - start
     assert np.all((8.0 / 150.0 - 1e-12 <= duration) & (duration <= 15.0 / 50.0 + 1e-12))
     assert np.all(force[..., 2] == 0.0)
+    # every placed push draws its force and impulse inside their supports
+    assert PUSH_MAGNITUDE == (50.0, 150.0) and PUSH_IMPULSE == (8.0, 15.0)
+    magnitude = np.linalg.norm(force, axis=-1)
+    impulse = magnitude * duration
+    for values, (lo, hi) in ((magnitude, PUSH_MAGNITUDE), (impulse, PUSH_IMPULSE)):
+        assert np.all((lo * (1 - 1e-12) <= values) & (values <= hi * (1 + 1e-12)))
+        assert values.min() < lo + 0.1 * (hi - lo) and values.max() > hi - 0.1 * (hi - lo)
 
 
 def test_push_slots_cover_long_episodes():
@@ -336,6 +346,19 @@ def test_zero_command_range_config(quiet_env):
 def test_config_rejects_bad_timing(overrides, message):
     with pytest.raises(ValueError, match=message):
         EnvConfig(**overrides)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n_envs": 0}, "n_envs"),
+    ({"n_envs": 2.7}, "n_envs"),
+    ({"n_envs": "2"}, "n_envs"),
+    ({"seed": -1}, "seed"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": None}, "seed"),
+])
+def test_env_rejects_bad_n_envs_and_seed(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        VecLocomotionEnv("PJS", **kwargs)
 
 
 def test_config_accepts_the_longest_substep():
@@ -398,7 +421,7 @@ def test_joint_limit_clamp_precedes_the_step_kinematics():
     kin = dyn._kinematics(env.tree, env.state)
     feet, coms, R = kin["foot_pos"][..., 0].T, kin["c"][..., 0].T, kin["R"][..., 0]
     foot_vel_xy = kin["foot_vel"][:2, :, 0].T
-    masses, params = env.params.masses[0], env.cfg.reward_params
+    masses = env.params.masses[0]
     com_xy = (masses @ coms / masses.sum())[:2]
 
     def z(body, point):  # world height of a body-frame point
@@ -406,11 +429,11 @@ def test_joint_limit_clamp_precedes_the_step_kinematics():
 
     trunk = [z(TRUNK_BODY, off) for off, _ in env.tree.bodies[TRUNK_BODY].collision_spheres]
     hips = [z(b, c) - r for b in HIP_BODY_INDICES for c, r in env.tree.bodies[b].collision_spheres]
-    slipping = feet[:, 2] < params.foot_contact_height
+    slipping = feet[:, 2] < FOOT_CONTACT_HEIGHT
     expected = {
         "collisions": (min(trunk) <= 0.0) + sum(h <= 0.0 for h in hips),
         "center_of_mass": np.sum((com_xy - feet[:, :2].mean(axis=0)) ** 2),
-        "foot_clearance": np.sum((params.foot_clearance_target - feet[:, 2]) ** 2
+        "foot_clearance": np.sum((FOOT_CLEARANCE_TARGET - feet[:, 2]) ** 2
                                  * np.linalg.norm(foot_vel_xy, axis=1)),
         "foot_slip": np.sum(np.sum(foot_vel_xy ** 2, axis=1) * slipping),
     }

@@ -1,10 +1,11 @@
-"""The packaged robot model: one parse per process, a fresh dict per call."""
+"""The packaged robot model: one parse per process, a tree of its own per build."""
 
+import numpy as np
 import yaml
 
 from vsloco import model
 from vsloco.env import VecLocomotionEnv
-from vsloco.model import build_quadruped, load_model_config
+from vsloco.model import build_quadruped
 
 
 def test_model_yaml_is_parsed_once_per_process(monkeypatch):
@@ -24,17 +25,31 @@ def test_model_yaml_is_parsed_once_per_process(monkeypatch):
     assert len(calls) == 1
 
 
-def test_edited_config_changes_neither_the_next_nor_the_tree():
-    cfg = load_model_config()
-    mass = cfg["trunk"]["mass"]
-    cfg["trunk"]["mass"] = 2 * mass
-    cfg["contact"]["friction"] = -1.0
-    cfg["joints"]["default_pose"][0] = 9.0
-    fresh = load_model_config()
-    assert fresh["trunk"]["mass"] == mass
-    assert fresh["contact"]["friction"] != -1.0
-    assert fresh["joints"]["default_pose"][0] != 9.0
+def tree_arrays(tree):
+    """Every value of a tree that an edit could reach, copied."""
+    return {
+        "contact": dict(tree.contact),
+        "default_pose": tree.default_pose.copy(),
+        "com_offset": [b.inertia.com_offset.copy() for b in tree.bodies],
+        "rotational_inertia": [b.inertia.rotational_inertia.copy() for b in tree.bodies],
+        "origin_in_parent": [j.origin_in_parent.copy() for j in tree.joints],
+        "axis": [j.axis.copy() for j in tree.joints],
+    }
+
+
+def test_edits_to_a_built_tree_do_not_reach_the_next():
     tree = build_quadruped()
-    assert tree.mass[0] == mass
-    assert tree.contact["friction"] != -1.0
-    assert tree.default_pose[0] != 9.0
+    pristine = tree_arrays(tree)
+    tree.contact["friction"] = -1.0
+    tree.contact["hip_collision_radius"] = 9.0
+    tree.default_pose[:] = 9.0
+    for body in tree.bodies:
+        body.inertia.com_offset[:] = 9.0
+        body.inertia.rotational_inertia[:] = 9.0
+    for joint in tree.joints:
+        joint.origin_in_parent[:] = 9.0
+        joint.axis[:] = 9.0
+    fresh = tree_arrays(build_quadruped())
+    assert fresh["contact"] == pristine["contact"]
+    for key in ("default_pose", "com_offset", "rotational_inertia", "origin_in_parent", "axis"):
+        assert np.array_equal(fresh[key], pristine[key]), key

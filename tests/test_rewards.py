@@ -1,16 +1,8 @@
 """Hand-computed checks of every reward term and the aggregation law."""
 
 import numpy as np
-import pytest
 
-from vsloco.rewards import (
-    DEFAULT_WEIGHTS,
-    REWARD_TERMS,
-    RewardInputs,
-    RewardParams,
-    RewardWeights,
-    compute_reward_terms,
-)
+from vsloco.rewards import REWARD_TERMS, WEIGHTS, RewardInputs, compute_reward_terms
 
 DT = 0.02
 
@@ -45,19 +37,13 @@ def make_inputs(**overrides):
 
 
 def compute(**overrides):
-    return compute_reward_terms(make_inputs(**overrides), RewardWeights(), DT)
+    return compute_reward_terms(make_inputs(**overrides), DT)
 
 
 def test_weights_bitmatch_table():
     expected = (1.5, 0.8, -2.0, -0.05, -5.0, 0.2, -2.5e-7, -2e-5, -1e-5,
                 -0.1, -0.01, -0.1, -1.0, -0.1, -0.6, 0.05, -10.0, -10.0)
-    w = RewardWeights().values
-    assert tuple(w[t] for t in REWARD_TERMS) == expected
-
-
-def test_unknown_weight_rejected():
-    with pytest.raises(ValueError):
-        RewardWeights({"warp_drive": 1.0})
+    assert tuple(WEIGHTS[t] for t in REWARD_TERMS) == expected
 
 
 def test_perfect_lin_tracking():
@@ -208,7 +194,7 @@ def test_total_is_exact_weighted_sum():
             action=rng.uniform(-1, 1, (1, 16)),
             base_height=rng.uniform(0.1, 0.4, 1),
         )
-        w = np.array([RewardWeights().values[t] for t in REWARD_TERMS])
+        w = np.array([WEIGHTS[t] for t in REWARD_TERMS])
         r = np.array([b.terms[t][0] for t in REWARD_TERMS])
         expected = np.sum(r * w * DT)
         assert b.total[0] == expected  # bit-exact Eq. (5) additivity
@@ -216,4 +202,4 @@ def test_total_is_exact_weighted_sum():
 
 def test_term_registry_complete():
     assert len(REWARD_TERMS) == 18
-    assert set(DEFAULT_WEIGHTS) == set(REWARD_TERMS)
+    assert set(WEIGHTS) == set(REWARD_TERMS)
