@@ -54,10 +54,10 @@ numpy call runs over whole rows of envs: a 3 x 3 product is one
 leading-axis einsum or three row-wise multiply-adds, never one tiny matrix
 product per env, and the small eliminations of ``_spd_solve`` run row by
 row. No call sums over an axis in an order that depends on the batch, so a
-row comes out the same bit for bit in any batch. ``BatchState`` keeps the
-env axis first and the engine state keeps it last across a control step:
-``env._physics`` converts its rows once in before the substeps and once
-out after them.
+row comes out the same bit for bit in any batch. ``BatchState`` and the
+env's rows (``env.row_layout``) keep the env axis first and the engine
+state keeps it last across a control step: ``env._physics`` converts the
+state's rows once in before the substeps and once out after them.
 
 A process steps one batch at a time (``step_batch`` is not safe to call
 from two threads at once), so its scratch (``_scratch``) is one set of

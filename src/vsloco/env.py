@@ -4,12 +4,14 @@ A vectorized environment steps N independent robots: PD/impedance torques at
 500 Hz (10 substeps), policy actions at 50 Hz, per-episode domain
 randomization, scheduled pushes, the 18-term reward stack, and the asymmetric
 actor/critic observation pair, laid out once in ``OBS_BLOCKS`` and
-``PRIV_BLOCKS``. Every random number is a pure function of (seed, env index,
-the env's draw counter, slot) from the counter-based generator
-``randomization.uniform``: each draw site (reset, command refresh, observation
-noise) is one vectorised call over the envs it serves and advances only their
-counters, so env i's episode, commands, pushes and noise are the same in any
-batch that starts from the same seed.
+``PRIV_BLOCKS``. Every per-row array is declared once, in ``row_layout``.
+Every random number is a pure function of (seed, the row's stream, its draw
+counter, slot) from the counter-based generator ``randomization.uniform``:
+each draw site (reset, command refresh, observation noise) is one vectorised
+call over the envs it serves and advances only their counters. A row's
+stream is its env index unless a restore copied another's, so env i's
+episode, commands, pushes and noise are the same in any batch that starts
+from the same seed.
 """
 
 import math
@@ -58,7 +60,7 @@ PRIV_BLOCKS = (
     ("motor_strength", 12, 1.0),
     ("friction", 1, 1.0),
     ("mass_deltas", len(MASS_DELTA_BODIES), 0.25),
-    ("push_force", 3, 0.01),
+    ("active_push", 3, 0.01),
 )
 
 
@@ -113,8 +115,8 @@ class EnvConfig:
         if not self.dt_physics <= MAX_DT_PHYSICS:
             raise ValueError(f"dt_physics = control_dt / physics_substeps must be <= "
                              f"{MAX_DT_PHYSICS} s, got {self.dt_physics}")
-        if not self.episode_length_s >= self.control_dt:
-            raise ValueError(f"episode_length_s must be >= control_dt, got "
+        if not (math.isfinite(self.episode_length_s) and self.episode_length_s >= self.control_dt):
+            raise ValueError(f"episode_length_s must be finite and >= control_dt, got "
                              f"{self.episode_length_s}")
         resample = self.command_resample_s
         if not (math.isfinite(resample) and resample >= 0
@@ -123,6 +125,18 @@ class EnvConfig:
                              f"of {self.control_dt} s, got {resample}")
         if not self.push_interval_s > 0:
             raise ValueError(f"push_interval_s must be > 0, got {self.push_interval_s}")
+        for name in ("push_jitter_s", "reset_joint_noise"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        ranges = self.command_ranges
+        if sorted(ranges) != ["vx", "vy", "yaw_rate"]:
+            raise ValueError(f"command_ranges must have the keys vx, vy and yaw_rate, "
+                             f"got {sorted(ranges)}")
+        for key, (lo, hi) in ranges.items():
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+                raise ValueError(f"command_ranges[{key!r}] must be finite with lo <= hi, "
+                                 f"got {(lo, hi)}")
 
     @property
     def dt_physics(self):
@@ -170,13 +184,35 @@ def schedule_pushes(key, env, counter, cfg: EnvConfig):
     return start, start + impulse / magnitude, force
 
 
-# the state fields that env.step's physics loop reads and writes (all of a
-# BatchState's), and the env's own per-row arrays it reads (see _physics)
-_STATE_IN = ("base_pos", "base_quat", "base_linvel", "base_angvel", "q", "qdot", "time",
-             "contact_flags", "diverged")
-_STATE_OUT = tuple(f.name for f in fields(dyn.BatchState))
-_ENV_IN = ("delay_substeps", "kp_scale", "kd_scale", "motor_strength", "push_start", "push_end",
-           "push_force", "air_time")
+def row_layout(tree: KinematicTree, action_dim, cfg: EnvConfig):
+    """Every per-row array of a ``VecLocomotionEnv``, {name: (shape after the row
+    axis, dtype)}, by which the env allocates, resets, steps and snapshots them."""
+    nj, feet, slots, f = (tree.n_joints,), (len(tree.foot_body_indices),), cfg.max_pushes, float
+    return {  # a dynamics.BatchState
+        "base_pos": ((3,), f), "base_quat": ((4,), f), "base_linvel": ((3,), f),
+        "base_angvel": ((3,), f), "q": (nj, f), "qdot": (nj, f), "time": ((), f),
+        "contact_flags": (feet, bool), "contact_forces": (feet + (3,), f), "diverged": ((), bool),
+        "cone_saturated": (feet, bool),
+        # an actuation.GainState: the gains of the last step, or a reset's hold gains
+        "kp": (nj, f), "kd": (nj, f), "q_target": (nj, f),
+        # a dynamics.BatchParams
+        "masses": ((tree.n_bodies,), f), "gravity": ((3,), f), "friction": ((), f),
+        # the episode's draws
+        "kp_scale": (nj, f), "kd_scale": (nj, f), "motor_strength": (nj, f),
+        "mass_deltas": ((len(MASS_DELTA_BODIES),), f), "delay_substeps": ((), int),
+        "command": ((3,), f), "push_start": ((slots,), f), "push_end": ((slots,), f),
+        "push_force": ((slots, 3), f),
+        # bookkeeping
+        "prev_action": ((action_dim,), f), "air_time": (feet, f), "step_count": ((), int),
+        "episode_return": ((), f), "last_tau": (nj, f), "active_push": ((3,), f),
+        # the random stream: the draws made, and the stream they are keyed by
+        "draws": ((), np.uint64), "stream": ((), int),
+    }
+
+
+def _view(cls, rows):
+    """The dataclass cls over the arrays of rows that its fields name."""
+    return cls(**{f.name: rows[f.name] for f in fields(cls)})
 
 
 def _active_push(start, end, force, t):
@@ -211,24 +247,22 @@ def _physics(rows, out, tree, cfg):
     ``step_batch``, with the feet's air time and touchdowns; then the joint
     clamp and the termination and collision tests at the clamped pose.
 
-    rows holds the env-first arrays of the state (``_STATE_IN``; a foot
-    lands when it touches the floor without contact_flags at the substep
-    before), the previous and the new gains (prev_kp, ..., kp, kd,
-    q_target), the env's own arrays (``_ENV_IN``) and the masses, gravity
-    and friction; the substeps step them as one env-last engine state
-    (``dynamics.step_batch``), converted once each way. out receives the
-    new state's fields (``_STATE_OUT``, q clamped to the joint limits),
-    air_time, the air time of the feet that touched down (touchdown_air),
-    the last substep's torques (last_tau), the termination reason codes
-    (reasons), the illegal contacts (n_collisions), the centre of mass com
-    (n, 3), and the feet's world positions and velocities foot_pos and
-    foot_vel (n, n_feet, 3). A row's results depend on that row alone, so
-    ``shards.run`` may split the rows.
+    rows holds the env's rows (``row_layout``; a foot lands when it touches
+    the floor without contact_flags at the substep before), with the new
+    gains as kp, kd and q_target and the previous ones as prev_kp, prev_kd
+    and prev_q_target. The substeps step the state as one env-last engine
+    state (``dynamics.step_batch``), converted once each way. out receives
+    the engine state's arrays that it names: the new state's fields (q
+    clamped to the joint limits) and the feet's world positions and
+    velocities foot_pos and foot_vel (n, n_feet, 3); and air_time, the air
+    time of the feet that touched down (touchdown_air), the last substep's
+    torques (last_tau), the termination reason codes (reasons), the illegal
+    contacts (n_collisions) and the centre of mass com (n, 3). A row's
+    results depend on that row alone, so ``shards.run`` may split the rows.
     """
     dt = cfg.dt_physics
-    st = dyn._kinematics(tree, dyn.BatchState(**{key: rows[key] for key in _STATE_IN}))
-    params = dyn.BatchParams(rows["masses"], rows["gravity"], rows["friction"])
-    rand = act.GainRandomization(rows["kp_scale"], rows["kd_scale"], rows["motor_strength"])
+    st = dyn._kinematics(tree, _view(dyn.BatchState, rows))
+    params, rand = _view(dyn.BatchParams, rows), _view(act.GainRandomization, rows)
     torque_limit = tree.torque_limits
     air_time, touchdown_air, contact = out["air_time"], out["touchdown_air"], rows["contact_flags"]
     air_time[...] = rows["air_time"]
@@ -270,8 +304,9 @@ def _physics(rows, out, tree, cfg):
     masses = rows["masses"]  # the einsum reads a C copy: on the transpose it rounds differently
     np.divide(np.einsum("nb,nbi->ni", masses, st["c"].T.copy()),
               masses.sum(axis=1, keepdims=True), out=out["com"])
-    for key in _STATE_OUT + ("foot_pos", "foot_vel"):
-        out[key][...] = st[key].T
+    for key, a in out.items():
+        if key in st:
+            a[...] = st[key].T
 
 
 class VecLocomotionEnv:
@@ -284,7 +319,14 @@ class VecLocomotionEnv:
     which resets every env in place. A finished env resets inside the `step`
     that ends it, which returns its first observations; `info["final_privileged"]`
     holds its last. Resets never rewind the draw counters, so a reset env's
-    episode depends only on (seed, env index, draws).
+    episode depends only on (seed, stream, draws).
+
+    `rows` is the env's whole state, one array per entry of ``row_layout``;
+    `state` and `params` view them as a ``BatchState`` and ``BatchParams``
+    (a step replaces the arrays, so a view holds those of its time).
+    `snapshot(idx)` copies rows and `restore(snapshot, idx)` writes them into
+    rows of this env or of another of the same seed, grouping, tree and
+    config, where they step as their source does.
     """
 
     def __init__(
@@ -309,163 +351,156 @@ class VecLocomotionEnv:
         self.q_limits = self.tree.position_limits
         self.seed = int(seed)
         self.key = dr.seed_key(self.seed)
-        self.env_ids = np.arange(self.n)
-        self.draws = np.zeros(self.n, dtype=np.uint64)  # draws each env has made
-        n, adim, slots = self.n, self.action_dim, self.cfg.max_pushes
-        # every per-row array, filled by the reset below
-        self.params = dyn.BatchParams.from_tree(self.tree, n)
-        self.command = np.zeros((n, 3))
-        self.push_start = np.full((n, slots), np.inf)
-        self.push_end = np.full((n, slots), np.inf)
-        self.push_force = np.zeros((n, slots, 3))
-        self.delay_substeps = np.zeros(n, dtype=int)
-        self.kp_scale = np.ones((n, 12))
-        self.kd_scale = np.ones((n, 12))
-        self.motor_strength = np.ones((n, 12))
-        self.mass_deltas = np.zeros((n, 5))
-        self.prev_action = np.zeros((n, adim))
-        self.air_time = np.zeros((n, 4))
-        self.step_count = np.zeros(n, dtype=int)
-        self.episode_return = np.zeros(n)
-        self.gains = act.decode_action(
-            self.grouping, np.zeros((n, adim)), self.q_default, self.q_limits
-        )
-        self.last_tau = np.zeros((n, 12))
-        self.active_push = np.zeros((n, 3))
-        self.state = dyn.default_state(self.tree, np.zeros((n, 12)))
-        self._reset_envs(self.env_ids)
+        self.rows = {name: np.zeros((self.n,) + shape, dtype)
+                     for name, (shape, dtype) in row_layout(self.tree, self.action_dim,
+                                                            self.cfg).items()}
+        self.rows["stream"][:] = np.arange(self.n)
+        self._reset_envs(np.arange(self.n))
 
-    def _next_draw(self, idx):
-        """The counter of the next draw of each env in idx; advances them."""
-        counter = self.draws[idx]
-        self.draws[idx] += 1
-        return counter
+    state = property(lambda self: _view(dyn.BatchState, self.rows))
+    params = property(lambda self: _view(dyn.BatchParams, self.rows))
 
     # ------------------------------------------------------------------
-    # resets
+    # snapshots and resets
+
+    def snapshot(self, idx=None):
+        """Copies of every row array at the rows idx (every row if None)."""
+        idx = np.arange(self.n) if idx is None else np.asarray(idx, dtype=int).reshape(-1)
+        return {name: a[idx] for name, a in self.rows.items()}
+
+    def restore(self, snapshot, idx=None):
+        """Write a snapshot into the rows idx (every row if None): each of its
+        arrays has one row per entry of idx, or one row for all of them. A
+        missing or extra array, or one of the wrong shape or dtype, is refused
+        by name, before anything is written."""
+        idx = np.arange(self.n) if idx is None else np.asarray(idx, dtype=int).reshape(-1)
+        for name in sorted(snapshot.keys() ^ self.rows.keys()):
+            kind = "missing" if name in self.rows else "unknown"
+            raise ValueError(f"snapshot row {name!r} is {kind}")
+        for name, a in self.rows.items():
+            got = np.asarray(snapshot[name])
+            if got.shape[:1] not in ((1,), idx.shape) or (got.shape[1:], got.dtype) != (
+                    a.shape[1:], a.dtype):
+                raise ValueError(f"snapshot row {name!r} must be {a.dtype} ({idx.size} or 1, "
+                                 f"*{a.shape[1:]}), got {got.dtype} {got.shape}")
+        for name, a in self.rows.items():
+            a[idx] = snapshot[name]
 
     def reset_all(self):
         """Reset every env in place, as configured at construction, and return
         its (obs, priv). The draw counters continue, so each new episode depends
-        only on (seed, env index, draws). Construction resets alike but does not
+        only on (seed, stream, draws). Construction resets alike but does not
         observe, so it draws no observation noise."""
-        self._reset_envs(self.env_ids)
+        self._reset_envs(np.arange(self.n))
         return self.observe(), self.observe_privileged()
 
     def _reset_envs(self, idx):
         idx = np.asarray(idx, dtype=int)
         if idx.size == 0:
             return
-        cfg, key = self.cfg, self.key
-        noise = dr.uniform(key, idx, self._next_draw(idx), 12)
+        cfg, key, rows = self.cfg, self.key, self.rows
+        for name, a in rows.items():
+            if name not in ("draws", "stream"):
+                a[idx] = 0
+        stream, draw = rows["stream"][idx], rows["draws"][idx]
+        rows["draws"][idx] += 4  # joint noise, episode, command, pushes
+        noise = dr.uniform(key, stream, draw, 12)
         q = self.q_default + dr.between(-cfg.reset_joint_noise, cfg.reset_joint_noise, noise)
-        ep = dr.sample_episode(cfg.randomization, key, idx, self._next_draw(idx))
-        self.mass_deltas[idx] = np.concatenate([ep["payload_mass"], ep["hip_mass"]], axis=1)
-        nominal = dyn.BatchParams.from_tree(self.tree, idx.size)  # the tree's own rows
-        nominal.masses[:, MASS_DELTA_BODIES] += self.mass_deltas[idx]
-        self.params.masses[idx] = nominal.masses
-        self.params.gravity[idx, 2] = nominal.gravity[:, 2] + ep["gravity_offset"][:, 0]
-        self.params.friction[idx] = nominal.friction * ep["ground_friction"][:, 0]
+        ep = dr.sample_episode(cfg.randomization, key, stream, draw + 1)
+        deltas = np.concatenate([ep["payload_mass"], ep["hip_mass"]], axis=1)
+        params = dyn.BatchParams.from_tree(self.tree, idx.size)  # the tree's own rows
+        params.masses[:, MASS_DELTA_BODIES] += deltas
+        params.gravity[:, 2] += ep["gravity_offset"][:, 0]
+        params.friction *= ep["ground_friction"][:, 0]
         delay = (ep["system_delay"][:, 0] / 1000.0 / cfg.dt_physics).astype(int)
-        self.delay_substeps[idx] = np.minimum(delay, cfg.physics_substeps - 1)
-        self.kp_scale[idx] = ep["kp_scale"]
-        self.kd_scale[idx] = ep["kd_scale"]
-        self.motor_strength[idx] = ep["motor_strength"]
-        self.command[idx] = sample_command(key, idx, self._next_draw(idx), cfg.command_ranges)
-        self.push_start[idx], self.push_end[idx], self.push_force[idx] = schedule_pushes(
-            key, idx, self._next_draw(idx), cfg
+        rows["delay_substeps"][idx] = np.minimum(delay, cfg.physics_substeps - 1)
+        rows["mass_deltas"][idx] = deltas
+        rows["command"][idx] = sample_command(key, stream, draw + 2, cfg.command_ranges)
+        rows["push_start"][idx], rows["push_end"][idx], rows["push_force"][idx] = schedule_pushes(
+            key, stream, draw + 3, cfg
         )
         # place each reset robot with its lowest foot exactly on the floor
         placed = dyn.standing_state(self.tree, q)
-        for f in fields(dyn.BatchState):
-            getattr(self.state, f.name)[idx] = getattr(placed, f.name)
-        self.prev_action[idx] = 0.0
-        self.air_time[idx] = 0.0
-        self.step_count[idx] = 0
-        self.episode_return[idx] = 0.0
-        self.active_push[idx] = 0.0
-        self.last_tau[idx] = 0.0
         hold = act.decode_action(
             self.grouping, np.zeros((idx.size, self.action_dim)), self.q_default, self.q_limits
         )
-        for f in ("kp", "kd", "q_target"):
-            getattr(self.gains, f)[idx] = getattr(hold, f)
+        for part in (params, _view(act.GainRandomization, ep), placed, hold):
+            for name, a in vars(part).items():
+                rows[name][idx] = a
 
     # ------------------------------------------------------------------
     # stepping
 
     def set_push_schedule(self, starts, durations, forces):
-        """Replace every env's push schedule (evaluation protocols). Each env
-        keeps it until its next reset, which draws a training schedule from
-        ``schedule_pushes``."""
-        self.push_start[:] = np.inf
-        self.push_end[:] = np.inf
-        self.push_force[:] = 0.0
-        starts = np.asarray(starts, dtype=float)
-        durations = np.asarray(durations, dtype=float)
-        forces = np.asarray(forces, dtype=float)
-        self.push_start[:, 0] = starts
-        self.push_end[:, 0] = starts + durations
-        self.push_force[:, 0] = forces
-
-    def _physics_arrays(self, prev_gains, new_gains):
-        """The rows and outputs of ``_physics`` for a step from the previous
-        to the new gains."""
-        s, n = self.state, self.n
-        rows = {key: getattr(s, key) for key in _STATE_IN}
-        for gains, prefix in ((prev_gains, "prev_"), (new_gains, "")):
-            rows.update({prefix + f.name: getattr(gains, f.name) for f in fields(gains)})
-        rows.update({key: getattr(self, key) for key in _ENV_IN})
-        rows.update(masses=self.params.masses, gravity=self.params.gravity,
-                    friction=self.params.friction)
-        out = {key: np.empty_like(getattr(s, key)) for key in _STATE_OUT}
-        out.update({key: np.empty_like(getattr(self, key))
-                    for key in ("air_time", "last_tau")})
-        feet = (n, len(self.tree.foot_body_indices), 3)
-        out.update(touchdown_air=np.empty_like(self.air_time), reasons=np.empty(n, dtype=int),
-                   n_collisions=np.empty(n, dtype=int), com=np.empty((n, 3)),
-                   foot_pos=np.empty(feet), foot_vel=np.empty(feet))
-        return rows, out
+        """Replace every env's push schedule (evaluation protocols): starts and
+        durations (s) broadcast to (n,), forces (N) to (n, 3); each finite,
+        durations > 0. Each env keeps it until its next reset, which draws a
+        training schedule from ``schedule_pushes``."""
+        args = {}
+        for name, value, shape in (("starts", starts, (self.n,)),
+                                   ("durations", durations, (self.n,)),
+                                   ("forces", forces, (self.n, 3))):
+            try:
+                args[name] = np.broadcast_to(np.asarray(value, dtype=float), shape)
+            except ValueError:
+                raise ValueError(f"{name} must broadcast to {shape}, got {value!r}") from None
+            if not np.isfinite(args[name]).all():
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if not np.all(args["durations"] > 0):
+            raise ValueError(f"durations must be > 0, got {durations!r}")
+        rows = self.rows
+        rows["push_start"][:] = np.inf
+        rows["push_end"][:] = np.inf
+        rows["push_force"][:] = 0.0
+        rows["push_start"][:, 0] = args["starts"]
+        rows["push_end"][:, 0] = args["starts"] + args["durations"]
+        rows["push_force"][:, 0] = args["forces"]
 
     def step(self, actions):
-        cfg = self.cfg
+        cfg, rows, n = self.cfg, self.rows, self.n
         actions = np.clip(np.asarray(actions, dtype=float), -1.0, 1.0)
-        if actions.shape != (self.n, self.action_dim):
-            raise ValueError(f"actions must have shape {(self.n, self.action_dim)}")
+        if actions.shape != (n, self.action_dim):
+            raise ValueError(f"actions must have shape {(n, self.action_dim)}")
         # decoded first: a rejected action leaves the env as it was
         new_gains = act.decode_action(self.grouping, actions, self.q_default, self.q_limits)
         every = round(cfg.command_resample_s / cfg.control_dt)  # whole steps (EnvConfig)
         if every:
-            due = np.flatnonzero((self.step_count > 0) & (self.step_count % every == 0))
-            self.command[due] = sample_command(
-                self.key, due, self._next_draw(due), cfg.command_ranges
+            due = np.flatnonzero((rows["step_count"] > 0) & (rows["step_count"] % every == 0))
+            rows["command"][due] = sample_command(
+                self.key, rows["stream"][due], rows["draws"][due], cfg.command_ranges
             )
+            rows["draws"][due] += 1
 
-        prev_gains = self.gains  # held for the first delay_substeps substeps
-        self.gains = new_gains
-
-        rows, out = self._physics_arrays(prev_gains, new_gains)
-        shards.run(_physics, rows, out, self.tree, cfg)
-        start_qdot = self.state.qdot
-        state = self.state = dyn.BatchState(**{key: out[key] for key in _STATE_OUT})
-        self.air_time, self.last_tau = out["air_time"], out["last_tau"]
-        self.active_push = _active_push(self.push_start, self.push_end, self.push_force,
-                                        state.time)
-        self.step_count += 1
+        # the previous gains are held for the first delay_substeps substeps
+        prev_gains = {"prev_" + name: rows[name] for name in ("kp", "kd", "q_target")}
+        rows.update(vars(new_gains))
+        out = {key: np.empty_like(rows[key])
+               for key in (*vars(self.state), "air_time", "last_tau")}
+        feet = (n, len(self.tree.foot_body_indices), 3)
+        out.update(touchdown_air=np.empty_like(rows["air_time"]), reasons=np.empty(n, dtype=int),
+                   n_collisions=np.empty(n, dtype=int), com=np.empty((n, 3)),
+                   foot_pos=np.empty(feet), foot_vel=np.empty(feet))
+        shards.run(_physics, {**rows, **prev_gains}, out, self.tree, cfg)
+        start_qdot = rows["qdot"]
+        rows.update((key, out[key]) for key in out if key in rows)
+        rows["active_push"] = _active_push(rows["push_start"], rows["push_end"],
+                                           rows["push_force"], rows["time"])
+        rows["step_count"] += 1
 
         reasons = out["reasons"]
         terminated = reasons != REASON_CODE["running"]
-        truncated = (self.step_count >= cfg.max_steps) & ~terminated
+        truncated = (rows["step_count"] >= cfg.max_steps) & ~terminated
 
         breakdown = self._rewards(actions, new_gains, start_qdot, out, terminated)
         # a diverged state may be non-finite: its env earns nothing and resets
+        diverged = rows["diverged"]
         for terms in (breakdown.terms, breakdown.weighted):
             for values in terms.values():
-                values[state.diverged] = 0.0
-        breakdown.total[state.diverged] = 0.0
+                values[diverged] = 0.0
+        breakdown.total[diverged] = 0.0
         reward = breakdown.total
-        self.episode_return += reward
-        self.prev_action = actions.copy()
+        rows["episode_return"] += reward
+        rows["prev_action"][...] = actions
 
         done = terminated | truncated
         info = {
@@ -474,9 +509,9 @@ class VecLocomotionEnv:
             "reasons": reasons,
             "breakdown": breakdown,
             "kp": new_gains.kp.copy(),  # the reset below writes the hold gains
-            "push_force": self.active_push.copy(),
-            "episode_return": np.where(done, self.episode_return, np.nan),
-            "episode_length": np.where(done, self.step_count, 0),
+            "push_force": rows["active_push"].copy(),
+            "episode_return": np.where(done, rows["episode_return"], np.nan),
+            "episode_length": np.where(done, rows["step_count"], 0),
         }
         if np.any(done):
             info["final_privileged"] = self.observe_privileged()
@@ -493,7 +528,7 @@ class VecLocomotionEnv:
         cone in the states the step returned (a reset env's first)."""
         kp, weighted, n = info["kp"], info["breakdown"].weighted, self.n
         ends = np.bincount(info["reasons"], minlength=len(TERMINATION_REASONS))[1:]
-        contact, saturated = self.state.contact_flags, self.state.cone_saturated
+        contact, saturated = self.rows["contact_flags"], self.rows["cone_saturated"]
         return {**{f"mean_kp_{joint}": (kp[:, k::3].mean(), 1)
                    for k, joint in enumerate(("hip", "thigh", "knee"))},
                 **{f"rew_{term}": (weighted[term].mean(), 1) for term in REWARD_TERMS},
@@ -507,9 +542,9 @@ class VecLocomotionEnv:
     # rewards and observations
 
     def _base_frame(self):
-        R0 = quat_to_matrix(self.state.base_quat)
-        v_base = np.einsum("nji,nj->ni", R0, self.state.base_linvel)
-        w_base = np.einsum("nji,nj->ni", R0, self.state.base_angvel)
+        R0 = quat_to_matrix(self.rows["base_quat"])
+        v_base = np.einsum("nji,nj->ni", R0, self.rows["base_linvel"])
+        w_base = np.einsum("nji,nj->ni", R0, self.rows["base_angvel"])
         g_proj = -R0[:, 2, :]  # world (0,0,-1) expressed in the base frame
         return v_base, w_base, g_proj
 
@@ -518,27 +553,28 @@ class VecLocomotionEnv:
         state started at joint rates start_qdot."""
         foot_pos, foot_vel = out["foot_pos"], out["foot_vel"]
         v_base, w_base, g_proj = self._base_frame()
-        qdot = self.state.qdot
+        rows = self.rows
+        qdot = rows["qdot"]
         inputs = RewardInputs(
-            v_cmd_xy=self.command[:, :2],
-            omega_cmd=self.command[:, 2],
+            v_cmd_xy=rows["command"][:, :2],
+            omega_cmd=rows["command"][:, 2],
             v_base=v_base,
             omega_base=w_base,
             proj_gravity=g_proj,
             touchdown_air_times=out["touchdown_air"],
             qddot=(qdot - start_qdot) / self.cfg.control_dt,
-            tau=self.last_tau,
+            tau=rows["last_tau"],
             qdot=qdot,
             action=actions,
-            prev_action=self.prev_action,
+            prev_action=rows["prev_action"],
             foot_heights=foot_pos[..., 2],
             foot_vel_xy=foot_vel[..., :2],
             foot_xy=foot_pos[..., :2],
             com_xy=out["com"][:, :2],
             q_target=gains.q_target,
-            q_next=self.state.q,
-            base_height=self.state.base_pos[:, 2],
-            q_hip=self.state.q[:, HIP_JOINT_INDICES],
+            q_next=rows["q"],
+            base_height=rows["base_pos"][:, 2],
+            q_hip=rows["q"][:, HIP_JOINT_INDICES],
             q_hip_default=self.q_default[HIP_JOINT_INDICES],
             n_collisions=out["n_collisions"],
             terminated=terminated,
@@ -548,22 +584,21 @@ class VecLocomotionEnv:
     def observe(self, noisy=True) -> np.ndarray:
         """Actor observation, in the blocks of ``observation_layouts``."""
         v_base, w_base, g_proj = self._base_frame()
-        blocks = {"command": self.command, "lin_vel": v_base, "ang_vel": w_base,
-                  "gravity": g_proj, "joint_vel": self.state.qdot,
-                  "joint_pos": self.state.q - self.q_default, "prev_action": self.prev_action}
+        rows = self.rows
+        blocks = {"command": rows["command"], "lin_vel": v_base, "ang_vel": w_base,
+                  "gravity": g_proj, "joint_vel": rows["qdot"],
+                  "joint_pos": rows["q"] - self.q_default, "prev_action": rows["prev_action"]}
         if noisy:
-            noise = dr.sample_observation_noise(
-                self.cfg.randomization, self.key, self.env_ids, self._next_draw(self.env_ids)
-            )
+            noise = dr.sample_observation_noise(self.cfg.randomization, self.key,
+                                                rows["stream"], rows["draws"])
+            rows["draws"] += 1
             for name in blocks:
                 if "noise_" + name in noise:
                     blocks[name] = blocks[name] + noise["noise_" + name]
         return np.concatenate([blocks[name] for name, _, _ in self.obs_layout], axis=1)
 
     def observe_privileged(self) -> np.ndarray:
-        """Critic input: the blocks of ``PRIV_BLOCKS``, then the noiseless observation."""
-        blocks = {"kp_scale": self.kp_scale, "kd_scale": self.kd_scale,
-                  "motor_strength": self.motor_strength, "friction": self.params.friction[:, None],
-                  "mass_deltas": self.mass_deltas, "push_force": self.active_push}
-        return np.concatenate([blocks[name] for name, _, _ in PRIV_BLOCKS]
+        """Critic input: the rows named by ``PRIV_BLOCKS``, then the noiseless observation."""
+        return np.concatenate([self.rows[name].reshape(self.n, width)
+                               for name, width, _ in PRIV_BLOCKS]
                               + [self.observe(noisy=False)], axis=1)

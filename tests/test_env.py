@@ -19,6 +19,7 @@ from vsloco.env import (
     EnvConfig,
     VecLocomotionEnv,
     _collision_counts,
+    row_layout,
     sample_command,
     schedule_pushes,
 )
@@ -91,16 +92,17 @@ def test_layout_offsets_of_a_randomized_pushed_env():
     env.step(np.random.default_rng(2).uniform(-1, 1, (2, env.action_dim)))
     obs, priv = env.observe(noisy=False), env.observe_privileged()
     s = env.state
-    expected_obs = {(0, 3): env.command, (12, 24): s.qdot, (24, 36): s.q - env.q_default,
-                    (36, 52): env.prev_action}
+    expected_obs = {(0, 3): env.rows["command"], (12, 24): s.qdot, (24, 36): s.q - env.q_default,
+                    (36, 52): env.rows["prev_action"]}
     for (a, b), block in expected_obs.items():
         assert np.array_equal(obs[:, a:b], block), (a, b)
-    expected_priv = {(0, 12): env.kp_scale, (12, 24): env.kd_scale,
-                     (24, 36): env.motor_strength, (36, 37): env.params.friction[:, None],
-                     (37, 42): env.mass_deltas, (42, 45): env.active_push, (45, 97): obs}
+    expected_priv = {(0, 12): env.rows["kp_scale"], (12, 24): env.rows["kd_scale"],
+                     (24, 36): env.rows["motor_strength"], (36, 37): env.params.friction[:, None],
+                     (37, 42): env.rows["mass_deltas"], (42, 45): env.rows["active_push"],
+                     (45, 97): obs}
     for (a, b), block in expected_priv.items():
         assert np.array_equal(priv[:, a:b], block), (a, b)
-    assert np.all(np.any(env.active_push != 0.0, axis=1))  # both pushes active
+    assert np.all(np.any(env.rows["active_push"] != 0.0, axis=1))  # both pushes active
 
 
 def test_observation_noise_support():
@@ -133,11 +135,11 @@ def test_same_seed_same_context():
     cfg = EnvConfig()
     a = VecLocomotionEnv("PLS", n_envs=2, seed=7, config=cfg)
     b = VecLocomotionEnv("PLS", n_envs=2, seed=7, config=cfg)
-    assert np.allclose(a.command, b.command)
-    assert np.array_equal(a.delay_substeps, b.delay_substeps)
-    assert np.allclose(a.kp_scale, b.kp_scale)
-    assert np.array_equal(a.push_start, b.push_start)
-    assert np.allclose(a.push_force, b.push_force)
+    assert np.allclose(a.rows["command"], b.rows["command"])
+    assert np.array_equal(a.rows["delay_substeps"], b.rows["delay_substeps"])
+    assert np.allclose(a.rows["kp_scale"], b.rows["kp_scale"])
+    assert np.array_equal(a.rows["push_start"], b.rows["push_start"])
+    assert np.allclose(a.rows["push_force"], b.rows["push_force"])
 
 
 def test_step_determinism():
@@ -162,21 +164,21 @@ def test_randomized_context_inside_supports():
     rows = env.cfg.randomization.rows
     for _ in range(20):
         env.reset_all()
-        payload, hips = env.mass_deltas[:, 0], env.mass_deltas[:, 1:]
+        payload, hips = env.rows["mass_deltas"][:, 0], env.rows["mass_deltas"][:, 1:]
         friction_scale = env.params.friction / nominal.friction
         assert np.all((rows["payload_mass"][0] <= payload) & (payload <= rows["payload_mass"][1]))
         assert np.all(hips >= rows["hip_mass"][0])
         assert np.all(hips <= rows["hip_mass"][1])
         assert np.all((rows["ground_friction"][0] <= friction_scale)
                       & (friction_scale <= rows["ground_friction"][1]))
-        assert np.all((env.kp_scale >= 0.8) & (env.kp_scale <= 1.3))
-        assert np.all((env.kd_scale >= 0.5) & (env.kd_scale <= 1.5))
-        assert np.all((env.motor_strength >= 0.9) & (env.motor_strength <= 1.1))
-        assert np.all((0 <= env.delay_substeps) & (env.delay_substeps <= 7))
-        placed = np.isfinite(env.push_start)
-        mag = np.linalg.norm(env.push_force[placed], axis=-1)
+        assert np.all((env.rows["kp_scale"] >= 0.8) & (env.rows["kp_scale"] <= 1.3))
+        assert np.all((env.rows["kd_scale"] >= 0.5) & (env.rows["kd_scale"] <= 1.5))
+        assert np.all((env.rows["motor_strength"] >= 0.9) & (env.rows["motor_strength"] <= 1.1))
+        assert np.all((0 <= env.rows["delay_substeps"]) & (env.rows["delay_substeps"] <= 7))
+        placed = np.isfinite(env.rows["push_start"])
+        mag = np.linalg.norm(env.rows["push_force"][placed], axis=-1)
         assert np.all((50.0 - 1e-9 <= mag) & (mag <= 150.0 + 1e-9))
-        impulse = mag * (env.push_end - env.push_start)[placed]
+        impulse = mag * (env.rows["push_end"] - env.rows["push_start"])[placed]
         assert np.all((8.0 - 1e-9 <= impulse) & (impulse <= 15.0 + 1e-9))
 
 
@@ -184,13 +186,13 @@ def test_reset_identity_when_disabled():
     env = VecLocomotionEnv("PLS", n_envs=4, seed=2,
                            config=EnvConfig(randomization=no_randomization()))
     env.reset_all()
-    assert np.all(env.mass_deltas[:, 0] == 0.0)
-    assert np.all(env.kp_scale == 1.0)
+    assert np.all(env.rows["mass_deltas"][:, 0] == 0.0)
+    assert np.all(env.rows["kp_scale"] == 1.0)
     nominal = dyn.BatchParams.from_tree(env.tree, env.n)
     assert np.array_equal(env.params.friction, nominal.friction)
     assert np.array_equal(env.params.gravity, nominal.gravity)
     assert np.array_equal(env.params.masses, nominal.masses)
-    assert np.all(env.delay_substeps == 0)
+    assert np.all(env.rows["delay_substeps"] == 0)
 
 
 def test_construction_resets_without_observing():
@@ -198,24 +200,12 @@ def test_construction_resets_without_observing():
     # pushes); the observation noise is drawn at the first observe
     env = VecLocomotionEnv("PJS", n_envs=5, seed=3,
                            config=EnvConfig(randomization=no_randomization()))
-    assert np.all(env.draws == 4)
+    assert np.all(env.rows["draws"] == 4)
     assert env.cfg.randomization.rows == dr.IDENTITY_ROWS
-    assert np.all(env.kp_scale == 1.0) and not env.mass_deltas.any()
+    assert np.all(env.rows["kp_scale"] == 1.0) and not env.rows["mass_deltas"].any()
     env.reset_all()
-    assert np.all(env.draws == 9) and env.cfg.randomization.rows == dr.IDENTITY_ROWS
-    assert np.all(VecLocomotionEnv("PJS", n_envs=5, seed=3).draws == 4)
-
-
-def _held_arrays(env):
-    """Every array the env holds, by name, those in its dataclasses as name.field."""
-    held = {}
-    for name, value in vars(env).items():
-        if dataclasses.is_dataclass(value):
-            held.update({f"{name}.{f.name}": getattr(value, f.name)
-                         for f in dataclasses.fields(value)})
-        else:
-            held[name] = value
-    return {name: value for name, value in held.items() if isinstance(value, np.ndarray)}
+    assert np.all(env.rows["draws"] == 9) and env.cfg.randomization.rows == dr.IDENTITY_ROWS
+    assert np.all(VecLocomotionEnv("PJS", n_envs=5, seed=3).rows["draws"] == 4)
 
 
 @pytest.mark.parametrize("randomized", [True, False])
@@ -231,12 +221,12 @@ def test_reset_all_in_place_equals_a_fresh_reset_at_the_same_draws(randomized):
         stepped.step(rng.uniform(-1, 1, (n, stepped.action_dim)))
     stepped.set_push_schedule(np.full(n, 0.02), np.full(n, 0.1), np.tile([60.0, 0.0, 0.0], (n, 1)))
     fresh = VecLocomotionEnv("HJLS", n_envs=n, seed=4, config=config)
-    fresh.draws[:] = stepped.draws
+    fresh.rows["draws"][:] = stepped.rows["draws"]
     for a, b in zip(stepped.reset_all(), fresh.reset_all(), strict=True):  # obs, priv
         assert np.array_equal(a, b)
-    held, fresh_held = _held_arrays(stepped), _held_arrays(fresh)
+    held, fresh_held = stepped.snapshot(), fresh.snapshot()
     assert held.keys() == fresh_held.keys()
-    assert {"state.q", "params.masses", "gains.kp", "push_start", "draws"} <= held.keys()
+    assert {"q", "masses", "kp", "push_start", "draws"} <= held.keys()
     for name, value in held.items():
         assert np.array_equal(value, fresh_held[name]), name
     for k in range(5):
@@ -258,22 +248,22 @@ def test_command_schedule_four_intervals():
     env.reset_all()
     action = np.zeros((1, env.action_dim))
     action[0, 12:] = 1.0
-    seen = [env.command[0].copy()]
+    seen = [env.rows["command"][0].copy()]
     resample_steps = []
     windows = [range(0, 4), range(247, 254), range(497, 504), range(747, 754), range(996, 1001)]
     ended = None
     for window in windows:
-        env.step_count[:] = window[0]
+        env.rows["step_count"][:] = window[0]
         for k in window:
-            before = env.command[0].copy()
+            before = env.rows["command"][0].copy()
             obs, priv, rew, done, info = env.step(action)
             if bool(done[0]):
                 assert info["truncated"][0]
                 ended = k + 1
                 break
-            if not np.allclose(env.command[0], before):
+            if not np.allclose(env.rows["command"][0], before):
                 resample_steps.append(k + 1)
-                seen.append(env.command[0].copy())
+                seen.append(env.rows["command"][0].copy())
     # the refresh lands on the control step that begins at t = 5, 10, 15 s
     assert resample_steps == [251, 501, 751]
     assert len(seen) == 4
@@ -290,9 +280,9 @@ def test_commands_refresh_every_whole_number_of_control_steps(resample_s, refres
     action[0, 12:] = 1.0  # hold the default pose stiffly
     refreshed = []
     for k in range(11):
-        before = env.command[0].copy()
+        before = env.rows["command"][0].copy()
         assert not env.step(action)[3][0]
-        if not np.array_equal(env.command[0], before):
+        if not np.array_equal(env.rows["command"][0], before):
             refreshed.append(k)  # steps completed before the refresh
     assert refreshed == refreshed_after
 
@@ -323,15 +313,15 @@ def test_push_schedule_timing():
 def test_push_slots_cover_long_episodes():
     # a 60 s episode has a push near every 6 s: at least 9 slots are filled
     env = VecLocomotionEnv("PLS", n_envs=16, seed=22, config=EnvConfig(episode_length_s=60.0))
-    placed = np.isfinite(env.push_start)
+    placed = np.isfinite(env.rows["push_start"])
     assert np.all(placed.sum(axis=1) >= 9)
-    k = np.broadcast_to(np.arange(1, env.push_start.shape[1] + 1), placed.shape)
-    assert np.all(np.abs(env.push_start[placed] - 6.0 * k[placed]) <= 0.5 + 1e-12)
+    k = np.broadcast_to(np.arange(1, env.rows["push_start"].shape[1] + 1), placed.shape)
+    assert np.all(np.abs(env.rows["push_start"][placed] - 6.0 * k[placed]) <= 0.5 + 1e-12)
 
 
 def test_zero_command_range_config(quiet_env):
     quiet_env.reset_all()
-    assert np.allclose(quiet_env.command, 0.0)
+    assert np.allclose(quiet_env.rows["command"], 0.0)
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -342,10 +332,34 @@ def test_zero_command_range_config(quiet_env):
     ({"control_dt": 0.2, "physics_substeps": 2}, "dt_physics"),  # 0.1 s substeps
     ({"episode_length_s": 0.01}, "episode_length_s"),
     ({"push_interval_s": 0.0}, "push_interval_s"),
+    ({"episode_length_s": np.inf}, "episode_length_s"),  # its step count overflowed
 ])
 def test_config_rejects_bad_timing(overrides, message):
     with pytest.raises(ValueError, match=message):
         EnvConfig(**overrides)
+
+
+_RANGES = {"vx": (-1.0, 1.0), "vy": (-1.0, 1.0), "yaw_rate": (-1.0, 1.0)}
+
+
+@pytest.mark.parametrize("overrides, message", [
+    # each of these used to pass and break every env later: non-finite
+    # observations at the first step, a failed constructor, or NaN commands
+    ({"reset_joint_noise": np.nan}, "reset_joint_noise"),
+    ({"reset_joint_noise": -0.1}, "reset_joint_noise"),
+    ({"push_jitter_s": np.nan}, "push_jitter_s"),
+    ({"push_jitter_s": -0.5}, "push_jitter_s"),
+    ({"command_ranges": {"vx": (-1.0, 1.0), "yaw_rate": (-1.0, 1.0)}}, "command_ranges"),
+    ({"command_ranges": {**_RANGES, "vz": (0.0, 0.0)}}, "command_ranges"),
+    ({"command_ranges": {**_RANGES, "vy": (np.nan, 1.0)}}, r"command_ranges\['vy'\]"),
+    ({"command_ranges": {**_RANGES, "vx": (-1.0, np.inf)}}, r"command_ranges\['vx'\]"),
+    ({"command_ranges": {**_RANGES, "yaw_rate": (1.0, -1.0)}}, r"command_ranges\['yaw_rate'\]"),
+])
+def test_config_rejects_bad_noise_jitter_and_command_ranges(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        EnvConfig(**overrides)
+    EnvConfig(reset_joint_noise=0.0, push_jitter_s=0.0, command_ranges={
+        "vx": (0.5, 0.5), "vy": (0.0, 0.0), "yaw_rate": (-0.1, 0.1)})  # the edges pass
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -394,7 +408,7 @@ def test_info_kp_is_the_kp_the_step_applied():
     _, _, _, done, info = env.step(np.full((2, env.action_dim), 0.9))
     assert done.tolist() == [True, False]
     assert np.allclose(info["kp"], 58.0, rtol=0, atol=1e-12)
-    assert np.all(env.gains.kp[0] == 40.0)
+    assert np.all(env.rows["kp"][0] == 40.0)
 
 
 def test_termination_illegal_contact():
@@ -524,7 +538,7 @@ def test_air_time_accumulates_across_control_steps():
     env.state.base_pos[0, 2] = 2.0
     for k in range(1, 4):
         env.step(np.zeros((1, env.action_dim)))
-        assert np.allclose(env.air_time[0], k * env.cfg.control_dt, rtol=0, atol=1e-12)
+        assert np.allclose(env.rows["air_time"][0], k * env.cfg.control_dt, rtol=0, atol=1e-12)
 
 
 def test_truncation_at_episode_end():
@@ -577,19 +591,44 @@ def test_a_set_push_schedule_lasts_until_the_env_resets():
     # env 1 runs on and keeps the set one
     env = VecLocomotionEnv("PLS", n_envs=2, seed=6)
     env.set_push_schedule([0.5, 0.5], [0.1, 0.1], [[40.0, 0.0, 0.0], [0.0, 40.0, 0.0]])
-    set_schedule = env.push_start.copy(), env.push_end.copy(), env.push_force.copy()
-    draws = env.draws.copy()
+    set_schedule = tuple(env.rows[key].copy() for key in ("push_start", "push_end", "push_force"))
+    draws = env.rows["draws"].copy()
     env.state.base_pos[0] = (0.0, 0.0, 1.0)
     env.state.base_quat[0] = (0.0, 1.0, 0.0, 0.0)
     _, _, _, done, _ = env.step(np.zeros((2, env.action_dim)))
     assert done.tolist() == [True, False]
     # the reset's fourth draw (after joint noise, episode and command) is the pushes
     sampled = schedule_pushes(env.key, [0], draws[:1] + 3, env.cfg)
-    held = env.push_start, env.push_end, env.push_force
+    held = env.rows["push_start"], env.rows["push_end"], env.rows["push_force"]
     for now, before, drawn in zip(held, set_schedule, sampled, strict=True):
         assert np.array_equal(now[0], drawn[0])
         assert not np.array_equal(now[0], before[0])
         assert np.array_equal(now[1], before[1])
+
+
+@pytest.mark.parametrize("starts, durations, forces, message", [
+    (0.5, -0.1, [40.0, 0.0, 0.0], "durations"),  # a push that never acts
+    (0.5, 0.0, [40.0, 0.0, 0.0], "durations"),
+    (np.nan, 0.1, [40.0, 0.0, 0.0], "starts"),
+    (np.inf, 0.1, [40.0, 0.0, 0.0], "starts"),
+    (0.5, np.nan, [40.0, 0.0, 0.0], "durations"),
+    (0.5, 0.1, [np.inf, 0.0, 0.0], "forces"),  # every env diverged at the next step
+    ([0.5, 0.5], 0.1, [40.0, 0.0, 0.0], "starts"),  # 2 starts for 3 envs
+    (0.5, [0.1] * 4, [40.0, 0.0, 0.0], "durations"),
+    (0.5, 0.1, [40.0, 0.0], "forces"),
+    (0.5, 0.1, [[40.0, 0.0, 0.0]] * 2, "forces"),
+])
+def test_set_push_schedule_rejects_bad_input_by_name(starts, durations, forces, message):
+    env = VecLocomotionEnv("PLS", n_envs=3, seed=6)
+    before = env.snapshot()
+    with pytest.raises(ValueError, match=message):
+        env.set_push_schedule(starts, durations, forces)
+    for name, value in env.snapshot().items():
+        assert np.array_equal(value, before[name]), name
+    # one value for every env and one per env both pass
+    env.set_push_schedule(0.5, [0.1, 0.2, 0.3], [[40.0, 0.0, 0.0]])
+    assert np.array_equal(env.rows["push_end"][:, 0], [0.6, 0.7, 0.8])
+    assert np.array_equal(env.rows["push_force"][:, 0], np.tile([40.0, 0.0, 0.0], (3, 1)))
 
 
 def test_push_impulse_changes_velocity():
@@ -654,7 +693,7 @@ def test_batch_rows_draw_independent_streams():
     hold = np.zeros(batch.action_dim)
     hold[12:] = 1.0
     resets = np.zeros(3, dtype=int)
-    commands = [single.command[0].copy()]
+    commands = [single.rows["command"][0].copy()]
     for k in range(256):
         if k == 252:
             for env in (batch, single):
@@ -668,9 +707,9 @@ def test_batch_rows_draw_independent_streams():
         for a, b in zip(outs_b[:3], outs_s[:3]):  # obs, priv, reward
             assert np.array_equal(a[0], b[0]), k
         for name in ("command", "push_start", "push_end", "push_force"):
-            assert np.array_equal(getattr(batch, name)[0], getattr(single, name)[0]), (k, name)
-        if not np.array_equal(single.command[0], commands[-1]):
-            commands.append(single.command[0].copy())
+            assert np.array_equal(batch.rows[name][0], single.rows[name][0]), (k, name)
+        if not np.array_equal(single.rows["command"][0], commands[-1]):
+            commands.append(single.rows["command"][0].copy())
     assert resets[0] == 1 and resets[1] >= 1 and resets[2] >= 1
     assert len(commands) == 3  # the refresh at step 251 and the reset's draw
 
@@ -699,16 +738,129 @@ def test_a_rejected_action_leaves_the_env_unchanged():
     # at step_count 250 a command refresh is due; a non-finite action is
     # rejected before it redraws a command or advances a draw counter
     env = VecLocomotionEnv("PLS", n_envs=2, seed=2)
-    env.step_count[:] = 250
-    before = {name: value.copy() for name, value in _held_arrays(env).items()}
+    env.rows["step_count"][:] = 250
+    before = env.snapshot()
     action = np.zeros((2, env.action_dim))
     action[1, 3] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         env.step(action)
-    held = _held_arrays(env)
-    assert {"draws", "command", "state.q", "gains.kp"} <= held.keys()
+    held = env.snapshot()
+    assert {"draws", "command", "q", "kp"} <= held.keys()
     for name, value in held.items():
         assert np.array_equal(value, before[name]), name
     env.step(np.zeros((2, env.action_dim)))  # a valid step refreshes the commands
-    assert np.all(env.draws == before["draws"] + 2)  # commands, observation noise
-    assert not np.array_equal(env.command, before["command"])
+    assert np.all(env.rows["draws"] == before["draws"] + 2)  # commands, observation noise
+    assert not np.array_equal(env.rows["command"], before["command"])
+
+
+def _pushed_env(n, seed=5):
+    """A randomized HJLS env with observation noise, whose 0.4 s episodes
+    hold up to two pushes, from about 0.2 s."""
+    return VecLocomotionEnv("HJLS", n_envs=n, seed=seed, config=EnvConfig(
+        episode_length_s=0.4, push_interval_s=0.2, push_jitter_s=0.05))
+
+
+def _outputs(step):
+    """Copies of a step's obs, priv, reward and done and of its info arrays
+    and reward terms, by name."""
+    obs, priv, reward, done, info = step
+    breakdown = info["breakdown"]
+    out = {"obs": obs, "priv": priv, "reward": reward, "done": done, "total": breakdown.total}
+    out.update({key: a for key, a in info.items() if isinstance(a, np.ndarray)})
+    for kind in ("terms", "weighted"):
+        out.update({f"{kind} {key}": a for key, a in getattr(breakdown, kind).items()})
+    return {key: np.copy(a) for key, a in out.items()}
+
+
+def test_restore_replays_the_steps_after_its_snapshot_byte_for_byte():
+    # 30 steps after a snapshot, with randomization, observation noise, pushes
+    # and resets; restored, the same actions give the same bytes
+    env, k = _pushed_env(6), 30
+    rng = np.random.default_rng(1)
+    for _ in range(7):
+        env.step(rng.uniform(-1, 1, (6, env.action_dim)))
+    snap = env.snapshot()
+    actions = rng.uniform(-1, 1, (k, 6, env.action_dim))
+    first = [_outputs(env.step(a)) for a in actions]
+    assert sum(out["done"].sum() for out in first) >= 6  # every env reset at least once
+    assert any(out["push_force"].any() for out in first)
+    env.restore(snap)
+    for name, value in env.snapshot().items():
+        assert np.array_equal(value, snap[name]), name
+    for step, (a, out) in enumerate(zip(actions, first, strict=True)):
+        again = _outputs(env.step(a))
+        assert again.keys() == out.keys()
+        for key in out:
+            assert out[key].tobytes() == again[key].tobytes(), (step, key)
+
+
+def test_a_row_restored_into_every_row_of_another_env_steps_like_its_source():
+    # row 2 of a 5-env batch, cloned into the 4 rows of a new env of the same
+    # seed and config, steps as row 2 does through the resets of its episodes:
+    # its stream keys its draws, wherever it sits
+    source, clones = _pushed_env(5), _pushed_env(4)
+    rng = np.random.default_rng(2)
+    for _ in range(5):
+        source.step(rng.uniform(-1, 1, (5, source.action_dim)))
+    clones.restore(source.snapshot([2]))
+    assert np.all(clones.rows["stream"] == 2)
+    resets = 0
+    for k in range(30):
+        actions = rng.uniform(-1, 1, (5, source.action_dim))
+        want = _outputs(source.step(actions))
+        got = _outputs(clones.step(np.repeat(actions[2:3], 4, axis=0)))
+        resets += want["done"][2]
+        assert ("final_privileged" in got) == want["done"][2]  # given when an env ends
+        for key in got:
+            for row in got[key]:
+                assert row.tobytes() == want[key][2].tobytes(), (k, key)
+    assert resets >= 1
+
+
+def test_every_per_row_array_of_the_env_is_a_row_of_the_table():
+    # nothing with one entry per env is held outside env.rows, which holds
+    # the arrays of row_layout, after construction, steps and a reset
+    n = 7
+    env = _pushed_env(n)
+    layout = row_layout(env.tree, env.action_dim, env.cfg)
+    assert len(layout) == 34
+
+    def check():
+        assert list(env.rows) == list(layout)
+        for name, (shape, dtype) in layout.items():
+            assert env.rows[name].shape == (n, *shape) and env.rows[name].dtype == dtype, name
+        held = {id(a) for a in env.rows.values()}
+        for name, value in vars(env).items():
+            values = value.values() if isinstance(value, dict) else [value]
+            for a in values:
+                if isinstance(a, np.ndarray) and a.ndim and len(a) == n:
+                    assert id(a) in held, name
+
+    check()
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        env.step(rng.uniform(-1, 1, (n, env.action_dim)))
+        check()
+    env.reset_all()
+    check()
+
+
+@pytest.mark.parametrize("edit, name", [
+    (lambda snap: snap.pop("stream"), "stream"),  # missing
+    (lambda snap: snap.update(push_torque=np.zeros((3, 3))), "push_torque"),  # extra
+    (lambda snap: snap.update(q=snap["q"][:, :11]), "q"),  # trailing shape
+    (lambda snap: snap.update(command=snap["command"][:2]), "command"),  # 2 rows for 3
+    (lambda snap: snap.update(time=np.float64(0.0)), "time"),  # no row axis
+    (lambda snap: snap.update(step_count=snap["step_count"].astype(float)), "step_count"),
+    (lambda snap: snap.update(draws=snap["draws"].astype(np.int64)), "draws"),  # dtype
+])
+def test_restore_refuses_a_bad_snapshot_by_name(edit, name):
+    env = VecLocomotionEnv("PLS", n_envs=3, seed=4)
+    snap = env.snapshot()
+    env.step(np.zeros((3, env.action_dim)))
+    before = env.snapshot()
+    edit(snap)
+    with pytest.raises(ValueError, match=f"'{name}'"):
+        env.restore(snap)
+    for key, value in env.snapshot().items():  # nothing was written
+        assert np.array_equal(value, before[key]), key

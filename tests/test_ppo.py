@@ -190,9 +190,9 @@ def test_train_resets_each_env_once_before_the_first_step(monkeypatch, tmp_path)
     def first_step(env, actions):
         # one reset (joint noise, episode, command, pushes) and one noisy
         # observation: five draws per env
-        assert np.all(env.draws == 5)
+        assert np.all(env.rows["draws"] == 5)
         assert env.cfg.randomization == DomainRandomizationConfig()
-        assert not np.all(env.kp_scale == 1.0)
+        assert not np.all(env.rows["kp_scale"] == 1.0)
         raise _FirstStep
 
     monkeypatch.setattr(VecLocomotionEnv, "_reset_envs", counted_reset)

@@ -41,10 +41,10 @@ def test_identity_rows_draw_exactly_the_identity():
         assert np.all(block == 0.0) and not np.signbit(block).any(), row
     # an env off by IDENTITY_ROWS still advances its counters at every draw
     env = VecLocomotionEnv("PLS", n_envs=2, seed=0, config=EnvConfig(randomization=cfg))
-    assert np.all(env.draws == 4)  # joint noise, episode, command, pushes
+    assert np.all(env.rows["draws"] == 4)  # joint noise, episode, command, pushes
     env.observe()
-    assert np.all(env.draws == 5)
-    assert np.all(env.kp_scale == 1.0) and not env.mass_deltas.any()
+    assert np.all(env.rows["draws"] == 5)
+    assert np.all(env.rows["kp_scale"] == 1.0) and not env.rows["mass_deltas"].any()
 
 
 def _env_with_rows(rows, tree=None):
@@ -55,7 +55,7 @@ def _env_with_rows(rows, tree=None):
 def test_mass_delta_layout():
     # privileged layout and bodies: the trunk payload, then the four hips
     env = _env_with_rows({"payload_mass": (2.0, 2.0), "hip_mass": (0.1, 0.1)})
-    assert np.allclose(env.mass_deltas[0], [2.0, 0.1, 0.1, 0.1, 0.1])
+    assert np.allclose(env.rows["mass_deltas"][0], [2.0, 0.1, 0.1, 0.1, 0.1])
     assert np.allclose(env.observe_privileged()[0, 37:42], [2.0, 0.1, 0.1, 0.1, 0.1])
     added = env.params.masses[0] - env.tree.mass
     expected = np.zeros_like(added)
@@ -68,7 +68,7 @@ def test_delay_quantization():
     for ms, expected in ((0.0, 0), (1.9, 0), (2.0, 1), (15.0, 7), (14.999, 7)):
         env = _env_with_rows({"system_delay": (ms, ms)}, tree)
         assert env.cfg.dt_physics == 0.002
-        assert env.delay_substeps[0] == expected
+        assert env.rows["delay_substeps"][0] == expected
 
 
 def test_unknown_row_rejected():

@@ -39,8 +39,8 @@ def split_rows(monkeypatch):
 
 def _step(env, actions):
     """Copies of everything one env.step gives and leaves: obs, priv,
-    reward, done, the info arrays and reward terms, every state field and
-    the env's per-row bookkeeping."""
+    reward, done, the info arrays and reward terms, and every row of the
+    env's snapshot, as "row <name>"."""
     obs, priv, reward, done, info = env.step(actions)
     out = {"obs": obs, "priv": priv, "reward": reward, "done": done}
     out.update({key: a for key, a in info.items() if isinstance(a, np.ndarray)})
@@ -48,9 +48,7 @@ def _step(env, actions):
     out["total"] = breakdown.total
     for kind in ("terms", "weighted"):
         out.update({f"{kind} {key}": a for key, a in getattr(breakdown, kind).items()})
-    out.update(vars(env.state))
-    for key in ("air_time", "last_tau", "active_push", "command"):
-        out[key] = getattr(env, key)
+    out.update({f"row {key}": a for key, a in env.snapshot().items()})
     return {key: np.copy(a) for key, a in out.items()}
 
 
@@ -68,7 +66,8 @@ def _env(n, seed, **config):
 
 def test_sharded_env_is_bit_identical(split_rows):
     # 7 envs in 1, 2 and 3 row shards (7; 3 + 4; 2 + 2 + 3) over 40 control
-    # steps with randomization, pushes and resets. Between their steps an
+    # steps with randomization, pushes and resets: every output and, after
+    # each step, every row of the env's snapshot. Between their steps an
     # env of 11 rows with 8 substeps per step steps through the same
     # workers: a larger block, and a config to send again each time.
     runs = {}
@@ -82,7 +81,7 @@ def test_sharded_env_is_bit_identical(split_rows):
     steps = runs[1][::2]
     assert sum(step["done"].sum() for step in steps) > 7
     assert any(step["push_force"].any() for step in steps)
-    assert any(step["cone_saturated"].any() for step in steps)  # rows re-solved sliding
+    assert any(step["row cone_saturated"].any() for step in steps)  # rows re-solved sliding
     for n in (2, 3):
         for a, b in zip(runs[n], runs[1], strict=True):
             _assert_same(a, b)
