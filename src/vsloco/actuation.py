@@ -1,15 +1,14 @@
 """Action decoding and joint impedance control.
 
 Raw policy actions in [-1, 1] become joint position targets plus per-joint
-proportional gains under one of six stiffness groupings. The damping gain is
-always slaved to the stiffness (kd = 0.2 * sqrt(kp)), and the motor torque
-is the spring-damper law about the target with zero desired velocity,
+proportional gains under one of six stiffness groupings: the gains are the
+dict ``{"kp", "kd", "q_target"}`` that ``decode_action`` returns. The damping
+gain is always slaved to the stiffness (kd = 0.2 * sqrt(kp)), and the motor
+torque is the spring-damper law about the target with zero desired velocity,
 clamped to the joint torque limits.
 
 Joint order is leg-major: (FR, FL, RR, RL) x (hip, thigh, knee).
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,15 +28,6 @@ _STIFFNESS_DIMS = {"FixedP20": 0, "FixedP50": 0, "IJS": 12, "PJS": 3, "PLS": 4, 
 # joint j belongs to leg j // 3 and group j % 3
 _LEG_OF_JOINT = np.repeat(np.arange(N_LEGS), N_GROUPS)
 _GROUP_OF_JOINT = np.tile(np.arange(N_GROUPS), N_LEGS)
-
-
-@dataclass
-class GainState:
-    """Decoded controller state: per-joint gains and position targets."""
-
-    kp: np.ndarray
-    kd: np.ndarray
-    q_target: np.ndarray
 
 
 def validate_grouping(grouping: str) -> str:
@@ -61,8 +51,9 @@ def _affine_to_range(raw, lo, hi):
     return lo + (raw + 1.0) * 0.5 * (hi - lo)
 
 
-def decode_action(grouping, action, q_default, position_limits=None) -> GainState:
-    """Map a raw [-1, 1] action vector to targets and gains.
+def decode_action(grouping, action, q_default, position_limits=None):
+    """Map a raw [-1, 1] action vector to the gains: per-joint stiffness kp,
+    damping kd and position targets q_target.
 
     Position entries offset the default pose by +-0.5 rad (clamped to the
     joint limits when given). Stiffness entries map affinely onto
@@ -101,26 +92,19 @@ def decode_action(grouping, action, q_default, position_limits=None) -> GainStat
         k_leg = _affine_to_range(stiff[..., :N_LEGS], lo, hi)
         k_group = _affine_to_range(stiff[..., N_LEGS:], lo, hi)
         kp = k_leg[..., _LEG_OF_JOINT] * k_group[..., _GROUP_OF_JOINT]
-    return GainState(kp=kp, kd=damping_from_stiffness(kp), q_target=q_target)
+    return {"kp": kp, "kd": damping_from_stiffness(kp), "q_target": q_target}
 
 
-@dataclass
-class GainRandomization:
-    """Multiplicative actuator randomization (stiffness, damping, strength)."""
-
-    kp_scale: np.ndarray
-    kd_scale: np.ndarray
-    motor_strength: np.ndarray
-
-
-def compute_torque_randomized(gains: GainState, q, qdot, rand: GainRandomization, torque_limit):
-    """The one torque law: tau = kp (q_target - q) - kd qdot with kp and kd
-    scaled by the randomization (ones for nominal gains), clamped to
-    +-torque_limit (the tree's ``torque_limits``). Motor strength
-    multiplies the raw torque before the clamp, so the clamp still bounds
-    the delivered torque."""
+def compute_torque_randomized(gains, q, qdot, rand, torque_limit):
+    """The one torque law: tau = kp (q_target - q) - kd qdot of the gains
+    (``decode_action``'s keys) with kp and kd scaled by the multiplicative
+    actuator randomization rand["kp_scale"] and rand["kd_scale"] (ones for
+    nominal gains), clamped to +-torque_limit (the tree's
+    ``torque_limits``). rand["motor_strength"] multiplies the raw torque
+    before the clamp, so the clamp still bounds the delivered torque."""
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
-    tau = gains.kp * rand.kp_scale * (gains.q_target - q) - gains.kd * rand.kd_scale * qdot
-    tau = tau * rand.motor_strength
+    tau = (gains["kp"] * rand["kp_scale"] * (gains["q_target"] - q)
+           - gains["kd"] * rand["kd_scale"] * qdot)
+    tau = tau * rand["motor_strength"]
     return np.clip(tau, -np.asarray(torque_limit), np.asarray(torque_limit))

@@ -1,9 +1,10 @@
 """Floating-base articulated rigid-body dynamics with penalty ground contact.
 
-The engine is batched over N environments, and ``BatchState`` is the only
-state type; a single simulation is a state with N = 1. ``step_batch`` is the
-one entry point and does not check its inputs (``EnvConfig`` checks the
-timestep; a diverged row is flagged in the state's ``diverged``);
+The engine is batched over N environments. A state is a dict of the arrays
+that ``state_layout`` declares, env axis first; a single simulation is a
+state with N = 1. ``step_batch`` is the one entry point and does not check
+its inputs (``EnvConfig`` checks the timestep; a diverged row is flagged in
+the state's ``diverged``);
 ``contact_force_law`` is the contact law at a given state. Generalized
 velocity layout is [base linear (world), base angular (world), joint rates]
 for floating trees and [joint rates] for fixed-base trees.
@@ -32,16 +33,15 @@ exponential map. Besides the joint torques, the one applied load is a push:
 a world force at the base origin of a floating tree, which enters the base
 rows of the generalized force as it is.
 
-``step_batch`` steps the engine state, a dict of a ``BatchState``'s fields
-stored env-last (field k is ``st[k].T``) and their kinematics (FK,
-velocities and foot points; see ``_empty_state``), to the next one; a
-caller that edits a field in place reruns ``_fill_kinematics``.
-``_kinematics`` converts a ``BatchState``; ``standing_state`` places a
-robot from FK alone.
+``step_batch`` steps the engine state, a state's fields stored env-last
+(field k is ``st[k].T``) and their kinematics (FK, velocities and foot
+points; see ``_empty_state``), to the next one; a caller that edits a field
+in place reruns ``_fill_kinematics``. ``_kinematics`` converts a state;
+``standing_state`` places a robot from FK alone.
 
 Ground contact is one penalty law (``_penalty``, ``_cone``): a spring on
 penetration depth, viscous dampers and the Coulomb cone. A substep
-integrates the dampers implicitly, and ``BatchState.contact_forces`` holds
+integrates the dampers implicitly, and a state's ``contact_forces`` holds
 the foot forces that solve applied. ``contact_force_law`` is the same law,
 explicit at a given state.
 
@@ -54,10 +54,10 @@ numpy call runs over whole rows of envs: a 3 x 3 product is one
 leading-axis einsum or three row-wise multiply-adds, never one tiny matrix
 product per env, and the small eliminations of ``_spd_solve`` run row by
 row. No call sums over an axis in an order that depends on the batch, so a
-row comes out the same bit for bit in any batch. ``BatchState`` and the
-env's rows (``env.row_layout``) keep the env axis first and the engine
-state keeps it last across a control step: ``env._physics`` converts the
-state's rows once in before the substeps and once out after them.
+row comes out the same bit for bit in any batch. A state, like the env's
+rows (``env.row_layout``), keeps the env axis first and the engine state
+keeps it last across a control step: ``env._physics`` converts the state's
+rows once in before the substeps and once out after them.
 
 A process steps one batch at a time (``step_batch`` is not safe to call
 from two threads at once), so its scratch (``_scratch``) is one set of
@@ -69,7 +69,6 @@ caller may step a batch in row shards (``vsloco.shards``).
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,47 +118,27 @@ def _scratch(slot, *shapes):
     return arrays if len(arrays) > 1 else arrays[0]
 
 
-@dataclass
-class BatchState:
-    """Structure-of-arrays state for N parallel simulations."""
-
-    base_pos: np.ndarray  # (N, 3)
-    base_quat: np.ndarray  # (N, 4)
-    base_linvel: np.ndarray
-    base_angvel: np.ndarray
-    q: np.ndarray  # (N, nj)
-    qdot: np.ndarray
-    time: np.ndarray  # (N,)
-    contact_flags: np.ndarray = None  # (N, n_feet)
-    # the foot forces the last substep applied: the implicit penalty law at
-    # its solved velocity, not the law at the new state
-    contact_forces: np.ndarray = None  # (N, n_feet, 3)
-    diverged: np.ndarray = None  # (N,)
-    # feet whose friction cone the last substep saturated: the active-set
-    # pass re-solved them with a sliding force
-    cone_saturated: np.ndarray = None  # (N, n_feet)
-
-    @property
-    def n(self):
-        return self.q.shape[0]
+def state_layout(tree: KinematicTree):
+    """The fields of a state, {name: (shape after the env axis, dtype)}. A
+    tree without feet has one foot slot, which ``step_batch`` leaves zero."""
+    nj, feet, f = (tree.n_joints,), (max(len(tree.foot_body_indices), 1),), float
+    return {"base_pos": ((3,), f), "base_quat": ((4,), f), "base_linvel": ((3,), f),
+            "base_angvel": ((3,), f), "q": (nj, f), "qdot": (nj, f), "time": ((), f),
+            "contact_flags": (feet, bool),
+            # the foot forces the last substep applied: the implicit penalty
+            # law at its solved velocity, not the law at the new state
+            "contact_forces": (feet + (3,), f), "diverged": ((), bool),
+            # feet whose friction cone the last substep saturated: the
+            # active-set pass re-solved them with a sliding force
+            "cone_saturated": (feet, bool)}
 
 
-@dataclass
-class BatchParams:
-    """Per-environment physical parameters (domain randomization hooks)."""
-
-    masses: np.ndarray  # (N, B)
-    gravity: np.ndarray  # (N, 3) world gravity acceleration vector
-    friction: np.ndarray  # (N,)
-
-    @staticmethod
-    def from_tree(tree: KinematicTree, n: int) -> "BatchParams":
-        mu = float(tree.contact.get("friction", 1.0))
-        return BatchParams(
-            masses=np.repeat(tree.mass[None], n, axis=0),
-            gravity=np.repeat((GRAVITY_DIR * tree.gravity)[None], n, axis=0),
-            friction=np.full(n, mu),
-        )
+def nominal_params(tree: KinematicTree, n):
+    """The tree's physical parameters for n envs, env first: masses (n, B),
+    world gravity acceleration (n, 3) and ground friction (n,)."""
+    return {"masses": np.repeat(tree.mass[None], n, axis=0),
+            "gravity": np.repeat((GRAVITY_DIR * tree.gravity)[None], n, axis=0),
+            "friction": np.full(n, float(tree.contact.get("friction", 1.0)))}
 
 
 # ---------------------------------------------------------------------------
@@ -169,24 +148,21 @@ class BatchParams:
 _FK_FIELDS = ("base_pos", "base_quat", "q", "R", "p", "c", "a_w")
 
 
-def _empty_state(ct: KinematicTree, n):
-    """Env-last arrays for the kinematic fields of n envs and their
-    kinematics: the base pose and velocities, q and qdot (k, n); ``_fk``'s R
-    (3, 3, B, n), p and c (3, B, n), a_w (3, nj, n); ``_velocities``' w,
-    v_o and v_c (3, B, n); and foot_pos, foot_vel (3, n_feet, n) for a tree
-    with feet."""
-    return {key: np.empty(shape + (n,)) for key, shape in _state_shapes(ct).items()}
-
-
-def _state_shapes(ct: KinematicTree):
-    """The shapes of ``_empty_state``'s arrays without their env axis."""
+def _empty_state(ct: KinematicTree, n, keys=None):
+    """Env-last arrays of n envs for the engine state (see ``step_batch``),
+    or for its arrays named in keys: the fields of ``state_layout``, each
+    with its shape reversed, and their kinematics: ``_fk``'s R (3, 3, B, n),
+    p and c (3, B, n), a_w (3, nj, n); ``_velocities``' w, v_o and v_c
+    (3, B, n); and foot_pos, foot_vel (3, n_feet, n) for a tree with feet."""
     B, nj = ct.n_bodies, ct.n_joints
-    shapes = {"base_pos": (3,), "base_quat": (4,), "base_linvel": (3,), "base_angvel": (3,),
-              "q": (nj,), "qdot": (nj,), "R": (3, 3, B), "p": (3, B), "c": (3, B),
-              "a_w": (3, nj), "w": (3, B), "v_o": (3, B), "v_c": (3, B)}
+    shapes = {key: (shape[::-1], dtype) for key, (shape, dtype) in state_layout(ct).items()}
+    shapes.update({"R": ((3, 3, B), float), "p": ((3, B), float), "c": ((3, B), float),
+                   "a_w": ((3, nj), float), "w": ((3, B), float), "v_o": ((3, B), float),
+                   "v_c": ((3, B), float)})
     if ct.foot_body_indices:
-        shapes["foot_pos"] = shapes["foot_vel"] = (3, len(ct.foot_body_indices))
-    return shapes
+        shapes["foot_pos"] = shapes["foot_vel"] = ((3, len(ct.foot_body_indices)), float)
+    return {key: np.empty(shape + (n,), dtype) for key, (shape, dtype) in shapes.items()
+            if keys is None or key in keys}
 
 
 def _per_branch(ct: KinematicTree, x):
@@ -522,15 +498,13 @@ def contact_force_law(contact_cfg, friction, pos, vel):
 # forward dynamics and stepping
 
 
-def _kinematics(ct: KinematicTree, bs: BatchState):
-    """The engine state of bs (see ``step_batch``): its fields env-last
-    (those that are None left out) and their kinematics."""
-    st = _empty_state(ct, bs.n)
-    for key, a in vars(bs).items():
-        if key in st:
-            st[key][...] = a.T
-        elif a is not None:
-            st[key] = a.T.copy()
+def _kinematics(ct: KinematicTree, state):
+    """The engine state (see ``step_batch``) of a mapping that holds every
+    field of ``state_layout``, env first: those fields env-last and their
+    kinematics."""
+    st = _empty_state(ct, len(state["q"]))
+    for key in state_layout(ct):
+        st[key][...] = state[key].T
     _fill_kinematics(ct, st)
     return st
 
@@ -540,7 +514,8 @@ def _inputs(ct: KinematicTree, n, tau, push, params):
     None, masses (B, n), gravity (3, n) and friction (n,)."""
     return {"tau": np.broadcast_to(tau, (n, ct.n_joints)).T,
             "push": None if push is None else np.broadcast_to(push, (n, 3)).T,
-            "masses": params.masses.T, "gravity": params.gravity.T, "friction": params.friction}
+            "masses": params["masses"].T, "gravity": params["gravity"].T,
+            "friction": params["friction"]}
 
 
 def _assemble(ct: KinematicTree, st, inp):
@@ -652,24 +627,26 @@ def _generalized_velocity(ct, st):
 def step_batch(ct: KinematicTree, st, tau, dt, push=None, params=None):
     """One semi-implicit Euler substep for the whole batch.
 
-    st is the engine state: the fields of a ``BatchState`` env-last (field
-    k is ``st[k].T``, so time is (n,) and contact_forces (3, n_feet, n))
-    and the kinematics of its fields. ``push`` (N, 3), if given, is a world
-    force at the base origin of a floating tree. Returns the new engine
+    st is the engine state: the fields of a state env-last (field k is
+    ``st[k].T``, so time is (n,) and contact_forces (3, n_feet, n)) and the
+    kinematics of its fields. ``push`` (N, 3), if given, is a world force at
+    the base origin of a floating tree; params holds masses, gravity and
+    friction env first (``nominal_params`` if None). Returns the new engine
     state.
     """
     n = st["q"].shape[-1]
     if params is None:
-        params = BatchParams.from_tree(ct, n)
+        params = nominal_params(ct, n)
     T, K, rhs, contact = _assemble(ct, st, _inputs(ct, n, tau, push, params))
     v_cur = _generalized_velocity(ct, st)
+    nb, new = ct.n_base, _empty_state(ct, n)
     if contact is not None:
-        v_new, forces, saturated = _implicit_contact_velocity_update(
-            ct, v_cur, dt, T, K, rhs, contact, params.friction)
+        v_new, new["contact_forces"], new["cone_saturated"] = _implicit_contact_velocity_update(
+            ct, v_cur, dt, T, K, rhs, contact, params["friction"])
     else:
         v_new = v_cur + dt * _solve(ct, T, K, rhs)
-        forces, saturated = np.zeros((3, 1, n)), np.zeros((1, n), dtype=bool)
-    nb, new = ct.n_base, _empty_state(ct, n)
+        for key in ("contact_flags", "contact_forces", "cone_saturated"):
+            new[key][...] = 0
     if ct.floating:
         new["base_linvel"][...] = v_new[0:3]
         new["base_angvel"][...] = v_new[3:6]
@@ -682,15 +659,11 @@ def step_batch(ct: KinematicTree, st, tau, dt, push=None, params=None):
     new["qdot"][...] = v_new[nb:]
     np.add(st["q"], dt * v_new[nb:], out=new["q"])
     _fill_kinematics(ct, new)
-    new.update(
-        time=st["time"] + dt,
-        contact_flags=new["foot_pos"][2] < 0.0 if ct.foot_body_indices
-        else np.zeros((1, n), dtype=bool),
-        contact_forces=forces,
-        # negated so that a non-finite velocity counts as diverged
-        diverged=~(np.abs(v_new).max(axis=0) <= DIVERGENCE_SPEED) | st["diverged"],
-        cone_saturated=saturated,
-    )
+    if contact is not None:
+        np.less(new["foot_pos"][2], 0.0, out=new["contact_flags"])
+    np.add(st["time"], dt, out=new["time"])
+    # negated so that a non-finite velocity counts as diverged
+    new["diverged"][...] = ~(np.abs(v_new).max(axis=0) <= DIVERGENCE_SPEED) | st["diverged"]
     return new
 
 
@@ -698,28 +671,18 @@ def step_batch(ct: KinematicTree, st, tau, dt, push=None, params=None):
 # initial states
 
 
-def default_state(tree: KinematicTree, q=None, base_pos=(0.0, 0.0, 0.0)) -> BatchState:
+def default_state(tree: KinematicTree, q=None, base_pos=(0.0, 0.0, 0.0)):
     """Upright state at rest in pose q. N is the row count of a 2-D q, else 1."""
-    q = np.zeros(tree.n_joints) if q is None else np.asarray(q, dtype=float)
-    q = np.atleast_2d(q).copy()
-    n = q.shape[0]
-    n_feet = max(len(tree.foot_body_indices), 1)
-    return BatchState(
-        base_pos=np.broadcast_to(np.asarray(base_pos, dtype=float), (n, 3)).copy(),
-        base_quat=np.tile(IDENTITY_QUAT, (n, 1)),
-        base_linvel=np.zeros((n, 3)),
-        base_angvel=np.zeros((n, 3)),
-        q=q,
-        qdot=np.zeros_like(q),
-        time=np.zeros(n),
-        contact_flags=np.zeros((n, n_feet), dtype=bool),
-        contact_forces=np.zeros((n, n_feet, 3)),
-        diverged=np.zeros(n, dtype=bool),
-        cone_saturated=np.zeros((n, n_feet), dtype=bool),
-    )
+    q = np.atleast_2d(np.zeros(tree.n_joints) if q is None else np.asarray(q, dtype=float))
+    state = {key: np.zeros((len(q),) + shape, dtype)
+             for key, (shape, dtype) in state_layout(tree).items()}
+    state["base_pos"][...] = base_pos
+    state["base_quat"][...] = IDENTITY_QUAT
+    state["q"][...] = q
+    return state
 
 
-def standing_state(tree: KinematicTree, q=None) -> BatchState:
+def standing_state(tree: KinematicTree, q=None):
     """``default_state`` in pose q (the default pose if None) with each base
     placed so that its lowest foot touches the floor exactly (z = 0).
 
@@ -729,10 +692,9 @@ def standing_state(tree: KinematicTree, q=None) -> BatchState:
     carries no kinematics; the first substep computes them.
     """
     state = default_state(tree, q=tree.default_pose if q is None else q)
-    shapes = _state_shapes(tree)
-    st = {key: np.empty(shapes[key] + (state.n,)) for key in _FK_FIELDS}
+    st = _empty_state(tree, len(state["q"]), _FK_FIELDS)
     for key in ("base_pos", "base_quat", "q"):
-        st[key][...] = getattr(state, key).T
+        st[key][...] = state[key].T
     _fk(tree, st)
-    state.base_pos[:, 2] = -_foot_positions(tree, st)[2].min(axis=0)
+    state["base_pos"][:, 2] = -_foot_positions(tree, st)[2].min(axis=0)
     return state

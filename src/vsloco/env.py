@@ -4,7 +4,11 @@ A vectorized environment steps N independent robots: PD/impedance torques at
 500 Hz (10 substeps), policy actions at 50 Hz, per-episode domain
 randomization, scheduled pushes, the 18-term reward stack, and the asymmetric
 actor/critic observation pair, laid out once in ``OBS_BLOCKS`` and
-``PRIV_BLOCKS``. Every per-row array is declared once, in ``row_layout``.
+``PRIV_BLOCKS``. Every per-row array is declared once, in ``row_layout``,
+which opens with the engine's state fields (``dynamics.state_layout``); the
+engine, the torque law and the env read the rows by name. The env's
+``state`` and ``params`` are read-only attribute views of some of those rows,
+kept for ``bench/run.py``.
 Every random number is a pure function of (seed, the row's stream, its draw
 counter, slot) from the counter-based generator ``randomization.uniform``:
 each draw site (reset, command refresh, observation noise) is one vectorised
@@ -16,7 +20,8 @@ from the same seed.
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -188,14 +193,11 @@ def row_layout(tree: KinematicTree, action_dim, cfg: EnvConfig):
     """Every per-row array of a ``VecLocomotionEnv``, {name: (shape after the row
     axis, dtype)}, by which the env allocates, resets, steps and snapshots them."""
     nj, feet, slots, f = (tree.n_joints,), (len(tree.foot_body_indices),), cfg.max_pushes, float
-    return {  # a dynamics.BatchState
-        "base_pos": ((3,), f), "base_quat": ((4,), f), "base_linvel": ((3,), f),
-        "base_angvel": ((3,), f), "q": (nj, f), "qdot": (nj, f), "time": ((), f),
-        "contact_flags": (feet, bool), "contact_forces": (feet + (3,), f), "diverged": ((), bool),
-        "cone_saturated": (feet, bool),
-        # an actuation.GainState: the gains of the last step, or a reset's hold gains
+    return {
+        **dyn.state_layout(tree),
+        # actuation.decode_action's gains of the last step, or a reset's hold gains
         "kp": (nj, f), "kd": (nj, f), "q_target": (nj, f),
-        # a dynamics.BatchParams
+        # the physical parameters (dynamics.nominal_params)
         "masses": ((tree.n_bodies,), f), "gravity": ((3,), f), "friction": ((), f),
         # the episode's draws
         "kp_scale": (nj, f), "kd_scale": (nj, f), "motor_strength": (nj, f),
@@ -208,11 +210,6 @@ def row_layout(tree: KinematicTree, action_dim, cfg: EnvConfig):
         # the random stream: the draws made, and the stream they are keyed by
         "draws": ((), np.uint64), "stream": ((), int),
     }
-
-
-def _view(cls, rows):
-    """The dataclass cls over the arrays of rows that its fields name."""
-    return cls(**{f.name: rows[f.name] for f in fields(cls)})
 
 
 def _active_push(start, end, force, t):
@@ -261,19 +258,18 @@ def _physics(rows, out, tree, cfg):
     results depend on that row alone, so ``shards.run`` may split the rows.
     """
     dt = cfg.dt_physics
-    st = dyn._kinematics(tree, _view(dyn.BatchState, rows))
-    params, rand = _view(dyn.BatchParams, rows), _view(act.GainRandomization, rows)
+    st = dyn._kinematics(tree, rows)
     torque_limit = tree.torque_limits
     air_time, touchdown_air, contact = out["air_time"], out["touchdown_air"], rows["contact_flags"]
     air_time[...] = rows["air_time"]
     touchdown_air[...] = 0.0
     for sub in range(cfg.physics_substeps):
         use_new = (sub >= rows["delay_substeps"])[:, None]
-        eff = act.GainState(**{key: np.where(use_new, rows[key], rows["prev_" + key])
-                               for key in ("kp", "kd", "q_target")})
-        tau = act.compute_torque_randomized(eff, st["q"].T, st["qdot"].T, rand, torque_limit)
+        eff = {key: np.where(use_new, rows[key], rows["prev_" + key])
+               for key in ("kp", "kd", "q_target")}
+        tau = act.compute_torque_randomized(eff, st["q"].T, st["qdot"].T, rows, torque_limit)
         push = _active_push(rows["push_start"], rows["push_end"], rows["push_force"], st["time"])
-        st = dyn.step_batch(tree, st, tau, dt, push=push, params=params)
+        st = dyn.step_batch(tree, st, tau, dt, push=push, params=rows)
         landing = st["contact_flags"].T & ~contact
         contact = st["contact_flags"].T
         air_time[~contact] += dt
@@ -321,9 +317,11 @@ class VecLocomotionEnv:
     holds its last. Resets never rewind the draw counters, so a reset env's
     episode depends only on (seed, stream, draws).
 
-    `rows` is the env's whole state, one array per entry of ``row_layout``;
-    `state` and `params` view them as a ``BatchState`` and ``BatchParams``
-    (a step replaces the arrays, so a view holds those of its time).
+    `rows` is the env's whole state, one array per entry of ``row_layout``.
+    `state` and `params` are read-only attribute views of its state fields
+    (``dynamics.state_layout``) and of masses, gravity and friction, kept for
+    ``bench/run.py`` (a step replaces the arrays, so a view holds those of
+    its time).
     `snapshot(idx)` copies rows and `restore(snapshot, idx)` writes them into
     rows of this env or of another of the same seed, grouping, tree and
     config, where they step as their source does.
@@ -357,15 +355,29 @@ class VecLocomotionEnv:
         self.rows["stream"][:] = np.arange(self.n)
         self._reset_envs(np.arange(self.n))
 
-    state = property(lambda self: _view(dyn.BatchState, self.rows))
-    params = property(lambda self: _view(dyn.BatchParams, self.rows))
+    state = property(lambda self: SimpleNamespace(
+        **{name: self.rows[name] for name in dyn.state_layout(self.tree)}))
+    params = property(lambda self: SimpleNamespace(
+        **{name: self.rows[name] for name in ("masses", "gravity", "friction")}))
 
     # ------------------------------------------------------------------
     # snapshots and resets
 
+    def _rows_at(self, idx):
+        """The rows idx: every row if None, else a 1-D integer array with
+        every entry in [0, n); anything else is refused."""
+        if idx is None:
+            return np.arange(self.n)
+        rows = np.asarray(idx)
+        if not (rows.ndim == 1 and (rows.dtype.kind in "iu" or rows.size == 0)
+                and np.all((0 <= rows) & (rows < self.n))):
+            raise ValueError(f"idx must be None or a 1-D integer array with entries in "
+                             f"[0, {self.n}), got {idx!r}")
+        return rows.astype(int)
+
     def snapshot(self, idx=None):
         """Copies of every row array at the rows idx (every row if None)."""
-        idx = np.arange(self.n) if idx is None else np.asarray(idx, dtype=int).reshape(-1)
+        idx = self._rows_at(idx)
         return {name: a[idx] for name, a in self.rows.items()}
 
     def restore(self, snapshot, idx=None):
@@ -373,7 +385,7 @@ class VecLocomotionEnv:
         arrays has one row per entry of idx, or one row for all of them. A
         missing or extra array, or one of the wrong shape or dtype, is refused
         by name, before anything is written."""
-        idx = np.arange(self.n) if idx is None else np.asarray(idx, dtype=int).reshape(-1)
+        idx = self._rows_at(idx)
         for name in sorted(snapshot.keys() ^ self.rows.keys()):
             kind = "missing" if name in self.rows else "unknown"
             raise ValueError(f"snapshot row {name!r} is {kind}")
@@ -408,10 +420,10 @@ class VecLocomotionEnv:
         q = self.q_default + dr.between(-cfg.reset_joint_noise, cfg.reset_joint_noise, noise)
         ep = dr.sample_episode(cfg.randomization, key, stream, draw + 1)
         deltas = np.concatenate([ep["payload_mass"], ep["hip_mass"]], axis=1)
-        params = dyn.BatchParams.from_tree(self.tree, idx.size)  # the tree's own rows
-        params.masses[:, MASS_DELTA_BODIES] += deltas
-        params.gravity[:, 2] += ep["gravity_offset"][:, 0]
-        params.friction *= ep["ground_friction"][:, 0]
+        params = dyn.nominal_params(self.tree, idx.size)  # the tree's own rows
+        params["masses"][:, MASS_DELTA_BODIES] += deltas
+        params["gravity"][:, 2] += ep["gravity_offset"][:, 0]
+        params["friction"] *= ep["ground_friction"][:, 0]
         delay = (ep["system_delay"][:, 0] / 1000.0 / cfg.dt_physics).astype(int)
         rows["delay_substeps"][idx] = np.minimum(delay, cfg.physics_substeps - 1)
         rows["mass_deltas"][idx] = deltas
@@ -424,8 +436,9 @@ class VecLocomotionEnv:
         hold = act.decode_action(
             self.grouping, np.zeros((idx.size, self.action_dim)), self.q_default, self.q_limits
         )
-        for part in (params, _view(act.GainRandomization, ep), placed, hold):
-            for name, a in vars(part).items():
+        scales = {name: ep[name] for name in ("kp_scale", "kd_scale", "motor_strength")}
+        for part in (params, scales, placed, hold):
+            for name, a in part.items():
                 rows[name][idx] = a
 
     # ------------------------------------------------------------------
@@ -473,9 +486,9 @@ class VecLocomotionEnv:
 
         # the previous gains are held for the first delay_substeps substeps
         prev_gains = {"prev_" + name: rows[name] for name in ("kp", "kd", "q_target")}
-        rows.update(vars(new_gains))
+        rows.update(new_gains)
         out = {key: np.empty_like(rows[key])
-               for key in (*vars(self.state), "air_time", "last_tau")}
+               for key in (*dyn.state_layout(self.tree), "air_time", "last_tau")}
         feet = (n, len(self.tree.foot_body_indices), 3)
         out.update(touchdown_air=np.empty_like(rows["air_time"]), reasons=np.empty(n, dtype=int),
                    n_collisions=np.empty(n, dtype=int), com=np.empty((n, 3)),
@@ -508,7 +521,7 @@ class VecLocomotionEnv:
             "truncated": truncated,
             "reasons": reasons,
             "breakdown": breakdown,
-            "kp": new_gains.kp.copy(),  # the reset below writes the hold gains
+            "kp": new_gains["kp"].copy(),  # the reset below writes the hold gains
             "push_force": rows["active_push"].copy(),
             "episode_return": np.where(done, rows["episode_return"], np.nan),
             "episode_length": np.where(done, rows["step_count"], 0),
@@ -571,7 +584,7 @@ class VecLocomotionEnv:
             foot_vel_xy=foot_vel[..., :2],
             foot_xy=foot_pos[..., :2],
             com_xy=out["com"][:, :2],
-            q_target=gains.q_target,
+            q_target=gains["q_target"],
             q_next=rows["q"],
             base_height=rows["base_pos"][:, 2],
             q_hip=rows["q"][:, HIP_JOINT_INDICES],

@@ -21,6 +21,7 @@ minibatches) and [512, 256, 128] nets, one update's numpy heap peaks at
 """
 
 import csv
+import math
 import numbers
 import os
 import time
@@ -67,11 +68,14 @@ class TrainConfig:
             raise ValueError("gamma and lam must lie in (0, 1]")
         if not 0.0 < self.clip_ratio < 1.0:
             raise ValueError("clip_ratio must lie in (0, 1)")
-        for name in ("learning_rate", "entropy_coef", "value_coef", "max_grad_norm", "init_std"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if not self.min_std >= 0.0:
-            raise ValueError("min_std must not be negative")
+        for name in ("learning_rate", "entropy_coef", "value_coef", "init_std"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not self.max_grad_norm > 0:
+            raise ValueError("max_grad_norm must be positive")
+        if not 0.0 <= self.min_std < math.inf:
+            raise ValueError(f"min_std must be finite and not negative, got {self.min_std}")
         if not all(isinstance(h, numbers.Integral) and h > 0 for h in self.hidden):
             raise ValueError(f"hidden sizes must be positive integers, got {self.hidden!r}")
         self.hidden = [int(h) for h in self.hidden]

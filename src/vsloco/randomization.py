@@ -11,6 +11,7 @@ on the seed, i and how many draws env i has made, never on the rest of the
 batch.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +70,10 @@ NOISE_ROWS = {
 
 @dataclass
 class DomainRandomizationConfig:
+    """The randomization table: the default rows, each overridden by the row of
+    the same name in rows. A row is two finite bounds (lo, hi) with lo <= hi,
+    and system_delay's lo is >= 0; a row that is not is refused by name."""
+
     rows: dict = field(default_factory=_default_rows)
 
     def __post_init__(self):
@@ -76,7 +81,18 @@ class DomainRandomizationConfig:
         for name, bounds in self.rows.items():
             if name not in merged:
                 raise ValueError(f"unknown randomization row {name!r}")
-            merged[name] = (float(bounds[0]), float(bounds[1]))
+            try:
+                lo, hi = map(float, bounds)
+            except (TypeError, ValueError):
+                raise ValueError(f"randomization row {name!r} must be two bounds (lo, hi), "
+                                 f"got {bounds!r}") from None
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+                raise ValueError(f"randomization row {name!r} must be finite with lo <= hi, "
+                                 f"got {bounds!r}")
+            if name == "system_delay" and lo < 0.0:
+                raise ValueError(f"randomization row 'system_delay' must have lo >= 0 ms, "
+                                 f"got {bounds!r}")
+            merged[name] = (lo, hi)
         self.rows = merged
 
 

@@ -61,17 +61,17 @@ def engine_kinematics(ct, bs):
     the bias accelerations alpha and a_c, and the world inertias I_w."""
     st = dyn._kinematics(ct, bs)
     kin = {key: env_first(a, 2 if key == "R" else 1)
-           for key, a in st.items() if key not in vars(bs)}
+           for key, a in st.items() if key not in bs}
     kin["alpha"], kin["a_c"] = map(env_first, dyn._bias_accelerations(ct, st))
     kin["I_w"] = env_first(dyn._world_inertia(ct, st["R"]), 2)
     return kin
 
 
 def engine_step(ct, bs, tau, dt, push=None, params=None):
-    """``dyn.step_batch`` of a ``BatchState``: bs as the engine state
+    """``dyn.step_batch`` of a state: bs as the engine state
     (``_kinematics``), one substep, and the new state's fields env-first."""
     st = dyn.step_batch(ct, dyn._kinematics(ct, bs), tau, dt, push=push, params=params)
-    return dyn.BatchState(**{key: st[key].T.copy() for key in vars(bs)})
+    return {key: st[key].T.copy() for key in dyn.state_layout(ct)}
 
 
 def reference_fk(ct, bs):
@@ -79,18 +79,18 @@ def reference_fk(ct, bs):
     world joint axes a_w (N, nj, 3), from the bodies' parents and the
     ``JointSpec``s alone: a body is its parent's frame (the world's for a
     fixed root), moved to the joint origin and turned by exp(axis q)."""
-    N, B, nj = bs.n, ct.n_bodies, ct.n_joints
+    N, B, nj = len(bs["q"]), ct.n_bodies, ct.n_joints
     start = 1 if ct.floating else 0
     R, p = np.zeros((N, B, 3, 3)), np.zeros((N, B, 3))
     a_w = np.zeros((N, nj, 3))
     if ct.floating:
-        R[:, 0], p[:, 0] = quat_to_matrix(bs.base_quat), bs.base_pos
+        R[:, 0], p[:, 0] = quat_to_matrix(bs["base_quat"]), bs["base_pos"]
     for j, joint in enumerate(ct.joints):
         b = j + start
         parent = ct.bodies[b].parent
         R_p, p_p = (R[:, parent], p[:, parent]) if parent >= 0 else (np.eye(3), np.zeros(3))
         a_w[:, j] = R_p @ joint.axis
-        R[:, b] = R_p @ quat_to_matrix(quat_exp(joint.axis * bs.q[:, j, None]))
+        R[:, b] = R_p @ quat_to_matrix(quat_exp(joint.axis * bs["q"][:, j, None]))
         p[:, b] = p_p + R_p @ joint.origin_in_parent
     return {"R": R, "p": p, "a_w": a_w}
 
@@ -141,13 +141,13 @@ def ancestors(ct):
 
 def jacobians(ct, bs, fk):
     """World-frame com Jacobians J_v, J_w of shape (N, B, 3, nv)."""
-    N, B, nj, nv = bs.n, ct.n_bodies, ct.n_joints, ct.nv
+    N, B, nj, nv = len(bs["q"]), ct.n_bodies, ct.n_joints, ct.nv
     J_v = np.zeros((N, B, 3, nv))
     J_w = np.zeros((N, B, 3, nv))
     off = 6 if ct.floating else 0
     if ct.floating:
         J_v[:, :, :, 0:3] = np.eye(3)
-        r = fk["c"] - bs.base_pos[:, None, :]
+        r = fk["c"] - bs["base_pos"][:, None, :]
         J_v[:, :, :, 3:6] = -skew(r)
         J_w[:, :, :, 3:6] = np.eye(3)
     if nj:
@@ -164,7 +164,7 @@ def jacobians(ct, bs, fk):
 def mass_matrix(params, J_v, J_w, I_w):
     N, B, _, nv = J_v.shape
     Jv_flat = J_v.reshape(N, B * 3, nv)
-    Jv_weighted = (params.masses[:, :, None, None] * J_v).reshape(N, B * 3, nv)
+    Jv_weighted = (params["masses"][:, :, None, None] * J_v).reshape(N, B * 3, nv)
     M = Jv_flat.transpose(0, 2, 1) @ Jv_weighted
     IJ = (I_w @ J_w).reshape(N, B * 3, nv)
     M += J_w.reshape(N, B * 3, nv).transpose(0, 2, 1) @ IJ
@@ -172,7 +172,7 @@ def mass_matrix(params, J_v, J_w, I_w):
 
 
 def bias_forces(params, kin, I_w, J_v, J_w):
-    f = params.masses[:, :, None] * (kin["a_c"] - params.gravity[:, None, :])
+    f = params["masses"][:, :, None] * (kin["a_c"] - params["gravity"][:, None, :])
     Iw_w = (I_w @ kin["w"][..., None])[..., 0]
     n = (I_w @ kin["alpha"][..., None])[..., 0] + np.cross(kin["w"], Iw_w)
     N, B, _, nv = J_v.shape
@@ -201,11 +201,11 @@ def assemble(ct, bs, tau, push, params):
     M = mass_matrix(params, J_v, J_w, I_w)
     h = bias_forces(params, kin, I_w, J_v, J_w)
     off = 6 if ct.floating else 0
-    Q = np.zeros((bs.n, ct.nv))
+    Q = np.zeros((len(bs["q"]), ct.nv))
     if ct.n_joints:
         Q[:, off:] = tau
     if push is not None:  # a world force at the base origin
-        J_p = point_jacobian(kin, J_v, J_w, 0, bs.base_pos)
+        J_p = point_jacobian(kin, J_v, J_w, 0, bs["base_pos"])
         Q += (J_p.transpose(0, 2, 1) @ push[..., None])[..., 0]
     contact = None
     if ct.foot_body_indices:
@@ -249,7 +249,7 @@ def implicit_contact_velocity_update(ct, bs, dt, M, rhs, contact, params):
     normal = spring_n + d_norm * np.maximum(0.0, -v_feet[..., 2])
     f_tan = -d_tan[..., None] * v_feet[..., :2]
     t_norm = np.linalg.norm(f_tan, axis=-1)
-    limit = params.friction[:, None] * normal
+    limit = params["friction"][:, None] * normal
     saturated = in_contact & (t_norm > limit + 1e-12)
     if np.any(saturated):
         direction = f_tan / np.where(t_norm[..., None] > 0, t_norm[..., None], 1.0)
@@ -262,9 +262,9 @@ def implicit_contact_velocity_update(ct, bs, dt, M, rhs, contact, params):
 def generalized_velocity(ct, bs):
     parts = []
     if ct.floating:
-        parts += [bs.base_linvel, bs.base_angvel]
+        parts += [bs["base_linvel"], bs["base_angvel"]]
     if ct.n_joints:
-        parts.append(bs.qdot)
+        parts.append(bs["qdot"])
     return np.concatenate(parts, axis=1)
 
 
@@ -272,7 +272,7 @@ def step_batch(ct, bs, tau, dt, push=None, params=None):
     """One semi-implicit Euler substep; returns the new state's (base_pos,
     base_quat, v_new, q) and the saturated-foot mask (None without feet)."""
     if params is None:
-        params = dyn.BatchParams.from_tree(ct, bs.n)
+        params = dyn.nominal_params(ct, len(bs["q"]))
     M, rhs, contact = assemble(ct, bs, tau, push, params)
     saturated = None
     if contact is not None:
@@ -280,9 +280,9 @@ def step_batch(ct, bs, tau, dt, push=None, params=None):
     else:
         v_new = generalized_velocity(ct, bs) + dt * np.linalg.solve(M, rhs[..., None])[..., 0]
     off = 6 if ct.floating else 0
-    base_pos, base_quat = bs.base_pos, bs.base_quat
+    base_pos, base_quat = bs["base_pos"], bs["base_quat"]
     if ct.floating:
-        base_pos = bs.base_pos + dt * v_new[:, 0:3]
-        base_quat = quat_normalize(quat_mul(quat_exp(dt * v_new[:, 3:6]), bs.base_quat))
-    q = bs.q + dt * v_new[:, off:] if ct.n_joints else bs.q
+        base_pos = bs["base_pos"] + dt * v_new[:, 0:3]
+        base_quat = quat_normalize(quat_mul(quat_exp(dt * v_new[:, 3:6]), bs["base_quat"]))
+    q = bs["q"] + dt * v_new[:, off:] if ct.n_joints else bs["q"]
     return (base_pos, base_quat, v_new, q), saturated

@@ -23,16 +23,16 @@ def quad():
 
 def pendulum_state(tree, q, qdot=0.0):
     s = dyn.default_state(tree)
-    s.q[:] = q
-    s.qdot[:] = qdot
+    s["q"][:] = q
+    s["qdot"][:] = qdot
     return s
 
 
 def _assembly(tree, s, tau, push=None, params=None):
     """The engine's env-last assembly (T, K, rhs, contact) of state s, at
     the tree's nominal parameters unless params are given."""
-    params = dyn.BatchParams.from_tree(tree, s.n) if params is None else params
-    inputs = dyn._inputs(tree, s.n, tau, push, params)
+    params = dyn.nominal_params(tree, len(s["q"])) if params is None else params
+    inputs = dyn._inputs(tree, len(s["q"]), tau, push, params)
     return dyn._assemble(tree, dyn._kinematics(tree, s), inputs)
 
 
@@ -84,8 +84,8 @@ def test_free_floating_trunk_free_fall(quad):
 def test_linearity_in_torque(quad):
     rng = np.random.default_rng(3)
     s = dyn.default_state(quad, q=quad.default_pose, base_pos=(0, 0, 1.0))
-    s.qdot[:] = rng.normal(0, 1, 12)
-    s.base_angvel[:] = rng.normal(0, 1, 3)
+    s["qdot"][:] = rng.normal(0, 1, 12)
+    s["base_angvel"][:] = rng.normal(0, 1, 3)
     t1 = rng.normal(0, 5, 12)
     t2 = rng.normal(0, 5, 12)
     a0 = _qacc(quad, s, np.zeros(12))
@@ -113,7 +113,7 @@ def test_two_link_mass_matrix_closed_form():
     for _ in range(10):
         q1, q2 = rng.uniform(-np.pi, np.pi, 2)
         s = dyn.default_state(tree)
-        s.q[:] = (q1, q2)
+        s["q"][:] = (q1, q2)
         M = _mass_matrix(tree, s)[0]
         m11 = m1 * l1**2 + m2 * (l1**2 + l2**2 + 2 * l1 * l2 * np.cos(q2))
         m12 = m2 * (l2**2 + l1 * l2 * np.cos(q2))
@@ -125,12 +125,12 @@ def test_two_link_mass_matrix_closed_form():
 def test_kinetic_energy_consistent_with_mass_matrix(quad):
     rng = np.random.default_rng(7)
     s = dyn.default_state(quad, q=quad.default_pose, base_pos=(0, 0, 1.0))
-    s.q[:] += rng.normal(0, 0.3, 12)
-    s.qdot[:] = rng.normal(0, 2, 12)
-    s.base_linvel[:] = rng.normal(0, 1, 3)
-    s.base_angvel[:] = rng.normal(0, 1, 3)
+    s["q"][:] += rng.normal(0, 0.3, 12)
+    s["qdot"][:] = rng.normal(0, 2, 12)
+    s["base_linvel"][:] = rng.normal(0, 1, 3)
+    s["base_angvel"][:] = rng.normal(0, 1, 3)
     M = _mass_matrix(quad, s)[0]
-    v = np.concatenate([s.base_linvel[0], s.base_angvel[0], s.qdot[0]])
+    v = np.concatenate([s["base_linvel"][0], s["base_angvel"][0], s["qdot"][0]])
     ke_m = 0.5 * v @ M @ v
     kin = dense.engine_kinematics(quad, s)
     ke_b = 0.5 * np.einsum("b,nbi,nbi->", quad.mass, kin["v_c"], kin["v_c"])
@@ -142,17 +142,17 @@ def test_spinning_body_angular_momentum_rate_zero():
     # torque-free rigid body: I_w * alpha + w x I_w w = 0 at the acceleration level
     tree = floating_box_tree(gravity=0.0)
     s = dyn.default_state(tree, base_pos=(0, 0, 1.0))
-    s.base_angvel[:] = (2.0, -1.0, 0.5)
+    s["base_angvel"][:] = (2.0, -1.0, 0.5)
     qacc = _qacc(tree, s, np.zeros(0))[0]
     I_w = dense.engine_kinematics(tree, s)["I_w"][0, 0]
-    residual = I_w @ qacc[3:6] + np.cross(s.base_angvel[0], I_w @ s.base_angvel[0])
+    residual = I_w @ qacc[3:6] + np.cross(s["base_angvel"][0], I_w @ s["base_angvel"][0])
     assert np.allclose(residual, 0, atol=1e-10)
     assert np.allclose(qacc[0:3], 0, atol=1e-12)
 
 
 def _copy(state, rows=slice(None)):
     """The rows of a state as a new state."""
-    return dyn.BatchState(**{key: a[rows].copy() for key, a in vars(state).items()})
+    return {key: a[rows].copy() for key, a in state.items()}
 
 
 def test_entry_points_act_row_by_row(quad):
@@ -161,10 +161,10 @@ def test_entry_points_act_row_by_row(quad):
     # pendulums and the pushed box. Row shards (vsloco.shards) rely on it.
     rng = np.random.default_rng(11)
     s = dyn.standing_state(quad, quad.default_pose + rng.normal(0, 0.2, (3, 12)))
-    s.base_pos[:, 2] -= (0.0, 0.002, 0.004)
-    s.base_linvel[:] = rng.normal(0, 0.5, (3, 3))
-    s.base_angvel[:] = rng.normal(0, 0.5, (3, 3))
-    s.qdot[:] = rng.normal(0, 1, (3, 12))
+    s["base_pos"][:, 2] -= (0.0, 0.002, 0.004)
+    s["base_linvel"][:] = rng.normal(0, 0.5, (3, 3))
+    s["base_angvel"][:] = rng.normal(0, 0.5, (3, 3))
+    s["qdot"][:] = rng.normal(0, 1, (3, 12))
     cases = [(quad, s, rng.normal(0, 3, (3, 12)), rng.normal(0, 20, (3, 3)))]
     for tree, st in _other_trees(rng, 3):
         cases.append((tree, st, rng.normal(0, 1, (3, tree.n_joints)),
@@ -172,13 +172,13 @@ def test_entry_points_act_row_by_row(quad):
     for tree, s, tau, push in cases:
         batched = dense.engine_step(tree, s, tau, 0.002, push=push)
         if tree is quad:
-            assert np.any(batched.contact_forces[..., 2] > 0.0)
+            assert np.any(batched["contact_forces"][..., 2] > 0.0)
         for i in range(3):
             rows = slice(i, i + 1)
             single = dense.engine_step(tree, _copy(s, rows), tau[rows], 0.002,
                                        push=None if push is None else push[rows])
-            for key, a in vars(batched).items():
-                assert np.array_equal(a[i], getattr(single, key)[0]), key
+            for key, a in batched.items():
+                assert np.array_equal(a[i], single[key][0]), key
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +190,13 @@ def _random_quad_batch(quad, rng, n, speed=1.0):
     and base pushes of the given scale, randomized body masses, and friction
     between 0.05 and 1."""
     s = dyn.standing_state(quad, quad.default_pose + rng.normal(0, 0.2, (n, 12)))
-    s.base_pos[:, 2] -= rng.uniform(0.0, 0.01, n)
-    s.base_linvel[:] = rng.normal(0, speed, (n, 3))
-    s.base_angvel[:] = rng.normal(0, speed, (n, 3))
-    s.qdot[:] = rng.normal(0, 2 * speed, (n, 12))
-    params = dyn.BatchParams.from_tree(quad, n)
-    params.masses *= rng.uniform(0.8, 1.2, params.masses.shape)
-    params.friction[:] = rng.uniform(0.05, 1.0, n)
+    s["base_pos"][:, 2] -= rng.uniform(0.0, 0.01, n)
+    s["base_linvel"][:] = rng.normal(0, speed, (n, 3))
+    s["base_angvel"][:] = rng.normal(0, speed, (n, 3))
+    s["qdot"][:] = rng.normal(0, 2 * speed, (n, 12))
+    params = dyn.nominal_params(quad, n)
+    params["masses"] *= rng.uniform(0.8, 1.2, params["masses"].shape)
+    params["friction"][:] = rng.uniform(0.05, 1.0, n)
     return s, params, rng.normal(0, 50 * speed, (n, 3))
 
 
@@ -205,9 +205,9 @@ def _other_trees(rng, n):
     out = []
     for tree in (pendulum_tree(), double_pendulum_tree(), floating_box_tree()):
         s = dyn.default_state(tree, q=rng.normal(0, 1, (n, tree.n_joints)), base_pos=(0, 0, 1))
-        s.qdot[:] = rng.normal(0, 2, s.qdot.shape)
-        s.base_linvel[:] = rng.normal(0, 1, (n, 3))
-        s.base_angvel[:] = rng.normal(0, 1, (n, 3))
+        s["qdot"][:] = rng.normal(0, 2, s["qdot"].shape)
+        s["base_linvel"][:] = rng.normal(0, 1, (n, 3))
+        s["base_angvel"][:] = rng.normal(0, 1, (n, 3))
         out.append((tree, s))
     return out
 
@@ -222,7 +222,7 @@ def test_block_assembly_matches_dense_oracle(quad):
     cases = [(quad, s, params, rng.normal(0, 5, (64, 12)), push)]
     for tree, st in _other_trees(rng, 8):
         tau = rng.normal(0, 1, (8, tree.n_joints))
-        cases.append((tree, st, dyn.BatchParams.from_tree(tree, 8), tau,
+        cases.append((tree, st, dyn.nominal_params(tree, 8), tau,
                       rng.normal(0, 3, (8, 3)) if tree.floating else None))
     for tree, st, prm, tau, push in cases:
         T, K, rhs, _ = _assembly(tree, st, tau, push, prm)
@@ -241,7 +241,7 @@ def test_damper_update_matches_dense_oracle(quad):
     s, params, push = _random_quad_batch(quad, rng, 64)
     tau = rng.normal(0, 5, (64, 12))
     dt = 0.002
-    saturated = dense.engine_step(quad, s, tau, dt, push=push, params=params).cone_saturated.T
+    saturated = dense.engine_step(quad, s, tau, dt, push=push, params=params)["cone_saturated"].T
     rows = np.flatnonzero(saturated.any(axis=0))
     assert 0 < rows.size < 64
     M, _, contact = dense.assemble(quad, s, tau, push, params)
@@ -300,11 +300,11 @@ def _random_poses(quad, rng, n):
     """n quadruped states at random joint angles, base orientations and
     velocities."""
     s = dyn.default_state(quad, q=rng.uniform(-np.pi, np.pi, (n, 12)))
-    s.base_pos[:] = rng.normal(0, 1, (n, 3))
-    s.base_quat[:] = quat_normalize(rng.normal(0, 1, (n, 4)))
-    s.base_linvel[:] = rng.normal(0, 1, (n, 3))
-    s.base_angvel[:] = rng.normal(0, 1, (n, 3))
-    s.qdot[:] = rng.normal(0, 2, (n, 12))
+    s["base_pos"][:] = rng.normal(0, 1, (n, 3))
+    s["base_quat"][:] = quat_normalize(rng.normal(0, 1, (n, 4)))
+    s["base_linvel"][:] = rng.normal(0, 1, (n, 3))
+    s["base_angvel"][:] = rng.normal(0, 1, (n, 3))
+    s["qdot"][:] = rng.normal(0, 2, (n, 12))
     return s
 
 
@@ -322,8 +322,8 @@ def test_body_angular_velocity_is_the_rate_of_fk(quad):
 
     def rotations(t):
         moved = _copy(s)
-        moved.q += t * s.qdot
-        moved.base_quat[:] = quat_mul(quat_exp(t * s.base_angvel), s.base_quat)
+        moved["q"] += t * s["qdot"]
+        moved["base_quat"][:] = quat_mul(quat_exp(t * s["base_angvel"]), s["base_quat"])
         return dense.engine_kinematics(quad, moved)["R"]
 
     kin = dense.engine_kinematics(quad, s)
@@ -343,8 +343,8 @@ def test_negated_joint_axes_turn_the_bodies_the_same(quad):
     rng = np.random.default_rng(23)
     s, params, push = _random_quad_batch(quad, rng, 16)
     m = _copy(s)
-    m.q *= -1.0
-    m.qdot *= -1.0
+    m["q"] *= -1.0
+    m["qdot"] *= -1.0
     s, m = dyn._kinematics(quad, s), dyn._kinematics(mirror, m)
     for _ in range(20):
         tau = rng.normal(0, 5, (16, 12))
@@ -369,11 +369,12 @@ def test_step_batch_matches_dense_oracle_over_one_second(quad):
     # low-friction floors and a base push for 0.5 s (the box is pushed too)
     rng = np.random.default_rng(5)
     s, params, push = _random_quad_batch(quad, rng, 16, speed=0.3)
-    runs = [(quad, s, params, push, lambda st: _pd_torque(quad, st.q, st.qdot, quad.default_pose))]
+    runs = [(quad, s, params, push,
+             lambda st: _pd_torque(quad, st["q"], st["qdot"], quad.default_pose))]
     for tree, st in _other_trees(rng, 4):
-        runs.append((tree, st, dyn.BatchParams.from_tree(tree, 4),
+        runs.append((tree, st, dyn.nominal_params(tree, 4),
                      rng.normal(0, 3, (4, 3)) if tree.floating else None,
-                     lambda st, nj=tree.n_joints: np.zeros((st.n, nj))))
+                     lambda st, nj=tree.n_joints: np.zeros((len(st["q"]), nj))))
     for tree, st, prm, push, torque in runs:
         ref = copy.deepcopy(st)
         n_saturated = 0
@@ -382,18 +383,36 @@ def test_step_batch_matches_dense_oracle_over_one_second(quad):
             st = dense.engine_step(tree, st, tau, 0.002, push=push, params=prm)
             (base_pos, base_quat, v, q), saturated = dense.step_batch(
                 tree, ref, torque(ref), 0.002, push=push, params=prm)
-            ref = dyn.BatchState(base_pos=base_pos, base_quat=base_quat, base_linvel=v[:, 0:3],
-                                 base_angvel=v[:, 3:6], q=q, qdot=v[:, tree.n_base:], time=st.time)
+            ref = {**st, "base_pos": base_pos, "base_quat": base_quat, "base_linvel": v[:, 0:3],
+                   "base_angvel": v[:, 3:6], "q": q, "qdot": v[:, tree.n_base:]}
             if not tree.floating:
-                ref.base_linvel, ref.base_angvel = st.base_linvel, st.base_angvel
+                ref["base_linvel"], ref["base_angvel"] = st["base_linvel"], st["base_angvel"]
             for f in ("base_pos", "base_quat", "base_linvel", "base_angvel", "q", "qdot"):
-                assert np.abs(getattr(st, f) - getattr(ref, f)).max(initial=0.0) <= 1e-9, f
+                assert np.abs(st[f] - ref[f]).max(initial=0.0) <= 1e-9, f
             if saturated is not None:
-                assert np.array_equal(st.cone_saturated, saturated)
+                assert np.array_equal(st["cone_saturated"], saturated)
                 n_saturated += int(saturated.sum())
-            push = push if st.time[0] < 0.5 else None  # the pushes end at 0.5 s
+            push = push if st["time"][0] < 0.5 else None  # the pushes end at 0.5 s
         if tree is quad:
             assert 0 < n_saturated < 500 * 16 * 4
+
+
+@pytest.mark.parametrize("tree", [build_quadruped(), pendulum_tree(), double_pendulum_tree(),
+                                  floating_box_tree()], ids=["quad", "pendulum", "double", "box"])
+def test_engine_and_state_layout_agree(tree):
+    # a state holds exactly the layout's fields; a substep returns each of
+    # them env-last, beside only the kinematics of a fresh pass, so the env
+    # (which carries the layout's rows across steps) drops no field
+    layout = dyn.state_layout(tree)
+    s = dyn.default_state(tree, q=np.zeros((3, tree.n_joints)), base_pos=(0, 0, 1))
+    assert s.keys() == layout.keys()
+    for key, (shape, dtype) in layout.items():
+        assert s[key].shape == (3, *shape) and s[key].dtype == dtype, key
+    st = dyn._kinematics(tree, s)
+    new = dyn.step_batch(tree, st, np.zeros((3, tree.n_joints)), 0.002)
+    assert new.keys() == st.keys()
+    for key, (shape, dtype) in layout.items():
+        assert new[key].shape == (*shape[::-1], 3) and new[key].dtype == dtype, key
 
 
 def test_warm_substep_allocates_little(quad):
@@ -423,19 +442,19 @@ def test_warm_substep_allocates_little(quad):
 @pytest.mark.parametrize("substeps", [1, 2])
 def test_step_returns_the_kinematics_of_its_fields(quad, substeps):
     # the state step_batch returns, the input of the next substep, holds
-    # every field of a BatchState env-last and, bit for bit, the kinematics
+    # every field of a state env-last and, bit for bit, the kinematics
     # a fresh pass computes from a copy of its fields
     s, params, push = _random_quad_batch(quad, np.random.default_rng(3), 4)
     st = dyn._kinematics(quad, s)
     for _ in range(substeps):
         st = dyn.step_batch(quad, st, np.zeros((4, 12)), 0.002, push=push, params=params)
     fresh = dyn._empty_state(quad, 4)
-    for key in vars(s):
-        assert st[key].shape == getattr(s, key).T.shape, key
+    for key in s:
+        assert st[key].shape == s[key].T.shape, key
         if key in fresh:
             fresh[key][...] = st[key]
     dyn._fill_kinematics(quad, fresh)
-    assert st.keys() == fresh.keys() | vars(s).keys()
+    assert st.keys() == fresh.keys() | s.keys()
     for key in fresh:
         assert np.array_equal(st[key], fresh[key]), key
     assert np.array_equal(st["contact_flags"], fresh["foot_pos"][2] < 0.0)
@@ -446,8 +465,8 @@ def test_non_finite_row_steps_to_diverged_quietly(quad):
     # warns of nothing (RuntimeWarnings are errors in this suite); the
     # other row steps on
     s = dyn.standing_state(quad, np.tile(quad.default_pose, (2, 1)))
-    s.qdot[1, 0] = np.nan
-    assert dense.engine_step(quad, s, np.zeros(12), 0.002).diverged.tolist() == [False, True]
+    s["qdot"][1, 0] = np.nan
+    assert dense.engine_step(quad, s, np.zeros(12), 0.002)["diverged"].tolist() == [False, True]
 
 
 @pytest.mark.parametrize("substeps", [1, 2])
@@ -463,11 +482,11 @@ def test_reported_contact_forces_are_the_applied_ones(quad, substeps):
         s = new
         M, rhs, contact = dense.assemble(quad, s, tau, push, params)
         new = dense.engine_step(quad, s, tau, 0.002, push=push, params=params)
-    sliding = new.cone_saturated.any(axis=1)
+    sliding = new["cone_saturated"].any(axis=1)
     assert sliding.any() and not sliding.all()
     dv = dense.generalized_velocity(quad, new) - dense.generalized_velocity(quad, s)
     balance = (M @ dv[..., None])[..., 0] / 0.002 - rhs
-    applied = dense.foot_wrench(contact["J_p"], new.contact_forces)
+    applied = dense.foot_wrench(contact["J_p"], new["contact_forces"])
     for rows in (sliding, ~sliding):
         assert _relative(applied[rows], balance[rows]) <= 1e-9
 
@@ -489,7 +508,7 @@ def test_fixed_base_chains_solve_through_the_joint_blocks():
     rng = np.random.default_rng(8)
     for tree in (pendulum_tree(), double_pendulum_tree()):
         s = dyn.default_state(tree, q=rng.normal(0, 1, (5, tree.n_joints)))
-        s.qdot[:] = rng.normal(0, 2, s.qdot.shape)
+        s["qdot"][:] = rng.normal(0, 2, s["qdot"].shape)
         T, K, rhs, _ = _assembly(tree, s, rng.normal(0, 1, (5, tree.n_joints)))
         nj = tree.n_joints
         assert tree.n_base == 0 and T.shape == (0, 0, 5) and K.shape == (nj, nj, 1, 5)
@@ -498,24 +517,24 @@ def test_fixed_base_chains_solve_through_the_joint_blocks():
 
 
 def test_cone_saturation_flags(quad):
-    assert not dyn.default_state(quad).cone_saturated.any()
+    assert not dyn.default_state(quad)["cone_saturated"].any()
     # settled standing on mu = 1: every foot sticks
     kp, kd = 150.0, 0.2 * np.sqrt(150.0)
     s = dyn.standing_state(quad)
     for _ in range(500):
-        tau = np.clip(kp * (quad.default_pose - s.q) - kd * s.qdot, -quad.torque_limits,
+        tau = np.clip(kp * (quad.default_pose - s["q"]) - kd * s["qdot"], -quad.torque_limits,
                       quad.torque_limits)
         s = dense.engine_step(quad, s, tau, 0.002)
-    assert s.contact_flags.all()
-    assert s.cone_saturated.shape == (1, 4) and not s.cone_saturated.any()
+    assert s["contact_flags"].all()
+    assert s["cone_saturated"].shape == (1, 4) and not s["cone_saturated"].any()
     # base sliding at 1 m/s on mu = 0.05: every foot in contact slides
     s = dyn.standing_state(quad)
-    s.base_pos[0, 2] -= 0.002
-    s.base_linvel[0] = (1.0, 0.0, 0.0)
-    params = dyn.BatchParams.from_tree(quad, 1)
-    params.friction[:] = 0.05
+    s["base_pos"][0, 2] -= 0.002
+    s["base_linvel"][0] = (1.0, 0.0, 0.0)
+    params = dyn.nominal_params(quad, 1)
+    params["friction"][:] = 0.05
     s2 = dense.engine_step(quad, s, np.zeros((1, 12)), 0.002, params=params)
-    assert s2.cone_saturated.all()
+    assert s2["cone_saturated"].all()
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +558,7 @@ def test_pendulum_energy_drift_below_one_percent():
 def test_double_pendulum_energy_drift_below_one_percent():
     tree = double_pendulum_tree()
     s = dyn.default_state(tree)
-    s.q[:] = (0.6, 0.4)
+    s["q"][:] = (0.6, 0.4)
     e0 = dense.total_energy(tree, s)[0]
     e_min = -(1.0 * 0.6 + 0.7 * 1.0) * G
     scale = e0 - e_min
@@ -556,12 +575,12 @@ def test_momentum_gains_exactly_gravity_impulse(quad):
     dt = 0.002
     m_tot = quad.mass.sum()
     s = dyn.default_state(quad, q=quad.default_pose, base_pos=(0, 0, 3.0))
-    s.base_linvel[:] = (0.4, -0.2, 0.1)
+    s["base_linvel"][:] = (0.4, -0.2, 0.1)
     for _ in range(5):
         p_before = dense.total_linear_momentum(quad, s)[0]
         s2 = dense.engine_step(quad, s, np.zeros(12), dt)
-        p_mid = m_tot * s2.base_linvel[0] + (
-            dense.total_linear_momentum(quad, s2)[0] - m_tot * s2.base_linvel[0]
+        p_mid = m_tot * s2["base_linvel"][0] + (
+            dense.total_linear_momentum(quad, s2)[0] - m_tot * s2["base_linvel"][0]
         )
         delta = p_mid - p_before
         assert np.allclose(delta, [0, 0, -m_tot * G * dt], rtol=0, atol=1e-10)
@@ -574,15 +593,15 @@ def test_determinism_bit_identical(quad):
     a = dense.engine_step(quad, s0, tau, 0.002)
     b = dense.engine_step(quad, copy.deepcopy(s0), tau, 0.002)
     for f in ("base_pos", "base_quat", "base_linvel", "base_angvel", "q", "qdot"):
-        assert np.array_equal(getattr(a, f), getattr(b, f))
+        assert np.array_equal(a[f], b[f])
 
 
 def test_quaternion_norm_preserved(quad):
     s = dyn.standing_state(quad)
-    s.base_angvel[:] = (1.0, 2.0, -0.5)
+    s["base_angvel"][:] = (1.0, 2.0, -0.5)
     for _ in range(100):
         s = dense.engine_step(quad, s, np.zeros(12), 0.002)
-        assert abs(np.linalg.norm(s.base_quat[0]) - 1.0) < 1e-9
+        assert abs(np.linalg.norm(s["base_quat"][0]) - 1.0) < 1e-9
 
 
 def test_divergence_flagged():
@@ -590,10 +609,10 @@ def test_divergence_flagged():
     tree = pendulum_tree()
     s = pendulum_state(tree, 0.0, qdot=2e4)
     s2 = dense.engine_step(tree, s, np.zeros(1), 0.002)
-    assert s2.diverged[0]
+    assert s2["diverged"][0]
     s = dyn.default_state(tree, q=np.zeros((2, 1)))
-    s.qdot[1] = 2e4
-    assert dense.engine_step(tree, s, np.zeros(1), 0.002).diverged.tolist() == [False, True]
+    s["qdot"][1] = 2e4
+    assert dense.engine_step(tree, s, np.zeros(1), 0.002)["diverged"].tolist() == [False, True]
 
 
 def test_quasi_static_stand_drift(quad):
@@ -604,17 +623,17 @@ def test_quasi_static_stand_drift(quad):
     q_ref = quad.default_pose
 
     def pd_step(state):
-        tau = np.clip(kp * (q_ref - state.q) - kd * state.qdot, -tau_lim, tau_lim)
+        tau = np.clip(kp * (q_ref - state["q"]) - kd * state["qdot"], -tau_lim, tau_lim)
         return dense.engine_step(quad, state, tau, 0.002)
 
     for _ in range(500):
         s = pd_step(s)
-    h_settled = s.base_pos[0, 2]
+    h_settled = s["base_pos"][0, 2]
     for _ in range(500):
         s = pd_step(s)
-    assert abs(s.base_pos[0, 2] - h_settled) < 1e-3
+    assert abs(s["base_pos"][0, 2] - h_settled) < 1e-3
     # the settled stance also stays within 2 cm of the nominal height
-    assert dyn.standing_state(quad).base_pos[0, 2] - s.base_pos[0, 2] < 0.02
+    assert dyn.standing_state(quad)["base_pos"][0, 2] - s["base_pos"][0, 2] < 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -624,16 +643,16 @@ def test_quasi_static_stand_drift(quad):
 def _law_forces(tree, s, mu):
     """The penalty law's foot forces (N, n_feet, 3), explicit at the state."""
     kin = dyn._kinematics(tree, s)
-    return dyn.contact_force_law(tree.contact, np.full(s.n, mu), kin["foot_pos"].T,
+    return dyn.contact_force_law(tree.contact, np.full(len(s["q"]), mu), kin["foot_pos"].T,
                                  kin["foot_vel"].T)
 
 
 def test_contact_zero_above_floor(quad):
     s = dyn.standing_state(quad)
-    s.base_pos[0, 2] += 0.002
+    s["base_pos"][0, 2] += 0.002
     forces = _law_forces(quad, s, 1.0)
     assert np.allclose(forces, 0.0)
-    flags = dense.engine_step(quad, s, np.zeros(12), 0.001).contact_flags
+    flags = dense.engine_step(quad, s, np.zeros(12), 0.001)["contact_flags"]
     # one substep of free fall from 2 mm cannot reach the floor
     assert not flags.any()
 
@@ -641,7 +660,7 @@ def test_contact_zero_above_floor(quad):
 def test_contact_penalty_normal_value(quad):
     # static foot penetrating 1 mm with k_n = 30000 -> 30 N normal force
     s = dyn.standing_state(quad)
-    s.base_pos[0, 2] -= 0.001
+    s["base_pos"][0, 2] -= 0.001
     forces = _law_forces(quad, s, 1.0)[0]
     assert np.allclose(forces[:, 2], 30.0, atol=1e-9)
     assert np.allclose(forces[:, :2], 0.0, atol=1e-12)
@@ -681,7 +700,7 @@ def test_projected_gravity_upright_and_rolled(quad):
     s = dyn.standing_state(quad)
     g = projected_gravity(s)
     assert np.allclose(g, [0, 0, -1], atol=1e-12)
-    s.base_quat[0] = np.array([np.cos(np.pi / 4), np.sin(np.pi / 4), 0.0, 0.0])  # roll 90 deg
+    s["base_quat"][0] = np.array([np.cos(np.pi / 4), np.sin(np.pi / 4), 0.0, 0.0])  # roll 90 deg
     g = projected_gravity(s)
     assert abs(g[2]) < 1e-12
     assert abs(np.linalg.norm(g) - 1.0) < 1e-12
@@ -701,8 +720,8 @@ def test_standing_state_places_the_lowest_foot_from_fk(quad, n):
     q = quad.default_pose + np.random.default_rng(n).normal(0, 0.3, (n, 12))
     at_origin = dyn._kinematics(quad, dyn.default_state(quad, q))["foot_pos"]
     s = dyn.standing_state(quad, q)
-    assert np.array_equal(s.base_pos[:, 2], -at_origin[2].min(axis=0))
-    assert not s.base_pos[:, :2].any()
+    assert np.array_equal(s["base_pos"][:, 2], -at_origin[2].min(axis=0))
+    assert not s["base_pos"][:, :2].any()
 
 
 def test_standing_state_allocates_little(quad):
@@ -726,4 +745,4 @@ def test_feet_on_floor_in_standing_state(quad):
     s = dyn.standing_state(quad)
     foot_pos = dyn._kinematics(quad, s)["foot_pos"]
     assert np.allclose(foot_pos[2, :, 0], 0.0, atol=1e-12)
-    assert abs(s.base_pos[0, 2] - 0.30694) < 5e-4
+    assert abs(s["base_pos"][0, 2] - 0.30694) < 5e-4

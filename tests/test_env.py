@@ -160,12 +160,12 @@ def test_step_determinism():
 
 def test_randomized_context_inside_supports():
     env = VecLocomotionEnv("PLS", n_envs=64, seed=17, config=EnvConfig())
-    nominal = dyn.BatchParams.from_tree(env.tree, env.n)
+    nominal = dyn.nominal_params(env.tree, env.n)
     rows = env.cfg.randomization.rows
     for _ in range(20):
         env.reset_all()
         payload, hips = env.rows["mass_deltas"][:, 0], env.rows["mass_deltas"][:, 1:]
-        friction_scale = env.params.friction / nominal.friction
+        friction_scale = env.params.friction / nominal["friction"]
         assert np.all((rows["payload_mass"][0] <= payload) & (payload <= rows["payload_mass"][1]))
         assert np.all(hips >= rows["hip_mass"][0])
         assert np.all(hips <= rows["hip_mass"][1])
@@ -188,10 +188,10 @@ def test_reset_identity_when_disabled():
     env.reset_all()
     assert np.all(env.rows["mass_deltas"][:, 0] == 0.0)
     assert np.all(env.rows["kp_scale"] == 1.0)
-    nominal = dyn.BatchParams.from_tree(env.tree, env.n)
-    assert np.array_equal(env.params.friction, nominal.friction)
-    assert np.array_equal(env.params.gravity, nominal.gravity)
-    assert np.array_equal(env.params.masses, nominal.masses)
+    nominal = dyn.nominal_params(env.tree, env.n)
+    assert np.array_equal(env.params.friction, nominal["friction"])
+    assert np.array_equal(env.params.gravity, nominal["gravity"])
+    assert np.array_equal(env.params.masses, nominal["masses"])
     assert np.all(env.rows["delay_substeps"] == 0)
 
 
@@ -432,7 +432,7 @@ def test_joint_limit_clamp_precedes_the_step_kinematics():
     _, _, _, done, info = env.step(np.zeros((1, env.action_dim)))
     assert done[0] and info["reasons"][0] == REASON_CODE["joint_limit"]
     assert env.state.q[0, 2] == env.q_limits[1][2]
-    kin = dyn._kinematics(env.tree, env.state)
+    kin = dyn._kinematics(env.tree, env.rows)
     feet, coms, R = kin["foot_pos"][..., 0].T, kin["c"][..., 0].T, kin["R"][..., 0]
     foot_vel_xy = kin["foot_vel"][:2, :, 0].T
     masses = env.params.masses[0]
@@ -500,7 +500,7 @@ def test_clip_inside_the_termination_tolerance_moves_the_step_kinematics():
     hi = env.q_limits[1][2]
     assert env.state.q[0, 2] == hi and 0.0 < knee - hi < 1e-9
     assert np.array_equal(np.delete(env.state.q, 2), np.delete(free.state.q, 2))
-    kin = dyn._kinematics(env.tree, env.state)
+    kin = dyn._kinematics(env.tree, env.rows)
     masses = env.params.masses
     com = np.einsum("nb,nbi->ni", masses, kin["c"].T.copy()) / masses.sum(axis=1, keepdims=True)
     assert np.array_equal(out["n_collisions"], _collision_counts(env.tree, kin))
@@ -843,6 +843,25 @@ def test_every_per_row_array_of_the_env_is_a_row_of_the_table():
         check()
     env.reset_all()
     check()
+
+
+@pytest.mark.parametrize("idx", [
+    np.array([False, True, False]),  # a mask would index rows 0, 1, 0
+    np.array([1.7]),  # would index row 1
+    [-1],  # would wrap to the last row
+    [0, 5],  # out of range
+    [[0, 1]],  # not 1-D
+])
+def test_snapshot_and_restore_refuse_a_bad_idx_by_name(idx):
+    env = VecLocomotionEnv("PLS", n_envs=3, seed=4)
+    one_row = env.snapshot([2])
+    before = env.snapshot()
+    with pytest.raises(ValueError, match="idx"):
+        env.snapshot(idx)
+    with pytest.raises(ValueError, match="idx"):
+        env.restore(one_row, idx=idx)
+    for key, value in env.snapshot().items():  # nothing was written
+        assert np.array_equal(value, before[key]), key
 
 
 @pytest.mark.parametrize("edit, name", [

@@ -148,10 +148,15 @@ def test_config_validation():
         TrainConfig(clip_ratio=0.0)
     with pytest.raises(TypeError, match="warp"):
         TrainConfig(**{"gamma": 0.99, "warp": 1})
-    # each would break training only later: a NaN log-stddev floor, an
-    # infinite or NaN initial log-stddev, a layer of no or fractional width
+    # each would break training only later: a NaN or infinite log-stddev
+    # floor, an infinite or NaN initial log-stddev, an infinite step size or
+    # loss weight (a non-finite loss in the first update), a layer of no or
+    # fractional width
+    inf = float("inf")
     for bad in ({"init_std": 0.0}, {"init_std": -1.0}, {"init_std": float("nan")},
-                {"min_std": -0.1}, {"min_std": float("nan")},
+                {"init_std": inf}, {"min_std": -0.1}, {"min_std": float("nan")},
+                {"min_std": inf}, {"learning_rate": inf}, {"entropy_coef": inf},
+                {"value_coef": inf},
                 {"hidden": [0, 16]}, {"hidden": [16.5]}, {"hidden": [16, -4]}):
         (name,) = bad
         with pytest.raises(ValueError, match=name):
@@ -167,6 +172,7 @@ def test_config_validation():
         with pytest.raises(ValueError, match=name):
             TrainConfig(**bad)
     assert TrainConfig(n_envs=2, steps_per_rollout=4, minibatches=8).minibatches == 8
+    assert TrainConfig(max_grad_norm=inf).max_grad_norm == inf  # no clipping
     # numpy integers are stored as ints, which the checkpoint's JSON header takes
     cfg = TrainConfig(min_std=0.0, hidden=[np.int64(8)], n_envs=np.int64(8), seed=np.uint8(3))
     assert cfg.hidden == [8] and cfg.n_envs == 8 and cfg.seed == 3

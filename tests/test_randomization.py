@@ -76,6 +76,20 @@ def test_unknown_row_rejected():
         dr.DomainRandomizationConfig({"tail_mass": (0, 1)})
 
 
+@pytest.mark.parametrize("row, bounds", [
+    ("kp_scale", (float("nan"), 1.3)),  # every env would diverge at its first step
+    ("gravity_offset", (-1.0, float("inf"))),
+    ("system_delay", (0.0, -50.0)),  # a negative delay would silently mean none
+    ("system_delay", (-5.0, 5.0)),
+    ("ground_friction", (1.25, 0.3)),  # lo > hi
+    ("hip_mass", (0.1, 0.2, 0.3)),  # the third bound would be dropped
+    ("payload_mass", 0.5),  # not a pair
+])
+def test_bad_bounds_rejected_by_row_name(row, bounds):
+    with pytest.raises(ValueError, match=f"'{row}'"):
+        dr.DomainRandomizationConfig({row: bounds})
+
+
 def test_row_override():
     cfg = dr.DomainRandomizationConfig({"payload_mass": (0.0, 1.0)})
     assert cfg.rows["payload_mass"] == (0.0, 1.0)
